@@ -168,6 +168,10 @@ type Result struct {
 	arena *dist.Arena
 }
 
+// Kernels returns the delay-kernel cache that Run built and that
+// ComputeNode keeps using (nil before either has run).
+func (r *Result) Kernels() *dist.KernelCache { return r.kernels }
+
 // Recycle releases the result's t.o.p. storage for reuse by a later
 // Run, skipping the slab allocation and full-width zeroing that
 // otherwise dominate repeated analyses of small circuits. Every

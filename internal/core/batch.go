@@ -18,8 +18,8 @@
 //
 // The float64 batch path is bit-identical to the serial scheduler:
 // phases reorder whole-net steps, never the arithmetic inside a net,
-// and the batch convolution kernel replays the serial kernel's
-// floating-point operations in the serial order (see dist.ConvPlan).
+// and both schedulers convolve with the same kernel
+// (dist.ConvPlan.ConvolveInto).
 // On an F32-precision grid the slab additionally quantizes every
 // staged and stored row to float32 (see DESIGN.md §13 for the error
 // model).
@@ -489,7 +489,9 @@ func (bx *batchExec) runGroup(g *delayGroup, workers int) {
 		return
 	}
 	parallelChunks(workers, len(srcs), rc.met, false, func(lo, hi int) {
-		dist.ConvolveBatch(bx.plan, dsts[lo:hi], srcs[lo:hi], kernel)
+		for i := lo; i < hi; i++ {
+			bx.plan.ConvolveInto(dsts[i], srcs[i], kernel)
+		}
 	})
 }
 

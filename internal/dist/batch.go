@@ -15,7 +15,7 @@ import (
 // floor(s + off) advances by exactly one bin per unit of s (contig) —
 // true for every real grid; the theoretical exception is a grid whose
 // off sits within half an ulp of an integer — which is what lets the
-// batch kernel process a whole source row against two table slices
+// kernel process a whole in-grid source row against two table slices
 // with no per-pair floor, branch, or bounds test.
 //
 // Plans are read-only after construction and safe for concurrent use.
@@ -102,28 +102,49 @@ func PlanFor(g Grid) *ConvPlan {
 	return pl
 }
 
-// ConvolveInto is the plan-driven equivalent of p.ConvolveInto(dst, q):
-// same FFT dispatch, same metrics, and a bit-identical result — the
-// direct path walks the identical (i, j) pair order with the identical
-// floating-point expressions, reading the split factors from the plan
-// tables instead of recomputing them per pair. Source rows whose
-// destination bins lie fully inside the grid additionally run a
-// register-carried form of the inner loop (each destination bin is
-// read once and written once per row instead of twice), which
-// reassociates nothing: the two adds land in the same order.
+// ConvolveInto writes the convolution of p and q into dst (cleared
+// first) and returns dst; dst must not alias p or q. This is the one
+// convolution kernel of the package: PMF.ConvolveInto, the per-gate
+// scheduler, the incremental delta cones and the batched levels all
+// run it. Operands whose supports both reach fftCrossover take the
+// FFT path; everything else runs the table-driven direct loop, which
+// reads the split factors from the plan tables instead of
+// recomputing a floor per bin pair. Source rows whose destination
+// bins lie fully inside the grid additionally run a register-carried
+// form of the inner loop (each destination bin is read once and
+// written once per row instead of twice), which reassociates
+// nothing: every bin receives the same adds in the same order as the
+// per-pair reference loop.
 func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
+	work, fft := pl.convStart(dst, p, q)
+	switch {
+	case !work:
+	case fft:
+		convolveFFTInto(dst, p, q)
+	default:
+		convolveDirect(pl, dst, p.w, p.lo, p.hi, q.w[q.lo:q.hi], q.lo)
+	}
+	return dst
+}
+
+// convStart checks that p, q and dst live on the plan's grid, clears
+// dst and charges the convolution's metrics. It reports whether
+// there is any work (both supports non-empty) and whether the
+// wide-operand FFT path takes it.
+func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
+	pl.grid.check(p.grid, "Convolve")
 	p.grid.check(q.grid, "Convolve")
 	p.grid.check(dst.grid, "Convolve")
 	dst.Reset()
 	sa, sb := p.hi-p.lo, q.hi-q.lo
 	if sa == 0 || sb == 0 {
-		return dst
+		return false, false
 	}
-	useFFT := sa >= fftCrossover && sb >= fftCrossover
+	fft = sa >= fftCrossover && sb >= fftCrossover
 	if m := p.grid.met; m != nil {
 		m.ConvSupport.Observe(sa)
 		m.ConvSupport.Observe(sb)
-		if useFFT {
+		if fft {
 			m.ConvFFT.Add(1)
 			m.CostBinOps.Add(fftCostUnits(sa + sb - 1))
 		} else {
@@ -131,21 +152,19 @@ func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 			m.CostBinOps.Add(int64(sa) * int64(sb))
 		}
 	}
-	if useFFT {
-		convolveFFTInto(dst, p, q)
-		return dst
-	}
-	pl.convolveDirect(dst, p, q)
-	return dst
+	return true, fft
 }
 
 // convolveDirect is the table-driven direct kernel with per-row
 // dispatch between the in-grid fast loop and the clamped fallback.
-func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
-	g := p.grid
+// src is a full-width row with support [slo, shi) and qs the
+// kernel's support bins starting at absolute bin qlo; the float32
+// instantiation reads the packed slab mirror. Products and
+// accumulation are float64 either way.
+func convolveDirect[T float32 | float64](pl *ConvPlan, dst *PMF, src []T, slo, shi int, qs []T, qlo int) {
+	n := pl.grid.N
 	w := dst.w
-	nq := q.hi - q.lo
-	qs := q.w[q.lo:q.hi]
+	nq := len(qs)
 	clampAdd := func(i int, v float64) {
 		if v == 0 {
 			return
@@ -153,10 +172,10 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 		if i < 0 {
 			i = 0
 		}
-		if i >= g.N {
-			i = g.N - 1
+		if i >= n {
+			i = n - 1
 		}
-		dst.w[i] += v
+		w[i] += v
 		dst.expand(i)
 	}
 	// firstT/lastT track the destination span of the fast rows; the
@@ -165,14 +184,14 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 	// be zero), which the support invariant permits: bins inside the
 	// support may be zero, bins outside are exactly zero.
 	firstT, lastT := -1, -1
-	for i := p.lo; i < p.hi; i++ {
-		a := p.w[i]
+	for i := slo; i < shi; i++ {
+		a := float64(src[i])
 		if a == 0 {
 			continue
 		}
-		s0 := i + q.lo
+		s0 := i + qlo
 		t0 := int(pl.base[s0])
-		if pl.contig && t0 >= 0 && t0+nq < g.N {
+		if pl.contig && t0 >= 0 && t0+nq < n {
 			// Fast row: every destination bin [t0, t0+nq] is in-grid
 			// and consecutive pairs share a bin, so carry the running
 			// bin value in a register across the row. The j-th store
@@ -183,7 +202,7 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 			wrow := w[t0 : t0+nq+1]
 			cur := wrow[0]
 			for j, b := range qs {
-				m := a * b
+				m := a * float64(b)
 				cur += m * ot[j]
 				wrow[j] = cur
 				cur = wrow[j+1] + m*ft[j]
@@ -198,7 +217,7 @@ func (pl *ConvPlan) convolveDirect(dst, p, q *PMF) {
 				if b == 0 {
 					continue
 				}
-				m := a * b
+				m := a * float64(b)
 				s := s0 + j
 				clampAdd(int(pl.base[s]), m*pl.one[s])
 				clampAdd(int(pl.base[s])+1, m*pl.frc[s])
@@ -230,15 +249,6 @@ func ShiftBatch(dsts, srcs []*PMF, d float64) {
 		} else {
 			src.ShiftInto(dsts[i], d)
 		}
-	}
-}
-
-// ConvolveBatch convolves every src with the shared kernel q into the
-// matching dst using the plan's split tables. The kernel is read-only
-// throughout, so cached delay kernels can be passed directly.
-func ConvolveBatch(pl *ConvPlan, dsts, srcs []*PMF, q *PMF) {
-	for i, src := range srcs {
-		pl.ConvolveInto(dsts[i], src, q)
 	}
 }
 
@@ -276,8 +286,8 @@ func (p *PMF) QuantizeF32() {
 	}
 }
 
-// ConvolveBatchF32 is the packed-precision variant of ConvolveBatch:
-// source rows are read from the slab's float32 mirror (half the
+// ConvolveBatchF32 convolves every src with the shared kernel q into
+// the matching dst, reading packed operands: source rows are read from the slab's float32 mirror (half the
 // memory traffic of the float64 rows) and the kernel from q32, the
 // float32 mirror of q's support bins (as built by KernelF32).
 // Products and bin accumulation stay float64; every stored output bin
@@ -292,29 +302,14 @@ func (p *PMF) QuantizeF32() {
 func ConvolveBatchF32(pl *ConvPlan, dsts []*PMF, slab *Slab, rows []int, srcs []*PMF, q *PMF, q32 []float32) {
 	for i, src := range srcs {
 		dst := dsts[i]
-		src.grid.check(q.grid, "Convolve")
-		src.grid.check(dst.grid, "Convolve")
-		dst.Reset()
-		sa, sb := src.hi-src.lo, q.hi-q.lo
-		if sa == 0 || sb == 0 {
+		work, fft := pl.convStart(dst, src, q)
+		switch {
+		case !work:
 			continue
-		}
-		useFFT := sa >= fftCrossover && sb >= fftCrossover
-		if m := src.grid.met; m != nil {
-			m.ConvSupport.Observe(sa)
-			m.ConvSupport.Observe(sb)
-			if useFFT {
-				m.ConvFFT.Add(1)
-				m.CostBinOps.Add(fftCostUnits(sa + sb - 1))
-			} else {
-				m.ConvDirect.Add(1)
-				m.CostBinOps.Add(int64(sa) * int64(sb))
-			}
-		}
-		if useFFT {
+		case fft:
 			convolveFFTInto(dst, src, q)
-		} else {
-			pl.convolveDirectF32(dst, slab.Row32(rows[i]), src.lo, src.hi, q32, q.lo)
+		default:
+			convolveDirect(pl, dst, slab.Row32(rows[i]), src.lo, src.hi, q32, q.lo)
 		}
 		dst.QuantizeF32()
 	}
@@ -330,75 +325,4 @@ func KernelF32(q *PMF, buf []float32) []float32 {
 		buf = append(buf, float32(v))
 	}
 	return buf
-}
-
-// convolveDirectF32 mirrors convolveDirect reading packed float32
-// operands: src32 is a full-width float32 row with support [slo, shi),
-// q32 the kernel's support bins starting at absolute bin qlo.
-func (pl *ConvPlan) convolveDirectF32(dst *PMF, src32 []float32, slo, shi int, q32 []float32, qlo int) {
-	g := pl.grid
-	w := dst.w
-	nq := len(q32)
-	clampAdd := func(i int, v float64) {
-		if v == 0 {
-			return
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= g.N {
-			i = g.N - 1
-		}
-		dst.w[i] += v
-		dst.expand(i)
-	}
-	firstT, lastT := -1, -1
-	for i := slo; i < shi; i++ {
-		a := float64(src32[i])
-		if a == 0 {
-			continue
-		}
-		s0 := i + qlo
-		t0 := int(pl.base[s0])
-		if pl.contig && t0 >= 0 && t0+nq < g.N {
-			ot := pl.one[s0 : s0+nq]
-			ft := pl.frc[s0 : s0+nq]
-			wrow := w[t0 : t0+nq+1]
-			cur := wrow[0]
-			for j, b := range q32 {
-				m := a * float64(b)
-				cur += m * ot[j]
-				wrow[j] = cur
-				cur = wrow[j+1] + m*ft[j]
-			}
-			wrow[nq] = cur
-			if firstT < 0 {
-				firstT = t0
-			}
-			lastT = t0
-		} else {
-			for j, b := range q32 {
-				if b == 0 {
-					continue
-				}
-				m := a * float64(b)
-				s := s0 + j
-				clampAdd(int(pl.base[s]), m*pl.one[s])
-				clampAdd(int(pl.base[s])+1, m*pl.frc[s])
-			}
-		}
-	}
-	if firstT >= 0 {
-		hi := lastT + nq + 1
-		if dst.lo == dst.hi {
-			dst.lo, dst.hi = firstT, hi
-		} else {
-			if firstT < dst.lo {
-				dst.lo = firstT
-			}
-			if hi > dst.hi {
-				dst.hi = hi
-			}
-		}
-	}
 }

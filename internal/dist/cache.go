@@ -108,7 +108,23 @@ func (kc *KernelCache) FromNormal(n Normal) *PMF {
 	return e.p
 }
 
-// Len returns the number of distinct kernels requested so far.
+// Forget drops every cached discretization of n, on each grid the
+// cache has served. A later lookup re-discretizes it, and
+// discretization is deterministic, so forgetting frees memory without
+// changing any result. Long-lived incremental sessions call it when a
+// delay override goes out of use, so a stream of distinct overrides
+// does not grow the cache without bound.
+func (kc *KernelCache) Forget(n Normal) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	for k := range kc.m {
+		if k.n == n {
+			delete(kc.m, k)
+		}
+	}
+}
+
+// Len returns the number of distinct kernels cached.
 func (kc *KernelCache) Len() int {
 	kc.mu.RLock()
 	defer kc.mu.RUnlock()

@@ -305,67 +305,10 @@ func (p *PMF) Convolve(q *PMF) *PMF {
 }
 
 // ConvolveInto writes the convolution of p and q into dst (cleared
-// first) and returns dst. dst must not alias p or q.
+// first) and returns dst. dst must not alias p or q. It runs the
+// grid's cached ConvPlan, the kernel the batched scheduler uses too.
 func (p *PMF) ConvolveInto(dst, q *PMF) *PMF {
-	p.grid.check(q.grid, "Convolve")
-	p.grid.check(dst.grid, "Convolve")
-	dst.Reset()
-	sa, sb := p.hi-p.lo, q.hi-q.lo
-	if sa == 0 || sb == 0 {
-		return dst
-	}
-	useFFT := sa >= fftCrossover && sb >= fftCrossover
-	if m := p.grid.met; m != nil {
-		m.ConvSupport.Observe(sa)
-		m.ConvSupport.Observe(sb)
-		if useFFT {
-			m.ConvFFT.Add(1)
-			m.CostBinOps.Add(fftCostUnits(sa + sb - 1))
-		} else {
-			m.ConvDirect.Add(1)
-			m.CostBinOps.Add(int64(sa) * int64(sb))
-		}
-	}
-	if useFFT {
-		convolveFFTInto(dst, p, q)
-		return dst
-	}
-	g := p.grid
-	clampAdd := func(i int, v float64) {
-		if v == 0 {
-			return
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= g.N {
-			i = g.N - 1
-		}
-		dst.w[i] += v
-		dst.expand(i)
-	}
-	// In bin-center coordinates k = (x−Lo)/Dt − 1/2, the sum of
-	// centers i and j sits at k = i + j + 1/2 + Lo/Dt.
-	off := g.Lo/g.Dt + 0.5
-	for i := p.lo; i < p.hi; i++ {
-		a := p.w[i]
-		if a == 0 {
-			continue
-		}
-		for j := q.lo; j < q.hi; j++ {
-			b := q.w[j]
-			if b == 0 {
-				continue
-			}
-			m := a * b
-			k := float64(i+j) + off
-			base := math.Floor(k)
-			frac := k - base
-			clampAdd(int(base), m*(1-frac))
-			clampAdd(int(base)+1, m*frac)
-		}
-	}
-	return dst
+	return PlanFor(p.grid).ConvolveInto(dst, p, q)
 }
 
 // MaxPMF returns the distribution of max(A, B) for independent A, B

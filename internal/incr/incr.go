@@ -227,8 +227,28 @@ func NewSPSTA(a core.Analyzer, c *netlist.Circuit, inputs map[netlist.NodeID]log
 // SetDelay overrides one gate's delay and propagates through its
 // fanout cone, returning the number of node recomputations.
 func (s *SPSTA) SetDelay(id netlist.NodeID, d dist.Normal) (int, error) {
+	old, had := s.over[id]
 	s.over[id] = d
-	return s.update(id)
+	n, err := s.update(id)
+	if had && old != d {
+		s.retire(old)
+	}
+	return n, err
+}
+
+// retire drops the cached kernel of a delay that just went out of use
+// as an override, unless another active override still uses it.
+// Without this, a long-lived session editing gates to ever-new delays
+// keeps one full-grid kernel per distinct delay. Should d also be a
+// base-model delay, the next gate that needs it re-discretizes it,
+// with the same bins.
+func (s *SPSTA) retire(d dist.Normal) {
+	for _, o := range s.over {
+		if o == d {
+			return
+		}
+	}
+	s.res.Kernels().Forget(d)
 }
 
 // Result returns the current analysis.
@@ -249,11 +269,14 @@ func (s *SPSTA) SetInput(id netlist.NodeID, st logic.InputStats) (int, error) {
 // the gate and propagating through its fanout cone. A no-op (zero
 // recomputations) when the gate has no override.
 func (s *SPSTA) ClearDelay(id netlist.NodeID) (int, error) {
-	if _, ok := s.over[id]; !ok {
+	old, ok := s.over[id]
+	if !ok {
 		return 0, nil
 	}
 	delete(s.over, id)
-	return s.update(id)
+	n, err := s.update(id)
+	s.retire(old)
+	return n, err
 }
 
 // ClearInput restores one launch point's original statistics (the

@@ -1,0 +1,142 @@
+package incr
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/experiments"
+	"repro/internal/netlist"
+	"repro/internal/ssta"
+)
+
+// variationalSession hydrates an incremental SPSTA session the way a
+// served /v1/delta session does: N(1, sigma²) base gate delays, the
+// given pruning budget, the batched scheduler for the initial run,
+// and an exact propagation cutoff.
+func variationalSession(tb testing.TB, circuit string, sigma, eps float64) (*SPSTA, []netlist.NodeID) {
+	tb.Helper()
+	c := gen(tb, circuit)
+	s, err := NewSPSTA(core.Analyzer{
+		ErrorBudget: eps,
+		Delay:       func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: sigma} },
+		Batched:     core.BatchAuto,
+	}, c, experiments.Inputs(c, experiments.ScenarioI))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Eps = 0
+	var gates []netlist.NodeID
+	for _, n := range c.Nodes {
+		if n.Type.Combinational() {
+			gates = append(gates, n.ID)
+		}
+	}
+	return s, gates
+}
+
+// randomDelay draws a gate-delay override from the served workload's
+// range: mu in [0.5, 2), sigma in [0.05, 0.3).
+func randomDelay(rng *rand.Rand) dist.Normal {
+	return dist.Normal{Mu: 0.5 + 1.5*rng.Float64(), Sigma: 0.05 + 0.25*rng.Float64()}
+}
+
+// TestSPSTAKernelCacheBounded drives a session through 1,000 edits,
+// each to a delay no earlier edit used — new overrides, replacements
+// of a gate's active override, and clears — and requires the kernel
+// cache never to hold more than its post-hydration kernels plus one
+// per active override. Retired kernels are re-discretized on demand,
+// so clearing every override must still land bit-identically on the
+// hydrated analysis.
+func TestSPSTAKernelCacheBounded(t *testing.T) {
+	s, gates := variationalSession(t, "s344", 0.2, 1e-4)
+	kc := s.Result().Kernels()
+	base := kc.Len()
+	type snap struct{ m, sd, p float64 }
+	want := make(map[netlist.NodeID][2]snap)
+	for _, n := range s.Circuit().Nodes {
+		var v [2]snap
+		for d := ssta.DirRise; d <= ssta.DirFall; d++ {
+			v[d].m, v[d].sd, v[d].p = s.Result().Arrival(n.ID, d)
+		}
+		want[n.ID] = v
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	// A small gate pool makes replacements of active overrides common.
+	pool := gates[:12]
+	for i := 0; i < 1000; i++ {
+		g := pool[rng.Intn(len(pool))]
+		var err error
+		if rng.Intn(4) == 0 {
+			_, err = s.ClearDelay(g)
+		} else {
+			_, err = s.SetDelay(g, randomDelay(rng))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, max := kc.Len(), base+len(s.over); n > max {
+			t.Fatalf("edit %d: %d kernels cached, want at most %d (post-hydration %d + %d active overrides)",
+				i, n, max, base, len(s.over))
+		}
+	}
+	for _, g := range pool {
+		if _, err := s.ClearDelay(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := kc.Len(); n > base {
+		t.Fatalf("%d kernels cached after clearing every override, want at most %d", n, base)
+	}
+	for _, n := range s.Circuit().Nodes {
+		for d := ssta.DirRise; d <= ssta.DirFall; d++ {
+			var got snap
+			got.m, got.sd, got.p = s.Result().Arrival(n.ID, d)
+			if got != want[n.ID][d] {
+				t.Fatalf("%s %v: %+v after clearing every override, hydrated %+v", n.Name, d, got, want[n.ID][d])
+			}
+		}
+	}
+}
+
+// BenchmarkSPSTASingleEdit measures the cost of one served
+// single-gate /v1/delta edit without the daemon: on s1196 at
+// sigma=0.2 and epsilon=1e-4, each operation clears the previous
+// edit's override and applies a seeded random N(mu, sigma²) delay to
+// a random gate, as consecutive single-edit requests on one session
+// do. It reports the nets recomputed per edit next to ns/op.
+func BenchmarkSPSTASingleEdit(b *testing.B) {
+	s, gates := variationalSession(b, "s1196", 0.2, 1e-4)
+	rng := rand.New(rand.NewSource(1))
+	type edit struct {
+		gate netlist.NodeID
+		d    dist.Normal
+	}
+	edits := make([]edit, 512)
+	for i := range edits {
+		edits[i] = edit{gates[rng.Intn(len(gates))], randomDelay(rng)}
+	}
+	nets := 0
+	prev := netlist.NodeID(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edits[i%len(edits)]
+		if prev >= 0 {
+			n, err := s.ClearDelay(prev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nets += n
+		}
+		n, err := s.SetDelay(e.gate, e.d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nets += n
+		prev = e.gate
+	}
+	b.ReportMetric(float64(nets)/float64(b.N), "nets/op")
+}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/synth"
 )
 
-func gen(t *testing.T, name string) *netlist.Circuit {
+func gen(t testing.TB, name string) *netlist.Circuit {
 	t.Helper()
 	p, ok := synth.ProfileByName(name)
 	if !ok {

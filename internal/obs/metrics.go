@@ -132,7 +132,7 @@ type Metrics struct {
 	KernelMisses atomic.Int64
 	KernelRaces  atomic.Int64
 
-	// Convolution (dist.PMF.ConvolveInto): direct O(sa·sb) vs FFT
+	// Convolution (dist.ConvPlan.ConvolveInto): direct O(sa·sb) vs FFT
 	// path counts, and a power-of-two histogram of operand support
 	// widths (two observations per convolution).
 	ConvDirect  atomic.Int64

@@ -180,7 +180,8 @@ func (rc *resultCache) peekAll(keys []string) ([]EngineResult, bool) {
 // in-flight computation is joined (shared); otherwise this caller
 // leads, computes, stores on success, and wakes the followers.
 // Compute errors are shared too — every waiter of a failed flight
-// gets the leader's error — but never stored.
+// gets the leader's error — but never stored. A panicking compute is
+// one such error (see lead), so it can never wedge the key.
 func (rc *resultCache) getOrCompute(key string, compute func() (EngineResult, error)) (EngineResult, cacheSource, error) {
 	rc.mu.Lock()
 	if er, ok := rc.lookupLocked(key); ok {
@@ -200,15 +201,29 @@ func (rc *resultCache) getOrCompute(key string, compute func() (EngineResult, er
 	rc.reg.cacheMisses.Add(1)
 	rc.mu.Unlock()
 
-	call.er, call.err = compute()
-	rc.mu.Lock()
-	delete(rc.inflight, key)
-	if call.err == nil {
-		rc.storeLocked(key, call.er)
-	}
-	rc.mu.Unlock()
-	call.wg.Done()
+	rc.lead(key, call, compute)
 	return call.er, cacheComputed, call.err
+}
+
+// lead runs compute as the flight leader of key. The cleanup is
+// deferred, so it runs even when compute panics (several dist
+// invariant checks do): the panic becomes the flight's shared error,
+// the in-flight entry is removed and the followers are woken, and the
+// next identical request leads a fresh computation.
+func (rc *resultCache) lead(key string, call *flightCall, compute func() (EngineResult, error)) {
+	defer func() {
+		if p := recover(); p != nil {
+			call.er, call.err = EngineResult{}, panicError(p)
+		}
+		rc.mu.Lock()
+		delete(rc.inflight, key)
+		if call.err == nil {
+			rc.storeLocked(key, call.er)
+		}
+		rc.mu.Unlock()
+		call.wg.Done()
+	}()
+	call.er, call.err = compute()
 }
 
 // store inserts a result computed outside getOrCompute (the traced

@@ -2,12 +2,14 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,5 +278,66 @@ func TestResultCacheEviction(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if _, src, _ := ttl.getOrCompute("k", func() (EngineResult, error) { return er, nil }); src != cacheComputed {
 		t.Fatalf("expired entry served as %v", src)
+	}
+}
+
+// TestResultCachePanicDoesNotWedgeKey makes a flight leader's compute
+// panic while a follower waits on the same key. Both must get the
+// panic back as an error the handler answers 500 (not an httpError),
+// nothing may be stored, and the next identical request must lead a
+// fresh computation and succeed instead of blocking on the dead
+// flight.
+func TestResultCachePanicDoesNotWedgeKey(t *testing.T) {
+	var reg registry
+	rc := newResultCache(1<<20, 0, &reg)
+	started := make(chan struct{})
+	joined := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := rc.getOrCompute("k", func() (EngineResult, error) {
+			close(started)
+			<-joined
+			panic("grid mismatch")
+		})
+		leaderErr <- err
+	}()
+	<-started
+	followerErr := make(chan error, 1)
+	go func() {
+		_, src, err := rc.getOrCompute("k", func() (EngineResult, error) {
+			return EngineResult{}, fmt.Errorf("follower ran its own compute")
+		})
+		if err == nil || src != cacheShared {
+			err = fmt.Errorf("follower: source %v, err %v; want a shared error", src, err)
+		}
+		followerErr <- err
+	}()
+	for reg.singleflightShared.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(joined)
+
+	for name, ch := range map[string]chan error{"leader": leaderErr, "follower": followerErr} {
+		select {
+		case err := <-ch:
+			var he *httpError
+			if err == nil || !strings.Contains(err.Error(), "grid mismatch") || errors.As(err, &he) {
+				t.Fatalf("%s got %v, want the panic as a plain (500) error", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned: the panic wedged the key", name)
+		}
+	}
+	if entries, _ := rc.stats(); entries != 0 {
+		t.Fatalf("a panicked flight stored %d entries", entries)
+	}
+
+	want := EngineResult{Engine: "spsta"}
+	er, src, err := rc.getOrCompute("k", func() (EngineResult, error) { return want, nil })
+	if err != nil || src != cacheComputed || er.Engine != want.Engine {
+		t.Fatalf("retry after panic: %+v %v %v, want a fresh successful computation", er, src, err)
+	}
+	if _, src, _ := rc.getOrCompute("k", nil); src != cacheHit {
+		t.Fatalf("retry result not stored: source %v", src)
 	}
 }

@@ -331,6 +331,41 @@ func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input 
 	return evals, nil
 }
 
+// serve runs one delta request on the session under its lock:
+// hydrate a cold session (or point a warm one at the request's
+// scope), reconcile the override set, and format the result. The
+// unlock is deferred and a panic on the way (a dist invariant check
+// inside ComputeNode, say) is recovered into the returned error, so a
+// failing request never leaves the session locked. Any failure also
+// marks the session unhydrated: a request already queued on the lock
+// re-hydrates instead of reusing the half-updated analysis.
+func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats,
+	delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats, scope *obs.Scope) (cold bool, evals int, er EngineResult, err error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	defer func() {
+		if p := recover(); p != nil {
+			err = panicError(p)
+		}
+		if err != nil {
+			sess.hydrated = false
+		}
+	}()
+	cold = !sess.hydrated
+	if cold {
+		err = sess.hydrate(req, c, in, scope)
+	} else {
+		sess.attach(scope)
+	}
+	if err == nil {
+		evals, err = sess.reconcile(delay, input)
+	}
+	if err == nil {
+		er = sess.engineResult(c)
+	}
+	return cold, evals, er, err
+}
+
 // engineResult formats the session's current analysis.
 func (sess *deltaSession) engineResult(c *netlist.Circuit) EngineResult {
 	if sess.sp != nil {
@@ -482,23 +517,8 @@ func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 	rc.scope.Span = root
 
 	sess := s.sessions.getOrCreate(dreq.sessionKey(digest), digest)
-	sess.mu.Lock()
-	cold := !sess.hydrated
 	e0 := time.Now()
-	if cold {
-		err = sess.hydrate(dreq, c, in, rc.scope)
-	} else {
-		sess.attach(rc.scope)
-	}
-	var evals int
-	if err == nil {
-		evals, err = sess.reconcile(desiredDelay, desiredInput)
-	}
-	var er EngineResult
-	if err == nil {
-		er = sess.engineResult(c)
-	}
-	sess.mu.Unlock()
+	cold, evals, er, err := sess.serve(dreq, c, in, desiredDelay, desiredInput, rc.scope)
 	if err != nil {
 		// A mid-reconcile failure leaves the session's analysis out of
 		// sync with its bookkeeping; drop it so the next request

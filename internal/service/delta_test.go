@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -293,5 +294,64 @@ func TestDeltaSessionInvalidation(t *testing.T) {
 	_, dr, _ = postDelta(t, srv.URL, &DeltaRequest{Circuit: "s208"})
 	if dr.Session != "cold" {
 		t.Fatalf("post-eviction delta session %q, want cold", dr.Session)
+	}
+}
+
+// TestDeltaPanicDropsSession injects a panic into a warm session's
+// recomputation — the result's grid is swapped for one of a different
+// geometry, so ComputeNode trips a dist grid-mismatch check — and
+// requires the request to fail with a 500 without leaving the
+// session locked: the next delta on the same key re-hydrates a fresh
+// session and succeeds.
+func TestDeltaPanicDropsSession(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	req := &DeltaRequest{Circuit: "s208", Scenario: "I", Engine: "spsta", Sigma: 0.2}
+	resp, dr, b := postDelta(t, srv.URL, req)
+	if resp.StatusCode != http.StatusOK || dr.Session != "cold" {
+		t.Fatalf("hydrating delta: %d %s", resp.StatusCode, b)
+	}
+	sess := svc.sessions.getOrCreate(req.sessionKey(dr.NetlistDigest), dr.NetlistDigest)
+	sess.mu.Lock()
+	var gate string
+	for _, n := range sess.sp.Circuit().Nodes {
+		if n.Type.Combinational() {
+			gate = n.Name
+		}
+	}
+	sess.sp.Result().Grid = dist.NewGrid(0, 1, 0.5)
+	sess.mu.Unlock()
+
+	// A request stuck behind a leaked session lock times out here
+	// instead of hanging the suite.
+	client := srv.Client()
+	client.Timeout = 30 * time.Second
+	edit := func() (int, DeltaResponse) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(srv.URL+"/v1/delta", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("delta on the session's key: %v", err)
+		}
+		defer resp.Body.Close()
+		var dr DeltaResponse
+		if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, dr
+	}
+	req.Edits = []DeltaEdit{{Gate: gate, Mu: 1.5, Sigma: 0.1}}
+	if code, _ := edit(); code != http.StatusInternalServerError {
+		t.Fatalf("poisoned delta: status %d, want 500", code)
+	}
+	code, after := edit()
+	if code != http.StatusOK || after.Session != "cold" || after.Edits != 1 {
+		t.Fatalf("delta after the panic: status %d, session %q, %d edits; want 200 from a re-hydrated (cold) session with 1 edit",
+			code, after.Session, after.Edits)
 	}
 }

@@ -419,6 +419,13 @@ func errBadRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// panicError turns a panic recovered on a request's compute path into
+// that request's error. It is not an httpError, so the handler answers
+// 500.
+func panicError(p any) error {
+	return fmt.Errorf("internal error: %v", p)
+}
+
 // newRequestID returns a 16-hex-digit random request ID.
 func newRequestID() string {
 	var b [8]byte
