@@ -53,7 +53,7 @@ bench-guard:
 # the spsta engine's -coarsen axis. Run on a quiet machine; the spsta
 # sweep is the long pole.
 bench-json:
-	$(GO) run ./cmd/benchperf -engine spsta -epsilon 0,0.0001 -sigma 0,0.2 -batched on,off -precision f64,f32 -coarsen off,auto
+	$(GO) run ./cmd/benchperf -engine spsta -epsilon 0,0.0001 -sigma 0,0.2 -batched on,off -coarsen off,auto
 	$(GO) run ./cmd/benchperf -engine moment -epsilon 0,0.0001 -sigma 0,0.2
 	$(GO) run ./cmd/benchperf -engine mc
 
@@ -74,8 +74,10 @@ soak:
 
 # CI gate: vet, the full suite under the race detector (which
 # includes the spstad smoke test and the concurrent scope-isolation
-# tests), an explicit spstad smoke run, then the instrumentation
-# overhead guard. The parallel determinism tests
+# tests), the benchmark module's own vet and short tests (spstabench
+# is a separate module the root ./... does not enter), an explicit
+# spstad smoke run, then the instrumentation overhead guard. The
+# parallel determinism tests
 # (core.TestParallelRunMatchesSerial and friends) exercise the
 # level-parallel analyzers with Workers=4, so this is the
 # schedule-safety check; the instrumented variants
@@ -86,6 +88,7 @@ check:
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...
 	$(MAKE) smoke
 	$(MAKE) soak
 	$(MAKE) bench-guard

@@ -55,12 +55,6 @@ type (
 	DelayModel = ssta.DelayModel
 	// Profile describes a synthetic benchmark's shape.
 	Profile = synth.Profile
-	// BatchMode selects the discretized analyzer's level scheduler
-	// (batched by default, BatchOff for the sequential escape hatch).
-	BatchMode = core.BatchMode
-	// Precision selects a grid's bin storage precision (float64 by
-	// default, PrecisionF32 for the packed batch mode).
-	Precision = dist.Precision
 	// CoarsenMode selects the discretized analyzer's depth-adaptive
 	// grid-coarsening policy (off by default).
 	CoarsenMode = core.CoarsenMode
@@ -69,24 +63,11 @@ type (
 	CoarsenPolicy = core.CoarsenPolicy
 )
 
-// Level-scheduler modes of the discretized analyzer.
-const (
-	BatchAuto = core.BatchAuto
-	BatchOn   = core.BatchOn
-	BatchOff  = core.BatchOff
-)
-
 // Grid-coarsening modes of the discretized analyzer.
 const (
 	CoarsenOff   = core.CoarsenOff
 	CoarsenFixed = core.CoarsenFixed
 	CoarsenAuto  = core.CoarsenAuto
-)
-
-// Grid storage precisions.
-const (
-	PrecisionF64 = dist.F64
-	PrecisionF32 = dist.F32
 )
 
 // Four-value logic constants.
@@ -205,18 +186,6 @@ func AnalyzeSPSTAWith(c *Circuit, inputs map[NodeID]InputStats, grid Grid, delay
 // never changes the arithmetic.
 func AnalyzeSPSTAParallel(c *Circuit, inputs map[NodeID]InputStats, workers int) (*SPSTAResult, error) {
 	a := core.Analyzer{Workers: workers}
-	return a.Run(c, inputs)
-}
-
-// AnalyzeSPSTABatched runs the discretized SPSTA analyzer with an
-// explicit level-scheduler mode and grid precision. Every other
-// facade defaults to the batched scheduler (BatchAuto) on a float64
-// grid, which is bit-identical to the sequential per-gate scheduler;
-// this entry point exposes the two extra axes: BatchOff restores the
-// sequential scheduler, and PrecisionF32 runs the batch kernels on a
-// float32-quantized grid (bounded deviation, see DESIGN.md §13).
-func AnalyzeSPSTABatched(c *Circuit, inputs map[NodeID]InputStats, mode BatchMode, prec Precision) (*SPSTAResult, error) {
-	a := core.Analyzer{Batched: mode, Precision: prec}
 	return a.Run(c, inputs)
 }
 

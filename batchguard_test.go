@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math"
 	"os"
 	"testing"
 	"time"
@@ -15,18 +14,13 @@ import (
 // throughput contract on the widest-fanin ISCAS'89 cell: with ε=1e-4
 // pruning active in both runs (so the gate measures batching beyond
 // the adaptive-pruning wins, not instead of them) and variational
-// N(1, 0.2²) delays, the batched float64 scheduler must be at least
+// N(1, 0.2²) delays, the batched scheduler must be at least
 // 2x faster than the sequential per-gate scheduler single-threaded.
 // The win comes from the table-driven register-carried convolution
 // rows, the shared per-level delay kernels and the slab staging — all
 // bit-identical to the sequential arithmetic, which the equivalence
 // suite (core.TestBatchedRunMatchesSequential) asserts on every
 // circuit.
-//
-// The same run gates the float32 grid mode: its per-net four-value
-// probabilities must stay within 1e-5 of the float64 batched run —
-// an order of magnitude above the depth-scaled rounding model of
-// DESIGN.md §13, far below anything a logic-level consumer can see.
 //
 // Opt-in via BENCH_GUARD=1 like the other guards, with the same
 // interleaved min-of-N timing.
@@ -70,31 +64,4 @@ func TestBenchGuardBatchSpeedup(t *testing.T) {
 		t.Errorf("batched speedup %.2fx below the 2x contract on %s "+
 			"(sequential %v/op, batched %v/op)", speedup, name, minSeq, minBatch)
 	}
-
-	// Float32 deviation gate: rerun both precisions once and compare.
-	f64A := core.Analyzer{Workers: 1, ErrorBudget: eps, Delay: delay}
-	r64, err := f64A.Run(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32A := core.Analyzer{Workers: 1, ErrorBudget: eps, Delay: delay, Precision: dist.F32}
-	r32, err := f32A.Run(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 1e-5
-	maxDev := 0.0
-	for i := range r64.State {
-		for v := range r64.State[i].P {
-			dev := math.Abs(r64.State[i].P[v] - r32.State[i].P[v])
-			if dev > maxDev {
-				maxDev = dev
-			}
-			if dev > bound {
-				t.Errorf("net %s P[%d]: f32 deviation %.3g exceeds %.0e",
-					c.Nodes[i].Name, v, dev, bound)
-			}
-		}
-	}
-	t.Logf("max f32-vs-f64 probability deviation %.3g (bound %.0e)", maxDev, bound)
 }

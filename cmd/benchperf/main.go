@@ -75,9 +75,6 @@ type Row struct {
 	// cell: the batched struct-of-arrays scheduler or the sequential
 	// per-gate escape hatch.
 	Batched string `json:"batched,omitempty"`
-	// Precision ("f64" or "f32") records the grid storage precision of
-	// an SPSTA cell.
-	Precision string `json:"precision,omitempty"`
 	// Coarsen ("off", "fixed" or "auto") records the depth-adaptive
 	// grid-coarsening policy of an SPSTA cell (DESIGN.md §15).
 	Coarsen string `json:"coarsen,omitempty"`
@@ -106,7 +103,7 @@ type Row struct {
 	// circuit's exact ε=0 cell at the same worker count.
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
 	// SpeedupVsSequential compares a batched SPSTA cell to the
-	// sequential (batched=off, f64) cell at the same worker count,
+	// sequential (batched=off) cell at the same worker count,
 	// budget and sigma.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// SpeedupVsNoCoarsen compares a coarsening SPSTA cell to the
@@ -158,7 +155,6 @@ func run() error {
 	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
 	sigmaList := flag.String("sigma", "0", "comma-separated gate-delay sigmas to sweep (-engine spsta/moment); 0 is deterministic unit delay, >0 selects variational N(1, sigma^2) delays")
 	batchedList := flag.String("batched", "on", "comma-separated level-scheduler modes to sweep (-engine spsta): on (batched slabs), off (sequential per-gate)")
-	precisionList := flag.String("precision", "f64", "comma-separated grid precisions to sweep (-engine spsta): f64, f32; the off×f32 combination is skipped (the packed mode is a batch-scheduler feature)")
 	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, fixed, auto (DESIGN.md §15)")
 	circuitsList := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
 	runs := flag.Int("runs", 10000, "Monte Carlo runs per op (-engine mc)")
@@ -214,7 +210,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		modes, err := parseModes(*engine, *batchedList, *precisionList)
+		modes, err := parseModes(*engine, *batchedList)
 		if err != nil {
 			return err
 		}
@@ -249,62 +245,35 @@ func run() error {
 	return nil
 }
 
-// schedMode is one (batched, precision) combination of the spsta
-// sweep.
+// schedMode is one level-scheduler mode of the spsta sweep.
 type schedMode struct {
 	batched bool
-	prec    dist.Precision
 }
 
-// parseModes builds the (batched × precision) mode list of the spsta
-// sweep, skipping the sequential×f32 combination (the packed float32
-// mode is a batch-scheduler feature). The moment engine has neither
-// axis and accepts only the defaults.
-func parseModes(engine, batchedList, precisionList string) ([]schedMode, error) {
+// parseModes builds the level-scheduler mode list of the spsta sweep.
+// The moment engine has no scheduler axis and accepts only the
+// default.
+func parseModes(engine, batchedList string) ([]schedMode, error) {
 	if engine == "moment" {
-		if batchedList != "on" || precisionList != "f64" {
-			return nil, fmt.Errorf("-batched/-precision axes apply to -engine spsta only")
+		if batchedList != "on" {
+			return nil, fmt.Errorf("-batched applies to -engine spsta only")
 		}
-		return []schedMode{{batched: true, prec: dist.F64}}, nil
+		return []schedMode{{batched: true}}, nil
 	}
-	var bs []bool
+	var out []schedMode
 	for _, part := range strings.Split(batchedList, ",") {
 		switch strings.TrimSpace(part) {
 		case "on":
-			bs = append(bs, true)
+			out = append(out, schedMode{batched: true})
 		case "off":
-			bs = append(bs, false)
+			out = append(out, schedMode{batched: false})
 		case "":
 		default:
 			return nil, fmt.Errorf("bad -batched value %q (want on or off)", part)
 		}
 	}
-	var ps []dist.Precision
-	for _, part := range strings.Split(precisionList, ",") {
-		switch strings.TrimSpace(part) {
-		case "f64":
-			ps = append(ps, dist.F64)
-		case "f32":
-			ps = append(ps, dist.F32)
-		case "":
-		default:
-			return nil, fmt.Errorf("bad -precision value %q (want f64 or f32)", part)
-		}
-	}
-	if len(bs) == 0 || len(ps) == 0 {
-		return nil, fmt.Errorf("empty -batched or -precision list")
-	}
-	var out []schedMode
-	for _, b := range bs {
-		for _, p := range ps {
-			if !b && p == dist.F32 {
-				continue
-			}
-			out = append(out, schedMode{batched: b, prec: p})
-		}
-	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no valid (batched, precision) combination in the sweep")
+		return nil, fmt.Errorf("empty -batched list")
 	}
 	return out, nil
 }
@@ -364,7 +333,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 	}
 	analyzerFor := func(cl cell) *core.Analyzer {
 		return &core.Analyzer{Workers: cl.w, ErrorBudget: cl.eps, Delay: delayFor(cl.sigma),
-			Batched: cl.mode.batchMode(), Precision: cl.mode.prec,
+			Batched: cl.mode.batchMode(),
 			Coarsen: core.CoarsenPolicy{Mode: cl.coarsen}}
 	}
 	runOnce := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) error {
@@ -434,7 +403,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			cl := cl
 			name := fmt.Sprintf("workers=%d eps=%g sigma=%g", cl.w, cl.eps, cl.sigma)
 			if engine != "moment" {
-				name += fmt.Sprintf(" batched=%s prec=%s coarsen=%s", cl.mode.label(), cl.mode.prec, cl.coarsen)
+				name += fmt.Sprintf(" batched=%s coarsen=%s", cl.mode.label(), cl.coarsen)
 			}
 			vs[i] = variant{
 				name: name,
@@ -468,7 +437,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 		}
 		base := make(map[baseKey]float64)   // (ε, σ, mode, coarsen) → workers=1 ns/op
 		exact := make(map[exactKey]float64) // (workers, σ, mode, coarsen) → ε=0 ns/op
-		seq := make(map[seqKey]float64)     // (workers, ε, σ, coarsen) → sequential f64 ns/op
+		seq := make(map[seqKey]float64)     // (workers, ε, σ, coarsen) → sequential ns/op
 		fine := make(map[fineKey]float64)   // (workers, ε, σ, mode) → coarsen=off ns/op
 		for i, cl := range cells {
 			if cl.w == 1 {
@@ -477,7 +446,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			if cl.eps == 0 {
 				exact[exactKey{cl.w, cl.sigma, cl.mode, cl.coarsen}] = mins[i]
 			}
-			if !cl.mode.batched && cl.mode.prec == dist.F64 {
+			if !cl.mode.batched {
 				seq[seqKey{cl.w, cl.eps, cl.sigma, cl.coarsen}] = mins[i]
 			}
 			if cl.coarsen == core.CoarsenOff {
@@ -498,7 +467,6 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			}
 			if engine != "moment" {
 				row.Batched = cl.mode.label()
-				row.Precision = cl.mode.prec.String()
 				row.Coarsen = cl.coarsen.String()
 			}
 			if cl.w != 1 && base[baseKey{cl.eps, cl.sigma, cl.mode, cl.coarsen}] > 0 {
@@ -709,7 +677,7 @@ func allInline(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	if engine == "moment" {
 		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
 	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(), Precision: mode.prec,
+		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(),
 			Coarsen: core.CoarsenPolicy{Mode: coarsen}, Obs: scope}).Run(c, in)
 	}
 	if err != nil {
@@ -733,7 +701,7 @@ func snapshotAnalyzer(engine string, c *netlist.Circuit, in map[netlist.NodeID]l
 	if engine == "moment" {
 		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
 	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(), Precision: mode.prec, Obs: scope}).Run(c, in)
+		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(), Obs: scope}).Run(c, in)
 	}
 	if err != nil {
 		return nil, err

@@ -58,8 +58,7 @@ func run() error {
 	split := flag.Int("split", 0, "decompose gates wider than this fanin into trees (0 disables)")
 	sigma := flag.Float64("sigma", 0, "gate delay sigma: >0 selects variational N(1, sigma^2) gate delays (exercising the convolution SUM path) instead of deterministic unit delays")
 	epsilon := flag.Float64("epsilon", 0, "per-net error budget for adaptive pruning in the spsta and spsta-moments engines (0 = exact; results deviate from the exact run by at most the consumed budget reported per net)")
-	batched := flag.Bool("batched", true, "use the batched level scheduler in the spsta engine (struct-of-arrays slabs, shared delay kernels; bit-identical to -batched=false on float64 grids)")
-	precision := flag.String("precision", "f64", "spsta grid precision: f64 (exact) or f32 (packed batch kernels with bounded deviation; see DESIGN.md §13)")
+	batched := flag.Bool("batched", true, "use the batched level scheduler in the spsta engine (struct-of-arrays slabs, shared delay kernels; bit-identical to -batched=false)")
 	coarsen := flag.String("coarsen", "off", "depth-adaptive grid coarsening in the spsta engine: off, fixed (re-bin 2x once at the first level boundary) or auto (re-bin whenever supports outgrow the threshold); the re-binning deviation is folded into the per-net consumed budget (DESIGN.md §15)")
 	coarsenFactor := flag.Int("coarsen-factor", 0, "re-binning factor for -coarsen fixed/auto: 2 or 4 (0 = default 2)")
 	costFlag := flag.Bool("cost", false, "report per-engine deterministic work-unit cost (DESIGN.md §14) in the -analyzer all footer (enables the metrics scope)")
@@ -132,18 +131,6 @@ func run() error {
 	if !*batched {
 		mode = core.BatchOff
 	}
-	var prec dist.Precision
-	switch *precision {
-	case "f64":
-		prec = dist.F64
-	case "f32":
-		prec = dist.F32
-	default:
-		return fmt.Errorf("unknown -precision %q (want f64 or f32)", *precision)
-	}
-	if prec == dist.F32 && mode == core.BatchOff {
-		return fmt.Errorf("-precision f32 requires the batched scheduler (drop -batched=false)")
-	}
 	cmode, err := core.ParseCoarsenMode(*coarsen)
 	if err != nil {
 		return err
@@ -155,7 +142,7 @@ func run() error {
 	dispatch := func() error {
 		switch *analyzer {
 		case "spsta":
-			_, err := runSPSTA(c, in, targets, *workers, *epsilon, delay, mode, prec, pol, scope)
+			_, err := runSPSTA(c, in, targets, *workers, *epsilon, delay, mode, pol, scope)
 			return err
 		case "spsta-moments":
 			_, err := runSPSTAMoments(c, in, targets, *workers, *epsilon, delay, scope)
@@ -173,7 +160,7 @@ func run() error {
 		case "yield":
 			return runYield(c, in, *workers, delay, scope)
 		case "all":
-			return runAll(c, in, targets, *runs, *seed, *workers, *packed, *epsilon, delay, mode, prec, pol, scope)
+			return runAll(c, in, targets, *runs, *seed, *workers, *packed, *epsilon, delay, mode, pol, scope)
 		}
 		return fmt.Errorf("unknown analyzer %q", *analyzer)
 	}
@@ -197,13 +184,13 @@ type pruneStats struct {
 // with per-engine wall time, the peak HeapAlloc growth observed while
 // the engine ran (sampled concurrently), and — for the pruning-capable
 // SPSTA engines — the total pruned mass and max consumed error budget.
-func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, packed bool, epsilon float64, delay ssta.DelayModel, mode core.BatchMode, prec dist.Precision, pol core.CoarsenPolicy, scope *obs.Scope) error {
+func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, packed bool, epsilon float64, delay ssta.DelayModel, mode core.BatchMode, pol core.CoarsenPolicy, scope *obs.Scope) error {
 	engines := []struct {
 		name string
 		f    func() (pruneStats, error)
 	}{
 		{"spsta", func() (pruneStats, error) {
-			return runSPSTA(c, in, targets, workers, epsilon, delay, mode, prec, pol, scope)
+			return runSPSTA(c, in, targets, workers, epsilon, delay, mode, pol, scope)
 		}},
 		{"spsta-moments", func() (pruneStats, error) { return runSPSTAMoments(c, in, targets, workers, epsilon, delay, scope) }},
 		{"ssta", func() (pruneStats, error) { return pruneStats{}, runSSTA(c, in, targets, delay) }},
@@ -421,8 +408,8 @@ func targetNets(c *netlist.Circuit, net string) ([]netlist.NodeID, error) {
 	return []netlist.NodeID{n.ID}, nil
 }
 
-func runSPSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, workers int, epsilon float64, delay ssta.DelayModel, mode core.BatchMode, prec dist.Precision, pol core.CoarsenPolicy, scope *obs.Scope) (pruneStats, error) {
-	a := core.Analyzer{Workers: workers, Delay: delay, ErrorBudget: epsilon, Batched: mode, Precision: prec, Coarsen: pol, Obs: scope}
+func runSPSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, workers int, epsilon float64, delay ssta.DelayModel, mode core.BatchMode, pol core.CoarsenPolicy, scope *obs.Scope) (pruneStats, error) {
+	a := core.Analyzer{Workers: workers, Delay: delay, ErrorBudget: epsilon, Batched: mode, Coarsen: pol, Obs: scope}
 	res, err := a.Run(c, in)
 	if err != nil {
 		return pruneStats{}, err

@@ -106,14 +106,9 @@ type Analyzer struct {
 	// Batched selects the level scheduler: the default (BatchAuto)
 	// analyzes all nets of a topological level as one batch — slab
 	// staging, per-delay-kernel grouping, table-driven convolution —
-	// with bit-identical float64 results; BatchOff restores the
-	// per-gate scheduler (see batch.go).
+	// with bit-identical results; BatchOff restores the per-gate
+	// scheduler (see batch.go).
 	Batched BatchMode
-	// Precision, when dist.F32 and Grid is auto-built, runs the batch
-	// path in the packed float32 slab mode: staged and stored rows
-	// are quantized to float32 and the batch convolution streams the
-	// packed mirror. An explicit Grid carries its own Precision tag.
-	Precision dist.Precision
 	// Coarsen configures depth-adaptive grid coarsening (DESIGN.md
 	// §15): at level boundaries the stored t.o.p. functions are
 	// re-binned onto a 2×/4×-coarser grid with a certified deviation
@@ -250,7 +245,7 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 				sigma = st.Sigma
 			}
 		}
-		grid = dist.TimingGrid(c.Depth(), mu, sigma).WithPrecision(a.Precision)
+		grid = dist.TimingGrid(c.Depth(), mu, sigma)
 	}
 	// Attach the scope's registry to the grid so every dist kernel
 	// call site (convolution, mixtures, the scratch pool, the kernel
@@ -390,10 +385,7 @@ func (a *Analyzer) ComputeNode(res *Result, id netlist.NodeID, inputs map[netlis
 	if maxParity == 0 {
 		maxParity = DefaultMaxParityFanin
 	}
-	// Same, not Equal: a float32 result must never adopt a cache whose
-	// kernels were discretized (unquantized) for a float64 grid of the
-	// same geometry, and vice versa.
-	if res.kernels == nil || !res.kernels.Grid().Same(res.Grid) {
+	if res.kernels == nil || !res.kernels.Grid().Equal(res.Grid) {
 		res.kernels = dist.NewKernelCache(res.Grid)
 	}
 	// Incremental recomputation records into the scope the result was

@@ -20,9 +20,6 @@
 // phases reorder whole-net steps, never the arithmetic inside a net,
 // and both schedulers convolve with the same kernel
 // (dist.ConvPlan.ConvolveInto).
-// On an F32-precision grid the slab additionally quantizes every
-// staged and stored row to float32 (see DESIGN.md §13 for the error
-// model).
 package core
 
 import (
@@ -45,8 +42,7 @@ type BatchMode int
 
 const (
 	// BatchAuto (the zero value) runs the batched scheduler — the
-	// default since it is bit-identical on float64 grids and strictly
-	// faster.
+	// default since it is bit-identical and strictly faster.
 	BatchAuto BatchMode = iota
 	// BatchOn forces the batched scheduler (same as BatchAuto today;
 	// the distinct value keeps "explicitly requested" observable).
@@ -61,8 +57,8 @@ func (m BatchMode) On() bool { return m != BatchOff }
 
 // batchRec is the per-net staging record of one level: what phase M
 // leaves behind for phases D and T. rise/fall point at the net's
-// pre-delay t.o.p. sources — slab rows for mixture outputs (and F32
-// staging copies), fanin-owned t.o.p. functions for Buf/Not.
+// pre-delay t.o.p. sources — slab rows for mixture outputs,
+// fanin-owned t.o.p. functions for Buf/Not.
 type batchRec struct {
 	id     netlist.NodeID
 	buf    bool // Buf/Not (probabilities copied, no mixture)
@@ -71,9 +67,6 @@ type batchRec struct {
 	d      dist.Normal
 	rise   *dist.PMF
 	fall   *dist.PMF
-	// riseRow/fallRow name the slab rows backing rise/fall, or -1
-	// when they are fanin t.o.p. pointers (F64 Buf/Not).
-	riseRow, fallRow int
 }
 
 // batchExec carries the reusable storage of one batched run.
@@ -95,8 +88,6 @@ type batchExec struct {
 	groupIx  map[dist.Normal]int
 	srcs     []*dist.PMF
 	dsts     []*dist.PMF
-	rows     []int
-	k32      []float32
 	errs     []error
 }
 
@@ -323,9 +314,7 @@ func (bx *batchExec) phaseM(rec *batchRec, bi int) {
 	n := res.C.Nodes[rec.id]
 	st := &res.State[rec.id]
 	*st = NetState{}
-	rec.riseRow, rec.fallRow = -1, -1
 	rec.d = rc.delay(n)
-	f32 := rc.grid.Precision == dist.F32
 
 	if n.Type == logic.Buf || n.Type == logic.Not {
 		rec.buf = true
@@ -341,17 +330,6 @@ func (bx *batchExec) phaseM(rec *batchRec, bi int) {
 			st.P[logic.Fall] = in.P[logic.Rise]
 			rec.rise = in.TOP[ssta.DirFall]
 			rec.fall = in.TOP[ssta.DirRise]
-		}
-		if f32 && rec.d.Sigma != 0 {
-			// Stage quantized copies so the packed convolution loop
-			// can stream the float32 mirror.
-			rec.riseRow, rec.fallRow = 2*bi, 2*bi+1
-			bx.slab.Row(rec.riseRow).CopyFrom(rec.rise)
-			bx.slab.Row(rec.fallRow).CopyFrom(rec.fall)
-			bx.slab.Quantize(rec.riseRow)
-			bx.slab.Quantize(rec.fallRow)
-			rec.rise = bx.slab.Row(rec.riseRow)
-			rec.fall = bx.slab.Row(rec.fallRow)
 		}
 		return
 	}
@@ -389,23 +367,17 @@ func (bx *batchExec) phaseM(rec *batchRec, bi int) {
 		st.PrunedMass += absorbNegligible(ncdIn, ncdMass, rc.eps/4, rc.empty, rc.met)
 		st.PrunedMass += absorbNegligible(cdIn, cdMass, rc.eps/4, rc.empty, rc.met)
 	}
-	rec.riseRow, rec.fallRow = 2*bi, 2*bi+1
 	ncdTOP, cdTOP := bx.slab.Row(2*bi), bx.slab.Row(2*bi+1)
 	jobs := [2]dist.MixtureJob{
 		{Dst: ncdTOP, In: ncdIn},
 		{Dst: cdTOP, In: cdIn, Min: true},
 	}
 	dist.MixtureBatch(jobs[:])
-	if f32 {
-		bx.slab.Quantize(2 * bi)
-		bx.slab.Quantize(2*bi + 1)
-	}
 	rec.ncdOut = n.Type.EvalBool(allBool(k, !ctrl))
 	if rec.ncdOut {
 		rec.rise, rec.fall = ncdTOP, cdTOP
 	} else {
 		rec.rise, rec.fall = cdTOP, ncdTOP
-		rec.riseRow, rec.fallRow = rec.fallRow, rec.riseRow
 	}
 	rec.pNCD = pNCD
 	st.P[boolVal(rec.ncdOut)] = pNCD
@@ -452,25 +424,17 @@ func (bx *batchExec) runGroup(g *delayGroup, workers int) {
 	rc := bx.rc
 	bx.srcs = bx.srcs[:0]
 	bx.dsts = bx.dsts[:0]
-	bx.rows = bx.rows[:0]
 	for _, bi := range g.recs {
 		rec := &bx.recs[bi]
 		st := &bx.res.State[rec.id]
 		bx.srcs = append(bx.srcs, rec.rise, rec.fall)
 		bx.dsts = append(bx.dsts, st.TOP[ssta.DirRise], st.TOP[ssta.DirFall])
-		bx.rows = append(bx.rows, rec.riseRow, rec.fallRow)
 	}
-	srcs, dsts, rows := bx.srcs, bx.dsts, bx.rows
-	f32 := rc.grid.Precision == dist.F32
+	srcs, dsts := bx.srcs, bx.dsts
 
 	if g.d.Sigma == 0 {
 		parallelChunks(workers, len(srcs), rc.met, false, func(lo, hi int) {
 			dist.ShiftBatch(dsts[lo:hi], srcs[lo:hi], g.d.Mu)
-			if f32 {
-				for _, dst := range dsts[lo:hi] {
-					dst.QuantizeF32()
-				}
-			}
 		})
 		return
 	}
@@ -480,13 +444,6 @@ func (bx *batchExec) runGroup(g *delayGroup, workers int) {
 		// shares) its split tables once, so coarsening never pays the
 		// plan construction per level.
 		bx.plan = dist.PlanFor(rc.grid)
-	}
-	if f32 {
-		bx.k32 = dist.KernelF32(kernel, bx.k32)
-		parallelChunks(workers, len(srcs), rc.met, false, func(lo, hi int) {
-			dist.ConvolveBatchF32(bx.plan, dsts[lo:hi], bx.slab, rows[lo:hi], srcs[lo:hi], kernel, bx.k32)
-		})
-		return
 	}
 	parallelChunks(workers, len(srcs), rc.met, false, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

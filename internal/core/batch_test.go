@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/ssta"
 	"repro/internal/synth"
@@ -121,80 +120,6 @@ func TestBatchedExactProbabilitiesMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBatchedFloat32Deviation bounds the float32 grid mode against
-// the float64 analysis. The error model (DESIGN.md §13): every stored
-// value is a float64 quantity rounded once to float32 (relative error
-// ≤ 2⁻²⁴ per store), and a net at logic depth L accumulates at most
-// O(L) such roundings, so probabilities and per-bin masses deviate by
-// at most ~L·2⁻²⁴ ≈ L·6e-8. The asserted budget below (1e-5 on
-// probabilities and bin sums at depth ≤ 50) leaves an order of
-// magnitude of headroom.
-func TestBatchedFloat32Deviation(t *testing.T) {
-	cs, err := synth.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 1e-5
-	worst := 0.0
-	for _, c := range cs {
-		in := uniform(c)
-		t.Run(c.Name, func(t *testing.T) {
-			f64 := Analyzer{Workers: 1, Delay: varDelay}
-			f32 := Analyzer{Workers: 1, Delay: varDelay, Precision: dist.F32}
-			r64, err := f64.Run(c, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r32, err := f32.Run(c, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			worstP, worstM := 0.0, 0.0
-			for id := range r64.State {
-				s64, s32 := &r64.State[id], &r32.State[id]
-				for v := range s64.P {
-					if d := math.Abs(s64.P[v] - s32.P[v]); d > bound {
-						t.Fatalf("%s: P[%d] deviates by %g (f64 %v, f32 %v)",
-							c.Nodes[id].Name, v, d, s64.P[v], s32.P[v])
-					} else if d > worstP {
-						worstP = d
-					}
-				}
-				for d := range s64.TOP {
-					if dm := math.Abs(s64.TOP[d].Mass() - s32.TOP[d].Mass()); dm > bound {
-						t.Fatalf("%s: TOP[%d] mass deviates by %g", c.Nodes[id].Name, d, dm)
-					} else if dm > worstM {
-						worstM = dm
-					}
-				}
-			}
-			// Per-circuit worsts feed the EXPERIMENTS.md deviation
-			// table: go test -v -run TestBatchedFloat32Deviation ./internal/core
-			t.Logf("%s (depth %d): worst |ΔP| %.3g, worst |Δmass| %.3g",
-				c.Name, c.Depth(), worstP, worstM)
-			worst = math.Max(worst, math.Max(worstP, worstM))
-		})
-	}
-	t.Logf("worst f32-vs-f64 deviation: %.3g (budget %g)", worst, bound)
-}
-
-// TestBatchedFloat32AgainstClosedForm anchors the float32 mode to the
-// paper's Eq. 10 closed forms on a 2-input AND with uniform inputs —
-// an oracle independent of both schedulers.
-func TestBatchedFloat32AgainstClosedForm(t *testing.T) {
-	c := parse(t, "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "and2")
-	a := Analyzer{Precision: dist.F32, Delay: varDelay}
-	res, err := a.Run(c, uniform(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, _ := c.Node("y")
-	approx(t, "P1", res.Probability(y.ID, logic.One), 1.0/16, 1e-6)
-	approx(t, "Pr", res.Probability(y.ID, logic.Rise), 3.0/16, 1e-6)
-	approx(t, "Pf", res.Probability(y.ID, logic.Fall), 3.0/16, 1e-6)
-	approx(t, "P0", res.Probability(y.ID, logic.Zero), 9.0/16, 1e-6)
 }
 
 // TestBatchedPruneCertificate checks that the ε certificate survives

@@ -109,8 +109,8 @@ func TestCoarsenDeviationWithinBudget(t *testing.T) {
 // TestCoarsenZeroEpsCertified: coarsening must certify even with
 // pruning disabled — at ε=0 the only deviation source is re-binning,
 // and the probability deviations (≈0: re-binning conserves mass
-// exactly, so only float32-free mass sums move) must stay within the
-// accumulated budget.
+// exactly, so only the summation order of the mass sums moves them)
+// must stay within the accumulated budget.
 func TestCoarsenZeroEpsCertified(t *testing.T) {
 	const slack = 1e-9
 	p, _ := synth.ProfileByName("s1196")

@@ -104,7 +104,7 @@ func goldenTOPLines(t *testing.T) []string {
 // same way; this one can. Regenerate only for an intended numeric
 // change:
 //
-//	go test -run TestGoldenTOP -update ./internal/core
+//	go test ./internal/core -run TestGoldenTOP -update
 func TestGoldenTOP(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits are recorded on amd64; Go may fuse multiply-adds on %s, which changes the low bits", runtime.GOARCH)

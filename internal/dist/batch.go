@@ -60,19 +60,16 @@ func NewConvPlan(g Grid) *ConvPlan {
 // Grid returns the grid the plan was built for.
 func (pl *ConvPlan) Grid() Grid { return pl.grid }
 
-// planKey identifies one cached ConvPlan: grid geometry plus storage
-// precision, the same identity KernelCache keys on. The tables depend
-// on geometry only, but keeping precision in the key means a run's
-// plan lookups mirror its kernel lookups one for one.
+// planKey identifies one cached ConvPlan: the grid geometry, the
+// same identity KernelCache keys on.
 type planKey struct {
 	lo, dt float64
 	n      int
-	prec   Precision
 }
 
 // convPlans caches split-table plans by grid for the process
 // lifetime, like fftPlans: plans are immutable once built and shared
-// freely, so each (geometry, precision) — each resolution level of a
+// freely, so each geometry — each resolution level of a
 // coarsening run included — builds its tables once per process. The
 // per-run hit/miss counters ride on the requesting grid's metrics
 // handle; the cached plan itself carries a metrics-free grid so a
@@ -84,7 +81,7 @@ var convPlans sync.Map // planKey → *ConvPlan
 // PlanFor returns the (possibly cached) convolution plan for g,
 // recording a plan-cache hit or miss on g's metrics handle.
 func PlanFor(g Grid) *ConvPlan {
-	key := planKey{lo: g.Lo, dt: g.Dt, n: g.N, prec: g.Precision}
+	key := planKey{lo: g.Lo, dt: g.Dt, n: g.N}
 	m := g.met
 	if v, ok := convPlans.Load(key); ok {
 		if m != nil {
@@ -122,7 +119,7 @@ func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 	case fft:
 		convolveFFTInto(dst, p, q)
 	default:
-		convolveDirect(pl, dst, p.w, p.lo, p.hi, q.w[q.lo:q.hi], q.lo)
+		convolveDirect(pl, dst, p, q)
 	}
 	return dst
 }
@@ -156,14 +153,13 @@ func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
 }
 
 // convolveDirect is the table-driven direct kernel with per-row
-// dispatch between the in-grid fast loop and the clamped fallback.
-// src is a full-width row with support [slo, shi) and qs the
-// kernel's support bins starting at absolute bin qlo; the float32
-// instantiation reads the packed slab mirror. Products and
-// accumulation are float64 either way.
-func convolveDirect[T float32 | float64](pl *ConvPlan, dst *PMF, src []T, slo, shi int, qs []T, qlo int) {
+// dispatch between the in-grid fast loop and the clamped fallback:
+// each support bin of p is a source row, run against q's support
+// bins.
+func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 	n := pl.grid.N
 	w := dst.w
+	src, qs, qlo := p.w, q.w[q.lo:q.hi], q.lo
 	nq := len(qs)
 	clampAdd := func(i int, v float64) {
 		if v == 0 {
@@ -184,8 +180,8 @@ func convolveDirect[T float32 | float64](pl *ConvPlan, dst *PMF, src []T, slo, s
 	// be zero), which the support invariant permits: bins inside the
 	// support may be zero, bins outside are exactly zero.
 	firstT, lastT := -1, -1
-	for i := slo; i < shi; i++ {
-		a := float64(src[i])
+	for i := p.lo; i < p.hi; i++ {
+		a := src[i]
 		if a == 0 {
 			continue
 		}
@@ -202,7 +198,7 @@ func convolveDirect[T float32 | float64](pl *ConvPlan, dst *PMF, src []T, slo, s
 			wrow := w[t0 : t0+nq+1]
 			cur := wrow[0]
 			for j, b := range qs {
-				m := a * float64(b)
+				m := a * b
 				cur += m * ot[j]
 				wrow[j] = cur
 				cur = wrow[j+1] + m*ft[j]
@@ -217,7 +213,7 @@ func convolveDirect[T float32 | float64](pl *ConvPlan, dst *PMF, src []T, slo, s
 				if b == 0 {
 					continue
 				}
-				m := a * float64(b)
+				m := a * b
 				s := s0 + j
 				clampAdd(int(pl.base[s]), m*pl.one[s])
 				clampAdd(int(pl.base[s])+1, m*pl.frc[s])
@@ -273,56 +269,4 @@ func MixtureBatch(jobs []MixtureJob) {
 			MaxMixtureInto(j.Dst, j.In)
 		}
 	}
-}
-
-// QuantizeF32 rounds every support bin of p to its nearest float32 in
-// place. The F32 batch path applies it to every stored result so the
-// analysis is a function of the rounded values only — reproducible
-// whether a bin was produced by the packed float32 loop or by a
-// float64 one (shift, FFT).
-func (p *PMF) QuantizeF32() {
-	for i := p.lo; i < p.hi; i++ {
-		p.w[i] = float64(float32(p.w[i]))
-	}
-}
-
-// ConvolveBatchF32 convolves every src with the shared kernel q into
-// the matching dst, reading packed operands: source rows are read from the slab's float32 mirror (half the
-// memory traffic of the float64 rows) and the kernel from q32, the
-// float32 mirror of q's support bins (as built by KernelF32).
-// Products and bin accumulation stay float64; every stored output bin
-// is then rounded to float32 (QuantizeF32), so downstream levels see
-// float32-representable values regardless of which loop produced
-// them. Wide operands fall back to the float64 FFT path — reading the
-// quantized float64 rows, hence the same numbers — before the same
-// output rounding.
-//
-// rows[i] names the slab row backing srcs[i]; srcs[i] must be
-// slab.Row(rows[i]) with its float32 mirror current (Quantize).
-func ConvolveBatchF32(pl *ConvPlan, dsts []*PMF, slab *Slab, rows []int, srcs []*PMF, q *PMF, q32 []float32) {
-	for i, src := range srcs {
-		dst := dsts[i]
-		work, fft := pl.convStart(dst, src, q)
-		switch {
-		case !work:
-			continue
-		case fft:
-			convolveFFTInto(dst, src, q)
-		default:
-			convolveDirect(pl, dst, slab.Row32(rows[i]), src.lo, src.hi, q32, q.lo)
-		}
-		dst.QuantizeF32()
-	}
-}
-
-// KernelF32 appends the float32 mirror of q's support bins to buf and
-// returns it. The kernel PMF itself must already hold
-// float32-representable values (KernelCache quantizes kernels it
-// discretizes for F32 grids), so the mirror is exact.
-func KernelF32(q *PMF, buf []float32) []float32 {
-	buf = buf[:0]
-	for _, v := range q.w[q.lo:q.hi] {
-		buf = append(buf, float32(v))
-	}
-	return buf
 }

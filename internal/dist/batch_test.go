@@ -295,11 +295,11 @@ func TestShiftBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSlabRowsAndQuantize checks the struct-of-arrays layout: rows are
-// independent despite the shared backing array, and Quantize leaves
-// the float64 row and the float32 mirror holding identical numbers.
-func TestSlabRowsAndQuantize(t *testing.T) {
-	g := NewGrid(0, 4, 0.25).WithPrecision(F32)
+// TestSlabRows checks the struct-of-arrays layout: rows are
+// independent despite the shared backing array, and ResetRows
+// restores the all-zero invariant.
+func TestSlabRows(t *testing.T) {
+	g := NewGrid(0, 4, 0.25)
 	s := NewSlab(g, 4)
 	defer s.Recycle()
 	if s.Rows() < 4 {
@@ -310,14 +310,6 @@ func TestSlabRowsAndQuantize(t *testing.T) {
 	r1.SetBin(3, 0.25)
 	if r0.W(3) != 1.0/3.0 || r1.W(3) != 0.25 {
 		t.Fatal("rows share bins")
-	}
-	s.Quantize(0)
-	want := float64(float32(1.0 / 3.0))
-	if r0.W(3) != want {
-		t.Errorf("quantized row bin = %v, want %v", r0.W(3), want)
-	}
-	if got := s.Row32(0)[3]; float64(got) != want {
-		t.Errorf("mirror bin = %v, want %v", got, want)
 	}
 	s.ResetRows(2)
 	if r0.W(3) != 0 || r1.W(3) != 0 {
@@ -330,7 +322,7 @@ func TestSlabRowsAndQuantize(t *testing.T) {
 
 // TestSlabRecycleReuse checks the pool round trip: a recycled slab of
 // compatible shape is reused (counted in SlabBytesReused) and its rows
-// are retagged with the caller's grid; an incompatible precision
+// are retagged with the caller's grid; an incompatible geometry
 // forces a fresh allocation.
 func TestSlabRecycleReuse(t *testing.T) {
 	m := obs.NewMetrics()
@@ -363,91 +355,13 @@ func TestSlabRecycleReuse(t *testing.T) {
 		t.Errorf("SlabBytesReused = %d, want %d", got, int64(len(s.w))*8)
 	}
 	s2.Recycle()
-	// Same geometry, different precision: the F64 slab has no float32
-	// mirror, so it must not satisfy an F32 request.
-	s3 := NewSlab(g.WithPrecision(F32), 4)
+	// Enough rows but a different geometry: the pooled slab must not
+	// satisfy the request.
+	s3 := NewSlab(NewGrid(-1, 7, 0.25), 4)
 	if s3 == s {
-		t.Fatal("F64 slab reused for an F32 grid")
+		t.Fatal("slab reused for a different grid")
 	}
 	s3.Recycle()
-}
-
-// TestKernelCachePrecisionKey is the regression test for the cache
-// keying bug: kernels for an F32 grid are quantized at discretization,
-// so the cache must key on precision as well as the Normal — a
-// same-geometry F64 lookup must never see the quantized kernel and
-// vice versa.
-func TestKernelCachePrecisionKey(t *testing.T) {
-	geo := NewGrid(-4, 12, 1.0/16)
-	n := Normal{Mu: 1, Sigma: 0.2}
-
-	k64 := NewKernelCache(geo).FromNormal(n)
-	k32 := NewKernelCache(geo.WithPrecision(F32)).FromNormal(n)
-
-	exact64 := 0
-	for i := 0; i < geo.N; i++ {
-		if v := k32.W(i); v != float64(float32(v)) {
-			t.Fatalf("F32 kernel bin %d = %v is not float32-representable", i, v)
-		}
-		if v := k64.W(i); v == float64(float32(v)) {
-			exact64++
-		}
-	}
-	if exact64 == geo.N {
-		t.Fatal("F64 kernel is fully float32-representable; test cannot distinguish precisions")
-	}
-	// The distinct keys must coexist in one map: rebind-style sharing
-	// of a cache across precisions may not alias entries.
-	kc := NewKernelCache(geo)
-	kc.FromNormal(n)
-	kc.grid = geo.WithPrecision(F32)
-	q := kc.FromNormal(n)
-	if kc.Len() != 2 {
-		t.Fatalf("cache holds %d entries after F64+F32 lookups of one Normal, want 2", kc.Len())
-	}
-	for i := 0; i < geo.N; i++ {
-		if v := q.W(i); v != float64(float32(v)) {
-			t.Fatalf("rebind lookup returned unquantized kernel (bin %d = %v)", i, v)
-		}
-	}
-}
-
-// TestConvolveBatchF32MatchesQuantizedSerial checks the packed-operand
-// kernel against its definition: reading the float32 mirror and the
-// float32 kernel image is bit-identical to the float64 plan kernel on
-// the quantized rows, followed by output rounding.
-func TestConvolveBatchF32MatchesQuantizedSerial(t *testing.T) {
-	g := NewGrid(-4, 12, 1.0/16).WithPrecision(F32)
-	pl := NewConvPlan(g)
-	rng := rand.New(rand.NewSource(11))
-
-	slab := NewSlab(g, 2)
-	defer slab.Recycle()
-	rows := []int{0, 1}
-	srcs := []*PMF{slab.Row(0), slab.Row(1)}
-	for i, span := range [][2]int{{30, 70}, {0, 20}} {
-		r := randPMF(g, rng, span[0], span[1])
-		srcs[i].CopyFrom(r)
-		slab.Quantize(rows[i])
-	}
-	kc := NewKernelCache(g)
-	kernel := kc.FromNormal(Normal{Mu: 1, Sigma: 0.2})
-	k32 := KernelF32(kernel, nil)
-
-	dsts := []*PMF{NewPMF(g), NewPMF(g)}
-	ConvolveBatchF32(pl, dsts, slab, rows, srcs, kernel, k32)
-
-	for i, src := range srcs {
-		want := NewPMF(g)
-		pl.ConvolveInto(want, src, kernel)
-		want.QuantizeF32()
-		requireSameBins(t, "f32-conv", want, dsts[i])
-		for k := 0; k < g.N; k++ {
-			if v := dsts[i].W(k); v != float64(float32(v)) {
-				t.Fatalf("output bin %d = %v not float32-representable", k, v)
-			}
-		}
-	}
 }
 
 // TestMixtureBatchMatchesSerial checks the mixture pass against the

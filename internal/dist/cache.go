@@ -22,11 +22,7 @@ import "sync"
 // entry already inserted — exactly the lookups that used to waste a
 // discretization).
 //
-// Entries are keyed on the Normal AND the grid's geometry AND its
-// storage precision: an F32 grid's kernels are quantized to
-// float32-representable bins at discretization time, so a float32 run
-// must never pick up a full-precision kernel discretized for a
-// float64 grid of the same geometry (or vice versa) — and under
+// Entries are keyed on the Normal AND the grid's geometry: under
 // multi-resolution coarsening (Rebind) a kernel discretized for one
 // resolution level must never serve another, since the same Normal
 // lands on different bins on each grid. Each resolution level thus
@@ -38,12 +34,11 @@ type KernelCache struct {
 }
 
 // kernelKey identifies one cached discretization: the Normal plus the
-// geometry and precision of the grid it was discretized on.
+// geometry of the grid it was discretized on.
 type kernelKey struct {
 	n      Normal
 	lo, dt float64
 	bins   int
-	prec   Precision
 }
 
 // cacheEntry is one once-per-key cache slot; p is written inside once
@@ -71,12 +66,9 @@ func (kc *KernelCache) Grid() Grid { return kc.grid }
 func (kc *KernelCache) Rebind(g Grid) { kc.grid = g }
 
 // FromNormal returns the discretization of n on the cache's grid,
-// computing it on first use. The result is shared: read-only. On an
-// F32-precision grid the kernel's bins are rounded to float32 once at
-// discretization, so the packed batch loops read exactly the values
-// the float64 mirror holds.
+// computing it on first use. The result is shared: read-only.
 func (kc *KernelCache) FromNormal(n Normal) *PMF {
-	key := kernelKey{n: n, lo: kc.grid.Lo, dt: kc.grid.Dt, bins: kc.grid.N, prec: kc.grid.Precision}
+	key := kernelKey{n: n, lo: kc.grid.Lo, dt: kc.grid.Dt, bins: kc.grid.N}
 	kc.mu.RLock()
 	e := kc.m[key]
 	kc.mu.RUnlock()
@@ -99,12 +91,7 @@ func (kc *KernelCache) FromNormal(n Normal) *PMF {
 	} else if m != nil {
 		m.KernelHits.Add(1)
 	}
-	e.once.Do(func() {
-		e.p = FromNormal(kc.grid, n)
-		if kc.grid.Precision == F32 {
-			e.p.QuantizeF32()
-		}
-	})
+	e.once.Do(func() { e.p = FromNormal(kc.grid, n) })
 	return e.p
 }
 

@@ -6,29 +6,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Precision selects the storage precision of the batched slab path.
-// Scratch and arena PMFs always hold float64 bins; F32 additionally
-// packs slab rows as float32, halving the memory bandwidth of the
-// batch convolution loops, and quantizes every stored bin to float32
-// so the analysis is reproducible regardless of which loop produced
-// it. See DESIGN.md §13 for the error model.
-type Precision uint8
-
-const (
-	// F64 is the default full-precision mode.
-	F64 Precision = iota
-	// F32 rounds slab rows, delay kernels and stored batch outputs to
-	// float32. Accumulation stays float64.
-	F32
-)
-
-func (p Precision) String() string {
-	if p == F32 {
-		return "f32"
-	}
-	return "f64"
-}
-
 // Grid is a uniform time grid shared by all discretized
 // distributions of one analysis. Bin i covers
 // [Lo + i·Dt, Lo + (i+1)·Dt) and is represented by its center.
@@ -37,17 +14,10 @@ func (p Precision) String() string {
 // same grid; mixing grids is a programming error and panics. Grid
 // identity is its geometry (Lo, Dt, N) — the metrics handle a grid
 // may carry does not participate in Equal or the cross-grid checks.
-// The Precision tag likewise rides along without affecting geometry
-// checks; callers that must not mix precisions (KernelCache, the
-// batch scheduler) compare it explicitly via Same.
 type Grid struct {
 	Lo float64 // left edge of bin 0
 	Dt float64 // bin width
 	N  int     // number of bins
-
-	// Precision is the storage precision of the batched slab path;
-	// the zero value F64 preserves the historical behavior.
-	Precision Precision
 
 	// met is the observability registry of the analysis this grid
 	// belongs to; nil disables instrumentation. The kernels in this
@@ -115,17 +85,10 @@ func (g Grid) WithMetrics(m *obs.Metrics) Grid {
 // instrumentation is disabled.
 func (g Grid) Metrics() *obs.Metrics { return g.met }
 
-// WithPrecision returns a copy of the grid carrying the storage
-// precision for the batched slab path.
-func (g Grid) WithPrecision(p Precision) Grid {
-	g.Precision = p
-	return g
-}
-
 // Coarsen returns the factor×-coarser grid sharing the same left
 // edge: bin width Dt·factor and ceil(N/factor) bins, so every fine
-// bin i maps wholly into coarse bin i/factor. Precision and the
-// metrics handle carry over. The multi-resolution scheduler walks
+// bin i maps wholly into coarse bin i/factor. The metrics handle
+// carries over. The multi-resolution scheduler walks
 // TimingGrid resolutions down through Coarsen(2)/Coarsen(4) as
 // supports widen with depth (DESIGN.md §15).
 func (g Grid) Coarsen(factor int) Grid {
@@ -139,15 +102,8 @@ func (g Grid) Coarsen(factor int) Grid {
 
 // Equal reports whether two grids have identical geometry. The
 // metrics handle is ignored: a caller-built bare grid and the same
-// grid tagged by an analyzer are the same grid. Precision is also
-// ignored — geometry compatibility is what the kernels require; use
-// Same where precision identity matters.
+// grid tagged by an analyzer are the same grid.
 func (g Grid) Equal(o Grid) bool { return g.Lo == o.Lo && g.Dt == o.Dt && g.N == o.N }
-
-// Same reports whether two grids have identical geometry AND storage
-// precision. A float32 run must never reuse artifacts (delay
-// kernels, slabs) discretized for a float64 grid of the same shape.
-func (g Grid) Same(o Grid) bool { return g.Equal(o) && g.Precision == o.Precision }
 
 func (g Grid) check(o Grid, op string) {
 	if !g.Equal(o) {

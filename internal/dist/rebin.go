@@ -37,9 +37,7 @@ func checkRebin(fine, coarse Grid, factor int) {
 // RebinInto writes p re-binned by factor into dst (cleared first) and
 // returns the worst-case deviation bound (the largest single coarse
 // bin mass). dst must live on p.Grid().Coarsen(factor) and must not
-// alias p; use Rebin for the in-place form. On an F32-precision
-// target grid every stored bin is rounded to float32, matching the
-// batch path's storage contract.
+// alias p; use Rebin for the in-place form.
 func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
 	checkRebin(p.grid, dst.grid, factor)
 	dst.Reset()
@@ -72,9 +70,6 @@ func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
 	// The support may over-approximate (edge coarse bins can be zero),
 	// which the one-directional support invariant permits.
 	dst.lo, dst.hi = clo, chi
-	if dst.grid.Precision == F32 {
-		dst.QuantizeF32()
-	}
 	if m := p.grid.met; m != nil {
 		m.RebinDeviationFP.Add(obs.MassFP(dev))
 	}
@@ -83,7 +78,7 @@ func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
 
 // Rebin re-bins p by factor in place, retagging it onto cg (which
 // must equal p.Grid().Coarsen(factor) up to geometry; pass the
-// caller's coarse grid so the metrics handle and precision carry),
+// caller's coarse grid so the metrics handle carries over),
 // and returns the deviation bound. The backing slice keeps its fine
 // length — harmless, since every kernel indexes bins below Grid().N.
 //
@@ -131,23 +126,8 @@ func (p *PMF) Rebin(cg Grid, factor int) float64 {
 	}
 	p.grid = cg
 	p.lo, p.hi = clo, chi
-	if cg.Precision == F32 {
-		p.QuantizeF32()
-	}
 	if m := cg.met; m != nil {
 		m.RebinDeviationFP.Add(obs.MassFP(dev))
-	}
-	return dev
-}
-
-// RebinRowInto re-bins row i of s into row i of dst, whose grid must
-// be the factor×-coarsening of s's, and returns the deviation bound.
-// On an F32 destination slab the row's packed float32 mirror is
-// refreshed so either view feeds the batch kernels the same numbers.
-func (s *Slab) RebinRowInto(dst *Slab, i, factor int) float64 {
-	dev := s.rows[i].RebinInto(&dst.rows[i], factor)
-	if dst.grid.Precision == F32 {
-		dst.Quantize(i)
 	}
 	return dev
 }

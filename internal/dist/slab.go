@@ -14,13 +14,6 @@ import (
 // are adjacent in memory instead of chasing per-net scratch
 // allocations.
 //
-// On an F32-precision grid the slab additionally carries a packed
-// float32 mirror of each row. Quantize materializes the mirror and
-// rounds the float64 row to float32-representable values in place, so
-// both views hold the same numbers and either loop produces the same
-// analysis; the batch convolution reads the float32 view for half the
-// memory traffic.
-//
 // Slab rows are reused level after level (the scheduler resets the
 // rows it dirtied), and whole slabs are recycled across runs through
 // a package pool like arenas — a pooled slab obeys the all-bins-zero
@@ -28,7 +21,6 @@ import (
 type Slab struct {
 	grid Grid
 	w    []float64
-	w32  []float32
 	rows []PMF
 }
 
@@ -36,17 +28,14 @@ type Slab struct {
 var slabPool sync.Pool
 
 // NewSlab returns a slab with n zeroed grid-sized rows, reusing a
-// recycled slab of compatible shape (same geometry and precision,
-// enough rows) when one is available.
+// recycled slab of compatible shape (same geometry, enough rows) when
+// one is available.
 func NewSlab(g Grid, n int) *Slab {
 	if v := slabPool.Get(); v != nil {
 		s := v.(*Slab)
-		if s.grid.Same(g) && len(s.rows) >= n && (g.Precision == F64 || s.w32 != nil) {
+		if s.grid.Equal(g) && len(s.rows) >= n {
 			if m := g.met; m != nil {
 				reused := int64(len(s.w)) * 8
-				if g.Precision == F32 {
-					reused += int64(len(s.w32)) * 4
-				}
 				m.SlabBytesReused.Add(reused)
 				obs.ObserveMax(&m.SlabBytesPeak, reused)
 			}
@@ -62,11 +51,8 @@ func NewSlab(g Grid, n int) *Slab {
 		// nothing to clean up).
 	}
 	s := &Slab{grid: g, w: make([]float64, n*g.N), rows: make([]PMF, n)}
-	if g.Precision == F32 {
-		s.w32 = make([]float32, n*g.N)
-	}
 	if m := g.met; m != nil {
-		bytes := int64(len(s.w))*8 + int64(len(s.w32))*4
+		bytes := int64(len(s.w)) * 8
 		obs.ObserveMax(&m.SlabBytesPeak, bytes)
 	}
 	for i := range s.rows {
@@ -85,28 +71,6 @@ func (s *Slab) Rows() int { return len(s.rows) }
 // Row returns row i. The PMF stays owned by the slab: callers may
 // fill and read it but must not Release it.
 func (s *Slab) Row(i int) *PMF { return &s.rows[i] }
-
-// Row32 returns the packed float32 mirror of row i. Only the bins
-// inside the row's support are meaningful (Quantize fills exactly
-// those). Panics on an F64 slab.
-func (s *Slab) Row32(i int) []float32 {
-	lo := i * s.grid.N
-	return s.w32[lo : lo+s.grid.N : lo+s.grid.N]
-}
-
-// Quantize rounds every support bin of row i to its nearest float32
-// and mirrors the rounded values into the packed float32 view. After
-// the call the float64 row and the float32 row hold identical
-// numbers.
-func (s *Slab) Quantize(i int) {
-	r := &s.rows[i]
-	w32 := s.Row32(i)
-	for k := r.lo; k < r.hi; k++ {
-		f := float32(r.w[k])
-		r.w[k] = float64(f)
-		w32[k] = f
-	}
-}
 
 // ResetRows clears the first n rows back to the all-zero invariant.
 func (s *Slab) ResetRows(n int) {

@@ -209,7 +209,7 @@ type Metrics struct {
 	// Deterministic work-unit cost counters (DESIGN.md §14). Each
 	// counts abstract units of algorithmic work at the site where the
 	// work happens, under the determinism contract: identical
-	// (netlist, inputs, ε, σ, engine, batched, precision) runs
+	// (netlist, inputs, ε, σ, engine, batched, coarsen) runs
 	// accumulate identical totals regardless of worker count, wall
 	// time, or cross-request cache state. CostBinOps counts PMF bin
 	// operations in dist (shift/max/min support widths, sa·sb direct

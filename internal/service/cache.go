@@ -38,9 +38,8 @@ const (
 // output. Workers is excluded for spsta and moment (their results and
 // cost units are worker-invariant by design) but included, resolved,
 // for mc (a packed simulation is bit-identical only for a fixed
-// seed/runs/workers triple). Batched and precision stay in the spsta
-// key because they change the reported cost units and, for f32, the
-// rounding model.
+// seed/runs/workers triple). Batched stays in the spsta key because
+// it changes the reported cost units.
 func cacheKey(digest string, req *Request, engine string) string {
 	var b strings.Builder
 	b.WriteString(digest)
@@ -58,8 +57,6 @@ func cacheKey(digest string, req *Request, engine string) string {
 		f(req.Sigma)
 		b.WriteByte('|')
 		b.WriteString(req.Batched)
-		b.WriteByte('|')
-		b.WriteString(req.Precision)
 		b.WriteByte('|')
 		b.WriteString(req.Coarsen)
 	case "moment":

@@ -24,14 +24,13 @@ type RequestSummary struct {
 	Circuit string `json:"circuit,omitempty"`
 
 	// Knobs, for replaying the request by hand.
-	Scenario  string  `json:"scenario,omitempty"`
-	Epsilon   float64 `json:"epsilon,omitempty"`
-	Sigma     float64 `json:"sigma,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
-	Runs      int     `json:"runs,omitempty"`
-	Batched   string  `json:"batched,omitempty"`
-	Precision string  `json:"precision,omitempty"`
-	Coarsen   string  `json:"coarsen,omitempty"`
+	Scenario string  `json:"scenario,omitempty"`
+	Epsilon  float64 `json:"epsilon,omitempty"`
+	Sigma    float64 `json:"sigma,omitempty"`
+	Workers  int     `json:"workers,omitempty"`
+	Runs     int     `json:"runs,omitempty"`
+	Batched  string  `json:"batched,omitempty"`
+	Coarsen  string  `json:"coarsen,omitempty"`
 
 	Status int `json:"status"`
 	// Rejected marks a load-shed request (429 queue-full or 503

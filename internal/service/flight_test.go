@@ -215,7 +215,7 @@ func TestPrometheusExpositionValid(t *testing.T) {
 
 // TestCostUnitsDeterministic asserts the contract behind cost_units:
 // identical requests — same netlist, scenario, epsilon, sigma, engine,
-// scheduler and precision — report identical per-engine cost no matter
+// scheduler and coarsening — report identical per-engine cost no matter
 // the worker count.
 func TestCostUnitsDeterministic(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 4})
@@ -226,7 +226,7 @@ func TestCostUnitsDeterministic(t *testing.T) {
 	for _, tc := range []string{
 		`{"circuit":"s298","engine":"all","runs":700,"sigma":0.1,"epsilon":1e-8,"workers":%d}`,
 		`{"circuit":"s208","engine":"spsta","batched":"off","workers":%d}`,
-		`{"circuit":"s208","engine":"spsta","precision":"f32","sigma":0.2,"workers":%d}`,
+		`{"circuit":"s208","engine":"spsta","coarsen":"auto","sigma":0.2,"workers":%d}`,
 	} {
 		var want []EngineResult
 		for _, workers := range []int{1, 2, 4} {

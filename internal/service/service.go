@@ -307,10 +307,6 @@ type Request struct {
 	// (default) stages same-level nets through the batched PMF
 	// kernels, "off" forces the sequential per-gate path.
 	Batched string `json:"batched,omitempty"`
-	// Precision selects the spsta engine's PMF grid precision: "f64"
-	// (default) or "f32" (requires the batched scheduler; see
-	// DESIGN.md §13 for the rounding model).
-	Precision string `json:"precision,omitempty"`
 	// Coarsen selects the spsta engine's depth-adaptive grid-coarsening
 	// policy: "off" (default), "fixed" or "auto" (DESIGN.md §15). The
 	// re-binning deviation is certified through max_budget.
@@ -499,23 +495,15 @@ func decode(r *http.Request) (*Request, error) {
 	if req.Epsilon < 0 {
 		return nil, errBadRequest("epsilon must be >= 0")
 	}
+	if req.Sigma < 0 {
+		return nil, errBadRequest("sigma must be >= 0")
+	}
 	switch req.Batched {
 	case "":
 		req.Batched = "on"
 	case "on", "off":
 	default:
 		return nil, errBadRequest("unknown batched mode %q (want on or off)", req.Batched)
-	}
-	switch req.Precision {
-	case "":
-		req.Precision = "f64"
-	case "f64":
-	case "f32":
-		if req.Batched == "off" {
-			return nil, errBadRequest("precision f32 requires the batched scheduler (batched: on)")
-		}
-	default:
-		return nil, errBadRequest("unknown precision %q (want f64 or f32)", req.Precision)
 	}
 	switch req.Coarsen {
 	case "":
@@ -524,9 +512,9 @@ func decode(r *http.Request) (*Request, error) {
 	default:
 		return nil, errBadRequest("unknown coarsen mode %q (want off, fixed or auto)", req.Coarsen)
 	}
-	if (req.Batched == "off" || req.Precision == "f32" || req.Coarsen != "off") &&
+	if (req.Batched == "off" || req.Coarsen != "off") &&
 		req.Engine != "spsta" && req.Engine != "all" {
-		return nil, errBadRequest("batched/precision/coarsen apply only to the spsta engine (engine %q)", req.Engine)
+		return nil, errBadRequest("batched/coarsen apply only to the spsta engine (engine %q)", req.Engine)
 	}
 	if req.Runs == 0 {
 		req.Runs = 10000
@@ -604,13 +592,6 @@ func (req *Request) batchMode() core.BatchMode {
 		return core.BatchOff
 	}
 	return core.BatchAuto
-}
-
-func (req *Request) precision() dist.Precision {
-	if req.Precision == "f32" {
-		return dist.F32
-	}
-	return dist.F64
 }
 
 func (req *Request) coarsenPolicy() core.CoarsenPolicy {
@@ -711,7 +692,6 @@ func (rc *reqCtx) summary(engine string, status int, errMsg string, cost int64) 
 		sum.Workers = req.Workers
 		sum.Runs = req.Runs
 		sum.Batched = req.Batched
-		sum.Precision = req.Precision
 		sum.Coarsen = req.Coarsen
 	}
 	return sum
@@ -956,8 +936,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	case "spsta":
 		a := core.Analyzer{
 			Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon,
-			Batched: req.batchMode(), Precision: req.precision(),
-			Coarsen: req.coarsenPolicy(), Obs: scope,
+			Batched: req.batchMode(), Coarsen: req.coarsenPolicy(), Obs: scope,
 		}
 		res, err := a.Run(c, in)
 		if err != nil {

@@ -245,20 +245,23 @@ func TestBadRequests(t *testing.T) {
 		`{"circuit":"s208","bench":"INPUT(a)"}`,
 		`{"circuit":"nope"}`,
 		`{"circuit":"s208","scenario":"III"}`,
+		`{"circuit":"s208","sigma":-0.5}`,
 		`not json`,
 	} {
-		resp, b := post(t, srv.URL+"/v1/analyze", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, b)
+		for _, path := range []string{"/v1/analyze", "/v1/compare"} {
+			resp, b := post(t, srv.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s body %s: status = %d, want 400 (%s)", path, body, resp.StatusCode, b)
+			}
 		}
 	}
 }
 
-// TestBatchedRequestKnobs exercises the batched/precision request
-// fields end to end: a batched f32 analyze succeeds, a sequential
-// analyze succeeds, the invalid combinations 400, and the batch
-// counters (levels, FFT plans, slab reuse) show up in /metrics after
-// a batched request ran.
+// TestBatchedRequestKnobs exercises the batched request field end to
+// end: batched and sequential analyzes succeed, invalid values and
+// unknown fields (including the retired precision knob) 400, and the
+// batch counters (levels, FFT plans, slab reuse) show up in /metrics
+// after a batched request ran.
 func TestBatchedRequestKnobs(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
@@ -266,7 +269,7 @@ func TestBatchedRequestKnobs(t *testing.T) {
 	defer srv.Close()
 
 	for _, body := range []string{
-		`{"circuit":"s208","sigma":0.2,"precision":"f32"}`,
+		`{"circuit":"s208","sigma":0.2}`,
 		`{"circuit":"s208","batched":"off"}`,
 		`{"circuit":"s208","engine":"all","runs":200,"batched":"on"}`,
 	} {
@@ -277,8 +280,9 @@ func TestBatchedRequestKnobs(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"circuit":"s208","batched":"maybe"}`,
+		`{"circuit":"s208","sigma":0.2,"precision":"f32"}`,
+		`{"circuit":"s208","precision":"f64"}`,
 		`{"circuit":"s208","precision":"f16"}`,
-		`{"circuit":"s208","batched":"off","precision":"f32"}`,
 		`{"circuit":"s208","engine":"mc","precision":"f32"}`,
 		`{"circuit":"s208","engine":"moment","batched":"off"}`,
 	} {
