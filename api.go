@@ -165,67 +165,64 @@ func SkewedInputs(c *Circuit) map[NodeID]InputStats {
 // one time unit per gate, zero net delay.
 func UnitDelay(n *Node) Normal { return ssta.UnitDelay(n) }
 
-// AnalyzeSPSTA runs the discretized SPSTA analyzer with the default
-// grid and unit gate delays.
-func AnalyzeSPSTA(c *Circuit, inputs map[NodeID]InputStats) (*SPSTAResult, error) {
-	var a core.Analyzer
-	return a.Run(c, inputs)
+// SPSTAOptions configures AnalyzeSPSTA. The zero value runs the
+// paper's setting: the default grid, unit gate delays, every
+// processor, no pruning and a single grid resolution.
+type SPSTAOptions struct {
+	// Grid is the discretization grid; the zero value selects
+	// TimingGrid for the circuit depth and launch statistics.
+	Grid Grid
+	// Delay is the gate delay model; nil selects UnitDelay.
+	// Deterministic delays shift the t.o.p. functions, variational
+	// delays convolve them.
+	Delay DelayModel
+	// Workers is the level-parallel worker count (0 = GOMAXPROCS,
+	// 1 = serial). Results are bit-identical for every worker count:
+	// gates of one level depend only on earlier levels, so the
+	// schedule never changes the arithmetic.
+	Workers int
+	// ErrorBudget is the per-net ε of adaptive pruning: each net may
+	// spend at most this much occurrence mass on subset
+	// branch-and-bound, negligible-switcher absorption and t.o.p. tail
+	// truncation. The removed mass is folded back so four-value
+	// probabilities still sum to 1, and the result certifies a
+	// worst-case deviation per net (SPSTAResult.ConsumedBudget,
+	// .DeviationBounds). Zero is the exact engine.
+	ErrorBudget float64
+	// Coarsen configures depth-adaptive grid coarsening (DESIGN.md
+	// §15): at level boundaries the stored t.o.p. functions are
+	// re-binned onto a 2×/4×-coarser grid, with the re-binning
+	// deviation folded into the per-net certificates. The zero value
+	// keeps one grid.
+	Coarsen CoarsenPolicy
+	// ExactProbabilities applies the Section 3.5 higher-order
+	// correlation correction: four-value probabilities and t.o.p.
+	// masses are rescaled to the exact pair-BDD values, capturing
+	// reconvergent-fanout correlations.
+	ExactProbabilities bool
+	// MIS, when non-nil, replaces Delay with a multiple-input-switching
+	// delay model.
+	MIS MISModel
+	// Obs records kernel metrics and schedule spans into the given
+	// scope (nil runs uninstrumented). Results are bit-identical with
+	// and without a scope.
+	Obs *EngineScope
 }
 
-// AnalyzeSPSTAWith runs the discretized SPSTA analyzer with an
-// explicit grid and delay model.
-func AnalyzeSPSTAWith(c *Circuit, inputs map[NodeID]InputStats, grid Grid, delay DelayModel) (*SPSTAResult, error) {
-	a := core.Analyzer{Grid: grid, Delay: delay}
-	return a.Run(c, inputs)
-}
-
-// AnalyzeSPSTAParallel runs the discretized SPSTA analyzer with an
-// explicit level-parallel worker count (0 = GOMAXPROCS, 1 = serial).
-// The result is bit-identical for every worker count: gates of one
-// unit-delay level depend only on earlier levels, so the schedule
-// never changes the arithmetic.
-func AnalyzeSPSTAParallel(c *Circuit, inputs map[NodeID]InputStats, workers int) (*SPSTAResult, error) {
-	a := core.Analyzer{Workers: workers}
-	return a.Run(c, inputs)
-}
-
-// AnalyzeSPSTACoarsened runs the discretized SPSTA analyzer with
-// depth-adaptive grid coarsening (DESIGN.md §15): at level boundaries
-// the stored t.o.p. functions are re-binned onto a 2×/4×-coarser grid
-// (policy.Mode fixed or auto), with the re-binning deviation folded
-// into the per-net certificates (SPSTAResult.ConsumedBudget), so deep
-// circuits trade certified accuracy for per-bin kernel work. eps is
-// the usual ε-pruning budget and may be zero; a CoarsenOff policy at
-// eps = 0 is bit-identical to AnalyzeSPSTA.
-func AnalyzeSPSTACoarsened(c *Circuit, inputs map[NodeID]InputStats, eps float64, policy CoarsenPolicy) (*SPSTAResult, error) {
-	a := core.Analyzer{ErrorBudget: eps, Coarsen: policy}
+// AnalyzeSPSTA runs the discretized SPSTA analyzer.
+func AnalyzeSPSTA(c *Circuit, inputs map[NodeID]InputStats, opt SPSTAOptions) (*SPSTAResult, error) {
+	a := core.Analyzer{
+		Grid: opt.Grid, Delay: opt.Delay, Workers: opt.Workers,
+		ErrorBudget: opt.ErrorBudget, Coarsen: opt.Coarsen,
+		ExactProbabilities: opt.ExactProbabilities, MIS: opt.MIS, Obs: opt.Obs,
+	}
 	return a.Run(c, inputs)
 }
 
 // AnalyzeSPSTAMoments runs the analytic (Clark-based) SPSTA
-// abstraction.
-func AnalyzeSPSTAMoments(c *Circuit, inputs map[NodeID]InputStats) (*SPSTAMomentResult, error) {
-	var a core.MomentTiming
-	return a.Run(c, inputs)
-}
-
-// AnalyzeSPSTAPruned runs the discretized SPSTA analyzer with
-// ε-bounded adaptive pruning: each net may spend at most eps of
-// occurrence mass on subset branch-and-bound, negligible-switcher
-// absorption and t.o.p. tail truncation. The removed mass is folded
-// back so four-value probabilities still sum to 1, and the result
-// carries a certified worst-case deviation per net
-// (SPSTAResult.ConsumedBudget, .DeviationBounds). eps = 0 is
-// bit-identical to AnalyzeSPSTA.
-func AnalyzeSPSTAPruned(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*SPSTAResult, error) {
-	a := core.Analyzer{ErrorBudget: eps}
-	return a.Run(c, inputs)
-}
-
-// AnalyzeSPSTAMomentsPruned runs the analytic SPSTA abstraction with
-// ε-bounded subset branch-and-bound (see AnalyzeSPSTAPruned); eps = 0
-// is bit-identical to AnalyzeSPSTAMoments.
-func AnalyzeSPSTAMomentsPruned(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*SPSTAMomentResult, error) {
+// abstraction with ε-bounded subset branch-and-bound (see
+// SPSTAOptions.ErrorBudget); eps = 0 is the exact abstraction.
+func AnalyzeSPSTAMoments(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*SPSTAMomentResult, error) {
 	a := core.MomentTiming{ErrorBudget: eps}
 	return a.Run(c, inputs)
 }
@@ -317,15 +314,6 @@ func ExactSignalProbabilities(c *Circuit, inputP map[NodeID]float64, limit int) 
 // TimingGrid returns the default analysis grid for a circuit depth
 // and launch arrival statistics.
 func TimingGrid(depth int, mu, sigma float64) Grid { return dist.TimingGrid(depth, mu, sigma) }
-
-// AnalyzeSPSTAExact runs the discretized SPSTA analyzer with the
-// Section 3.5 higher-order-correlation correction: four-value
-// probabilities and t.o.p. masses are rescaled to the exact pair-BDD
-// values, capturing reconvergent-fanout correlations.
-func AnalyzeSPSTAExact(c *Circuit, inputs map[NodeID]InputStats) (*SPSTAResult, error) {
-	a := core.Analyzer{ExactProbabilities: true}
-	return a.Run(c, inputs)
-}
 
 // ExactFourValueProbabilities computes exact four-value signal
 // probabilities for every net on pair-BDDs (Section 3.5). limit
@@ -436,17 +424,12 @@ func NewIncrementalSSTA(c *Circuit, inputs map[NodeID]InputStats, base DelayMode
 // IncrementalSPSTA wraps SPSTA for in-place re-analysis.
 type IncrementalSPSTA = incr.SPSTA
 
-// NewIncrementalSPSTA runs the initial full SPSTA analysis.
-func NewIncrementalSPSTA(c *Circuit, inputs map[NodeID]InputStats) (*IncrementalSPSTA, error) {
-	return incr.NewSPSTA(core.Analyzer{}, c, inputs)
-}
-
-// NewIncrementalSPSTAPruned runs the initial full SPSTA analysis with
-// ε-bounded pruning; incremental updates re-derive every recomputed
-// gate's budget from the configuration, so repeated SetDelay/SetInput
-// calls match a pruned full re-run with the same eps instead of
-// compounding the error.
-func NewIncrementalSPSTAPruned(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*IncrementalSPSTA, error) {
+// NewIncrementalSPSTA runs the initial full SPSTA analysis with
+// ε-bounded pruning (eps = 0 is exact); incremental updates re-derive
+// every recomputed gate's budget from the configuration, so repeated
+// SetDelay/SetInput calls match a pruned full re-run with the same eps
+// instead of compounding the error.
+func NewIncrementalSPSTA(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*IncrementalSPSTA, error) {
 	return incr.NewSPSTA(core.Analyzer{ErrorBudget: eps}, c, inputs)
 }
 
@@ -469,13 +452,6 @@ func EvaluateVectors(c *Circuit, values map[NodeID]Value, times map[NodeID]float
 // to a delay (the multiple-input-switching model of reference [2]).
 type MISModel = ssta.MISModel
 
-// AnalyzeSPSTAMIS runs the discretized SPSTA analyzer with a
-// multiple-input-switching delay model.
-func AnalyzeSPSTAMIS(c *Circuit, inputs map[NodeID]InputStats, mis MISModel) (*SPSTAResult, error) {
-	a := core.Analyzer{MIS: mis}
-	return a.Run(c, inputs)
-}
-
 // Observability. The engines carry an always-compiled, request-scoped
 // instrumentation layer (see internal/obs): a metrics registry of
 // atomic counters and bounded histograms, and a tracer emitting Chrome
@@ -496,10 +472,9 @@ type (
 	// level-parallel schedule and writes Chrome trace_event JSON.
 	EngineTracer = obs.Tracer
 	// EngineScope is one analysis' observability handle: a metrics
-	// registry plus an optional tracer. Pass it via the Obs field of
-	// core.Analyzer / core.MomentTiming / montecarlo.Config (or the
-	// Scoped facade functions below); a nil scope disables
-	// instrumentation.
+	// registry plus an optional tracer. Pass it via
+	// SPSTAOptions.Obs or SimulateMonteCarloScoped; a nil scope
+	// disables instrumentation.
 	EngineScope = obs.Scope
 )
 
@@ -510,14 +485,6 @@ func NewEngineScope() *EngineScope { return obs.NewScope() }
 // NewTracedEngineScope returns a scope with a fresh metrics registry
 // and a fresh tracer.
 func NewTracedEngineScope() *EngineScope { return obs.NewTracedScope() }
-
-// AnalyzeSPSTAScoped is AnalyzeSPSTAParallel recording kernel metrics
-// and schedule spans into the given scope (nil runs uninstrumented).
-// Results are bit-identical with and without a scope.
-func AnalyzeSPSTAScoped(c *Circuit, inputs map[NodeID]InputStats, workers int, scope *EngineScope) (*SPSTAResult, error) {
-	a := core.Analyzer{Workers: workers, Obs: scope}
-	return a.Run(c, inputs)
-}
 
 // SimulateMonteCarloScoped is SimulateMonteCarlo recording run counts,
 // shard busy times and packed-engine block statistics into the given

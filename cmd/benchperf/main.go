@@ -71,10 +71,6 @@ type Row struct {
 	// benchmarks variational N(1, σ²) delays, which exercise the
 	// per-gate convolution path where tail truncation shrinks kernels.
 	Sigma float64 `json:"sigma,omitempty"`
-	// Batched ("on" or "off") records the level scheduler of an SPSTA
-	// cell: the batched struct-of-arrays scheduler or the sequential
-	// per-gate escape hatch.
-	Batched string `json:"batched,omitempty"`
 	// Coarsen ("off", "fixed" or "auto") records the depth-adaptive
 	// grid-coarsening policy of an SPSTA cell (DESIGN.md §15).
 	Coarsen string `json:"coarsen,omitempty"`
@@ -102,13 +98,8 @@ type Row struct {
 	// SpeedupVsExact compares a pruned (ε>0) cell to the same
 	// circuit's exact ε=0 cell at the same worker count.
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
-	// SpeedupVsSequential compares a batched SPSTA cell to the
-	// sequential (batched=off) cell at the same worker count,
-	// budget and sigma.
-	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// SpeedupVsNoCoarsen compares a coarsening SPSTA cell to the
-	// coarsen=off cell at the same worker count, budget, sigma and
-	// scheduler mode.
+	// coarsen=off cell at the same worker count, budget and sigma.
 	SpeedupVsNoCoarsen float64 `json:"speedup_vs_no_coarsen,omitempty"`
 	// PrunedMass and MaxBudget report the pruning certificate of an
 	// ε>0 cell: total mass dropped circuit-wide and the largest per-net
@@ -154,7 +145,6 @@ func run() error {
 	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta/moment)")
 	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
 	sigmaList := flag.String("sigma", "0", "comma-separated gate-delay sigmas to sweep (-engine spsta/moment); 0 is deterministic unit delay, >0 selects variational N(1, sigma^2) delays")
-	batchedList := flag.String("batched", "on", "comma-separated level-scheduler modes to sweep (-engine spsta): on (batched slabs), off (sequential per-gate)")
 	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, fixed, auto (DESIGN.md §15)")
 	circuitsList := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
 	runs := flag.Int("runs", 10000, "Monte Carlo runs per op (-engine mc)")
@@ -210,15 +200,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		modes, err := parseModes(*engine, *batchedList)
-		if err != nil {
-			return err
-		}
 		coarsens, err := parseCoarsens(*engine, *coarsenList)
 		if err != nil {
 			return err
 		}
-		f.Benchmarks, err = benchAnalyzer(*engine, circuits, workers, epsilons, sigmas, modes, coarsens, *minTime, *rounds, *withMetrics)
+		f.Benchmarks, err = benchAnalyzer(*engine, circuits, workers, epsilons, sigmas, coarsens, *minTime, *rounds, *withMetrics)
 		if err != nil {
 			return err
 		}
@@ -243,39 +229,6 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", *out, len(f.Benchmarks))
 	return nil
-}
-
-// schedMode is one level-scheduler mode of the spsta sweep.
-type schedMode struct {
-	batched bool
-}
-
-// parseModes builds the level-scheduler mode list of the spsta sweep.
-// The moment engine has no scheduler axis and accepts only the
-// default.
-func parseModes(engine, batchedList string) ([]schedMode, error) {
-	if engine == "moment" {
-		if batchedList != "on" {
-			return nil, fmt.Errorf("-batched applies to -engine spsta only")
-		}
-		return []schedMode{{batched: true}}, nil
-	}
-	var out []schedMode
-	for _, part := range strings.Split(batchedList, ",") {
-		switch strings.TrimSpace(part) {
-		case "on":
-			out = append(out, schedMode{batched: true})
-		case "off":
-			out = append(out, schedMode{batched: false})
-		case "":
-		default:
-			return nil, fmt.Errorf("bad -batched value %q (want on or off)", part)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -batched list")
-	}
-	return out, nil
 }
 
 // parseCoarsens builds the coarsening-policy axis of the spsta sweep.
@@ -306,34 +259,19 @@ func parseCoarsens(engine, list string) ([]core.CoarsenMode, error) {
 	return out, nil
 }
 
-func (m schedMode) batchMode() core.BatchMode {
-	if m.batched {
-		return core.BatchAuto
-	}
-	return core.BatchOff
-}
-
-func (m schedMode) label() string {
-	if m.batched {
-		return "on"
-	}
-	return "off"
-}
-
-// benchAnalyzer sweeps worker counts × pruning budgets × scheduler
-// modes per circuit for the spsta (discretized t.o.p.) or moment
-// (analytic moment-matching) engine, all variants interleaved.
-func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, epsilons, sigmas []float64, modes []schedMode, coarsens []core.CoarsenMode, minTime time.Duration, rounds int, withMetrics bool) ([]Row, error) {
+// benchAnalyzer sweeps worker counts × pruning budgets × sigmas ×
+// coarsening policies per circuit for the spsta (discretized t.o.p.)
+// or moment (analytic moment-matching) engine, all variants
+// interleaved.
+func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, epsilons, sigmas []float64, coarsens []core.CoarsenMode, minTime time.Duration, rounds int, withMetrics bool) ([]Row, error) {
 	type cell struct {
 		eps     float64
 		sigma   float64
 		w       int
-		mode    schedMode
 		coarsen core.CoarsenMode
 	}
 	analyzerFor := func(cl cell) *core.Analyzer {
 		return &core.Analyzer{Workers: cl.w, ErrorBudget: cl.eps, Delay: delayFor(cl.sigma),
-			Batched: cl.mode.batchMode(),
 			Coarsen: core.CoarsenPolicy{Mode: cl.coarsen}}
 	}
 	runOnce := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) error {
@@ -390,10 +328,8 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 		for _, s := range sigmas {
 			for _, e := range epsilons {
 				for _, w := range workers {
-					for _, md := range modes {
-						for _, cm := range coarsens {
-							cells = append(cells, cell{e, s, w, md, cm})
-						}
+					for _, cm := range coarsens {
+						cells = append(cells, cell{e, s, w, cm})
 					}
 				}
 			}
@@ -403,7 +339,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			cl := cl
 			name := fmt.Sprintf("workers=%d eps=%g sigma=%g", cl.w, cl.eps, cl.sigma)
 			if engine != "moment" {
-				name += fmt.Sprintf(" batched=%s coarsen=%s", cl.mode.label(), cl.coarsen)
+				name += fmt.Sprintf(" coarsen=%s", cl.coarsen)
 			}
 			vs[i] = variant{
 				name: name,
@@ -416,41 +352,29 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 		}
 		type baseKey struct {
 			eps, sigma float64
-			mode       schedMode
 			coarsen    core.CoarsenMode
 		}
 		type exactKey struct {
 			w       int
 			sigma   float64
-			mode    schedMode
 			coarsen core.CoarsenMode
-		}
-		type seqKey struct {
-			w          int
-			eps, sigma float64
-			coarsen    core.CoarsenMode
 		}
 		type fineKey struct {
 			w          int
 			eps, sigma float64
-			mode       schedMode
 		}
-		base := make(map[baseKey]float64)   // (ε, σ, mode, coarsen) → workers=1 ns/op
-		exact := make(map[exactKey]float64) // (workers, σ, mode, coarsen) → ε=0 ns/op
-		seq := make(map[seqKey]float64)     // (workers, ε, σ, coarsen) → sequential ns/op
-		fine := make(map[fineKey]float64)   // (workers, ε, σ, mode) → coarsen=off ns/op
+		base := make(map[baseKey]float64)   // (ε, σ, coarsen) → workers=1 ns/op
+		exact := make(map[exactKey]float64) // (workers, σ, coarsen) → ε=0 ns/op
+		fine := make(map[fineKey]float64)   // (workers, ε, σ) → coarsen=off ns/op
 		for i, cl := range cells {
 			if cl.w == 1 {
-				base[baseKey{cl.eps, cl.sigma, cl.mode, cl.coarsen}] = mins[i]
+				base[baseKey{cl.eps, cl.sigma, cl.coarsen}] = mins[i]
 			}
 			if cl.eps == 0 {
-				exact[exactKey{cl.w, cl.sigma, cl.mode, cl.coarsen}] = mins[i]
-			}
-			if !cl.mode.batched {
-				seq[seqKey{cl.w, cl.eps, cl.sigma, cl.coarsen}] = mins[i]
+				exact[exactKey{cl.w, cl.sigma, cl.coarsen}] = mins[i]
 			}
 			if cl.coarsen == core.CoarsenOff {
-				fine[fineKey{cl.w, cl.eps, cl.sigma, cl.mode}] = mins[i]
+				fine[fineKey{cl.w, cl.eps, cl.sigma}] = mins[i]
 			}
 		}
 		for i, cl := range cells {
@@ -466,12 +390,11 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 				NsPerOp: mins[i],
 			}
 			if engine != "moment" {
-				row.Batched = cl.mode.label()
 				row.Coarsen = cl.coarsen.String()
 			}
-			if cl.w != 1 && base[baseKey{cl.eps, cl.sigma, cl.mode, cl.coarsen}] > 0 {
-				row.SpeedupV1 = base[baseKey{cl.eps, cl.sigma, cl.mode, cl.coarsen}] / mins[i]
-				if inlined, err := allInline(engine, c, in, cl.w, cl.eps, cl.sigma, cl.mode, cl.coarsen); err != nil {
+			if cl.w != 1 && base[baseKey{cl.eps, cl.sigma, cl.coarsen}] > 0 {
+				row.SpeedupV1 = base[baseKey{cl.eps, cl.sigma, cl.coarsen}] / mins[i]
+				if inlined, err := allInline(engine, c, in, cl.w, cl.eps, cl.sigma, cl.coarsen); err != nil {
 					return nil, err
 				} else if inlined {
 					// Identical instruction stream as workers=1: the
@@ -482,7 +405,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 				}
 			}
 			if cl.eps > 0 {
-				if e := exact[exactKey{cl.w, cl.sigma, cl.mode, cl.coarsen}]; e > 0 {
+				if e := exact[exactKey{cl.w, cl.sigma, cl.coarsen}]; e > 0 {
 					row.SpeedupVsExact = e / mins[i]
 				}
 			}
@@ -493,13 +416,8 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 				}
 				row.PrunedMass, row.MaxBudget = pruned, budget
 			}
-			if cl.mode.batched {
-				if s := seq[seqKey{cl.w, cl.eps, cl.sigma, cl.coarsen}]; s > 0 {
-					row.SpeedupVsSequential = s / mins[i]
-				}
-			}
 			if cl.coarsen != core.CoarsenOff {
-				if f := fine[fineKey{cl.w, cl.eps, cl.sigma, cl.mode}]; f > 0 {
+				if f := fine[fineKey{cl.w, cl.eps, cl.sigma}]; f > 0 {
 					row.SpeedupVsNoCoarsen = f / mins[i]
 				}
 			}
@@ -515,7 +433,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 					row.CostUnits = snap.Cost.Total
 				}
 			} else if withMetrics {
-				snap, err := snapshotAnalyzer(engine, c, in, cl.w, cl.eps, cl.sigma, cl.mode)
+				snap, err := snapshotAnalyzer(engine, c, in, cl.w, cl.eps, cl.sigma)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", c.Name, vs[i].name, err)
 				}
@@ -670,14 +588,14 @@ func measureInterleaved(vs []variant, minTime time.Duration, rounds int) ([]floa
 // allInline reports whether an instrumented Run with the given worker
 // count dispatched no level to the pool (every gate was attributed to
 // worker 0 by the cost-aware serial fallback).
-func allInline(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64, mode schedMode, coarsen core.CoarsenMode) (bool, error) {
+func allInline(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64, coarsen core.CoarsenMode) (bool, error) {
 	scope := obs.NewScope()
 	m := scope.Metrics
 	var err error
 	if engine == "moment" {
 		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
 	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(),
+		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma),
 			Coarsen: core.CoarsenPolicy{Mode: coarsen}, Obs: scope}).Run(c, in)
 	}
 	if err != nil {
@@ -695,13 +613,13 @@ func allInline(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 // returns the snapshot (including the pruned-leaf and truncated-mass
 // counters of an ε>0 cell). It runs outside the timed loop so the
 // reported ns/op measures the uninstrumented fast path.
-func snapshotAnalyzer(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64, mode schedMode) (*obs.Snapshot, error) {
+func snapshotAnalyzer(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64) (*obs.Snapshot, error) {
 	scope := obs.NewScope()
 	var err error
 	if engine == "moment" {
 		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
 	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Batched: mode.batchMode(), Obs: scope}).Run(c, in)
+		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
 	}
 	if err != nil {
 		return nil, err

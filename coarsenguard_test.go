@@ -17,9 +17,9 @@ import (
 // grid-coarsening throughput contract (DESIGN.md §15) on the two
 // deepest benchmark cells (chosen by generated logic depth, ties
 // broken by gate count, so the selection is deterministic): at
-// ε=1e-4 under variational N(1, 0.2²) delays, the batched analyzer
-// with -coarsen auto must be at least 1.5x faster than the same
-// batched analyzer without coarsening, single-threaded. Depth is the
+// ε=1e-4 under variational N(1, 0.2²) delays, the analyzer with
+// -coarsen auto must be at least 1.5x faster than the same analyzer
+// without coarsening, single-threaded. Depth is the
 // lever coarsening pulls — each unit-delay convolution widens the
 // t.o.p. supports by a kernel width, so the deepest circuits spend
 // the most bin work at a resolution their distributions no longer

@@ -24,7 +24,7 @@
 //	c, err := repro.GenerateBenchmark("s344")
 //	...
 //	in := repro.UniformInputs(c) // paper scenario I
-//	res, err := repro.AnalyzeSPSTA(c, in)
+//	res, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 //	...
 //	end := c.CriticalEndpoint()
 //	mean, sigma, prob := res.Arrival(end, repro.DirRise)

@@ -16,7 +16,7 @@ func ExampleAnalyzeSPSTA() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := repro.AnalyzeSPSTA(c, repro.UniformInputs(c))
+	res, err := repro.AnalyzeSPSTA(c, repro.UniformInputs(c), repro.SPSTAOptions{})
 	if err != nil {
 		panic(err)
 	}

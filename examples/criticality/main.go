@@ -22,7 +22,7 @@ func main() {
 	}
 	in := repro.UniformInputs(c)
 
-	spsta, err := repro.AnalyzeSPSTA(c, in)
+	spsta, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	in := repro.UniformInputs(c)
-	spsta, err := repro.AnalyzeSPSTA(c, in)
+	spsta, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 	}
 
 	// 4. SPSTA four-value probabilities give toggling rates.
-	spsta, err := repro.AnalyzeSPSTA(c, in)
+	spsta, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

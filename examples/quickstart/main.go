@@ -26,7 +26,7 @@ func main() {
 	in := repro.UniformInputs(c)
 
 	// SPSTA: four-value probabilities + t.o.p. functions.
-	spsta, err := repro.AnalyzeSPSTA(c, in)
+	spsta, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

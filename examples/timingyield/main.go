@@ -22,7 +22,7 @@ func main() {
 	// suggests — exactly the pessimism the paper targets.
 	in := repro.SkewedInputs(c)
 
-	spsta, err := repro.AnalyzeSPSTA(c, in)
+	spsta, err := repro.AnalyzeSPSTA(c, in, repro.SPSTAOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -103,12 +103,6 @@ type Analyzer struct {
 	// record into fully isolated registries, and instrumentation never
 	// changes results.
 	Obs *obs.Scope
-	// Batched selects the level scheduler: the default (BatchAuto)
-	// analyzes all nets of a topological level as one batch — slab
-	// staging, per-delay-kernel grouping, table-driven convolution —
-	// with bit-identical results; BatchOff restores the per-gate
-	// scheduler (see batch.go).
-	Batched BatchMode
 	// Coarsen configures depth-adaptive grid coarsening (DESIGN.md
 	// §15): at level boundaries the stored t.o.p. functions are
 	// re-binned onto a 2×/4×-coarser grid with a certified deviation
@@ -337,34 +331,19 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 		}
 		return nil
 	}
-	var err error
-	switch {
-	case a.Batched.On():
-		err = a.runBatched(res, c, inputs, rc, exact, resolveWorkers(a.Workers), cost, cutoff)
-	case a.Coarsen.Mode != CoarsenOff:
-		// Escape-hatch parity: -batched=false under coarsening follows
-		// the same boundary policy as the batch scheduler by walking
-		// the schedule one level per runLevels call with maybeCoarsen
-		// between the calls. Per-level spans and metrics then label
-		// every level L0 — an accepted observability degradation on
-		// this path; results are identical to the batched run.
-		levels := c.Levelize()
-		for li, level := range levels {
-			if m := rc.met; m != nil {
-				m.GridBinsPerLevel.Observe(rc.grid.N)
-			}
-			err = runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers),
-				[][]netlist.NodeID{level}, len(c.Nodes), name, cost, cutoff, node)
-			if err != nil {
-				break
-			}
-			if li < len(levels)-1 {
-				rc.maybeCoarsen(res, level)
-			}
+	// Level boundaries record the grid each level ran on and apply
+	// the coarsening policy (never after the last level), on the
+	// scheduling goroutine while no worker runs.
+	levels := c.Levelize()
+	boundary := func(li int, level []netlist.NodeID) {
+		if m := rc.met; m != nil {
+			m.GridBinsPerLevel.Observe(rc.grid.N)
 		}
-	default:
-		err = runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), c.Levelize(), len(c.Nodes), name, cost, cutoff, node)
+		if li < len(levels)-1 {
+			rc.maybeCoarsen(res, level)
+		}
 	}
+	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), levels, len(c.Nodes), name, cost, cutoff, node, boundary)
 	if err != nil {
 		return nil, err
 	}

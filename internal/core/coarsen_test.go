@@ -16,9 +16,9 @@ func autoPolicy() CoarsenPolicy { return CoarsenPolicy{Mode: CoarsenAuto} }
 
 // TestCoarsenOffBitIdentical: a run with an explicit CoarsenOff policy
 // at ε=0 must stay bit-identical to the exact single-grid engine for
-// every bundled circuit, both scenarios, both schedulers and several
-// worker counts — the zero value must never leak certificate or grid
-// state into the default path.
+// every bundled circuit, both scenarios and several worker counts —
+// the zero value must never leak certificate or grid state into the
+// default path.
 func TestCoarsenOffBitIdentical(t *testing.T) {
 	for _, p := range synth.Profiles() {
 		c, err := synth.Generate(p)
@@ -27,22 +27,19 @@ func TestCoarsenOffBitIdentical(t *testing.T) {
 		}
 		for scen, in := range scenarios(c) {
 			ref := run(t, c, in)
-			for _, batched := range []BatchMode{BatchAuto, BatchOff} {
-				for _, workers := range []int{1, 4} {
-					a := Analyzer{Workers: workers, Batched: batched, Coarsen: CoarsenPolicy{Mode: CoarsenOff}}
-					res, err := a.Run(c, in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Grid.N != ref.Grid.N || res.Grid.Dt != ref.Grid.Dt {
-						t.Fatalf("%s/%s w=%d batched=%v: coarsen=off changed the grid",
-							p.Name, scen, workers, batched.On())
-					}
-					for _, n := range c.Nodes {
-						if !sameNetState(&res.State[n.ID], &ref.State[n.ID]) {
-							t.Fatalf("%s/%s w=%d batched=%v %s: coarsen=off not bit-identical",
-								p.Name, scen, workers, batched.On(), n.Name)
-						}
+			for _, workers := range []int{1, 4} {
+				a := Analyzer{Workers: workers, Coarsen: CoarsenPolicy{Mode: CoarsenOff}}
+				res, err := a.Run(c, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Grid.N != ref.Grid.N || res.Grid.Dt != ref.Grid.Dt {
+					t.Fatalf("%s/%s w=%d: coarsen=off changed the grid", p.Name, scen, workers)
+				}
+				for _, n := range c.Nodes {
+					if !sameNetState(&res.State[n.ID], &ref.State[n.ID]) {
+						t.Fatalf("%s/%s w=%d %s: coarsen=off not bit-identical",
+							p.Name, scen, workers, n.Name)
 					}
 				}
 			}
@@ -143,12 +140,11 @@ func TestCoarsenZeroEpsCertified(t *testing.T) {
 	}
 }
 
-// TestCoarsenDeterministicAcrossSchedulers: the coarsening decisions
+// TestCoarsenDeterministicAcrossWorkers: the coarsening decisions
 // depend only on the configuration and the (deterministic) level
-// supports, so batched and sequential runs at any worker count must
-// agree bit for bit — including the per-net budgets carrying the
-// re-binning deviations.
-func TestCoarsenDeterministicAcrossSchedulers(t *testing.T) {
+// supports, so runs at any worker count must agree bit for bit —
+// including the per-net budgets carrying the re-binning deviations.
+func TestCoarsenDeterministicAcrossWorkers(t *testing.T) {
 	p, _ := synth.ProfileByName("s1196")
 	c, err := synth.Generate(p)
 	if err != nil {
@@ -160,21 +156,19 @@ func TestCoarsenDeterministicAcrossSchedulers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, batched := range []BatchMode{BatchAuto, BatchOff} {
-				for _, workers := range []int{1, 2, 4, 7} {
-					res, err := (&Analyzer{Workers: workers, Batched: batched, ErrorBudget: eps, Coarsen: autoPolicy()}).Run(c, in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Grid.N != ref.Grid.N {
-						t.Fatalf("%s ε=%g batched=%v w=%d: final grid %d bins, want %d",
-							scen, eps, batched.On(), workers, res.Grid.N, ref.Grid.N)
-					}
-					for _, n := range c.Nodes {
-						if !sameNetState(&res.State[n.ID], &ref.State[n.ID]) {
-							t.Fatalf("%s ε=%g batched=%v w=%d %s: coarsened run differs from serial batched",
-								scen, eps, batched.On(), workers, n.Name)
-						}
+			for _, workers := range []int{1, 2, 4, 7} {
+				res, err := (&Analyzer{Workers: workers, ErrorBudget: eps, Coarsen: autoPolicy()}).Run(c, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Grid.N != ref.Grid.N {
+					t.Fatalf("%s ε=%g w=%d: final grid %d bins, want %d",
+						scen, eps, workers, res.Grid.N, ref.Grid.N)
+				}
+				for _, n := range c.Nodes {
+					if !sameNetState(&res.State[n.ID], &ref.State[n.ID]) {
+						t.Fatalf("%s ε=%g w=%d %s: coarsened run differs from the serial run",
+							scen, eps, workers, n.Name)
 					}
 				}
 			}

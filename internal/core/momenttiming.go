@@ -201,7 +201,7 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 			}
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

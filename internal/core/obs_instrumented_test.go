@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,6 +73,52 @@ func TestInstrumentedParallelMatchesSerial(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("trace document has no events")
+	}
+
+	// A traced coarsened run re-bins at level boundaries inside the
+	// one schedule: every level still gets its own span, labelled with
+	// its own index, and the results match the uninstrumented run.
+	c, err = synth.Generate(mustProfile(t, "s1196"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in = uniform(c)
+	coarsened := Analyzer{Workers: 1, Delay: varDelay, ErrorBudget: 1e-4, Coarsen: autoPolicy()}
+	rs, err = coarsened.Run(c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: obs.NewCoarseTracer()}
+	coarsened.Workers, coarsened.SerialCutoff, coarsened.Obs = 4, -1, scope
+	rp, err = coarsened.Run(c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range rs.State {
+		compareNetState(t, c, netlist.NodeID(id), &rs.State[id], &rp.State[id])
+	}
+	if scope.Snapshot().Grid.RebinLevels < 1 {
+		t.Fatal("traced run never coarsened")
+	}
+	seen := map[string]int{}
+	var walk func([]*obs.SpanNode)
+	walk = func(ns []*obs.SpanNode) {
+		for _, n := range ns {
+			if n.Cat == "level" {
+				seen[n.Name]++
+			}
+			walk(n.Children)
+		}
+	}
+	walk(scope.Tracer.Tree().Roots)
+	levels := len(c.Levelize())
+	if len(seen) != levels {
+		t.Fatalf("%d distinct level span names for %d levels: %v", len(seen), levels, seen)
+	}
+	for li := 0; li < levels; li++ {
+		if name := "L" + strconv.Itoa(li); seen[name] != 1 {
+			t.Errorf("level span %s recorded %d times, want once", name, seen[name])
+		}
 	}
 }
 

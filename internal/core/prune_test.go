@@ -291,3 +291,41 @@ func TestPruneActuallyPrunes(t *testing.T) {
 		t.Fatal("moment ε=1e-4 run pruned nothing")
 	}
 }
+
+// TestPruneCertificate checks the ε certificate under variational
+// delays: the per-net Budget must bound the true deviation of the
+// four-value probabilities from the exact (ε = 0) run.
+func TestPruneCertificate(t *testing.T) {
+	cs, err := synth.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-4
+	for _, c := range cs {
+		in := uniform(c)
+		t.Run(c.Name, func(t *testing.T) {
+			exact := Analyzer{Workers: 1, Delay: varDelay}
+			pruned := Analyzer{Workers: 1, Delay: varDelay, ErrorBudget: eps}
+			re, err := exact.Run(c, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := pruned.Run(c, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range re.State {
+				se, sp := &re.State[id], &rp.State[id]
+				if sp.Budget < sp.PrunedMass {
+					t.Fatalf("%s: Budget %v < PrunedMass %v", c.Nodes[id].Name, sp.Budget, sp.PrunedMass)
+				}
+				for v := range se.P {
+					if d := math.Abs(se.P[v] - sp.P[v]); d > sp.Budget+1e-12 {
+						t.Fatalf("%s: P[%d] deviates by %g, certificate %g",
+							c.Nodes[id].Name, v, d, sp.Budget)
+					}
+				}
+			}
+		})
+	}
+}

@@ -13,7 +13,7 @@ import (
 // used to call math.Sincos per frequency index, and the tables are
 // shared by every transform of the run — the forward and inverse
 // transforms of one convolution, both directions of a gate, and every
-// net of a batched level.
+// gate of the run.
 //
 // The stored values are exactly the ones the un-planned kernel
 // computed: wr[k] = cos(−π·j/h), wi[k] = sin(−π·j/h) via one

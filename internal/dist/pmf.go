@@ -306,7 +306,7 @@ func (p *PMF) Convolve(q *PMF) *PMF {
 
 // ConvolveInto writes the convolution of p and q into dst (cleared
 // first) and returns dst. dst must not alias p or q. It runs the
-// grid's cached ConvPlan, the kernel the batched scheduler uses too.
+// grid's cached ConvPlan.
 func (p *PMF) ConvolveInto(dst, q *PMF) *PMF {
 	return PlanFor(p.grid).ConvolveInto(dst, p, q)
 }

@@ -13,15 +13,13 @@ import (
 
 // variationalSession hydrates an incremental SPSTA session the way a
 // served /v1/delta session does: N(1, sigma²) base gate delays, the
-// given pruning budget, the batched scheduler for the initial run,
-// and an exact propagation cutoff.
+// given pruning budget and an exact propagation cutoff.
 func variationalSession(tb testing.TB, circuit string, sigma, eps float64) (*SPSTA, []netlist.NodeID) {
 	tb.Helper()
 	c := gen(tb, circuit)
 	s, err := NewSPSTA(core.Analyzer{
 		ErrorBudget: eps,
 		Delay:       func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: sigma} },
-		Batched:     core.BatchAuto,
 	}, c, experiments.Inputs(c, experiments.ScenarioI))
 	if err != nil {
 		tb.Fatal(err)

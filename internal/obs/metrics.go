@@ -172,19 +172,14 @@ type Metrics struct {
 	TruncatedBins      Pow2Hist
 	PrunedSupportWidth Pow2Hist
 
-	// Batched level scheduler (core Analyzer.Batched): BatchNets is a
-	// power-of-two histogram of the batchable-net count per level (one
-	// observation per level the batch path executed), FFTPlanHits /
-	// FFTPlanMisses count FFT plan-cache lookups (a miss builds the
-	// twiddle and bit-reversal tables for a transform size), and
-	// SlabBytesReused accumulates the backing bytes a run obtained
-	// from the slab pool instead of allocating.
-	BatchNets       Pow2Hist
-	FFTPlanHits     atomic.Int64
-	FFTPlanMisses   atomic.Int64
-	ConvPlanHits    atomic.Int64
-	ConvPlanMisses  atomic.Int64
-	SlabBytesReused atomic.Int64
+	// Convolution plan caches: FFTPlanHits / FFTPlanMisses count FFT
+	// plan-cache lookups (a miss builds the twiddle and bit-reversal
+	// tables for a transform size), ConvPlanHits / ConvPlanMisses the
+	// per-geometry direct-kernel split-table lookups (dist.PlanFor).
+	FFTPlanHits    atomic.Int64
+	FFTPlanMisses  atomic.Int64
+	ConvPlanHits   atomic.Int64
+	ConvPlanMisses atomic.Int64
 
 	// Multi-resolution grid coarsening (DESIGN.md §15): RebinCalls
 	// counts PMF re-binning kernel invocations, RebinDeviationFP their
@@ -194,8 +189,8 @@ type Metrics struct {
 	// the grid bin count each scheduled level ran on (flat without
 	// coarsening, stepping down with it), SupportWidthPeak the widest
 	// t.o.p. support produced by any net (bins, monotone max), and
-	// SlabBytesPeak the largest slab footprint any level allocated or
-	// reused (monotone max).
+	// SlabBytesPeak the largest t.o.p. arena backing any run allocated
+	// or reused (bytes, monotone max).
 	RebinCalls       atomic.Int64
 	RebinLevels      atomic.Int64
 	RebinDeviationFP atomic.Int64
@@ -209,7 +204,7 @@ type Metrics struct {
 	// Deterministic work-unit cost counters (DESIGN.md §14). Each
 	// counts abstract units of algorithmic work at the site where the
 	// work happens, under the determinism contract: identical
-	// (netlist, inputs, ε, σ, engine, batched, coarsen) runs
+	// (netlist, inputs, ε, σ, engine, coarsen) runs
 	// accumulate identical totals regardless of worker count, wall
 	// time, or cross-request cache state. CostBinOps counts PMF bin
 	// operations in dist (shift/max/min support widths, sa·sb direct
@@ -361,12 +356,10 @@ type Snapshot struct {
 		SupportWidthHist    []HistBucket  `json:"pruned_support_width_hist,omitempty"`
 	} `json:"pruning,omitzero"`
 	Batch struct {
-		NetsHist        []HistBucket `json:"batch_nets_hist,omitempty"`
-		FFTPlanHits     int64        `json:"fft_plan_hits"`
-		FFTPlanMisses   int64        `json:"fft_plan_misses"`
-		ConvPlanHits    int64        `json:"conv_plan_hits"`
-		ConvPlanMisses  int64        `json:"conv_plan_misses"`
-		SlabBytesReused int64        `json:"slab_bytes_reused"`
+		FFTPlanHits    int64 `json:"fft_plan_hits"`
+		FFTPlanMisses  int64 `json:"fft_plan_misses"`
+		ConvPlanHits   int64 `json:"conv_plan_hits"`
+		ConvPlanMisses int64 `json:"conv_plan_misses"`
 	} `json:"batch,omitzero"`
 	Grid struct {
 		RebinCalls       int64        `json:"rebin_calls"`
@@ -414,12 +407,10 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s.Pruning.TruncatedMass = float64(m.TruncatedMassFP.Load()) * MassFPUnit
 	s.Pruning.TruncatedBinsHist = m.TruncatedBins.snapshot()
 	s.Pruning.SupportWidthHist = m.PrunedSupportWidth.snapshot()
-	s.Batch.NetsHist = m.BatchNets.snapshot()
 	s.Batch.FFTPlanHits = m.FFTPlanHits.Load()
 	s.Batch.FFTPlanMisses = m.FFTPlanMisses.Load()
 	s.Batch.ConvPlanHits = m.ConvPlanHits.Load()
 	s.Batch.ConvPlanMisses = m.ConvPlanMisses.Load()
-	s.Batch.SlabBytesReused = m.SlabBytesReused.Load()
 	s.Grid.RebinCalls = m.RebinCalls.Load()
 	s.Grid.RebinLevels = m.RebinLevels.Load()
 	s.Grid.RebinDeviation = float64(m.RebinDeviationFP.Load()) * MassFPUnit
@@ -482,14 +473,10 @@ func (m *Metrics) Reset() {
 	for i := range m.PrunedSupportWidth.b {
 		m.PrunedSupportWidth.b[i].Store(0)
 	}
-	for i := range m.BatchNets.b {
-		m.BatchNets.b[i].Store(0)
-	}
 	m.FFTPlanHits.Store(0)
 	m.FFTPlanMisses.Store(0)
 	m.ConvPlanHits.Store(0)
 	m.ConvPlanMisses.Store(0)
-	m.SlabBytesReused.Store(0)
 	m.RebinCalls.Store(0)
 	m.RebinLevels.Store(0)
 	m.RebinDeviationFP.Store(0)
@@ -540,12 +527,10 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.Pruning.TruncatedMass += o.Pruning.TruncatedMass
 	s.Pruning.TruncatedBinsHist = mergeHist(s.Pruning.TruncatedBinsHist, o.Pruning.TruncatedBinsHist)
 	s.Pruning.SupportWidthHist = mergeHist(s.Pruning.SupportWidthHist, o.Pruning.SupportWidthHist)
-	s.Batch.NetsHist = mergeHist(s.Batch.NetsHist, o.Batch.NetsHist)
 	s.Batch.FFTPlanHits += o.Batch.FFTPlanHits
 	s.Batch.FFTPlanMisses += o.Batch.FFTPlanMisses
 	s.Batch.ConvPlanHits += o.Batch.ConvPlanHits
 	s.Batch.ConvPlanMisses += o.Batch.ConvPlanMisses
-	s.Batch.SlabBytesReused += o.Batch.SlabBytesReused
 	s.Grid.RebinCalls += o.Grid.RebinCalls
 	s.Grid.RebinLevels += o.Grid.RebinLevels
 	s.Grid.RebinDeviation += o.Grid.RebinDeviation

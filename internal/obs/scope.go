@@ -16,7 +16,7 @@ type Scope struct {
 	Tracer *Tracer
 	// Span is the parent span for the analysis' top-level spans: a
 	// service handler allocates its request/engine span IDs and passes
-	// them down here, so engine-internal spans (levels, batches, Monte
+	// them down here, so engine-internal spans (levels, Monte
 	// Carlo shards) attach under the right node of the request tree.
 	// Zero (the default) makes engine spans roots.
 	Span SpanID

@@ -58,7 +58,7 @@ type Event struct {
 // mutex append per gate, for offline timeline inspection. A coarse
 // tracer (NewCoarseTracer) is cheap enough to stay on for every
 // service request: instrumented sites consult Fine() and skip the
-// per-gate work, so only request/engine/level/batch spans (a handful
+// per-gate work, so only request/engine/level spans (a handful
 // per level) are recorded.
 type Tracer struct {
 	start    time.Time
@@ -81,7 +81,7 @@ func NewTracer() *Tracer {
 
 // NewCoarseTracer returns an empty coarse tracer: Fine() reports
 // false, so instrumented sites skip per-gate spans and record only the
-// request → engine → level → batch skeleton.
+// request → engine → level skeleton.
 func NewCoarseTracer() *Tracer {
 	t := NewTracer()
 	t.coarse = true

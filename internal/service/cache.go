@@ -38,8 +38,7 @@ const (
 // output. Workers is excluded for spsta and moment (their results and
 // cost units are worker-invariant by design) but included, resolved,
 // for mc (a packed simulation is bit-identical only for a fixed
-// seed/runs/workers triple). Batched stays in the spsta key because
-// it changes the reported cost units.
+// seed/runs/workers triple).
 func cacheKey(digest string, req *Request, engine string) string {
 	var b strings.Builder
 	b.WriteString(digest)
@@ -55,8 +54,6 @@ func cacheKey(digest string, req *Request, engine string) string {
 	case "spsta":
 		f(req.Epsilon)
 		f(req.Sigma)
-		b.WriteByte('|')
-		b.WriteString(req.Batched)
 		b.WriteByte('|')
 		b.WriteString(req.Coarsen)
 	case "moment":

@@ -222,7 +222,6 @@ func (sess *deltaSession) hydrate(req *DeltaRequest, c *netlist.Circuit, in map[
 		sp, err := incr.NewSPSTA(core.Analyzer{
 			ErrorBudget: req.Epsilon,
 			Delay:       delayModel(req.Sigma),
-			Batched:     core.BatchAuto,
 			Obs:         scope,
 		}, c, in)
 		if err != nil {

@@ -139,7 +139,7 @@ func TestDeltaMatchesFullAnalysis(t *testing.T) {
 
 					ref, err := (&core.Analyzer{
 						ErrorBudget: eps,
-						Delay:       overrideModel(sigma, over), Batched: core.BatchAuto,
+						Delay:       overrideModel(sigma, over),
 					}).Run(c, deltaRefInputs(c, scenario, inOver))
 					if err != nil {
 						t.Fatal(err)

@@ -29,7 +29,6 @@ type RequestSummary struct {
 	Sigma    float64 `json:"sigma,omitempty"`
 	Workers  int     `json:"workers,omitempty"`
 	Runs     int     `json:"runs,omitempty"`
-	Batched  string  `json:"batched,omitempty"`
 	Coarsen  string  `json:"coarsen,omitempty"`
 
 	Status int `json:"status"`

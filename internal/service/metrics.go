@@ -257,23 +257,10 @@ func (r *registry) writePrometheus(w io.Writer) {
 	gauge("spstad_engine_pruned_mass", "Probability mass pruned by the adaptive engine across all requests.")
 	fmt.Fprintf(w, "spstad_engine_pruned_mass %g\n", agg.Pruning.PrunedMass)
 
-	// Batched-scheduler counters (DESIGN.md §13). The nets histogram
-	// is summarized as levels dispatched plus a lower bound on staged
-	// nets, mirroring the spsta CLI footer.
-	var batchLevels, batchNets int64
-	for _, bk := range agg.Batch.NetsHist {
-		batchLevels += bk.Count
-		batchNets += bk.Count * int64(bk.Lo)
-	}
-	counter("spstad_engine_batch_levels_total", "Levels dispatched to the batched same-level kernels across all requests.")
-	fmt.Fprintf(w, "spstad_engine_batch_levels_total %d\n", batchLevels)
-	counter("spstad_engine_batch_nets_total", "Nets staged through batch slabs across all requests (histogram lower bound).")
-	fmt.Fprintf(w, "spstad_engine_batch_nets_total %d\n", batchNets)
+	// Convolution plan caches (DESIGN.md §13).
 	counter("spstad_engine_fft_plans_total", "FFT plan-cache lookups across all requests, by result.")
 	fmt.Fprintf(w, "spstad_engine_fft_plans_total{result=\"hit\"} %d\n", agg.Batch.FFTPlanHits)
 	fmt.Fprintf(w, "spstad_engine_fft_plans_total{result=\"miss\"} %d\n", agg.Batch.FFTPlanMisses)
-	counter("spstad_engine_slab_bytes_reused_total", "Slab backing bytes served from the recycle pool across all requests.")
-	fmt.Fprintf(w, "spstad_engine_slab_bytes_reused_total %d\n", agg.Batch.SlabBytesReused)
 	counter("spstad_engine_conv_plans_total", "Per-grid convolution plan-cache lookups across all requests, by result.")
 	fmt.Fprintf(w, "spstad_engine_conv_plans_total{result=\"hit\"} %d\n", agg.Batch.ConvPlanHits)
 	fmt.Fprintf(w, "spstad_engine_conv_plans_total{result=\"miss\"} %d\n", agg.Batch.ConvPlanMisses)
@@ -298,7 +285,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 	}
 	gauge("spstad_engine_support_width_peak_bins", "Widest t.o.p. support (bins) observed by any request.")
 	fmt.Fprintf(w, "spstad_engine_support_width_peak_bins %d\n", agg.Grid.SupportWidthPeak)
-	gauge("spstad_engine_slab_bytes_peak", "Largest live slab allocation (bytes) observed by any request.")
+	gauge("spstad_engine_slab_bytes_peak", "Largest t.o.p. arena backing (bytes) observed by any request.")
 	fmt.Fprintf(w, "spstad_engine_slab_bytes_peak %d\n", agg.Grid.SlabBytesPeak)
 
 	counter("spstad_engine_cost_units_total", "Work units accumulated across all requests, by kind (DESIGN.md §14).")

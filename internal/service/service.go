@@ -297,16 +297,12 @@ type Request struct {
 	// instead of deterministic unit delays.
 	Sigma float64 `json:"sigma,omitempty"`
 	// Workers is the level-parallel worker count / Monte Carlo shard
-	// count (0 = GOMAXPROCS).
+	// count (0 = GOMAXPROCS, at most maxRequestWorkers).
 	Workers int `json:"workers,omitempty"`
 	// Runs and Seed parameterize the Monte Carlo engine (defaults
 	// 10000 and 1).
 	Runs int   `json:"runs,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
-	// Batched selects the spsta engine's level scheduler: "on"
-	// (default) stages same-level nets through the batched PMF
-	// kernels, "off" forces the sequential per-gate path.
-	Batched string `json:"batched,omitempty"`
 	// Coarsen selects the spsta engine's depth-adaptive grid-coarsening
 	// policy: "off" (default), "fixed" or "auto" (DESIGN.md §15). The
 	// re-binning deviation is certified through max_budget.
@@ -460,6 +456,11 @@ func (s *Service) acquire(r *http.Request) (release func(), err error) {
 	}
 }
 
+// maxRequestWorkers caps a request's workers field. Every worker of
+// a Monte Carlo run allocates its own per-net result, so an unbounded
+// count lets one small request exhaust the daemon's memory.
+const maxRequestWorkers = 256
+
 // decode parses and validates a request body.
 func decode(r *http.Request) (*Request, error) {
 	var req Request
@@ -498,13 +499,6 @@ func decode(r *http.Request) (*Request, error) {
 	if req.Sigma < 0 {
 		return nil, errBadRequest("sigma must be >= 0")
 	}
-	switch req.Batched {
-	case "":
-		req.Batched = "on"
-	case "on", "off":
-	default:
-		return nil, errBadRequest("unknown batched mode %q (want on or off)", req.Batched)
-	}
 	switch req.Coarsen {
 	case "":
 		req.Coarsen = "off"
@@ -512,9 +506,11 @@ func decode(r *http.Request) (*Request, error) {
 	default:
 		return nil, errBadRequest("unknown coarsen mode %q (want off, fixed or auto)", req.Coarsen)
 	}
-	if (req.Batched == "off" || req.Coarsen != "off") &&
-		req.Engine != "spsta" && req.Engine != "all" {
-		return nil, errBadRequest("batched/coarsen apply only to the spsta engine (engine %q)", req.Engine)
+	if req.Coarsen != "off" && req.Engine != "spsta" && req.Engine != "all" {
+		return nil, errBadRequest("coarsen applies only to the spsta engine (engine %q)", req.Engine)
+	}
+	if req.Workers < 0 || req.Workers > maxRequestWorkers {
+		return nil, errBadRequest("workers must be in [0, %d]", maxRequestWorkers)
 	}
 	if req.Runs == 0 {
 		req.Runs = 10000
@@ -585,13 +581,6 @@ func (s *Service) resolveSource(circuit, benchText, ref, scenario string) (*netl
 		scen = experiments.ScenarioII
 	}
 	return c, digest, experiments.Inputs(c, scen), nil
-}
-
-func (req *Request) batchMode() core.BatchMode {
-	if req.Batched == "off" {
-		return core.BatchOff
-	}
-	return core.BatchAuto
 }
 
 func (req *Request) coarsenPolicy() core.CoarsenPolicy {
@@ -691,7 +680,6 @@ func (rc *reqCtx) summary(engine string, status int, errMsg string, cost int64) 
 		sum.Sigma = req.Sigma
 		sum.Workers = req.Workers
 		sum.Runs = req.Runs
-		sum.Batched = req.Batched
 		sum.Coarsen = req.Coarsen
 	}
 	return sum
@@ -936,7 +924,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	case "spsta":
 		a := core.Analyzer{
 			Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon,
-			Batched: req.batchMode(), Coarsen: req.coarsenPolicy(), Obs: scope,
+			Coarsen: req.coarsenPolicy(), Obs: scope,
 		}
 		res, err := a.Run(c, in)
 		if err != nil {

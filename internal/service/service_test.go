@@ -246,6 +246,8 @@ func TestBadRequests(t *testing.T) {
 		`{"circuit":"nope"}`,
 		`{"circuit":"s208","scenario":"III"}`,
 		`{"circuit":"s208","sigma":-0.5}`,
+		`{"circuit":"s208","engine":"mc","runs":100000,"workers":100000}`,
+		`{"circuit":"s208","workers":-1}`,
 		`not json`,
 	} {
 		for _, path := range []string{"/v1/analyze", "/v1/compare"} {
@@ -257,12 +259,11 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBatchedRequestKnobs exercises the batched request field end to
-// end: batched and sequential analyzes succeed, invalid values and
-// unknown fields (including the retired precision knob) 400, and the
-// batch counters (levels, FFT plans, slab reuse) show up in /metrics
-// after a batched request ran.
-func TestBatchedRequestKnobs(t *testing.T) {
+// TestRequestKnobs exercises the request knobs end to end: plain and
+// variational analyzes succeed, the retired scheduler and precision
+// fields 400 as unknown fields, and the convolution plan-cache
+// counters show up in /metrics afterwards.
+func TestRequestKnobs(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
@@ -270,8 +271,8 @@ func TestBatchedRequestKnobs(t *testing.T) {
 
 	for _, body := range []string{
 		`{"circuit":"s208","sigma":0.2}`,
-		`{"circuit":"s208","batched":"off"}`,
-		`{"circuit":"s208","engine":"all","runs":200,"batched":"on"}`,
+		`{"circuit":"s208"}`,
+		`{"circuit":"s208","engine":"all","runs":200}`,
 	} {
 		resp, b := post(t, srv.URL+"/v1/analyze", body)
 		if resp.StatusCode != http.StatusOK {
@@ -280,11 +281,13 @@ func TestBatchedRequestKnobs(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"circuit":"s208","batched":"maybe"}`,
+		`{"circuit":"s208","batched":"off"}`,
+		`{"circuit":"s208","engine":"all","runs":200,"batched":"on"}`,
+		`{"circuit":"s208","engine":"moment","batched":"off"}`,
 		`{"circuit":"s208","sigma":0.2,"precision":"f32"}`,
 		`{"circuit":"s208","precision":"f64"}`,
 		`{"circuit":"s208","precision":"f16"}`,
 		`{"circuit":"s208","engine":"mc","precision":"f32"}`,
-		`{"circuit":"s208","engine":"moment","batched":"off"}`,
 	} {
 		resp, b := post(t, srv.URL+"/v1/analyze", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -295,13 +298,9 @@ func TestBatchedRequestKnobs(t *testing.T) {
 	var buf bytes.Buffer
 	svc.reg.writePrometheus(&buf)
 	samples := checkPrometheus(t, buf.String())
-	if got := sampleValue(t, samples, "spstad_engine_batch_levels_total"); got == "0" {
-		t.Error("batch_levels_total = 0 after batched requests")
-	}
 	sampleValue(t, samples, `spstad_engine_fft_plans_total{result="hit"}`)
 	sampleValue(t, samples, `spstad_engine_fft_plans_total{result="miss"}`)
-	sampleValue(t, samples, "spstad_engine_slab_bytes_reused_total")
-	sampleValue(t, samples, "spstad_engine_batch_nets_total")
+	sampleValue(t, samples, `spstad_engine_conv_plans_total{result="hit"}`)
 }
 
 // TestCoarsenRequestKnob exercises the coarsen request field end to

@@ -280,7 +280,7 @@ func ExampleNewEngineScope() {
 		panic(err)
 	}
 	scope := NewEngineScope()
-	if _, err := AnalyzeSPSTAScoped(c, UniformInputs(c), 2, scope); err != nil {
+	if _, err := AnalyzeSPSTA(c, UniformInputs(c), SPSTAOptions{Workers: 2, Obs: scope}); err != nil {
 		panic(err)
 	}
 	snap := scope.Snapshot()

@@ -29,7 +29,7 @@ func TestConcurrentScopesIsolatedAndBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		scope := NewEngineScope()
-		res, err := AnalyzeSPSTAScoped(c, UniformInputs(c), 2, scope)
+		res, err := AnalyzeSPSTA(c, UniformInputs(c), SPSTAOptions{Workers: 2, Obs: scope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestConcurrentScopesIsolatedAndBitIdentical(t *testing.T) {
 				return
 			}
 			scopes[i] = NewEngineScope()
-			results[i], errs[i] = AnalyzeSPSTAScoped(c, UniformInputs(c), 2, scopes[i])
+			results[i], errs[i] = AnalyzeSPSTA(c, UniformInputs(c), SPSTAOptions{Workers: 2, Obs: scopes[i]})
 		}()
 	}
 	wg.Wait()
