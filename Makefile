@@ -30,7 +30,7 @@ bench:
 #     variational delays, with the certificate's error ceiling checked
 #     in the same run.
 #   - TestBenchGuardCoarsenSpeedup: depth-adaptive grid coarsening
-#     (-coarsen auto, DESIGN.md §15) >= 1.5x the same batched analyzer
+#     (-coarsen auto, DESIGN.md §15) >= 1.5x the same analyzer
 #     without coarsening on the two deepest cells at epsilon=1e-4
 #     under variational delays, with every measured deviation checked
 #     against the re-binning certificate in the same run.
@@ -53,7 +53,7 @@ bench-guard:
 # the spsta engine's -coarsen axis. Run on a quiet machine; the spsta
 # sweep is the long pole.
 bench-json:
-	$(GO) run ./cmd/benchperf -engine spsta -epsilon 0,0.0001 -sigma 0,0.2 -batched on,off -coarsen off,auto
+	$(GO) run ./cmd/benchperf -engine spsta -epsilon 0,0.0001 -sigma 0,0.2 -coarsen off,auto
 	$(GO) run ./cmd/benchperf -engine moment -epsilon 0,0.0001 -sigma 0,0.2
 	$(GO) run ./cmd/benchperf -engine mc
 
