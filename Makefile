@@ -58,8 +58,8 @@ bench-json:
 	$(GO) run ./cmd/benchperf -engine mc
 
 # spstad end-to-end smoke: start the service on an ephemeral port,
-# POST an s208 analyze request, scrape /metrics as Prometheus text,
-# shut down gracefully.
+# POST an s208 analyze, compare and delta request, scrape /metrics as
+# Prometheus text, shut down gracefully.
 smoke:
 	$(GO) test -run TestSpstadSmoke -v ./internal/service/
 

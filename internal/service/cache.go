@@ -14,7 +14,6 @@ package service
 import (
 	"container/list"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,11 +60,7 @@ func cacheKey(digest string, req *Request, engine string) string {
 		f(req.Sigma)
 	case "mc":
 		f(req.Sigma)
-		workers := req.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		fmt.Fprintf(&b, "|%d|%d|%d", req.Runs, req.Seed, workers)
+		fmt.Fprintf(&b, "|%d|%d|%d", req.Runs, req.Seed, req.mcWorkers())
 	}
 	return b.String()
 }

@@ -13,7 +13,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -93,26 +92,11 @@ type DeltaResponse struct {
 // decodeDelta parses and validates a delta request body.
 func decodeDelta(r *http.Request) (*DeltaRequest, error) {
 	var req DeltaRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, errBadRequest("bad request body: %v", err)
+	if err := decodeJSON(r, &req); err != nil {
+		return nil, err
 	}
-	n := 0
-	for _, set := range []bool{req.Circuit != "", req.Bench != "", req.NetlistRef != ""} {
-		if set {
-			n++
-		}
-	}
-	if n != 1 {
-		return nil, errBadRequest("exactly one of circuit, bench or netlist_ref must be set")
-	}
-	switch req.Scenario {
-	case "", "I":
-		req.Scenario = "I"
-	case "II":
-	default:
-		return nil, errBadRequest("unknown scenario %q (want I or II)", req.Scenario)
+	if err := validateShared(req.Circuit, req.Bench, req.NetlistRef, &req.Scenario, req.Epsilon, req.Sigma); err != nil {
+		return nil, err
 	}
 	switch req.Engine {
 	case "":
@@ -121,14 +105,8 @@ func decodeDelta(r *http.Request) (*DeltaRequest, error) {
 	default:
 		return nil, errBadRequest("unknown delta engine %q (want spsta or ssta)", req.Engine)
 	}
-	if req.Epsilon < 0 {
-		return nil, errBadRequest("epsilon must be >= 0")
-	}
 	if req.Engine == "ssta" && req.Epsilon != 0 {
 		return nil, errBadRequest("epsilon applies only to the spsta engine")
-	}
-	if req.Sigma < 0 {
-		return nil, errBadRequest("sigma must be >= 0")
 	}
 	for i, e := range req.Edits {
 		if (e.Gate == "") == (e.Input == "") {
@@ -338,7 +316,7 @@ func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input 
 // failing request never leaves the session locked. Any failure also
 // marks the session unhydrated: a request already queued on the lock
 // re-hydrates instead of reusing the half-updated analysis.
-func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats,
+func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, inputs func() map[netlist.NodeID]logic.InputStats,
 	delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats, scope *obs.Scope) (cold bool, evals int, er EngineResult, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -352,7 +330,7 @@ func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, in map[ne
 	}()
 	cold = !sess.hydrated
 	if cold {
-		err = sess.hydrate(req, c, in, scope)
+		err = sess.hydrate(req, c, inputs(), scope)
 	} else {
 		sess.attach(scope)
 	}
@@ -474,91 +452,63 @@ func (sc *sessionCache) len() int {
 	return sc.lru.Len()
 }
 
-func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
-	rc := s.begin(w, r, "/v1/delta")
+// deltaJob is /v1/delta's decode step. Its check step resolves the
+// edit targets against the circuit before admission.
+func (s *Service) deltaJob(r *http.Request) (*job, error) {
 	dreq, err := decodeDelta(r)
 	if err != nil {
-		s.fail(w, rc, "delta", err)
-		return
+		return nil, err
 	}
-	// A pseudo-Request carries the delta knobs into the shared flight
-	// summary and scope plumbing.
-	rc.req = &Request{
-		Circuit: dreq.Circuit, Bench: dreq.Bench, NetlistRef: dreq.NetlistRef,
-		Scenario: dreq.Scenario, Engine: dreq.Engine,
-		Epsilon: dreq.Epsilon, Sigma: dreq.Sigma,
-	}
-	rc.delta = true
-	c, digest, in, err := s.resolveSource(dreq.Circuit, dreq.Bench, dreq.NetlistRef, dreq.Scenario)
-	if err != nil {
-		s.fail(w, rc, "delta", err)
-		return
-	}
-	desiredDelay, desiredInput, err := dreq.resolveEdits(c)
-	if err != nil {
-		s.fail(w, rc, "delta", err)
-		return
-	}
-	q0 := time.Now()
-	release, err := s.acquire(r)
-	rc.queueNS = time.Since(q0).Nanoseconds()
-	if err != nil {
-		s.fail(w, rc, "delta", err)
-		return
-	}
-	defer release()
-	s.reg.inflight.Add(1)
-	defer s.reg.inflight.Add(-1)
+	var delay map[netlist.NodeID]dist.Normal
+	var input map[netlist.NodeID]logic.InputStats
+	return &job{
+		// A pseudo-Request carries the delta knobs into the shared
+		// resolve step, flight summary and scope plumbing.
+		req: &Request{
+			Circuit: dreq.Circuit, Bench: dreq.Bench, NetlistRef: dreq.NetlistRef,
+			Scenario: dreq.Scenario, Engine: dreq.Engine,
+			Epsilon: dreq.Epsilon, Sigma: dreq.Sigma,
+		},
+		label: "delta",
+		check: func(c *netlist.Circuit) (err error) {
+			delay, input, err = dreq.resolveEdits(c)
+			return err
+		},
+		run: func(rc *reqCtx) (any, int64, error) { return s.runDelta(rc, dreq, delay, input) },
+	}, nil
+}
 
-	s.newScope(rc)
-	tr := rc.scope.Tracer
-	root := tr.NewSpan()
-	rc.scope.Span = root
-
-	sess := s.sessions.getOrCreate(dreq.sessionKey(digest), digest)
+// runDelta is /v1/delta's run step: serve the edit set on the cached
+// session for the request's key.
+func (s *Service) runDelta(rc *reqCtx, dreq *DeltaRequest, delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats) (any, int64, error) {
+	sess := s.sessions.getOrCreate(dreq.sessionKey(rc.digest), rc.digest)
 	e0 := time.Now()
-	cold, evals, er, err := sess.serve(dreq, c, in, desiredDelay, desiredInput, rc.scope)
+	cold, evals, er, err := sess.serve(dreq, rc.c, rc.inputs, delay, input, rc.scope)
 	if err != nil {
 		// A mid-reconcile failure leaves the session's analysis out of
 		// sync with its bookkeeping; drop it so the next request
 		// re-hydrates from scratch.
 		s.sessions.drop(sess.key)
-		s.fail(w, rc, "delta", err)
-		return
+		return nil, 0, err
 	}
 	cost := rc.scope.M().CostUnits()
 	er.ElapsedNS = time.Since(e0).Nanoseconds()
 	er.CostUnits = cost
 	rc.netsRecomputed = evals
-	sessState := "warm"
+	rc.session = "warm"
 	if cold {
-		sessState = "cold"
+		rc.session = "cold"
 	}
-	resp := &DeltaResponse{
+	return &DeltaResponse{
 		RequestID:      rc.id,
 		TraceID:        rc.traceID,
-		NetlistDigest:  digest,
-		Circuit:        CircuitInfo{Name: c.Name, Gates: len(c.Nodes), Depth: c.Depth()},
+		NetlistDigest:  rc.digest,
+		Circuit:        rc.circuitInfo(),
 		Scenario:       dreq.Scenario,
 		Engine:         er,
-		Edits:          len(desiredDelay) + len(desiredInput),
+		Edits:          len(delay) + len(input),
 		NetsRecomputed: evals,
-		Session:        sessState,
+		Session:        rc.session,
 		CostUnits:      cost,
-	}
-	tr.RecordSpan(root, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0),
-		map[string]any{"request_id": rc.id, "engine": "delta", "cost_units": cost,
-			"nets_recomputed": evals, "session": sessState})
-	s.reg.merge(rc.scope.Snapshot())
-	s.reg.cost.observe(cost)
-	s.reg.deltaNets.Add(int64(evals))
-	s.reg.observe("delta", time.Since(rc.t0), false)
-	captured := s.recordFlight(rc.summary("delta", http.StatusOK, "", cost), rc.scope)
-	s.log.Info("request",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-		"engine", "delta", "circuit", resp.Circuit.Name, "status", http.StatusOK,
-		"duration_ms", float64(time.Since(rc.t0).Microseconds())/1e3,
-		"cost_units", cost, "nets_recomputed", evals, "session", sessState,
-		"captured", captured)
-	writeJSON(w, http.StatusOK, resp)
+	}, cost, nil
 }

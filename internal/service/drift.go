@@ -10,7 +10,6 @@
 package service
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -62,21 +61,18 @@ func (s *Service) runDriftCheck(did, tid string) error {
 	if req == nil {
 		return nil
 	}
-	c, _, in, err := s.resolveSource(req.Circuit, req.Bench, req.NetlistRef, req.Scenario)
+	c, _, err := s.resolveSource(req.Circuit, req.Bench, req.NetlistRef)
 	if err != nil {
 		return err
 	}
+	in := scenarioInputs(c, req.Scenario)
 	a := core.Analyzer{Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon}
 	sp, err := a.Run(c, in)
 	if err != nil {
 		return err
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{
-		Runs: s.cfg.DriftRuns, Seed: req.Seed, Workers: workers,
+		Runs: s.cfg.DriftRuns, Seed: req.Seed, Workers: req.mcWorkers(),
 		Delay: req.delay(), Packed: true,
 	})
 	if err != nil {

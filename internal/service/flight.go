@@ -66,11 +66,13 @@ type RequestSummary struct {
 }
 
 // flightEntry is one ring slot: the summary plus, for captured
-// entries, the request's tracer and metrics snapshot.
+// entries, the request's tracer and metrics snapshot, and for a
+// request that failed on a recovered panic, the panic's stack.
 type flightEntry struct {
 	sum    RequestSummary
 	tracer *obs.Tracer
 	snap   *obs.Snapshot
+	stack  string
 }
 
 // flightRecorder is the fixed-size ring. All methods are safe for
@@ -105,10 +107,11 @@ func (f *flightRecorder) slow(lat time.Duration, cost int64) bool {
 
 // record appends one request to the ring, capturing the scope's span
 // tree and metrics snapshot when the request qualifies as slow.
-// scope may be nil (rejected requests never built one). It returns
-// whether the entry was captured.
-func (f *flightRecorder) record(sum RequestSummary, scope *obs.Scope) bool {
-	e := flightEntry{sum: sum}
+// scope may be nil (rejected requests never built one); stack is a
+// recovered panic's stack or empty. It returns whether the entry was
+// captured.
+func (f *flightRecorder) record(sum RequestSummary, scope *obs.Scope, stack string) bool {
+	e := flightEntry{sum: sum, stack: stack}
 	if scope != nil && f.slow(time.Duration(sum.LatencyNS), sum.CostUnits) {
 		e.sum.Captured = true
 		e.tracer = scope.T()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,7 +260,8 @@ func TestCostUnitsDeterministic(t *testing.T) {
 // threshold with a client traceparent and checks the flight recorder
 // serves it back: listed in /debug/requests, captured with a non-empty
 // span tree in /debug/requests/{id}, root trace ID matching the
-// client's, and a Chrome trace via ?format=trace.
+// client's, and a Chrome trace via ?format=trace. A full cache hit, a
+// compare and a delta are then captured with the same tree shape.
 func TestSlowRequestCapture(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2, SlowLatency: time.Nanosecond})
 	defer svc.Close()
@@ -311,29 +313,12 @@ func TestSlowRequestCapture(t *testing.T) {
 		t.Errorf("flight cost = %d, response cost = %d", sum.CostUnits, r.CostUnits)
 	}
 
-	gr, err := http.Get(srv.URL + "/debug/requests/" + r.RequestID)
-	if err != nil {
-		t.Fatal(err)
+	tree := capturedTree(t, srv.URL, r.RequestID, "/v1/analyze")
+	if tree.TraceID != traceID {
+		t.Errorf("span tree trace ID = %q, want client's %q", tree.TraceID, traceID)
 	}
-	gb, _ := io.ReadAll(gr.Body)
-	gr.Body.Close()
-	var got struct {
-		Summary RequestSummary `json:"summary"`
-		Spans   *obs.SpanTree  `json:"spans"`
-	}
-	if err := json.Unmarshal(gb, &got); err != nil {
-		t.Fatalf("/debug/requests/{id} is not JSON: %v", err)
-	}
-	if got.Spans == nil || len(got.Spans.Roots) == 0 || got.Spans.Spans == 0 {
-		t.Fatalf("captured request has no span tree: %s", gb)
-	}
-	if got.Spans.TraceID != traceID {
-		t.Errorf("span tree trace ID = %q, want client's %q", got.Spans.TraceID, traceID)
-	}
-	root := got.Spans.Roots[0]
-	if root.Name != "POST /v1/analyze" || len(root.Children) == 0 {
-		t.Errorf("root span = %q with %d children; want request span with engine child",
-			root.Name, len(root.Children))
+	if root := tree.Roots[0]; len(root.Children) == 0 {
+		t.Errorf("root span %q has no children; want the engine span under it", root.Name)
 	}
 
 	tr2, err := http.Get(srv.URL + "/debug/requests/" + r.RequestID + "?format=trace")
@@ -352,6 +337,63 @@ func TestSlowRequestCapture(t *testing.T) {
 	if _, err := http.Get(srv.URL + "/debug/requests/req-nope"); err != nil {
 		t.Fatal(err)
 	}
+
+	// Every route's captured tree — a full cache hit, a compare, a
+	// cold delta — has the request span as its only root, with the
+	// engine spans (cached ones zero-length) or, for delta, the level
+	// spans under it.
+	for _, tc := range []struct {
+		path, body string
+		engines    []string
+	}{
+		{"/v1/analyze", `{"circuit":"s208","engine":"spsta","workers":2}`, []string{"engine spsta"}},
+		{"/v1/compare", `{"circuit":"s208","runs":500}`, []string{"engine spsta", "engine mc"}},
+		{"/v1/delta", `{"circuit":"s208","edits":[]}`, nil},
+	} {
+		resp, body := post(t, srv.URL+tc.path, tc.body)
+		var r struct {
+			RequestID string `json:"request_id"`
+		}
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &r) != nil {
+			t.Fatalf("%s: %d %s", tc.path, resp.StatusCode, body)
+		}
+		root := capturedTree(t, srv.URL, r.RequestID, tc.path).Roots[0]
+		var engines []string
+		for _, c := range root.Children {
+			if c.Cat == "engine" {
+				engines = append(engines, c.Name)
+			}
+		}
+		if !slices.Equal(engines, tc.engines) || len(root.Children) == 0 {
+			t.Errorf("%s: root has %d children, engine spans %v; want %v", tc.path, len(root.Children), engines, tc.engines)
+		}
+		if tc.path == "/v1/analyze" && root.Args["cached"] != true {
+			t.Errorf("full cache hit: root span args %v, want cached", root.Args)
+		}
+	}
+}
+
+// capturedTree fetches a captured request's span tree and requires
+// exactly one root, the request span of path.
+func capturedTree(t *testing.T, base, id, path string) *obs.SpanTree {
+	t.Helper()
+	gr, err := http.Get(base + "/debug/requests/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, _ := io.ReadAll(gr.Body)
+	gr.Body.Close()
+	var got struct {
+		Summary RequestSummary `json:"summary"`
+		Spans   *obs.SpanTree  `json:"spans"`
+	}
+	if err := json.Unmarshal(gb, &got); err != nil {
+		t.Fatalf("/debug/requests/{id} is not JSON: %v", err)
+	}
+	if got.Spans == nil || len(got.Spans.Roots) != 1 || got.Spans.Roots[0].Name != "POST "+path {
+		t.Fatalf("%s: captured span tree %s; want exactly one root, POST %s", path, gb, path)
+	}
+	return got.Spans
 }
 
 // TestFastRequestNotCaptured checks the threshold actually gates

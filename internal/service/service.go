@@ -14,6 +14,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -25,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -251,9 +253,9 @@ func (s *Service) closing() bool {
 // Handler returns the service's HTTP mux.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/compare", s.handleCompare)
-	mux.HandleFunc("POST /v1/delta", s.handleDelta)
+	mux.HandleFunc("POST /v1/analyze", s.route("/v1/analyze", "spsta", s.analyzeJob))
+	mux.HandleFunc("POST /v1/compare", s.route("/v1/compare", "compare", s.compareJob))
+	mux.HandleFunc("POST /v1/delta", s.route("/v1/delta", "delta", s.deltaJob))
 	mux.HandleFunc("POST /v1/netlists", s.handleNetlistUpload)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/requests", s.handleFlightList)
@@ -396,7 +398,8 @@ type CompareResponse struct {
 	CostUnits     int64        `json:"cost_units"`
 	// Cached marks a comparison whose spsta and mc results both came
 	// from the result cache.
-	Cached bool `json:"cached,omitempty"`
+	Cached    bool   `json:"cached,omitempty"`
+	TraceFile string `json:"trace_file,omitempty"`
 }
 
 // httpError carries a status code out of request decoding/validation.
@@ -411,11 +414,21 @@ func errBadRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// panicError turns a panic recovered on a request's compute path into
-// that request's error. It is not an httpError, so the handler answers
-// 500.
+// panicErr is a panic recovered on a request's compute path. It is not
+// an httpError, so the pipeline answers 500; the stack, taken at the
+// recover site while the panicking frames are still on it, is kept in
+// the request's flight-recorder entry.
+type panicErr struct {
+	val   any
+	stack string
+}
+
+func (e *panicErr) Error() string { return fmt.Sprintf("internal error: %v", e.val) }
+
+// panicError turns a recovered panic into the request's error. Call it
+// from the deferred function that recovered.
 func panicError(p any) error {
-	return fmt.Errorf("internal error: %v", p)
+	return &panicErr{val: p, stack: string(debug.Stack())}
 }
 
 // newRequestID returns a 16-hex-digit random request ID.
@@ -461,22 +474,54 @@ func (s *Service) acquire(r *http.Request) (release func(), err error) {
 // count lets one small request exhaust the daemon's memory.
 const maxRequestWorkers = 256
 
-// decode parses and validates a request body.
-func decode(r *http.Request) (*Request, error) {
-	var req Request
+// decodeJSON strictly decodes a request body of at most 1 MiB into v:
+// unknown fields are an error.
+func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, errBadRequest("bad request body: %v", err)
+	if err := dec.Decode(v); err != nil {
+		return errBadRequest("bad request body: %v", err)
 	}
+	return nil
+}
+
+// validateShared checks the fields every analysis body shares (exactly
+// one circuit source, the scenario, epsilon and sigma) and defaults
+// the scenario to I.
+func validateShared(circuit, bench, ref string, scenario *string, epsilon, sigma float64) error {
 	n := 0
-	for _, set := range []bool{req.Circuit != "", req.Bench != "", req.NetlistRef != ""} {
+	for _, set := range []bool{circuit != "", bench != "", ref != ""} {
 		if set {
 			n++
 		}
 	}
 	if n != 1 {
-		return nil, errBadRequest("exactly one of circuit, bench or netlist_ref must be set")
+		return errBadRequest("exactly one of circuit, bench or netlist_ref must be set")
+	}
+	switch *scenario {
+	case "", "I":
+		*scenario = "I"
+	case "II":
+	default:
+		return errBadRequest("unknown scenario %q (want I or II)", *scenario)
+	}
+	if epsilon < 0 {
+		return errBadRequest("epsilon must be >= 0")
+	}
+	if sigma < 0 {
+		return errBadRequest("sigma must be >= 0")
+	}
+	return nil
+}
+
+// decode parses and validates an analyze or compare body.
+func decode(r *http.Request) (*Request, error) {
+	var req Request
+	if err := decodeJSON(r, &req); err != nil {
+		return nil, err
+	}
+	if err := validateShared(req.Circuit, req.Bench, req.NetlistRef, &req.Scenario, req.Epsilon, req.Sigma); err != nil {
+		return nil, err
 	}
 	if req.Engine == "" {
 		req.Engine = "spsta"
@@ -485,19 +530,6 @@ func decode(r *http.Request) (*Request, error) {
 	case "spsta", "moment", "mc", "all":
 	default:
 		return nil, errBadRequest("unknown engine %q (want spsta, moment, mc, or all)", req.Engine)
-	}
-	switch req.Scenario {
-	case "", "I":
-		req.Scenario = "I"
-	case "II":
-	default:
-		return nil, errBadRequest("unknown scenario %q (want I or II)", req.Scenario)
-	}
-	if req.Epsilon < 0 {
-		return nil, errBadRequest("epsilon must be >= 0")
-	}
-	if req.Sigma < 0 {
-		return nil, errBadRequest("sigma must be >= 0")
 	}
 	switch req.Coarsen {
 	case "":
@@ -532,7 +564,7 @@ func decode(r *http.Request) (*Request, error) {
 // *Circuit. The returned digest is the canonical content address used
 // by the result cache, the delta session cache, and the
 // netlist_digest response field.
-func (s *Service) resolveSource(circuit, benchText, ref, scenario string) (*netlist.Circuit, string, map[netlist.NodeID]logic.InputStats, error) {
+func (s *Service) resolveSource(circuit, benchText, ref string) (*netlist.Circuit, string, error) {
 	var c *netlist.Circuit
 	var digest string
 	switch {
@@ -540,7 +572,7 @@ func (s *Service) resolveSource(circuit, benchText, ref, scenario string) (*netl
 		var ok bool
 		c, ok = s.netreg.get(ref)
 		if !ok {
-			return nil, "", nil, &httpError{
+			return nil, "", &httpError{
 				status: http.StatusNotFound,
 				msg:    fmt.Sprintf("unknown netlist_ref %q (upload it via POST /v1/netlists)", ref),
 			}
@@ -554,11 +586,11 @@ func (s *Service) resolveSource(circuit, benchText, ref, scenario string) (*netl
 		}
 		p, ok := synth.ProfileByName(circuit)
 		if !ok {
-			return nil, "", nil, errBadRequest("unknown circuit %q (want a built-in profile, s208 … s1238)", circuit)
+			return nil, "", errBadRequest("unknown circuit %q (want a built-in profile, s208 … s1238)", circuit)
 		}
 		cc, err := synth.Generate(p)
 		if err != nil {
-			return nil, "", nil, errBadRequest("%v", err)
+			return nil, "", errBadRequest("%v", err)
 		}
 		digest = netlist.Digest(cc, nil)
 		c = s.netreg.put(digest, cc, alias)
@@ -571,16 +603,22 @@ func (s *Service) resolveSource(circuit, benchText, ref, scenario string) (*netl
 		}
 		cc, err := bench.Parse(strings.NewReader(benchText), "inline")
 		if err != nil {
-			return nil, "", nil, errBadRequest("%v", err)
+			return nil, "", errBadRequest("%v", err)
 		}
 		digest = netlist.Digest(cc, nil)
 		c = s.netreg.put(digest, cc, alias)
 	}
+	return c, digest, nil
+}
+
+// scenarioInputs returns the launch-point statistics of scenario "I"
+// or "II".
+func scenarioInputs(c *netlist.Circuit, scenario string) map[netlist.NodeID]logic.InputStats {
 	scen := experiments.ScenarioI
 	if scenario == "II" {
 		scen = experiments.ScenarioII
 	}
-	return c, digest, experiments.Inputs(c, scen), nil
+	return experiments.Inputs(c, scen)
 }
 
 func (req *Request) coarsenPolicy() core.CoarsenPolicy {
@@ -592,6 +630,15 @@ func (req *Request) coarsenPolicy() core.CoarsenPolicy {
 
 func (req *Request) delay() ssta.DelayModel { return delayModel(req.Sigma) }
 
+// mcWorkers is the Monte Carlo shard count: workers, with 0 resolved
+// to GOMAXPROCS.
+func (req *Request) mcWorkers() int {
+	if req.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return req.Workers
+}
+
 // delayModel returns the variational N(1, sigma^2) gate-delay model,
 // or nil (unit delays) for sigma <= 0.
 func delayModel(sigma float64) ssta.DelayModel {
@@ -601,30 +648,153 @@ func delayModel(sigma float64) ssta.DelayModel {
 	return func(n *netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: sigma} }
 }
 
-// reqCtx carries one in-flight request's identity and timing through
-// the handler, the engines, and the flight recorder.
+// reqCtx carries one in-flight request's identity, timing and resolved
+// circuit through the pipeline, the engines, and the flight recorder.
 type reqCtx struct {
 	id      string
 	traceID string
 	path    string
+	label   string // RED and flight label: the route's until decode succeeds
 	t0      time.Time
 	queueNS int64
 	req     *Request // nil until decode succeeds
 	scope   *obs.Scope
-	// cached / delta / netsRecomputed feed the flight-recorder summary:
-	// a fully cache-served analyze, and a delta request's recompute
-	// footprint.
+
+	c         *netlist.Circuit
+	digest    string
+	in        map[netlist.NodeID]logic.InputStats // see inputs
+	hits      []EngineResult                      // the peek step's full hit
+	traceFile string                              // set when the request writes one
+
+	// cached / netsRecomputed / session feed the flight summary, the
+	// root span and the log line: a fully cache-served request, and a
+	// delta request's recompute footprint and session state.
 	cached         bool
-	delta          bool
 	netsRecomputed int
+	session        string
+}
+
+// job is one decoded analysis request, built by its route's decode
+// step. req carries the circuit source, cache-key knobs and flight
+// summary fields; peek lists the engines whose stored results serve
+// the whole request without a worker slot; check (optional) validates
+// the request against its resolved circuit before admission; run
+// produces the response body and the cost_units it reports.
+type job struct {
+	req   *Request
+	label string
+	peek  []string
+	check func(c *netlist.Circuit) error
+	run   func(rc *reqCtx) (any, int64, error)
+}
+
+// route returns the handler of one analysis route: the request
+// pipeline begin → decode → resolve → cache peek → admit → scope and
+// root span → run → trace file → record → write. Each step has exactly
+// one site, here or in execute; a route supplies only its decode step,
+// which returns the job, and the job's run step. label is the RED
+// label of a body that does not decode.
+func (s *Service) route(path, label string, decode func(*http.Request) (*job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rc := s.begin(w, r, path, label)
+		j, err := decode(r)
+		if err == nil {
+			rc.req, rc.label = j.req, j.label
+			rc.c, rc.digest, err = s.resolveSource(j.req.Circuit, j.req.Bench, j.req.NetlistRef)
+		}
+		if err == nil && j.check != nil {
+			err = j.check(rc.c)
+		}
+		if err != nil {
+			s.fail(w, rc, err)
+			return
+		}
+		// Peek: a fully stored request never queues behind cold ones. A
+		// traced request always runs (a trace of a cache lookup is
+		// useless); a partial hit reuses its stored engines in run.
+		if len(j.peek) > 0 && !j.req.Trace {
+			keys := make([]string, len(j.peek))
+			for i, engine := range j.peek {
+				keys[i] = cacheKey(rc.digest, j.req, engine)
+			}
+			rc.hits, rc.cached = s.cache.peekAll(keys)
+		}
+		resp, err := s.execute(r, rc, j.run)
+		if err != nil {
+			s.fail(w, rc, err)
+			return
+		}
+		actual := rc.scope.M().CostUnits()
+		s.reg.merge(rc.scope.Snapshot())
+		s.reg.cost.observe(actual)
+		s.reg.deltaNets.Add(int64(rc.netsRecomputed))
+		if rc.label != "delta" {
+			s.sample(rc.req)
+		}
+		s.reg.observe(rc.label, time.Since(rc.t0), false)
+		captured := s.recordFlight(rc.summary(http.StatusOK, "", actual), rc.scope, "")
+		args := []any{"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
+			"engine", rc.label, "circuit", rc.c.Name, "status", http.StatusOK,
+			"duration_ms", float64(time.Since(rc.t0).Microseconds()) / 1e3,
+			"cost_units", actual, "cached", rc.cached, "captured", captured}
+		if rc.session != "" {
+			args = append(args, "nets_recomputed", rc.netsRecomputed, "session", rc.session)
+		}
+		s.log.Info("request", args...)
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// execute is the pipeline's admit → scope and root span → run → trace
+// file stretch. A request the peek step served takes no worker slot.
+// Slot release and inflight decrement are deferred, and a panic in run
+// becomes the request's 500 here, so no exit leaks a slot.
+func (s *Service) execute(r *http.Request, rc *reqCtx, run func(*reqCtx) (any, int64, error)) (resp any, err error) {
+	if !rc.cached {
+		q0 := time.Now()
+		release, err := s.acquire(r)
+		rc.queueNS = time.Since(q0).Nanoseconds()
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		s.reg.inflight.Add(1)
+		defer s.reg.inflight.Add(-1)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			resp, err = nil, panicError(p)
+		}
+	}()
+	s.newScope(rc)
+	resp, cost, err := run(rc)
+	if err != nil {
+		return nil, err
+	}
+	attrs := map[string]any{"request_id": rc.id, "engine": rc.label, "cost_units": cost, "cached": rc.cached}
+	if rc.session != "" {
+		attrs["nets_recomputed"], attrs["session"] = rc.netsRecomputed, rc.session
+	}
+	tr := rc.scope.Tracer
+	tr.RecordSpan(rc.scope.Span, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0), attrs)
+	if rc.traceFile != "" {
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(rc.traceFile, buf.Bytes(), 0o666); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
 }
 
 // begin starts a request context: a fresh request ID, and a trace ID
 // continued from the client's W3C traceparent header when one is
 // present (else newly generated). Both ride back on response headers
 // so clients and proxies can correlate without parsing the body.
-func (s *Service) begin(w http.ResponseWriter, r *http.Request, path string) *reqCtx {
-	rc := &reqCtx{id: newRequestID(), path: path, t0: time.Now()}
+func (s *Service) begin(w http.ResponseWriter, r *http.Request, path, label string) *reqCtx {
+	rc := &reqCtx{id: newRequestID(), path: path, label: label, t0: time.Now()}
 	if tid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
 		rc.traceID = tid
 	} else {
@@ -635,33 +805,31 @@ func (s *Service) begin(w http.ResponseWriter, r *http.Request, path string) *re
 	return rc
 }
 
-// newScope builds the request's observability scope: metrics and a
-// tracer are always on (the flight recorder needs span trees post
-// hoc), but the tracer is coarse — request, engine, level, batch and
-// shard spans only — unless the request asked for a trace file, which
-// upgrades to fine per-gate spans.
-func (s *Service) newScope(rc *reqCtx) (fine bool) {
-	fine = rc.req.Trace && s.cfg.TraceDir != ""
+// newScope builds the request's observability scope and allocates its
+// root span: metrics and a tracer are always on (the flight recorder
+// needs span trees post hoc), but the tracer is coarse — request,
+// engine, level and shard spans only — unless the request asked for a
+// trace file, which upgrades to fine per-gate spans.
+func (s *Service) newScope(rc *reqCtx) {
 	tr := obs.NewCoarseTracer()
-	if fine {
+	if rc.req.Trace && s.cfg.TraceDir != "" {
 		tr = obs.NewTracer()
+		rc.traceFile = filepath.Join(s.cfg.TraceDir, rc.id+".json")
 	}
 	tr.SetTraceID(rc.traceID)
-	rc.scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: tr}
-	return fine
+	rc.scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: tr, Span: tr.NewSpan()}
 }
 
 // summary assembles the flight-recorder record of the request in its
-// current state. engine is the RED label ("compare" on the compare
-// path, the request's engine otherwise).
-func (rc *reqCtx) summary(engine string, status int, errMsg string, cost int64) RequestSummary {
+// current state.
+func (rc *reqCtx) summary(status int, errMsg string, cost int64) RequestSummary {
 	sum := RequestSummary{
-		ID: rc.id, TraceID: rc.traceID, Path: rc.path, Engine: engine,
+		ID: rc.id, TraceID: rc.traceID, Path: rc.path, Engine: rc.label,
 		Status: status, Error: errMsg,
 		Rejected: status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable,
 		Start:    rc.t0, LatencyNS: time.Since(rc.t0).Nanoseconds(), QueueNS: rc.queueNS,
 		CostUnits: cost,
-		Cached:    rc.cached, Delta: rc.delta, NetsRecomputed: rc.netsRecomputed,
+		Cached:    rc.cached, Delta: rc.label == "delta", NetsRecomputed: rc.netsRecomputed,
 	}
 	if req := rc.req; req != nil {
 		sum.Circuit = req.Circuit
@@ -685,6 +853,19 @@ func (rc *reqCtx) summary(engine string, status int, errMsg string, cost int64) 
 	return sum
 }
 
+// inputs returns the request's launch-point statistics, built on first
+// use: cache hits and warm delta sessions never need them.
+func (rc *reqCtx) inputs() map[netlist.NodeID]logic.InputStats {
+	if rc.in == nil {
+		rc.in = scenarioInputs(rc.c, rc.req.Scenario)
+	}
+	return rc.in
+}
+
+func (rc *reqCtx) circuitInfo() CircuitInfo {
+	return CircuitInfo{Name: rc.c.Name, Gates: len(rc.c.Nodes), Depth: rc.c.Depth()}
+}
+
 // engineList expands the request's engine selector.
 func (req *Request) engineList() []string {
 	if req.Engine == "all" {
@@ -693,164 +874,68 @@ func (req *Request) engineList() []string {
 	return []string{req.Engine}
 }
 
-func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	rc := s.begin(w, r, "/v1/analyze")
+// analyzeJob is /v1/analyze's decode step.
+func (s *Service) analyzeJob(r *http.Request) (*job, error) {
 	req, err := decode(r)
 	if err != nil {
-		s.fail(w, rc, "", err)
-		return
+		return nil, err
 	}
-	rc.req = req
-	c, digest, in, err := s.resolveSource(req.Circuit, req.Bench, req.NetlistRef, req.Scenario)
-	if err != nil {
-		s.fail(w, rc, req.Engine, err)
-		return
-	}
-	// Fully-cached requests are served before the worker pool: a hot
-	// repeat never queues behind cold analyses and costs no slot.
-	resp, ok := s.analyzeCached(rc, c, digest)
-	if !ok {
-		q0 := time.Now()
-		release, err := s.acquire(r)
-		rc.queueNS = time.Since(q0).Nanoseconds()
-		if err != nil {
-			s.fail(w, rc, req.Engine, err)
-			return
-		}
-		s.reg.inflight.Add(1)
-		resp, err = s.analyze(rc, c, digest, in)
-		s.reg.inflight.Add(-1)
-		release()
-		if err != nil {
-			s.fail(w, rc, req.Engine, err)
-			return
-		}
-	}
-	actual := rc.scope.M().CostUnits()
-	s.reg.merge(rc.scope.Snapshot())
-	s.reg.cost.observe(actual)
-	s.sample(req)
-	s.reg.observe(req.Engine, time.Since(rc.t0), false)
-	captured := s.recordFlight(rc.summary(req.Engine, http.StatusOK, "", actual), rc.scope)
-	s.log.Info("request",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-		"engine", req.Engine, "circuit", resp.Circuit.Name, "status", http.StatusOK,
-		"duration_ms", float64(time.Since(rc.t0).Microseconds())/1e3,
-		"cost_units", actual, "cached", rc.cached, "captured", captured)
-	writeJSON(w, http.StatusOK, resp)
+	return &job{req: req, label: req.Engine, peek: req.engineList(), run: s.runAnalyze}, nil
 }
 
-// analyzeCached serves a request whose every engine result is already
-// in the result cache. Traced requests always run for real (a trace
-// of a cache lookup is useless), and a partial hit falls through to
-// the normal path, which still reuses whatever is cached per engine.
-func (s *Service) analyzeCached(rc *reqCtx, c *netlist.Circuit, digest string) (*Response, bool) {
-	req := rc.req
-	if req.Trace {
-		return nil, false
-	}
-	engines := req.engineList()
-	keys := make([]string, len(engines))
-	for i, engine := range engines {
-		keys[i] = cacheKey(digest, req, engine)
-	}
-	ers, ok := s.cache.peekAll(keys)
-	if !ok {
-		return nil, false
-	}
-	s.newScope(rc)
-	tr := rc.scope.Tracer
-	root := tr.NewSpan()
-	rc.scope.Span = root
+// runAnalyze is /v1/analyze's run step: the requested engines in
+// order, each through the result cache.
+func (s *Service) runAnalyze(rc *reqCtx) (any, int64, error) {
 	resp := &Response{
 		RequestID:     rc.id,
 		TraceID:       rc.traceID,
-		Circuit:       CircuitInfo{Name: c.Name, Gates: len(c.Nodes), Depth: c.Depth()},
-		NetlistDigest: digest,
-		Scenario:      req.Scenario,
-	}
-	for i := range ers {
-		ers[i].Cached = true
-		resp.Engines = append(resp.Engines, ers[i])
-		resp.CostUnits += ers[i].CostUnits
+		Circuit:       rc.circuitInfo(),
+		NetlistDigest: rc.digest,
+		Scenario:      rc.req.Scenario,
+		TraceFile:     rc.traceFile,
 	}
 	rc.cached = true
-	tr.RecordSpan(root, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0),
-		map[string]any{"request_id": rc.id, "engine": req.Engine, "cached": true})
-	return resp, true
-}
-
-// analyze runs the requested engines under the request's scope,
-// recording the request → engine span levels of the trace tree. Each
-// engine goes through the result cache: a hit skips the run, a miss
-// runs it under single-flight so concurrent identical requests share
-// one execution.
-func (s *Service) analyze(rc *reqCtx, c *netlist.Circuit, digest string, in map[netlist.NodeID]logic.InputStats) (*Response, error) {
-	req := rc.req
-	traced := s.newScope(rc)
-	tr := rc.scope.Tracer
-	root := tr.NewSpan()
-	rc.scope.Span = root
-	resp := &Response{
-		RequestID:     rc.id,
-		TraceID:       rc.traceID,
-		Circuit:       CircuitInfo{Name: c.Name, Gates: len(c.Nodes), Depth: c.Depth()},
-		NetlistDigest: digest,
-		Scenario:      req.Scenario,
-	}
-	allCached := true
-	for _, engine := range req.engineList() {
-		er, err := s.cachedEngine(engine, c, digest, in, rc)
+	for _, engine := range rc.req.engineList() {
+		er, err := s.cachedEngine(rc, engine)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", engine, err)
+			return nil, 0, fmt.Errorf("%s: %w", engine, err)
 		}
-		allCached = allCached && er.Cached
+		rc.cached = rc.cached && er.Cached
 		resp.Engines = append(resp.Engines, er)
 		resp.CostUnits += er.CostUnits
 	}
-	rc.cached = allCached
-	tr.RecordSpan(root, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0),
-		map[string]any{"request_id": rc.id, "engine": req.Engine, "cost_units": resp.CostUnits})
-	if traced {
-		path := filepath.Join(s.cfg.TraceDir, rc.id+".json")
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		werr := tr.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, werr
-		}
-		resp.TraceFile = path
-	}
-	return resp, nil
+	return resp, resp.CostUnits, nil
 }
 
-// cachedEngine returns one engine's result through the result cache.
-// Traced requests bypass the read side (they exist to produce fresh
-// spans) but still publish their result for later requests.
-func (s *Service) cachedEngine(engine string, c *netlist.Circuit, digest string, in map[netlist.NodeID]logic.InputStats, rc *reqCtx) (EngineResult, error) {
-	key := cacheKey(digest, rc.req, engine)
-	if rc.req.Trace {
-		er, err := s.runEngineSpanned(engine, c, in, rc)
-		if err == nil {
-			s.cache.store(key, er)
+// cachedEngine returns one engine's result for the request: the peek
+// step's hit, a fresh traced run (published for later requests), or a
+// result-cache lookup that runs the engine under single-flight on a
+// miss, so concurrent identical requests share one execution.
+func (s *Service) cachedEngine(rc *reqCtx, engine string) (er EngineResult, err error) {
+	src := cacheHit
+	switch {
+	case rc.hits != nil:
+		for _, h := range rc.hits {
+			if h.Engine == engine {
+				er = h
+			}
 		}
-		return er, err
+	case rc.req.Trace:
+		src = cacheComputed
+		if er, err = s.runEngineSpanned(rc, engine); err == nil {
+			s.cache.store(cacheKey(rc.digest, rc.req, engine), er)
+		}
+	default:
+		er, src, err = s.cache.getOrCompute(cacheKey(rc.digest, rc.req, engine), func() (EngineResult, error) {
+			return s.runEngineSpanned(rc, engine)
+		})
 	}
-	er, src, err := s.cache.getOrCompute(key, func() (EngineResult, error) {
-		return s.runEngineSpanned(engine, c, in, rc)
-	})
 	if err == nil && src != cacheComputed {
 		er.Cached = true
 		// A zero-duration engine span keeps the request's trace tree
 		// complete even when the engine never ran here.
 		tr := rc.scope.Tracer
-		eid := tr.NewSpan()
-		tr.RecordSpan(eid, rc.scope.SpanID(), "engine "+engine, "engine", 0, time.Now(), 0,
+		tr.RecordSpan(tr.NewSpan(), rc.scope.SpanID(), "engine "+engine, "engine", 0, time.Now(), 0,
 			map[string]any{"cached": true, "shared": src == cacheShared, "cost_units": er.CostUnits})
 	}
 	return er, err
@@ -873,42 +958,38 @@ type NetlistUploadResponse struct {
 // handleNetlistUpload parses and registers a netlist without
 // analyzing it.
 func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
-	rc := s.begin(w, r, "/v1/netlists")
+	rc := s.begin(w, r, "/v1/netlists", "")
 	var req NetlistUploadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, rc, "", errBadRequest("bad request body: %v", err))
+	if err := decodeJSON(r, &req); err != nil {
+		s.fail(w, rc, err)
 		return
 	}
 	if (req.Circuit == "") == (req.Bench == "") {
-		s.fail(w, rc, "", errBadRequest("exactly one of circuit or bench must be set"))
+		s.fail(w, rc, errBadRequest("exactly one of circuit or bench must be set"))
 		return
 	}
-	c, digest, _, err := s.resolveSource(req.Circuit, req.Bench, "", "I")
+	var err error
+	rc.c, rc.digest, err = s.resolveSource(req.Circuit, req.Bench, "")
 	if err != nil {
-		s.fail(w, rc, "", err)
+		s.fail(w, rc, err)
 		return
 	}
 	s.log.Info("netlist registered",
 		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-		"circuit", c.Name, "digest", digest, "registry_entries", s.netreg.len())
-	writeJSON(w, http.StatusOK, &NetlistUploadResponse{
-		NetlistDigest: digest,
-		Circuit:       CircuitInfo{Name: c.Name, Gates: len(c.Nodes), Depth: c.Depth()},
-	})
+		"circuit", rc.c.Name, "digest", rc.digest, "registry_entries", s.netreg.len())
+	writeJSON(w, http.StatusOK, &NetlistUploadResponse{NetlistDigest: rc.digest, Circuit: rc.circuitInfo()})
 }
 
 // runEngineSpanned wraps one engine run in an engine span parented
 // under the request root and attributes the engine's work-unit cost
 // delta (engines run serially within a request, so the delta is
 // exactly this engine's cost).
-func (s *Service) runEngineSpanned(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, rc *reqCtx) (EngineResult, error) {
+func (s *Service) runEngineSpanned(rc *reqCtx, engine string) (EngineResult, error) {
 	tr, m := rc.scope.Tracer, rc.scope.Metrics
 	eid := tr.NewSpan()
 	e0 := time.Now()
 	cost0 := m.CostUnits()
-	er, err := runEngine(engine, c, in, rc.req, rc.scope.WithSpan(eid))
+	er, err := runEngine(engine, rc.c, rc.inputs(), rc.req, rc.scope.WithSpan(eid))
 	er.CostUnits = m.CostUnits() - cost0
 	tr.RecordSpan(eid, rc.scope.SpanID(), "engine "+engine, "engine", 0, e0, time.Since(e0),
 		map[string]any{"cost_units": er.CostUnits})
@@ -951,12 +1032,8 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 		er.PrunedMass = res.TotalPrunedMass()
 		er.MaxBudget = res.MaxConsumedBudget()
 	case "mc":
-		workers := req.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		res, err := montecarlo.Simulate(c, in, montecarlo.Config{
-			Runs: req.Runs, Seed: req.Seed, Workers: workers,
+			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(),
 			Delay: req.delay(), Packed: true, Obs: scope,
 		})
 		if err != nil {
@@ -996,56 +1073,37 @@ func spstaEndpoints(res *core.Result, c *netlist.Circuit) []EndpointStat {
 	return out
 }
 
-func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
-	rc := s.begin(w, r, "/v1/compare")
+// compareJob is /v1/compare's decode step.
+func (s *Service) compareJob(r *http.Request) (*job, error) {
 	req, err := decode(r)
 	if err != nil {
-		s.fail(w, rc, "compare", err)
-		return
+		return nil, err
 	}
-	rc.req = req
-	q0 := time.Now()
-	release, err := s.acquire(r)
-	rc.queueNS = time.Since(q0).Nanoseconds()
-	if err != nil {
-		s.fail(w, rc, "compare", err)
-		return
-	}
-	defer release()
-	s.reg.inflight.Add(1)
-	defer s.reg.inflight.Add(-1)
+	return &job{req: req, label: "compare", peek: []string{"spsta", "mc"}, run: s.runCompare}, nil
+}
 
-	c, digest, in, err := s.resolveSource(req.Circuit, req.Bench, req.NetlistRef, req.Scenario)
+// runCompare is /v1/compare's run step. Both engine runs go through
+// the result cache, so a repeated comparison reuses the analyze
+// path's cached results (and vice versa).
+func (s *Service) runCompare(rc *reqCtx) (any, int64, error) {
+	sp, err := s.cachedEngine(rc, "spsta")
 	if err != nil {
-		s.fail(w, rc, "compare", err)
-		return
+		return nil, 0, err
 	}
-	s.newScope(rc)
-	tr := rc.scope.Tracer
-	root := tr.NewSpan()
-	rc.scope.Span = root
-	// The circuit is resolved once and both engine runs go through the
-	// result cache, so a repeated comparison reuses the analyze path's
-	// cached results (and vice versa).
-	sp, err := s.cachedEngine("spsta", c, digest, in, rc)
+	mc, err := s.cachedEngine(rc, "mc")
 	if err != nil {
-		s.fail(w, rc, "compare", err)
-		return
-	}
-	mc, err := s.cachedEngine("mc", c, digest, in, rc)
-	if err != nil {
-		s.fail(w, rc, "compare", err)
-		return
+		return nil, 0, err
 	}
 	rc.cached = sp.Cached && mc.Cached
 	resp := &CompareResponse{
 		RequestID:     rc.id,
 		TraceID:       rc.traceID,
-		Circuit:       CircuitInfo{Name: c.Name, Gates: len(c.Nodes), Depth: c.Depth()},
-		NetlistDigest: digest,
-		Scenario:      req.Scenario,
+		Circuit:       rc.circuitInfo(),
+		NetlistDigest: rc.digest,
+		Scenario:      rc.req.Scenario,
 		CostUnits:     sp.CostUnits + mc.CostUnits,
-		Cached:        sp.Cached && mc.Cached,
+		Cached:        rc.cached,
+		TraceFile:     rc.traceFile,
 	}
 	for i := range sp.Endpoints {
 		for _, dir := range []string{"rise", "fall"} {
@@ -1070,20 +1128,7 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 			resp.MaxSigmaDev = max(resp.MaxSigmaDev, row.DSigma)
 		}
 	}
-	tr.RecordSpan(root, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0),
-		map[string]any{"request_id": rc.id, "engine": "compare", "cost_units": resp.CostUnits})
-	actual := rc.scope.M().CostUnits()
-	s.reg.merge(rc.scope.Snapshot())
-	s.reg.cost.observe(actual)
-	s.sample(req)
-	s.reg.observe("compare", time.Since(rc.t0), false)
-	captured := s.recordFlight(rc.summary("compare", http.StatusOK, "", actual), rc.scope)
-	s.log.Info("request",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-		"circuit", resp.Circuit.Name, "status", http.StatusOK,
-		"duration_ms", float64(time.Since(rc.t0).Microseconds())/1e3,
-		"cost_units", actual, "cached", rc.cached, "captured", captured)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, resp.CostUnits, nil
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1101,26 +1146,29 @@ func (s *Service) sample(req *Request) {
 	s.mu.Unlock()
 }
 
-// fail writes an error response, records it in the RED series, and
-// leaves a flight-recorder summary — load-shed requests (429/503)
-// included, with their rejection state and zero cost, so shed traffic
-// stays diagnosable from /debug/requests.
-func (s *Service) fail(w http.ResponseWriter, rc *reqCtx, engine string, err error) {
+// fail writes an error response, records it in the RED series under
+// the request's label, and leaves a flight-recorder summary — load-shed
+// requests (429/503) included, with their rejection state and zero
+// cost, so shed traffic stays diagnosable from /debug/requests. A
+// recovered panic's stack goes into the flight entry too.
+func (s *Service) fail(w http.ResponseWriter, rc *reqCtx, err error) {
 	status := http.StatusInternalServerError
 	var he *httpError
 	if errors.As(err, &he) {
 		status = he.status
 	}
-	if engine != "" {
-		s.reg.observe(engine, time.Since(rc.t0), true)
-	}
+	s.reg.observe(rc.label, time.Since(rc.t0), true)
 	var cost int64
 	if m := rc.scope.M(); m != nil {
 		cost = m.CostUnits()
 	}
-	s.recordFlight(rc.summary(engine, status, err.Error(), cost), rc.scope)
+	var stack string
+	if pe := (*panicErr)(nil); errors.As(err, &pe) {
+		stack = pe.stack
+	}
+	s.recordFlight(rc.summary(status, err.Error(), cost), rc.scope, stack)
 	s.log.Error("request failed",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path, "engine", engine,
+		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path, "engine", rc.label,
 		"status", status, "error", err.Error())
 	writeJSON(w, status, map[string]string{"request_id": rc.id, "trace_id": rc.traceID, "error": err.Error()})
 }
@@ -1164,8 +1212,9 @@ func parseSince(raw string, now time.Time) (time.Time, error) {
 }
 
 // handleFlightGet serves one recorded request: the summary plus, for
-// captured entries, the span tree and metrics snapshot
-// (?format=trace downloads the raw Chrome trace_event JSON instead).
+// captured entries, the span tree and metrics snapshot, and for a
+// recovered panic, its stack (?format=trace downloads the raw Chrome
+// trace_event JSON instead).
 func (s *Service) handleFlightGet(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.flight.get(r.PathValue("id"))
 	if !ok {
@@ -1188,6 +1237,9 @@ func (s *Service) handleFlightGet(w http.ResponseWriter, r *http.Request) {
 	}
 	if e.snap != nil {
 		out["metrics"] = e.snap
+	}
+	if e.stack != "" {
+		out["stack"] = e.stack
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/netlist"
 )
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -67,8 +69,8 @@ func sampleValue(t *testing.T, samples []string, prefix string) string {
 
 // TestSpstadSmoke is the end-to-end daemon smoke test run by `make
 // check`: start the service on an ephemeral port with the real wiring,
-// post an analyze request, scrape /metrics as Prometheus text, and
-// shut down gracefully.
+// post an analyze, a compare and a delta request, scrape /metrics as
+// Prometheus text, and shut down gracefully.
 func TestSpstadSmoke(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
@@ -89,6 +91,14 @@ func TestSpstadSmoke(t *testing.T) {
 	for _, er := range r.Engines {
 		if len(er.Endpoints) == 0 {
 			t.Errorf("engine %s returned no endpoints", er.Engine)
+		}
+	}
+	for path, body := range map[string]string{
+		"/v1/compare": `{"circuit":"s208","runs":500}`,
+		"/v1/delta":   `{"circuit":"s208","edits":[]}`,
+	} {
+		if resp, b := post(t, srv.URL+path, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d, body %s", path, resp.StatusCode, b)
 		}
 	}
 
@@ -113,8 +123,10 @@ func TestSpstadSmoke(t *testing.T) {
 		t.Errorf("metrics content type = %q", ct)
 	}
 	samples := checkPrometheus(t, string(mb))
-	if got := sampleValue(t, samples, `spstad_requests_total{engine="all"}`); got != "1" {
-		t.Errorf(`requests_total{engine="all"} = %s, want 1`, got)
+	for _, label := range []string{"all", "compare", "delta"} {
+		if got := sampleValue(t, samples, `spstad_requests_total{engine="`+label+`"}`); got != "1" {
+			t.Errorf(`requests_total{engine=%q} = %s, want 1`, label, got)
+		}
 	}
 	if got := sampleValue(t, samples, "spstad_engine_mc_runs_total"); got != "500" {
 		t.Errorf("engine_mc_runs_total = %s, want 500", got)
@@ -232,14 +244,45 @@ func TestQueueRejection(t *testing.T) {
 	}
 }
 
-// TestBadRequests exercises the validation surface.
+// TestCompareAdmission holds the only worker slot with queueing
+// disabled: a compare whose spsta and mc results are both stored is
+// served by the peek step without a slot, and a compare of an unknown
+// circuit fails resolution with 400 before it would be admitted.
+func TestCompareAdmission(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 1, MaxQueue: -1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	const body = `{"circuit":"s208","runs":500}`
+	if resp, b := post(t, srv.URL+"/v1/compare", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold compare: %d %s", resp.StatusCode, b)
+	}
+	svc.slots <- struct{}{} // occupy the only slot
+	defer func() { <-svc.slots }()
+	resp, b := post(t, srv.URL+"/v1/compare", body)
+	var r CompareResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(b, &r) != nil || !r.Cached {
+		t.Errorf("cached compare with the slot held: status %d, want 200 and cached (%s)", resp.StatusCode, b)
+	}
+	if resp, b := post(t, srv.URL+"/v1/compare", `{"circuit":"nope"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown circuit with the slot held: status %d, want 400 (%s)", resp.StatusCode, b)
+	}
+	if got := svc.reg.rejected.Load(); got != 0 {
+		t.Errorf("rejected counter = %d, want 0", got)
+	}
+}
+
+// TestBadRequests exercises the validation surface. Every rejected
+// body counts in the RED series under its route's label: compare's, or
+// for analyze the default engine's, whether or not the body decoded.
 func TestBadRequests(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 1})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	for _, body := range []string{
+	bodies := []string{
 		`{"circuit":"s208","engine":"warp"}`,
 		`{"engine":"spsta"}`,
 		`{"circuit":"s208","bench":"INPUT(a)"}`,
@@ -249,12 +292,19 @@ func TestBadRequests(t *testing.T) {
 		`{"circuit":"s208","engine":"mc","runs":100000,"workers":100000}`,
 		`{"circuit":"s208","workers":-1}`,
 		`not json`,
-	} {
+	}
+	for _, body := range bodies {
 		for _, path := range []string{"/v1/analyze", "/v1/compare"} {
 			resp, b := post(t, srv.URL+path, body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s body %s: status = %d, want 400 (%s)", path, body, resp.StatusCode, b)
 			}
+		}
+	}
+	for _, label := range []string{"spsta", "compare"} {
+		i := engineIndex(label)
+		if got, errs := svc.reg.requests[i].Load(), svc.reg.errors[i].Load(); got != int64(len(bodies)) || errs != got {
+			t.Errorf("%s: %d requests, %d errors counted; want %d of each", label, got, errs, len(bodies))
 		}
 	}
 }
@@ -387,9 +437,10 @@ func TestDriftMonitor(t *testing.T) {
 	sampleValue(t, samples, "spstad_drift_mean_deviation")
 }
 
-// TestTraceFile checks per-request trace emission: the response names
-// a file in the configured directory holding a trace JSON document
-// with the span/dropped metadata block.
+// TestTraceFile checks per-request trace emission on the analyze and
+// compare routes: the response names a file in the configured
+// directory holding a trace JSON document with the span/dropped
+// metadata block.
 func TestTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	svc := New(Config{MaxConcurrent: 1, TraceDir: dir})
@@ -397,34 +448,112 @@ func TestTraceFile(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	resp, body := post(t, srv.URL+"/v1/analyze", `{"circuit":"s208","trace":true,"workers":2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	for _, path := range []string{"/v1/analyze", "/v1/compare"} {
+		resp, body := post(t, srv.URL+path, `{"circuit":"s208","trace":true,"workers":2,"runs":500}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", path, resp.StatusCode, body)
+		}
+		var r struct {
+			TraceFile string `json:"trace_file"`
+		}
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.TraceFile == "" {
+			t.Fatalf("%s: no trace file in response", path)
+		}
+		b, err := os.ReadFile(r.TraceFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []any `json:"traceEvents"`
+			Metadata    struct {
+				Spans     int   `json:"spans"`
+				Dropped   int64 `json:"dropped"`
+				MaxEvents int   `json:"max_events"`
+			} `json:"metadata"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: trace file is not valid JSON: %v", path, err)
+		}
+		if len(doc.TraceEvents) == 0 || doc.Metadata.Spans == 0 {
+			t.Errorf("%s: trace has %d events, metadata spans %d; want > 0",
+				path, len(doc.TraceEvents), doc.Metadata.Spans)
+		}
 	}
-	var r Response
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.TraceFile == "" {
-		t.Fatal("no trace file in response")
-	}
-	b, err := os.ReadFile(r.TraceFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []any `json:"traceEvents"`
-		Metadata    struct {
-			Spans     int   `json:"spans"`
-			Dropped   int64 `json:"dropped"`
-			MaxEvents int   `json:"max_events"`
-		} `json:"metadata"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 || doc.Metadata.Spans == 0 {
-		t.Errorf("trace has %d events, metadata spans %d; want > 0",
-			len(doc.TraceEvents), doc.Metadata.Spans)
+}
+
+// TestEnginePanicFreesSlot poisons a registered circuit — one gate's
+// fanin points past the node table, so the spsta engine panics with an
+// index out of range in core.(*Analyzer).computeNode, the worker
+// behind ComputeNode — and posts traced and untraced analyze and
+// compare requests for it with a single worker slot and no queue. Each
+// must answer 500, give its slot and in-flight count back, leave
+// exactly one flight record (status 500, the panic's stack on the
+// detail endpoint only), and a later cold request must still get the
+// slot. Traced requests run their engine outside the result cache's
+// recover, so only the pipeline's own recover catches them.
+func TestEnginePanicFreesSlot(t *testing.T) {
+	for _, route := range []string{"analyze", "compare"} {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/trace=%v", route, traced), func(t *testing.T) {
+				svc := New(Config{MaxConcurrent: 1, MaxQueue: -1, TraceDir: t.TempDir()})
+				defer svc.Close()
+				srv := httptest.NewServer(svc.Handler())
+				defer srv.Close()
+
+				resp, body := post(t, srv.URL+"/v1/netlists", `{"circuit":"s208"}`)
+				var up NetlistUploadResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &up) != nil {
+					t.Fatalf("upload: %d %s", resp.StatusCode, body)
+				}
+				c, _ := svc.netreg.get(up.NetlistDigest)
+				for _, n := range c.Nodes {
+					if n.Type.Combinational() && len(n.Fanin) > 0 {
+						n.Fanin[0] = netlist.NodeID(len(c.Nodes) + 7)
+						break
+					}
+				}
+
+				resp, body = post(t, srv.URL+"/v1/"+route, fmt.Sprintf(
+					`{"netlist_ref":%q,"workers":1,"runs":200,"trace":%v}`, up.NetlistDigest, traced))
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Fatalf("poisoned request: status %d, want 500 (%s)", resp.StatusCode, body)
+				}
+				if n, in := len(svc.slots), svc.reg.inflight.Load(); n != 0 || in != 0 {
+					t.Errorf("after the panic: %d slots held, inflight %d; want 0, 0", n, in)
+				}
+				sums, _ := svc.flight.list()
+				if len(sums) != 1 || sums[0].Status != http.StatusInternalServerError {
+					t.Fatalf("flight records = %+v, want one with status 500", sums)
+				}
+				lr, err := http.Get(srv.URL + "/debug/requests")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lb, _ := io.ReadAll(lr.Body)
+				lr.Body.Close()
+				if strings.Contains(string(lb), `"stack"`) {
+					t.Error("the flight list carries the panic stack; only the detail endpoint should")
+				}
+				gr, err := http.Get(srv.URL + "/debug/requests/" + sums[0].ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var detail struct {
+					Stack string `json:"stack"`
+				}
+				err = json.NewDecoder(gr.Body).Decode(&detail)
+				gr.Body.Close()
+				if err != nil || !strings.Contains(detail.Stack, "core.(*Analyzer).computeNode") {
+					t.Errorf("flight detail stack (err %v) does not reach ComputeNode:\n%s", err, detail.Stack)
+				}
+
+				if resp, body := post(t, srv.URL+"/v1/analyze", `{"circuit":"s298"}`); resp.StatusCode != http.StatusOK {
+					t.Errorf("cold request after the panic: status %d, want 200 (%s)", resp.StatusCode, body)
+				}
+			})
+		}
 	}
 }

@@ -208,9 +208,9 @@ func (s *Service) sloBurning() []string {
 // recordFlight stamps the flight summary with the burning objectives
 // and hands it to the recorder, so every /debug/requests entry shows
 // which SLOs were on fire while it ran.
-func (s *Service) recordFlight(sum RequestSummary, scope *obs.Scope) bool {
+func (s *Service) recordFlight(sum RequestSummary, scope *obs.Scope, stack string) bool {
 	sum.SLOBurning = s.sloBurning()
-	return s.flight.record(sum, scope)
+	return s.flight.record(sum, scope, stack)
 }
 
 // TimelineResponse is the body of GET /debug/timeline.
