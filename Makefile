@@ -79,8 +79,10 @@ soak:
 # spstad smoke run, then the instrumentation overhead guard. The
 # parallel determinism tests
 # (core.TestParallelRunMatchesSerial and friends) exercise the
-# level-parallel analyzers with Workers=4, so this is the
-# schedule-safety check; the instrumented variants
+# level-parallel analyzers with Workers=4, and
+# incr.TestSPSTAIncrementalPrunedMatchesFull does the same for cone
+# updates (Workers × SerialCutoff, plus a panic on a pool worker), so
+# this is the schedule-safety check; the instrumented variants
 # (core.TestInstrumentedParallelMatchesSerial and friends) re-check
 # it with metrics and tracing live.
 check:

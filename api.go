@@ -425,10 +425,11 @@ func NewIncrementalSSTA(c *Circuit, inputs map[NodeID]InputStats, base DelayMode
 type IncrementalSPSTA = incr.SPSTA
 
 // NewIncrementalSPSTA runs the initial full SPSTA analysis with
-// ε-bounded pruning (eps = 0 is exact); incremental updates re-derive
-// every recomputed gate's budget from the configuration, so repeated
-// SetDelay/SetInput calls match a pruned full re-run with the same eps
-// instead of compounding the error.
+// ε-bounded pruning (eps = 0 is exact). Every SetDelay/SetInput/Clear*
+// update is bit-identical to a full re-run with the same eps and
+// overrides: each recomputed gate re-derives its budget from the
+// configuration, so repeated updates do not compound the error, and
+// propagation stops only where a net's state is exactly unchanged.
 func NewIncrementalSPSTA(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*IncrementalSPSTA, error) {
 	return incr.NewSPSTA(core.Analyzer{ErrorBudget: eps}, c, inputs)
 }

@@ -149,7 +149,7 @@ type Result struct {
 
 	// kernels memoizes delay-kernel discretizations for this
 	// analysis; it lives on the Result so incremental re-analysis
-	// (ComputeNode) keeps hitting the cache built by Run.
+	// (Update) keeps hitting the cache built by Run.
 	kernels *dist.KernelCache
 
 	// arena backs the stored t.o.p. functions; Recycle hands it back
@@ -158,7 +158,7 @@ type Result struct {
 }
 
 // Kernels returns the delay-kernel cache that Run built and that
-// ComputeNode keeps using (nil before either has run).
+// Update keeps using.
 func (r *Result) Kernels() *dist.KernelCache { return r.kernels }
 
 // Recycle releases the result's t.o.p. storage for reuse by a later
@@ -201,11 +201,33 @@ type runCtx struct {
 	coarsen   CoarsenPolicy
 	coarsened bool
 	// arena backs the stored t.o.p. functions of a full Run (nil for
-	// single-node recomputation, which falls back to NewPMF).
+	// incremental updates, which fall back to NewPMF).
 	arena *dist.Arena
 	// met is the run's metrics registry (also carried by grid); nil
 	// disables the core-level counters.
 	met *obs.Metrics
+}
+
+// newRunCtx resolves the analyzer's configuration for propagating
+// over res on its current grid and kernel cache.
+func (a *Analyzer) newRunCtx(res *Result) *runCtx {
+	rc := &runCtx{
+		grid: res.Grid, delay: a.Delay, maxParity: a.MaxParityFanin, kernels: res.kernels,
+		eps:     a.ErrorBudget,
+		certify: a.ErrorBudget > 0 || a.Coarsen.Mode != CoarsenOff,
+		coarsen: a.Coarsen,
+		met:     res.Grid.Metrics(),
+	}
+	if rc.delay == nil {
+		rc.delay = ssta.UnitDelay
+	}
+	if rc.maxParity == 0 {
+		rc.maxParity = DefaultMaxParityFanin
+	}
+	if rc.eps > 0 {
+		rc.empty = dist.NewPMF(res.Grid)
+	}
+	return rc
 }
 
 // newTOP returns an empty PMF for a stored t.o.p. function, carved
@@ -220,16 +242,8 @@ func (rc *runCtx) newTOP() *dist.PMF {
 // Run executes SPSTA over the circuit. inputs maps launch points to
 // their cycle statistics (default: the paper's scenario I).
 func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) (*Result, error) {
-	maxParity := a.MaxParityFanin
-	if maxParity == 0 {
-		maxParity = DefaultMaxParityFanin
-	}
 	if err := a.Coarsen.Validate(); err != nil {
 		return nil, err
-	}
-	delay := a.Delay
-	if delay == nil {
-		delay = ssta.UnitDelay
 	}
 	grid := a.Grid
 	if grid.N == 0 {
@@ -267,19 +281,121 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 		Grid:    grid,
 		State:   make([]NetState, len(c.Nodes)),
 		kernels: dist.NewKernelCache(grid),
-	}
-	rc := &runCtx{
-		grid: grid, delay: delay, maxParity: maxParity, kernels: res.kernels,
-		eps:     a.ErrorBudget,
-		certify: a.ErrorBudget > 0 || a.Coarsen.Mode != CoarsenOff,
-		coarsen: a.Coarsen,
 		arena:   dist.NewArena(grid, 2*len(c.Nodes)),
-		met:     a.Obs.M(),
 	}
-	res.arena = rc.arena
-	if rc.eps > 0 {
-		rc.empty = dist.NewPMF(grid)
+	rc := a.newRunCtx(res)
+	rc.arena = res.arena
+	node := func(id netlist.NodeID) error {
+		if err := a.computeNode(res, id, inputs, rc); err != nil {
+			return err
+		}
+		if exact != nil {
+			correctToExact(&res.State[id], exact[id])
+		}
+		return nil
 	}
+	// Level boundaries record the grid each level ran on and apply
+	// the coarsening policy (never after the last level), on the
+	// scheduling goroutine while no worker runs.
+	levels := c.Levelize()
+	boundary := func(li int, level []netlist.NodeID) {
+		if m := rc.met; m != nil {
+			m.GridBinsPerLevel.Observe(rc.grid.N)
+		}
+		if li < len(levels)-1 {
+			rc.maybeCoarsen(res, level)
+		}
+	}
+	if err := a.propagate(res, rc, levels, node, boundary); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Update re-times res in place after the launch statistics or the
+// delay of net seed changed (inputs and a.Delay already carry the new
+// values) and returns the number of nets recomputed: seed, then
+// exactly the combinational nets with a fanin whose state changed,
+// level by level on Run's scheduler. A recomputed net whose state
+// comes out unchanged keeps its stored state, so the result is
+// bit-identical to a full Run. Work and spans record into a.Obs. res
+// must come from Run of the same circuit; the ExactProbabilities
+// correction and grid coarsening are whole-circuit steps Update does
+// not replay.
+func (a *Analyzer) Update(res *Result, inputs map[netlist.NodeID]logic.InputStats, seed netlist.NodeID) (int, error) {
+	c := res.C
+	res.Grid = res.Grid.WithMetrics(a.Obs.M())
+	rc := a.newRunCtx(res)
+	levels := make([][]netlist.NodeID, c.Depth()+1)
+	levels[c.Nodes[seed].Level] = []netlist.NodeID{seed}
+	// A node's evaluation writes only its own changed slot; queued is
+	// touched only by the boundary hook on the scheduling goroutine.
+	changed := make([]bool, len(c.Nodes))
+	queued := make([]bool, len(c.Nodes))
+	node := func(id netlist.NodeID) error {
+		prev := res.State[id]
+		if err := a.computeNode(res, id, inputs, rc); err != nil {
+			return err
+		}
+		if sameState(&prev, &res.State[id]) {
+			// Keep the stored state itself, t.o.p. storage included.
+			res.State[id] = prev
+		} else {
+			changed[id] = true
+		}
+		return nil
+	}
+	evals := 0
+	boundary := func(_ int, level []netlist.NodeID) {
+		evals += len(level)
+		for _, id := range level {
+			if !changed[id] {
+				continue
+			}
+			for _, out := range c.Nodes[id].Fanout {
+				if o := c.Nodes[out]; o.Type.Combinational() && !queued[out] {
+					queued[out] = true
+					levels[o.Level] = append(levels[o.Level], out)
+				}
+			}
+		}
+	}
+	err := a.propagate(res, rc, levels, node, boundary)
+	return evals, err
+}
+
+// sameState reports whether two states of one net are equal value
+// for value. The pruning certificate is part of the state: a stale
+// consumed budget could under-report the certified deviation of a
+// cone whose fanins re-spent their budgets differently, so budget
+// changes propagate like value changes.
+func sameState(a, b *NetState) bool {
+	if a.P != b.P || a.PrunedMass != b.PrunedMass || a.Budget != b.Budget {
+		return false
+	}
+	for d := range a.TOP {
+		pa, pb := a.TOP[d], b.TOP[d]
+		if (pa == nil) != (pb == nil) {
+			return false
+		}
+		if pa == nil {
+			continue
+		}
+		for i := 0; i < pa.Grid().N; i++ {
+			if pa.W(i) != pb.W(i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// propagate evaluates node over levels on the level scheduler with
+// the analyzer's workers, scope and serial cutoff; Run and Update
+// share it, and with it the cost model below.
+func (a *Analyzer) propagate(res *Result, rc *runCtx, levels [][]netlist.NodeID,
+	node func(netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
+	c := res.C
 	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
 	cutoff := a.SerialCutoff
 	if cutoff == 0 {
@@ -322,65 +438,7 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 			return int64(len(n.Fanin)+1) * int64(w)
 		}
 	}
-	node := func(id netlist.NodeID) error {
-		if err := a.computeNode(res, id, inputs, rc); err != nil {
-			return err
-		}
-		if exact != nil {
-			correctToExact(&res.State[id], exact[id])
-		}
-		return nil
-	}
-	// Level boundaries record the grid each level ran on and apply
-	// the coarsening policy (never after the last level), on the
-	// scheduling goroutine while no worker runs.
-	levels := c.Levelize()
-	boundary := func(li int, level []netlist.NodeID) {
-		if m := rc.met; m != nil {
-			m.GridBinsPerLevel.Observe(rc.grid.N)
-		}
-		if li < len(levels)-1 {
-			rc.maybeCoarsen(res, level)
-		}
-	}
-	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), levels, len(c.Nodes), name, cost, cutoff, node, boundary)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ComputeNode recomputes one net's four-value probabilities and
-// t.o.p. functions from the fanin states already stored in res — the
-// single-node step of Run, exported for incremental re-analysis
-// (package incr). The exact-probability correction is whole-circuit
-// and is not applied here.
-func (a *Analyzer) ComputeNode(res *Result, id netlist.NodeID, inputs map[netlist.NodeID]logic.InputStats) error {
-	delay := a.Delay
-	if delay == nil {
-		delay = ssta.UnitDelay
-	}
-	maxParity := a.MaxParityFanin
-	if maxParity == 0 {
-		maxParity = DefaultMaxParityFanin
-	}
-	if res.kernels == nil || !res.kernels.Grid().Equal(res.Grid) {
-		res.kernels = dist.NewKernelCache(res.Grid)
-	}
-	// Incremental recomputation records into the scope the result was
-	// built with: res.Grid carries the registry Run attached.
-	rc := &runCtx{
-		grid: res.Grid, delay: delay, maxParity: maxParity, kernels: res.kernels,
-		eps: a.ErrorBudget, met: res.Grid.Metrics(),
-		// Single-node recomputation replays the fanin budget sums the
-		// original run performed (the grid never changes here, so the
-		// coarsening policy itself stays idle).
-		certify: a.ErrorBudget > 0 || a.Coarsen.Mode != CoarsenOff,
-	}
-	if rc.eps > 0 {
-		rc.empty = dist.NewPMF(res.Grid)
-	}
-	return a.computeNode(res, id, inputs, rc)
+	return runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), levels, len(c.Nodes), name, cost, cutoff, node, boundary)
 }
 
 func (a *Analyzer) computeNode(res *Result, id netlist.NodeID, inputs map[netlist.NodeID]logic.InputStats, rc *runCtx) error {

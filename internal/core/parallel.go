@@ -57,7 +57,10 @@ func resolveWorkers(w int) int {
 // boundary, when non-nil, runs on the scheduling goroutine after
 // every level's barrier (inline levels included) with the level's
 // index and nodes, before the next level is costed; no worker runs
-// while it does. Run hangs grid coarsening off it.
+// while it does. It may fill levels[li+1:], which the walk reads only
+// when it reaches them: Run hangs grid coarsening off the hook, and
+// Update queues the fanouts of the nets that changed. Empty levels
+// are skipped outright — no span, no metrics, no boundary call.
 //
 // Instrumentation (the caller's scoped m / tr registries) is purely
 // observational: per-level gate counts and wall time, per-worker
@@ -92,6 +95,9 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 			tr.NameThread(1, "worker 0")
 		}
 		for li, level := range levels {
+			if len(level) == 0 {
+				continue
+			}
 			if err := runLevelInline(m, tr, parent, li, level, name, f); err != nil {
 				return err
 			}
@@ -175,6 +181,9 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 		}
 	}()
 	for li, level := range levels {
+		if len(level) == 0 {
+			continue
+		}
 		if levelCost(level, cost) < serialBelow {
 			if err := runLevelInline(m, tr, parent, li, level, name, f); err != nil {
 				return err

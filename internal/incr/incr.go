@@ -3,14 +3,15 @@
 // for optimization", and an optimizer changing one gate must not pay
 // for a full-circuit pass. Both the SSTA baseline and SPSTA are
 // wrapped: after a delay or launch-statistics change, only the
-// affected fanout cone is recomputed, level by level, stopping as
-// soon as propagated values stop changing.
+// affected fanout cone is recomputed, level by level, and a net is
+// recomputed only when it is the edited one or one of its fanins
+// changed, so propagation stops exactly where values stop changing.
+// SPSTA cones run on the analyzer's own level scheduler
+// (core.Analyzer.Update); SSTA walks the same level buckets serially.
 package incr
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -20,51 +21,6 @@ import (
 	"repro/internal/ssta"
 )
 
-// levelQueue is a min-heap of nodes ordered by logic level, the
-// standard worklist for incremental timing: a node is processed only
-// after every fanin that might still change.
-type levelQueue struct {
-	c     *netlist.Circuit
-	items []netlist.NodeID
-	in    map[netlist.NodeID]bool
-}
-
-func newLevelQueue(c *netlist.Circuit) *levelQueue {
-	return &levelQueue{c: c, in: make(map[netlist.NodeID]bool)}
-}
-
-func (q *levelQueue) Len() int { return len(q.items) }
-func (q *levelQueue) Less(i, j int) bool {
-	li, lj := q.c.Nodes[q.items[i]].Level, q.c.Nodes[q.items[j]].Level
-	if li != lj {
-		return li < lj
-	}
-	return q.items[i] < q.items[j]
-}
-func (q *levelQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *levelQueue) Push(x any)    { q.items = append(q.items, x.(netlist.NodeID)) }
-func (q *levelQueue) Pop() any {
-	x := q.items[len(q.items)-1]
-	q.items = q.items[:len(q.items)-1]
-	return x
-}
-
-func (q *levelQueue) add(id netlist.NodeID) {
-	if !q.in[id] {
-		q.in[id] = true
-		heap.Push(q, id)
-	}
-}
-
-func (q *levelQueue) take() (netlist.NodeID, bool) {
-	if q.Len() == 0 {
-		return 0, false
-	}
-	id := heap.Pop(q).(netlist.NodeID)
-	q.in[id] = false
-	return id, true
-}
-
 // SSTA is an incrementally-updatable SSTA analysis.
 type SSTA struct {
 	c      *netlist.Circuit
@@ -73,9 +29,6 @@ type SSTA struct {
 	base   ssta.DelayModel
 	over   map[netlist.NodeID]dist.Normal
 	res    *ssta.Result
-	// Eps is the change threshold below which propagation stops
-	// (default exact: 0).
-	Eps float64
 }
 
 // NewSSTA runs the initial full analysis. base defaults to unit
@@ -153,32 +106,31 @@ func (s *SSTA) ClearInput(id netlist.NodeID) int {
 }
 
 func (s *SSTA) update(seed netlist.NodeID) int {
-	q := newLevelQueue(s.c)
-	q.add(seed)
+	c := s.c
+	levels := make([][]netlist.NodeID, c.Depth()+1)
+	levels[c.Nodes[seed].Level] = []netlist.NodeID{seed}
+	queued := make([]bool, len(c.Nodes))
 	evals := 0
-	for {
-		id, ok := q.take()
-		if !ok {
-			return evals
-		}
-		evals++
-		r, f := ssta.ComputeNode(s.res, id, s.inputs, s.delay)
-		if normalsClose(r, s.res.Arrival[ssta.DirRise][id], s.Eps) &&
-			normalsClose(f, s.res.Arrival[ssta.DirFall][id], s.Eps) {
-			continue
-		}
-		s.res.Arrival[ssta.DirRise][id] = r
-		s.res.Arrival[ssta.DirFall][id] = f
-		for _, out := range s.c.Nodes[id].Fanout {
-			if s.c.Nodes[out].Type.Combinational() {
-				q.add(out)
+	// A fanout sits on a later level than its fanin, so the walk
+	// reaches every bucket after the last append to it.
+	for _, level := range levels {
+		for _, id := range level {
+			evals++
+			r, f := ssta.ComputeNode(s.res, id, s.inputs, s.delay)
+			if r == s.res.Arrival[ssta.DirRise][id] && f == s.res.Arrival[ssta.DirFall][id] {
+				continue
+			}
+			s.res.Arrival[ssta.DirRise][id] = r
+			s.res.Arrival[ssta.DirFall][id] = f
+			for _, out := range c.Nodes[id].Fanout {
+				if o := c.Nodes[out]; o.Type.Combinational() && !queued[out] {
+					queued[out] = true
+					levels[o.Level] = append(levels[o.Level], out)
+				}
 			}
 		}
 	}
-}
-
-func normalsClose(a, b dist.Normal, eps float64) bool {
-	return math.Abs(a.Mu-b.Mu) <= eps && math.Abs(a.Sigma-b.Sigma) <= eps
+	return evals
 }
 
 // SPSTA is an incrementally-updatable SPSTA analysis.
@@ -190,21 +142,21 @@ type SPSTA struct {
 	base   ssta.DelayModel
 	over   map[netlist.NodeID]dist.Normal
 	res    *core.Result
-	// Eps is the L1 threshold on probabilities and t.o.p. change
-	// below which propagation stops. The default 1e-12 keeps
-	// results bit-comparable to a full re-run while still cutting
-	// off numerically-identical cones.
-	Eps float64
 }
 
 // NewSPSTA runs the initial full analysis with the given analyzer
-// configuration. The whole-circuit ExactProbabilities correction is
-// incompatible with cone-local updates and is rejected.
+// configuration. Two whole-circuit steps cannot be replayed on a
+// cone and are rejected: the ExactProbabilities correction, and grid
+// coarsening, whose re-binning deviation a cone recomputed on the
+// final coarse grid would never add.
 func NewSPSTA(a core.Analyzer, c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) (*SPSTA, error) {
 	if a.ExactProbabilities {
 		return nil, fmt.Errorf("incr: ExactProbabilities is a whole-circuit correction; run core.Analyzer directly")
 	}
-	s := &SPSTA{a: a, c: c, inputs: cloneStats(inputs), baseIn: cloneStats(inputs), Eps: 1e-12}
+	if a.Coarsen.Mode != core.CoarsenOff {
+		return nil, fmt.Errorf("incr: grid coarsening re-bins at full-run level boundaries; run core.Analyzer directly")
+	}
+	s := &SPSTA{a: a, c: c, inputs: cloneStats(inputs), baseIn: cloneStats(inputs)}
 	s.base = a.Delay
 	if s.base == nil {
 		s.base = ssta.UnitDelay
@@ -229,7 +181,7 @@ func NewSPSTA(a core.Analyzer, c *netlist.Circuit, inputs map[netlist.NodeID]log
 func (s *SPSTA) SetDelay(id netlist.NodeID, d dist.Normal) (int, error) {
 	old, had := s.over[id]
 	s.over[id] = d
-	n, err := s.update(id)
+	n, err := s.a.Update(s.res, s.inputs, id)
 	if had && old != d {
 		s.retire(old)
 	}
@@ -262,7 +214,7 @@ func (s *SPSTA) SetInput(id netlist.NodeID, st logic.InputStats) (int, error) {
 		return 0, err
 	}
 	s.inputs[id] = st
-	return s.update(id)
+	return s.a.Update(s.res, s.inputs, id)
 }
 
 // ClearDelay removes a delay override, restoring the base model for
@@ -274,7 +226,7 @@ func (s *SPSTA) ClearDelay(id netlist.NodeID) (int, error) {
 		return 0, nil
 	}
 	delete(s.over, id)
-	n, err := s.update(id)
+	n, err := s.a.Update(s.res, s.inputs, id)
 	s.retire(old)
 	return n, err
 }
@@ -287,7 +239,7 @@ func (s *SPSTA) ClearInput(id netlist.NodeID) (int, error) {
 	} else {
 		delete(s.inputs, id)
 	}
-	return s.update(id)
+	return s.a.Update(s.res, s.inputs, id)
 }
 
 // Circuit returns the analyzed circuit.
@@ -295,72 +247,8 @@ func (s *SPSTA) Circuit() *netlist.Circuit { return s.c }
 
 // SetObs re-attaches the session to an observability scope: later
 // SetDelay/SetInput/Clear* recomputations record their metrics (cost
-// units, kernel counters) and spans into the given scope instead of
-// the one the session was built with. This is what lets a service
-// hold one long-lived session and still attribute each delta
+// units, level statistics) and level spans into the given scope
+// instead of the one the session was built with. This is what lets a
+// service hold one long-lived session and still attribute each delta
 // request's work to that request's scope. nil detaches.
-func (s *SPSTA) SetObs(scope *obs.Scope) {
-	s.a.Obs = scope
-	// ComputeNode reads the metrics handle off the result's grid (the
-	// dist kernels have no config struct), so the re-attachment must
-	// rewrite it there too.
-	s.res.Grid = s.res.Grid.WithMetrics(scope.M())
-}
-
-func (s *SPSTA) update(seed netlist.NodeID) (int, error) {
-	q := newLevelQueue(s.c)
-	q.add(seed)
-	evals := 0
-	for {
-		id, ok := q.take()
-		if !ok {
-			return evals, nil
-		}
-		evals++
-		prev := s.res.State[id]
-		if err := s.a.ComputeNode(s.res, id, s.inputs); err != nil {
-			return evals, err
-		}
-		if stateClose(&prev, &s.res.State[id], s.Eps) {
-			// Restore the exact previous state to keep untouched
-			// cones bit-identical.
-			s.res.State[id] = prev
-			continue
-		}
-		for _, out := range s.c.Nodes[id].Fanout {
-			if s.c.Nodes[out].Type.Combinational() {
-				q.add(out)
-			}
-		}
-	}
-}
-
-func stateClose(a, b *core.NetState, eps float64) bool {
-	for v := range a.P {
-		if math.Abs(a.P[v]-b.P[v]) > eps {
-			return false
-		}
-	}
-	// The pruning certificate is part of the state: a stale consumed
-	// budget could under-report the certified deviation of a cone
-	// whose fanins re-spent their budgets differently, so budget
-	// changes propagate like value changes.
-	if math.Abs(a.PrunedMass-b.PrunedMass) > eps || math.Abs(a.Budget-b.Budget) > eps {
-		return false
-	}
-	for d := range a.TOP {
-		pa, pb := a.TOP[d], b.TOP[d]
-		if (pa == nil) != (pb == nil) {
-			return false
-		}
-		if pa == nil {
-			continue
-		}
-		for i := 0; i < pa.Grid().N; i++ {
-			if math.Abs(pa.W(i)-pb.W(i)) > eps {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (s *SPSTA) SetObs(scope *obs.Scope) { s.a.Obs = scope }

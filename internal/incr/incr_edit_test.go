@@ -12,8 +12,8 @@ import (
 )
 
 // variationalSession hydrates an incremental SPSTA session the way a
-// served /v1/delta session does: N(1, sigma²) base gate delays, the
-// given pruning budget and an exact propagation cutoff.
+// served /v1/delta session does: N(1, sigma²) base gate delays and
+// the given pruning budget.
 func variationalSession(tb testing.TB, circuit string, sigma, eps float64) (*SPSTA, []netlist.NodeID) {
 	tb.Helper()
 	c := gen(tb, circuit)
@@ -24,7 +24,6 @@ func variationalSession(tb testing.TB, circuit string, sigma, eps float64) (*SPS
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s.Eps = 0
 	var gates []netlist.NodeID
 	for _, n := range c.Nodes {
 		if n.Type.Combinational() {
@@ -99,6 +98,62 @@ func TestSPSTAKernelCacheBounded(t *testing.T) {
 	}
 }
 
+// singleEdit is one step of the served single-gate /v1/delta
+// workload: a gate-delay override replacing the previous step's.
+type singleEdit struct {
+	gate netlist.NodeID
+	d    dist.Normal
+}
+
+// singleEdits draws the 512-step seeded edit sequence of
+// BenchmarkSPSTASingleEdit over the session's gates.
+func singleEdits(gates []netlist.NodeID) []singleEdit {
+	rng := rand.New(rand.NewSource(1))
+	edits := make([]singleEdit, 512)
+	for i := range edits {
+		edits[i] = singleEdit{gates[rng.Intn(len(gates))], randomDelay(rng)}
+	}
+	return edits
+}
+
+// apply clears prev's override (none when prev < 0) and applies e, as
+// consecutive single-edit requests on one session do, returning the
+// nets recomputed.
+func (e singleEdit) apply(s *SPSTA, prev netlist.NodeID) (int, error) {
+	nets := 0
+	if prev >= 0 {
+		n, err := s.ClearDelay(prev)
+		if err != nil {
+			return nets, err
+		}
+		nets += n
+	}
+	n, err := s.SetDelay(e.gate, e.d)
+	return nets + n, err
+}
+
+// TestSPSTASingleEditRecomputedSet pins the cone cutoff: replaying
+// BenchmarkSPSTASingleEdit's edit sequence once on s1196 must
+// recompute exactly 31,749 nets (62.01 per edit). A net is recomputed
+// iff it is the edited one or one of its fanins changed, so any other
+// total means the propagation visits a different set.
+func TestSPSTASingleEditRecomputedSet(t *testing.T) {
+	s, gates := variationalSession(t, "s1196", 0.2, 1e-4)
+	nets := 0
+	prev := netlist.NodeID(-1)
+	for _, e := range singleEdits(gates) {
+		n, err := e.apply(s, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets += n
+		prev = e.gate
+	}
+	if nets != 31749 {
+		t.Errorf("512 single edits recomputed %d nets, want 31749", nets)
+	}
+}
+
 // BenchmarkSPSTASingleEdit measures the cost of one served
 // single-gate /v1/delta edit without the daemon: on s1196 at
 // sigma=0.2 and epsilon=1e-4, each operation clears the previous
@@ -107,29 +162,14 @@ func TestSPSTAKernelCacheBounded(t *testing.T) {
 // do. It reports the nets recomputed per edit next to ns/op.
 func BenchmarkSPSTASingleEdit(b *testing.B) {
 	s, gates := variationalSession(b, "s1196", 0.2, 1e-4)
-	rng := rand.New(rand.NewSource(1))
-	type edit struct {
-		gate netlist.NodeID
-		d    dist.Normal
-	}
-	edits := make([]edit, 512)
-	for i := range edits {
-		edits[i] = edit{gates[rng.Intn(len(gates))], randomDelay(rng)}
-	}
+	edits := singleEdits(gates)
 	nets := 0
 	prev := netlist.NodeID(-1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := edits[i%len(edits)]
-		if prev >= 0 {
-			n, err := s.ClearDelay(prev)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nets += n
-		}
-		n, err := s.SetDelay(e.gate, e.d)
+		n, err := e.apply(s, prev)
 		if err != nil {
 			b.Fatal(err)
 		}

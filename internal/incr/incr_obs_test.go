@@ -10,10 +10,10 @@ import (
 )
 
 // TestIncrementalRecordsIntoRunScope pins the scope-inheritance
-// contract: incremental recomputation (ComputeNode via SetDelay)
+// contract: incremental recomputation (Analyzer.Update via SetDelay)
 // records its kernel and mixture work into the scope of the original
-// Run — carried by the Result's grid — not into a global registry and
-// not into nothing.
+// Run — the session's analyzer scope — not into a global registry
+// and not into nothing.
 func TestIncrementalRecordsIntoRunScope(t *testing.T) {
 	c := gen(t, "s344")
 	in := experiments.Inputs(c, experiments.ScenarioI)

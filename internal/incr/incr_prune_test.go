@@ -16,33 +16,77 @@ import (
 // the incremental engine must land on the same state as a pruned full
 // re-run with the same ε after a sequence of SetDelay/SetInput
 // changes. Budgets are per gate and re-derived from the configuration
-// on every ComputeNode, so the incremental path cannot double-spend ε
-// no matter how many times a cone is recomputed.
+// on every recomputation, so the incremental path cannot double-spend
+// ε no matter how many times a cone is recomputed.
+//
+// Cone updates run on the level scheduler, so the sequence is also
+// replayed over Workers × SerialCutoff (-1 dispatches every level to
+// the pool, even on one processor): every row must recompute the same
+// nets and end bit-identical to the serial run. The poisoned row
+// swaps the result's grid for one of a different geometry first, so
+// the cone's first net panics on a pool worker; the panic must reach
+// this goroutine as a recoverable panic instead of killing the
+// process.
 func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 	const eps = 1e-4
 	c := gen(t, "s344")
 	in := experiments.Inputs(c, experiments.ScenarioI)
-	a := core.Analyzer{ErrorBudget: eps}
-	inc, err := NewSPSTA(a, c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// A launch change followed by a delay change, with the delay
 	// change applied twice (the second recomputation of the same cone
 	// must not spend any further budget).
 	launch := c.LaunchPoints()[1]
 	st := logic.SkewedStats()
-	if _, err := inc.SetInput(launch, st); err != nil {
-		t.Fatal(err)
-	}
 	g := pickGate(c)
 	d := dist.Normal{Mu: 2.5, Sigma: 0.2}
-	if _, err := inc.SetDelay(g, d); err != nil {
-		t.Fatal(err)
+	session := func(workers int, cutoff int64) *SPSTA {
+		inc, err := NewSPSTA(core.Analyzer{ErrorBudget: eps, Workers: workers, SerialCutoff: cutoff}, c, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc
 	}
-	if _, err := inc.SetDelay(g, d); err != nil {
-		t.Fatal(err)
+	edit := func(inc *SPSTA) (evals [3]int) {
+		var err error
+		if evals[0], err = inc.SetInput(launch, st); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 3; i++ {
+			if evals[i], err = inc.SetDelay(g, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return evals
+	}
+	inc := session(1, 0)
+	evals := edit(inc)
+	for _, tc := range []struct {
+		workers int
+		cutoff  int64
+		poison  bool
+	}{{1, -1, false}, {4, 0, false}, {4, -1, false}, {4, -1, true}} {
+		got := session(tc.workers, tc.cutoff)
+		if tc.poison {
+			got.Result().Grid = dist.NewGrid(0, 1, 0.5)
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				edit(got)
+				return nil
+			}()
+			if p == nil {
+				t.Errorf("workers=%d cutoff=%d: update on a poisoned grid did not panic", tc.workers, tc.cutoff)
+			}
+			continue
+		}
+		if gotEvals := edit(got); gotEvals != evals {
+			t.Errorf("workers=%d cutoff=%d: recomputed %v nets, serial %v", tc.workers, tc.cutoff, gotEvals, evals)
+		}
+		for _, n := range c.Nodes {
+			a, b := &got.Result().State[n.ID], &inc.Result().State[n.ID]
+			if a.P != b.P || a.PrunedMass != b.PrunedMass || a.Budget != b.Budget || !sameTOPs(a, b) {
+				t.Fatalf("workers=%d cutoff=%d: %s state differs from the serial run", tc.workers, tc.cutoff, n.Name)
+			}
+		}
 	}
 
 	in2 := experiments.Inputs(c, experiments.ScenarioI)
@@ -96,4 +140,20 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameTOPs reports whether two states' t.o.p. functions are equal bin
+// for bin.
+func sameTOPs(a, b *core.NetState) bool {
+	for d := range a.TOP {
+		if (a.TOP[d] == nil) != (b.TOP[d] == nil) {
+			return false
+		}
+		for i := 0; a.TOP[d] != nil && i < a.TOP[d].Grid().N; i++ {
+			if a.TOP[d].W(i) != b.TOP[d].W(i) {
+				return false
+			}
+		}
+	}
+	return true
 }

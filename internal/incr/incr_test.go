@@ -234,10 +234,20 @@ func TestSPSTAIncrementalDelayChange(t *testing.T) {
 	}
 }
 
+// TestSPSTARejectsExactProbabilities: the whole-circuit steps a cone
+// update cannot replay are rejected up front — the exact-probability
+// correction, and grid coarsening, whose re-binning deviation a cone
+// recomputed on the final coarse grid would never add.
 func TestSPSTARejectsExactProbabilities(t *testing.T) {
 	c := gen(t, "s298")
 	in := experiments.Inputs(c, experiments.ScenarioI)
-	if _, err := NewSPSTA(core.Analyzer{ExactProbabilities: true}, c, in); err == nil {
-		t.Error("exact-probability analyzer accepted for incremental use")
+	for name, a := range map[string]core.Analyzer{
+		"exact probabilities": {ExactProbabilities: true},
+		"fixed coarsening":    {Coarsen: core.CoarsenPolicy{Mode: core.CoarsenFixed}},
+		"auto coarsening":     {Coarsen: core.CoarsenPolicy{Mode: core.CoarsenAuto}},
+	} {
+		if _, err := NewSPSTA(a, c, in); err == nil {
+			t.Errorf("%s: analyzer accepted for incremental use", name)
+		}
 	}
 }

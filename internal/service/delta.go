@@ -205,10 +205,6 @@ func (sess *deltaSession) hydrate(req *DeltaRequest, c *netlist.Circuit, in map[
 		if err != nil {
 			return err
 		}
-		// Exact propagation cutoff: recomputing an unchanged cone is
-		// deterministic, so equality is always reached, and epsilon-0
-		// requests stay bit-identical to a full re-analysis.
-		sp.Eps = 0
 		sess.sp = sp
 	default:
 		sess.ss = incr.NewSSTA(c, in, delayModel(req.Sigma))
@@ -312,7 +308,7 @@ func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input 
 // hydrate a cold session (or point a warm one at the request's
 // scope), reconcile the override set, and format the result. The
 // unlock is deferred and a panic on the way (a dist invariant check
-// inside ComputeNode, say) is recovered into the returned error, so a
+// inside a cone update, say) is recovered into the returned error, so a
 // failing request never leaves the session locked. Any failure also
 // marks the session unhydrated: a request already queued on the lock
 // re-hydrates instead of reusing the half-updated analysis.

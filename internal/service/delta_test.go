@@ -299,7 +299,7 @@ func TestDeltaSessionInvalidation(t *testing.T) {
 
 // TestDeltaPanicDropsSession injects a panic into a warm session's
 // recomputation — the result's grid is swapped for one of a different
-// geometry, so ComputeNode trips a dist grid-mismatch check — and
+// geometry, so the cone update panics on the mismatched bins — and
 // requires the request to fail with a 500 without leaving the
 // session locked: the next delta on the same key re-hydrates a fresh
 // session and succeeds.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // postTraceparent is post with a W3C traceparent request header.
@@ -370,6 +371,39 @@ func TestSlowRequestCapture(t *testing.T) {
 		if tc.path == "/v1/analyze" && root.Args["cached"] != true {
 			t.Errorf("full cache hit: root span args %v, want cached", root.Args)
 		}
+	}
+
+	// A warm single-edit delta re-times its cone on the level
+	// scheduler: its captured tree holds one span per non-empty level
+	// of the cone under the request span, and their gate counts add up
+	// to the nets the response says it recomputed.
+	prof, _ := synth.ProfileByName("s208")
+	c, err := synth.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := ""
+	for _, n := range c.Nodes {
+		if n.Type.Combinational() && n.Level == 1 && len(n.Fanout) > 0 {
+			gate = n.Name
+			break
+		}
+	}
+	_, dr, b := postDelta(t, srv.URL, &DeltaRequest{Circuit: "s208", Edits: []DeltaEdit{{Gate: gate, Mu: 2.5}}})
+	if dr.Session != "warm" || dr.NetsRecomputed == 0 {
+		t.Fatalf("single-edit delta: session %q, %d nets recomputed; want a warm cone: %s", dr.Session, dr.NetsRecomputed, b)
+	}
+	gates := 0
+	levels := regexp.MustCompile(`^L[0-9]+$`)
+	for _, l := range capturedTree(t, srv.URL, dr.RequestID, "/v1/delta").Roots[0].Children {
+		n, _ := l.Args["gates"].(float64)
+		if l.Cat != "level" || !levels.MatchString(l.Name) || n < 1 {
+			t.Errorf("warm delta: span %q (cat %q, %v gates) under the request span; want non-empty level spans only", l.Name, l.Cat, l.Args["gates"])
+		}
+		gates += int(n)
+	}
+	if gates != dr.NetsRecomputed {
+		t.Errorf("warm delta: level spans cover %d gates, response recomputed %d nets", gates, dr.NetsRecomputed)
 	}
 }
 

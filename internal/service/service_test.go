@@ -486,9 +486,9 @@ func TestTraceFile(t *testing.T) {
 
 // TestEnginePanicFreesSlot poisons a registered circuit — one gate's
 // fanin points past the node table, so the spsta engine panics with an
-// index out of range in core.(*Analyzer).computeNode, the worker
-// behind ComputeNode — and posts traced and untraced analyze and
-// compare requests for it with a single worker slot and no queue. Each
+// index out of range in core.(*Analyzer).computeNode, the per-net
+// step behind Run and Update — and posts traced and untraced analyze
+// and compare requests for it with a single worker slot and no queue. Each
 // must answer 500, give its slot and in-flight count back, leave
 // exactly one flight record (status 500, the panic's stack on the
 // detail endpoint only), and a later cold request must still get the
@@ -547,7 +547,7 @@ func TestEnginePanicFreesSlot(t *testing.T) {
 				err = json.NewDecoder(gr.Body).Decode(&detail)
 				gr.Body.Close()
 				if err != nil || !strings.Contains(detail.Stack, "core.(*Analyzer).computeNode") {
-					t.Errorf("flight detail stack (err %v) does not reach ComputeNode:\n%s", err, detail.Stack)
+					t.Errorf("flight detail stack (err %v) does not reach computeNode:\n%s", err, detail.Stack)
 				}
 
 				if resp, body := post(t, srv.URL+"/v1/analyze", `{"circuit":"s298"}`); resp.StatusCode != http.StatusOK {
