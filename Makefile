@@ -77,19 +77,22 @@ soak:
 # tests), the benchmark module's own vet and short tests (spstabench
 # is a separate module the root ./... does not enter), an explicit
 # spstad smoke run, then the instrumentation overhead guard. The
-# parallel determinism tests
-# (core.TestParallelRunMatchesSerial and friends) exercise the
-# level-parallel analyzers with Workers=4, and
+# parallel determinism tests (core.TestParallelRunMatchesSerial and
+# friends) exercise the level-parallel analyzer with Workers=4, which
+# dispatches every level of at least 16 gates to the pool, and
 # incr.TestSPSTAIncrementalPrunedMatchesFull does the same for cone
-# updates (Workers × SerialCutoff, plus a panic on a pool worker), so
-# this is the schedule-safety check; the instrumented variants
-# (core.TestInstrumentedParallelMatchesSerial and friends) re-check
-# it with metrics and tracing live.
+# updates (Workers 1 and 4, plus a panic in a cone), so this is the
+# schedule-safety check; the instrumented variants
+# (core.TestInstrumentedParallelMatchesSerial and friends) re-check it
+# with metrics and tracing live. The scheduler tests run again at
+# GOMAXPROCS 1 and 2, so the pool is raced on one processor as well as
+# on two.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned' ./internal/core ./internal/incr
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...
 	$(MAKE) smoke
 	$(MAKE) soak

@@ -6,8 +6,8 @@
 //
 //	-engine spsta   SPSTA propagation per circuit per worker count
 //	                (default output BENCH_spsta.json)
-//	-engine moment  analytic moment-matching SPSTA per circuit per
-//	                worker count (default output BENCH_moment.json)
+//	-engine moment  analytic moment-matching SPSTA per circuit, on
+//	                one worker (default output BENCH_moment.json)
 //	-engine mc      scalar vs word-packed Monte Carlo per circuit
 //	                (default output BENCH_mc.json)
 //
@@ -61,7 +61,8 @@ type Row struct {
 	Circuit string `json:"circuit"`
 	Gates   int    `json:"gates"`
 	Depth   int    `json:"depth"`
-	// Workers is the worker count of an SPSTA or moment cell.
+	// Workers is the worker count of an SPSTA cell (1 for a moment
+	// cell, which always runs serially).
 	Workers int `json:"workers,omitempty"`
 	// Epsilon is the adaptive-pruning error budget of an SPSTA or
 	// moment cell (0 = exact).
@@ -106,11 +107,6 @@ type Row struct {
 	// consumed budget.
 	PrunedMass float64 `json:"pruned_mass,omitempty"`
 	MaxBudget  float64 `json:"max_consumed_budget,omitempty"`
-	// Schedule marks SPSTA cells whose cost-aware scheduler inlined
-	// every level ("serial-inline"): the cell executes the identical
-	// instruction stream as workers=1, so its speedup is 1.0 by
-	// construction and the measured ns/op differs only by noise.
-	Schedule string `json:"schedule,omitempty"`
 	// Metrics is an engine-metrics snapshot from one extra
 	// instrumented run of this cell (-metrics); the timed reps above
 	// run uninstrumented so NsPerOp is unaffected.
@@ -142,7 +138,7 @@ func main() {
 func run() error {
 	engine := flag.String("engine", "spsta", "benchmark engine: spsta (level-parallel analyzer sweep), moment (analytic moment-matching sweep), or mc (scalar vs packed Monte Carlo)")
 	out := flag.String("out", "", "output JSON path (- for stdout; default BENCH_<engine>.json)")
-	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta/moment)")
+	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta; moment cells run one worker)")
 	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
 	sigmaList := flag.String("sigma", "0", "comma-separated gate-delay sigmas to sweep (-engine spsta/moment); 0 is deterministic unit delay, >0 selects variational N(1, sigma^2) delays")
 	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, fixed, auto (DESIGN.md §15)")
@@ -191,6 +187,9 @@ func run() error {
 		workers, err := parseInts(*workersList)
 		if err != nil {
 			return err
+		}
+		if *engine == "moment" {
+			workers = []int{1}
 		}
 		epsilons, err := parseFloats(*epsilonList)
 		if err != nil {
@@ -276,7 +275,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 	}
 	runOnce := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) error {
 		if engine == "moment" {
-			_, err := (&core.MomentTiming{Workers: cl.w, ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
+			_, err := (&core.MomentTiming{ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
 			return err
 		}
 		res, err := analyzerFor(cl).Run(c, in)
@@ -290,7 +289,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 	// timed loop to extract the pruning / re-binning certificate.
 	certificate := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) (pruned, budget float64, err error) {
 		if engine == "moment" {
-			res, err := (&core.MomentTiming{Workers: cl.w, ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
+			res, err := (&core.MomentTiming{ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -394,15 +393,6 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			}
 			if cl.w != 1 && base[baseKey{cl.eps, cl.sigma, cl.coarsen}] > 0 {
 				row.SpeedupV1 = base[baseKey{cl.eps, cl.sigma, cl.coarsen}] / mins[i]
-				if inlined, err := allInline(engine, c, in, cl.w, cl.eps, cl.sigma, cl.coarsen); err != nil {
-					return nil, err
-				} else if inlined {
-					// Identical instruction stream as workers=1: the
-					// cost-aware scheduler inlined every level, so the
-					// speedup is 1.0 by construction.
-					row.SpeedupV1 = 1.0
-					row.Schedule = "serial-inline"
-				}
 			}
 			if cl.eps > 0 {
 				if e := exact[exactKey{cl.w, cl.sigma, cl.coarsen}]; e > 0 {
@@ -433,7 +423,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 					row.CostUnits = snap.Cost.Total
 				}
 			} else if withMetrics {
-				snap, err := snapshotAnalyzer(engine, c, in, cl.w, cl.eps, cl.sigma)
+				snap, err := snapshotMoment(c, in, cl.eps, cl.sigma)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", c.Name, vs[i].name, err)
 				}
@@ -441,8 +431,8 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 				row.CostUnits = snap.Cost.Total
 			}
 			out = append(out, row)
-			fmt.Fprintf(os.Stderr, "%-8s %-30s  %12.0f ns/op  (%d reps × %d rounds)%s\n",
-				c.Name, vs[i].name, row.NsPerOp, row.Reps, rounds, scheduleSuffix(row.Schedule))
+			fmt.Fprintf(os.Stderr, "%-8s %-30s  %12.0f ns/op  (%d reps × %d rounds)\n",
+				c.Name, vs[i].name, row.NsPerOp, row.Reps, rounds)
 		}
 	}
 	return out, nil
@@ -456,13 +446,6 @@ func delayFor(sigma float64) ssta.DelayModel {
 		return nil
 	}
 	return func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: sigma} }
-}
-
-func scheduleSuffix(s string) string {
-	if s == "" {
-		return ""
-	}
-	return "  [" + s + "]"
 }
 
 // benchMC measures the scalar and packed Monte Carlo engines per
@@ -585,49 +568,19 @@ func measureInterleaved(vs []variant, minTime time.Duration, rounds int) ([]floa
 	return mins, reps, nil
 }
 
-// allInline reports whether an instrumented Run with the given worker
-// count dispatched no level to the pool (every gate was attributed to
-// worker 0 by the cost-aware serial fallback).
-func allInline(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64, coarsen core.CoarsenMode) (bool, error) {
+// snapshotMoment runs the moment engine once more with metrics
+// enabled and returns the snapshot (including the pruned-leaf counters
+// of an ε>0 cell). It runs outside the timed loop so the reported
+// ns/op measures the uninstrumented fast path.
+func snapshotMoment(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, eps, sigma float64) (*obs.Snapshot, error) {
 	scope := obs.NewScope()
-	m := scope.Metrics
-	var err error
-	if engine == "moment" {
-		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
-	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma),
-			Coarsen: core.CoarsenPolicy{Mode: coarsen}, Obs: scope}).Run(c, in)
-	}
-	if err != nil {
-		return false, err
-	}
-	for _, ws := range m.Snapshot().Workers {
-		if ws.Worker != 0 && ws.Gates > 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// snapshotAnalyzer runs the engine once more with metrics enabled and
-// returns the snapshot (including the pruned-leaf and truncated-mass
-// counters of an ε>0 cell). It runs outside the timed loop so the
-// reported ns/op measures the uninstrumented fast path.
-func snapshotAnalyzer(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, w int, eps, sigma float64) (*obs.Snapshot, error) {
-	scope := obs.NewScope()
-	var err error
-	if engine == "moment" {
-		_, err = (&core.MomentTiming{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
-	} else {
-		_, err = (&core.Analyzer{Workers: w, ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in)
-	}
-	if err != nil {
+	if _, err := (&core.MomentTiming{ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in); err != nil {
 		return nil, err
 	}
 	return scope.Snapshot(), nil
 }
 
-// snapshotMC is the Monte Carlo analog of snapshotSPSTA.
+// snapshotMC is the Monte Carlo analog of snapshotMoment.
 func snapshotMC(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cfg montecarlo.Config) (*obs.Snapshot, error) {
 	scope := obs.NewScope()
 	cfg.Obs = scope

@@ -52,7 +52,7 @@ func run() error {
 	analyzer := flag.String("analyzer", "spsta", "analyzer: spsta, spsta-moments, ssta, sta, mc, critical, paths, yield, or all")
 	runs := flag.Int("runs", 10000, "Monte Carlo run count")
 	seed := flag.Int64("seed", 1, "Monte Carlo seed; Monte Carlo output is deterministic for a fixed (-seed, -workers) pair")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS): SPSTA evaluates each circuit level in parallel with results identical for any worker count; Monte Carlo shards its runs per worker, so its substreams — and hence its output — are determined by the (-seed, -workers) pair")
+	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS): SPSTA evaluates each circuit level in parallel with results identical for any worker count; spsta-moments ignores it and runs serially; Monte Carlo shards its runs per worker, so its substreams — and hence its output — are determined by the (-seed, -workers) pair")
 	packed := flag.Bool("packed", true, "use the word-packed bit-parallel Monte Carlo engine (64 runs per machine word; bit-identical to -packed=false for the same seed and workers)")
 	net := flag.String("net", "", "report a single net instead of the endpoints")
 	split := flag.Int("split", 0, "decompose gates wider than this fanin into trees (0 disables)")
@@ -140,7 +140,7 @@ func run() error {
 			_, err := runSPSTA(c, in, targets, *workers, *epsilon, delay, pol, scope)
 			return err
 		case "spsta-moments":
-			_, err := runSPSTAMoments(c, in, targets, *workers, *epsilon, delay, scope)
+			_, err := runSPSTAMoments(c, in, targets, *epsilon, delay, scope)
 			return err
 		case "ssta":
 			return runSSTA(c, in, targets, delay)
@@ -187,7 +187,7 @@ func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets 
 		{"spsta", func() (pruneStats, error) {
 			return runSPSTA(c, in, targets, workers, epsilon, delay, pol, scope)
 		}},
-		{"spsta-moments", func() (pruneStats, error) { return runSPSTAMoments(c, in, targets, workers, epsilon, delay, scope) }},
+		{"spsta-moments", func() (pruneStats, error) { return runSPSTAMoments(c, in, targets, epsilon, delay, scope) }},
 		{"ssta", func() (pruneStats, error) { return pruneStats{}, runSSTA(c, in, targets, delay) }},
 		{"sta", func() (pruneStats, error) { return pruneStats{}, runSTA(c, in, targets, delay) }},
 		{"mc", func() (pruneStats, error) {
@@ -420,8 +420,8 @@ func runSPSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, target
 	return pruneStats{ok: true, pruned: res.TotalPrunedMass(), budget: res.MaxConsumedBudget()}, nil
 }
 
-func runSPSTAMoments(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, workers int, epsilon float64, delay ssta.DelayModel, scope *obs.Scope) (pruneStats, error) {
-	a := core.MomentTiming{Workers: workers, Delay: delay, ErrorBudget: epsilon, Obs: scope}
+func runSPSTAMoments(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, epsilon float64, delay ssta.DelayModel, scope *obs.Scope) (pruneStats, error) {
+	a := core.MomentTiming{Delay: delay, ErrorBudget: epsilon, Obs: scope}
 	res, err := a.Run(c, in)
 	if err != nil {
 		return pruneStats{}, err

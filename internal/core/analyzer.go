@@ -75,17 +75,6 @@ type Analyzer struct {
 	// any worker count produces bit-identical results to the serial
 	// run — parallelism changes the schedule, never the arithmetic.
 	Workers int
-	// SerialCutoff tunes the cost-aware schedule: a level whose
-	// estimated work — sum over its gates of (fanin+1) × grid bins —
-	// falls below the cutoff is evaluated inline instead of being
-	// dispatched to the worker pool, because for small levels the
-	// channel sends and barrier wake-ups outweigh the distributed
-	// work. 0 selects DefaultAnalyzerSerialCutoff (calibrated on the
-	// cmd/benchperf harness); negative disables the fallback and
-	// dispatches every level. On GOMAXPROCS=1 runtimes every level
-	// runs inline regardless (unless SerialCutoff is negative), since
-	// a single processor cannot overlap the pool's work.
-	SerialCutoff int64
 	// ErrorBudget is the per-net ε for adaptive pruning (DESIGN.md
 	// §11): each net may spend at most this much occurrence mass on
 	// subset branch-and-bound cuts, negligible-switcher absorption
@@ -111,13 +100,6 @@ type Analyzer struct {
 	// single-resolution engine.
 	Coarsen CoarsenPolicy
 }
-
-// DefaultAnalyzerSerialCutoff is the default serial-fallback
-// threshold of Analyzer in (fanin+1)×bins work units — roughly ten
-// average gates on the default timing grid, the break-even point
-// between per-level dispatch overhead and distributable convolution
-// work on the cmd/benchperf harness.
-const DefaultAnalyzerSerialCutoff = 16384
 
 // MISModel maps a gate and its simultaneously-switching input count
 // to the gate delay (an alias of ssta.MISModel).
@@ -306,7 +288,7 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 			rc.maybeCoarsen(res, level)
 		}
 	}
-	if err := a.propagate(res, rc, levels, node, boundary); err != nil {
+	if err := a.propagate(res, levels, node, boundary); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -360,7 +342,7 @@ func (a *Analyzer) Update(res *Result, inputs map[netlist.NodeID]logic.InputStat
 			}
 		}
 	}
-	err := a.propagate(res, rc, levels, node, boundary)
+	err := a.propagate(res, levels, node, boundary)
 	return evals, err
 }
 
@@ -391,54 +373,11 @@ func sameState(a, b *NetState) bool {
 }
 
 // propagate evaluates node over levels on the level scheduler with
-// the analyzer's workers, scope and serial cutoff; Run and Update
-// share it, and with it the cost model below.
-func (a *Analyzer) propagate(res *Result, rc *runCtx, levels [][]netlist.NodeID,
+// the analyzer's workers and scope; Run and Update share it.
+func (a *Analyzer) propagate(res *Result, levels [][]netlist.NodeID,
 	node func(netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
-	c := res.C
-	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
-	cutoff := a.SerialCutoff
-	if cutoff == 0 {
-		cutoff = DefaultAnalyzerSerialCutoff
-	}
-	// Per-gate work scales with the number of fanin t.o.p. functions
-	// combined and the width of the grid they currently live on
-	// (rc.grid, not the captured launch grid — coarsening narrows it
-	// mid-run).
-	cost := func(id netlist.NodeID) int64 {
-		return int64(len(c.Nodes[id].Fanin)+1) * int64(rc.grid.N)
-	}
-	if rc.eps > 0 {
-		// Post-pruning estimate: the kernels only visit the union of
-		// the fanin t.o.p. supports, which tail truncation keeps
-		// narrow. Fanin states are final when the scheduler costs a
-		// level (levels are costed after the previous level's barrier),
-		// so reading them here is race-free.
-		cost = func(id netlist.NodeID) int64 {
-			n := c.Nodes[id]
-			lo, hi := rc.grid.N, 0
-			for _, f := range n.Fanin {
-				for d := range res.State[f].TOP {
-					if top := res.State[f].TOP[d]; top != nil {
-						if tlo, thi := top.Support(); tlo < thi {
-							if tlo < lo {
-								lo = tlo
-							}
-							if thi > hi {
-								hi = thi
-							}
-						}
-					}
-				}
-			}
-			w := hi - lo
-			if w < 1 {
-				w = 1
-			}
-			return int64(len(n.Fanin)+1) * int64(w)
-		}
-	}
-	return runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), levels, len(c.Nodes), name, cost, cutoff, node, boundary)
+	name := func(id netlist.NodeID) string { return res.C.Nodes[id].Name }
+	return runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), levels, name, node, boundary)
 }
 
 func (a *Analyzer) computeNode(res *Result, id netlist.NodeID, inputs map[netlist.NodeID]logic.InputStats, rc *runCtx) error {

@@ -30,18 +30,6 @@ type MomentTiming struct {
 	// MaxFanin caps the subset enumeration (default
 	// DefaultMaxMomentFanin).
 	MaxFanin int
-	// Workers is the number of goroutines evaluating gates of one
-	// unit-delay level concurrently (0 = GOMAXPROCS, 1 = serial);
-	// results are bit-identical for any worker count.
-	Workers int
-	// SerialCutoff tunes the cost-aware schedule: a level whose
-	// estimated work — sum over its gates of enumerated subset
-	// leaves, 2^k for a monotone gate of fanin k and 4^k for parity —
-	// falls below the cutoff runs inline instead of being dispatched
-	// to the worker pool. 0 selects DefaultMomentSerialCutoff;
-	// negative disables the fallback. On GOMAXPROCS=1 runtimes every
-	// level runs inline regardless (unless SerialCutoff is negative).
-	SerialCutoff int64
 	// ErrorBudget is the per-net ε for adaptive pruning (DESIGN.md
 	// §11): the subset enumerations order fanins by switching
 	// probability and cut whole subtrees whose exact remaining
@@ -49,20 +37,13 @@ type MomentTiming struct {
 	// for monotone gates, ε for the parity enumeration). Removed mass
 	// is folded back into the four-value probabilities and tracked in
 	// MomentState.PrunedMass/Budget. Zero disables pruning and is
-	// bit-identical to the exact engine; pruning decisions depend only
-	// on the configuration, never on Workers.
+	// bit-identical to the exact engine.
 	ErrorBudget float64
 	// Obs is the analysis' observability scope (metrics and optional
 	// tracing); nil disables instrumentation. Scopes are per-analysis,
 	// so concurrent Runs with distinct scopes never share counters.
 	Obs *obs.Scope
 }
-
-// DefaultMomentSerialCutoff is the default serial-fallback threshold
-// of MomentTiming in subset-leaf units — the break-even point between
-// per-level dispatch overhead and distributable enumeration work on
-// the cmd/benchperf harness.
-const DefaultMomentSerialCutoff = 8192
 
 // MomentState is the per-net analytic SPSTA view.
 type MomentState struct {
@@ -89,7 +70,9 @@ type MomentResult struct {
 	Span float64
 }
 
-// Run executes the analytic analyzer.
+// Run executes the analytic analyzer, level by level on the calling
+// goroutine: a gate costs a few subset leaves, too little work to pay
+// for pool dispatch (DESIGN.md §10.3).
 func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) (*MomentResult, error) {
 	delay := a.Delay
 	if delay == nil {
@@ -102,73 +85,7 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 	res := &MomentResult{C: c, State: make([]MomentState, len(c.Nodes)), Span: momentSpan(c, inputs)}
 	defaultStats := logic.UniformStats()
 	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
-	cutoff := a.SerialCutoff
-	if cutoff == 0 {
-		cutoff = DefaultMomentSerialCutoff
-	}
-	// Per-gate work is the subset enumeration: ~2·2^k leaves for a
-	// monotone gate of fanin k, 4^k value combinations for parity,
-	// constant for buffers/inverters and launch points.
-	cost := func(id netlist.NodeID) int64 {
-		n := c.Nodes[id]
-		k := len(n.Fanin)
-		switch {
-		case n.Type.Parity():
-			if k > 15 {
-				k = 15
-			}
-			return 1 << uint(2*k)
-		case n.Type.Monotone() && k > 1:
-			if k > 30 {
-				k = 30
-			}
-			return 2 << uint(k)
-		}
-		return 1
-	}
-	if a.ErrorBudget > 0 {
-		// Post-pruning leaf estimate: fanins whose value probabilities
-		// fit in the budget are cut near the enumeration root, so only
-		// significant values multiply the leaf count. Fanin states are
-		// final when the scheduler costs a level.
-		eps := a.ErrorBudget
-		cost = func(id netlist.NodeID) int64 {
-			n := c.Nodes[id]
-			switch {
-			case n.Type.Parity():
-				leaves := int64(1)
-				for _, f := range n.Fanin {
-					nv := int64(0)
-					for v := logic.Zero; v < logic.NumValues; v++ {
-						if res.State[f].P[v] > eps {
-							nv++
-						}
-					}
-					if nv == 0 {
-						nv = 1
-					}
-					leaves *= nv
-					if leaves > 1<<30 {
-						return leaves
-					}
-				}
-				return leaves
-			case n.Type.Monotone() && len(n.Fanin) > 1:
-				k := 0
-				for _, f := range n.Fanin {
-					if res.State[f].P[logic.Rise]+res.State[f].P[logic.Fall] > eps {
-						k++
-					}
-				}
-				if k > 30 {
-					k = 30
-				}
-				return 2 << uint(k)
-			}
-			return 1
-		}
-	}
-	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), resolveWorkers(a.Workers), c.Levelize(), len(c.Nodes), name, cost, cutoff, func(id netlist.NodeID) error {
+	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), 1, c.Levelize(), name, func(id netlist.NodeID) error {
 		n := c.Nodes[id]
 		st := &res.State[id]
 		switch {

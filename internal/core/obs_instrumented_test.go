@@ -35,7 +35,7 @@ func TestInstrumentedParallelMatchesSerial(t *testing.T) {
 	scope := obs.NewTracedScope()
 	tr := scope.Tracer
 
-	parallel := Analyzer{Workers: 4, SerialCutoff: -1, Obs: scope}
+	parallel := Analyzer{Workers: 4, Obs: scope}
 	rp, err := parallel.Run(c, in)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestInstrumentedParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: obs.NewCoarseTracer()}
-	coarsened.Workers, coarsened.SerialCutoff, coarsened.Obs = 4, -1, scope
+	coarsened.Workers, coarsened.Obs = 4, scope
 	rp, err = coarsened.Run(c, in)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +138,15 @@ func mustProfile(t *testing.T, name string) synth.Profile {
 // and tracing enabled, across repeats, under -race.
 func TestParallelErrorMidLevelInstrumented(t *testing.T) {
 	// Level 1 holds, in level order: g1 (ok), g2 (fails: parity fanin
-	// 4 > cap 3), g3 (fails), g4 (ok). The error must always be g2's.
+	// 4 > cap 3), g3 (fails), then filler gates (ok) up to the width
+	// Workers=4 dispatches. The error must always be g2's.
+	const width = dispatchWidth * 4
 	src := "INPUT(a)\nINPUT(b)\n" +
-		"OUTPUT(g1)\nOUTPUT(g2)\nOUTPUT(g3)\nOUTPUT(g4)\n" +
+		"OUTPUT(g1)\nOUTPUT(g2)\nOUTPUT(g3)\n" +
 		"g1 = AND(a, b)\n" +
 		"g2 = XOR(a, b, a, b)\n" +
 		"g3 = XOR(b, a, b, a)\n" +
-		"g4 = OR(a, b)\n"
+		fillerGates(3, width)
 	c := parse(t, src, "mid-level-fail")
 	in := uniform(c)
 
@@ -161,7 +163,6 @@ func TestParallelErrorMidLevelInstrumented(t *testing.T) {
 	tr := scope.Tracer
 
 	a.Workers = 4
-	a.SerialCutoff = -1 // dispatch even the small failing level
 	a.Obs = scope
 	for i := 0; i < 8; i++ {
 		_, errPar := a.Run(c, in)
@@ -169,15 +170,16 @@ func TestParallelErrorMidLevelInstrumented(t *testing.T) {
 			t.Fatalf("repeat %d: parallel error %q != serial %q", i, errPar, errSerial)
 		}
 	}
-	// All four gates of the failing level ran every repeat: the level
-	// drains fully so the error choice cannot depend on worker timing.
+	// Every gate of the failing level ran every repeat: each chunk holds
+	// one gate, and every chunk runs, so the error choice cannot depend
+	// on worker timing.
 	snap := scope.Snapshot()
 	gates := int64(0)
 	for _, w := range snap.Workers {
 		gates += w.Gates
 	}
-	// 8 parallel repeats × (2 inputs + 4 gates) = 48 evaluations.
-	if want := int64(8 * 6); gates != want {
+	// 8 parallel repeats × (2 inputs + width gates).
+	if want := int64(8 * (2 + width)); gates != want {
 		t.Errorf("workers evaluated %d gates, want %d (every gate of the failing level must run)", gates, want)
 	}
 	if tr.Len() == 0 {
@@ -186,7 +188,8 @@ func TestParallelErrorMidLevelInstrumented(t *testing.T) {
 }
 
 // TestInstrumentedMomentTimingMatchesSerial is the MomentTiming
-// analog of the bit-identical instrumentation contract.
+// analog of the bit-identical instrumentation contract: an
+// instrumented run matches a plain one.
 func TestInstrumentedMomentTimingMatchesSerial(t *testing.T) {
 	c, err := synth.Generate(mustProfile(t, "s298"))
 	if err != nil {
@@ -194,14 +197,11 @@ func TestInstrumentedMomentTimingMatchesSerial(t *testing.T) {
 	}
 	in := uniform(c)
 
-	serial := MomentTiming{Workers: 1}
-	rs, err := serial.Run(c, in)
+	rs, err := (&MomentTiming{}).Run(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	parallel := MomentTiming{Workers: 4, SerialCutoff: -1, Obs: obs.NewScope()}
-	rp, err := parallel.Run(c, in)
+	rp, err := (&MomentTiming{Obs: obs.NewScope()}).Run(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}

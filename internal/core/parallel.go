@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -23,6 +22,11 @@ func resolveWorkers(w int) int {
 	return w
 }
 
+// dispatchWidth is the number of chunks per worker a dispatched level
+// is split into. A level narrower than dispatchWidth gates per worker
+// runs inline: its chunks would hold less than a gate each.
+const dispatchWidth = 4
+
 // runLevels evaluates f over every node, level by level. Nodes
 // within one level have all fanins in earlier levels (see
 // netlist.Levelize), so a level barrier is the only synchronization
@@ -32,35 +36,29 @@ func resolveWorkers(w int) int {
 // serial order because each node's arithmetic never depends on its
 // siblings.
 //
-// Scheduling is cost-aware. cost estimates one node's work in
-// arbitrary units (nil means every node costs 1); a level whose
-// summed cost is below serialBelow is run inline on the scheduling
-// goroutine instead of being dispatched to the pool — for the small
-// levels that dominate ISCAS'89-scale circuits, the channel sends and
-// the barrier wake-up cost more than the gate evaluations they
-// distribute. serialBelow < 0 disables the fallback (every level is
-// dispatched; used by the scheduler's own tests), and on a
-// single-processor runtime (GOMAXPROCS == 1) every level is inlined:
-// the pool cannot overlap any work there, only add switches. Worker
-// goroutines start lazily, on the first dispatched level.
+// The dispatch rule is one comparison. With workers <= 1 every level
+// is walked inline on the calling goroutine. Otherwise the pool is
+// started once, before the walk; a level with at least dispatchWidth
+// gates per worker is split into contiguous chunks for it, and a
+// narrower level runs inline on the scheduling goroutine, attributed
+// to worker 0 (DESIGN.md §10.3).
 //
-// With workers <= 1 the levels are walked inline. A dispatched level
-// evaluates every node even after a failure so that the returned
-// error is deterministically the first one in level order, not
-// whichever worker lost a race. A panic inside f is treated the same
-// way: each pool chunk recovers it (the rest of that chunk is
-// skipped), and after the barrier the first failure in level order —
-// error or panic — decides, a panic being re-raised on the
-// scheduling goroutine so the caller can recover it. Inline levels
-// run on that goroutine already.
+// A dispatched chunk stops at its first failure — an error returned
+// by f or a panic inside it — and records it in the chunk's slot;
+// every other chunk still runs. After the barrier the first failing
+// chunk decides: chunks are contiguous in level order, so its failure
+// is the first one in level order, not whichever worker lost a race.
+// A panic is re-raised on the scheduling goroutine so the caller can
+// recover it. Inline levels run on that goroutine already and stop at
+// the first error.
 //
 // boundary, when non-nil, runs on the scheduling goroutine after
-// every level's barrier (inline levels included) with the level's
-// index and nodes, before the next level is costed; no worker runs
-// while it does. It may fill levels[li+1:], which the walk reads only
-// when it reaches them: Run hangs grid coarsening off the hook, and
-// Update queues the fanouts of the nets that changed. Empty levels
-// are skipped outright — no span, no metrics, no boundary call.
+// every level, inline or dispatched, with the level's index and
+// nodes; no worker runs while it does. It may fill levels[li+1:],
+// which the walk reads only when it reaches them: Run hangs grid
+// coarsening off the hook, and Update queues the fanouts of the nets
+// that changed. Empty levels are skipped outright — no span, no
+// metrics, no boundary call.
 //
 // Instrumentation (the caller's scoped m / tr registries) is purely
 // observational: per-level gate counts and wall time, per-worker
@@ -79,9 +77,8 @@ func resolveWorkers(w int) int {
 // Each level's span ID is allocated before the level runs so worker
 // gate spans can name their parent even though the level span itself
 // is recorded after the barrier.
-func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, levels [][]netlist.NodeID, nnodes int,
-	name func(netlist.NodeID) string, cost func(netlist.NodeID) int64,
-	serialBelow int64, f func(netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
+func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, levels [][]netlist.NodeID,
+	name func(netlist.NodeID) string, f func(netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
 	instr := m != nil || tr != nil
 	fine := tr.Fine()
 	if tr != nil {
@@ -105,94 +102,84 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 		}
 		return nil
 	}
-	if serialBelow >= 0 && runtime.GOMAXPROCS(0) == 1 {
-		// One P: the pool cannot overlap work, only add context
-		// switches, so every level falls below the bar.
-		serialBelow = math.MaxInt64
-	}
 
+	// failure is one chunk's first failure: f's error, or the value a
+	// panic inside f was recovered with.
+	type failure struct {
+		err   error
+		panic any
+	}
+	// chunk is one unit of pool work: the slot its failure goes to
+	// (its index within the level) and its nodes.
+	type chunk struct {
+		slot  int
+		nodes []netlist.NodeID
+	}
 	var (
-		errs    []error
-		panics  []any
-		work    chan []netlist.NodeID
-		wg      sync.WaitGroup
-		started bool
+		fails []failure
+		work  = make(chan chunk)
+		wg    sync.WaitGroup
 		// curLevelSpan is the running level's pre-allocated span ID,
 		// written by the scheduler before the level's chunk sends and
 		// read by workers — the channel send orders the write before
 		// every read, and the barrier orders the reads before the next
-		// write.
+		// write. fails is handed over the same way.
 		curLevelSpan obs.SpanID
 	)
-	// runChunk evaluates one dispatched chunk on worker w. A panic in
-	// f is parked in the failing node's slot for the scheduler to
-	// re-raise; the deferred Done keeps the barrier intact either way.
-	runChunk := func(w int, chunk []netlist.NodeID) {
-		var cur netlist.NodeID
+	// runChunk evaluates one chunk on worker w up to its first
+	// failure; the deferred Done keeps the barrier intact either way.
+	runChunk := func(w int, ch chunk) {
 		defer func() {
 			if r := recover(); r != nil {
-				panics[cur] = r
+				fails[ch.slot].panic = r
 			}
 			wg.Done()
 		}()
+		var err error
 		switch {
 		case fine:
-			for _, cur = range chunk {
+			for _, id := range ch.nodes {
 				g0 := time.Now()
-				errs[cur] = f(cur)
+				err = f(id)
 				d := time.Since(g0)
 				if m != nil {
 					m.AddWorkerBusy(w, d)
 				}
-				tr.RecordSpan(tr.NewSpan(), curLevelSpan, name(cur), "gate", w+1, g0, d, nil)
+				tr.RecordSpan(tr.NewSpan(), curLevelSpan, name(id), "gate", w+1, g0, d, nil)
+				if err != nil {
+					break
+				}
 			}
 		case m != nil:
 			g0 := obs.Nanotime()
-			for _, cur = range chunk {
-				errs[cur] = f(cur)
-			}
-			m.AddWorkerChunk(w, len(chunk), obs.Nanotime()-g0)
+			err = evalNodes(ch.nodes, f)
+			m.AddWorkerChunk(w, len(ch.nodes), obs.Nanotime()-g0)
 		default:
-			for _, cur = range chunk {
-				errs[cur] = f(cur)
-			}
+			err = evalNodes(ch.nodes, f)
 		}
+		fails[ch.slot].err = err
 	}
-	startPool := func() {
-		errs = make([]error, nnodes)
-		panics = make([]any, nnodes)
-		work = make(chan []netlist.NodeID)
-		for w := 0; w < workers; w++ {
-			w := w
-			if fine {
-				tr.NameThread(w+1, "worker "+strconv.Itoa(w))
+	for w := 0; w < workers; w++ {
+		if fine {
+			tr.NameThread(w+1, "worker "+strconv.Itoa(w))
+		}
+		go func() {
+			for ch := range work {
+				runChunk(w, ch)
 			}
-			go func() {
-				for chunk := range work {
-					runChunk(w, chunk)
-				}
-			}()
-		}
-		started = true
+		}()
 	}
-	defer func() {
-		if started {
-			close(work)
-		}
-	}()
+	defer close(work)
 	for li, level := range levels {
 		if len(level) == 0 {
 			continue
 		}
-		if levelCost(level, cost) < serialBelow {
+		if len(level) < dispatchWidth*workers {
 			if err := runLevelInline(m, tr, parent, li, level, name, f); err != nil {
 				return err
 			}
 			boundary(li, level)
 			continue
-		}
-		if !started {
-			startPool()
 		}
 		var lt0 time.Time
 		var cost0 int64
@@ -204,17 +191,16 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 		// Subdivide the level finer than the worker count so slow
 		// chunks still spread, but coarse enough that channel ops and
 		// per-chunk instrumentation stay off the per-gate fast path.
-		chunk := len(level) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
+		size := len(level) / (workers * dispatchWidth)
+		n := (len(level) + size - 1) / size
+		if cap(fails) < n {
+			fails = make([]failure, n)
 		}
-		for lo := 0; lo < len(level); lo += chunk {
-			hi := lo + chunk
-			if hi > len(level) {
-				hi = len(level)
-			}
+		fails = fails[:n]
+		clear(fails)
+		for i := 0; i < n; i++ {
 			wg.Add(1)
-			work <- level[lo:hi]
+			work <- chunk{i, level[i*size : min((i+1)*size, len(level))]}
 		}
 		wg.Wait() // level barrier: level L+1 reads these slots
 		if instr {
@@ -222,12 +208,12 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 		}
 		// First failure in level order: re-raise a worker's panic here,
 		// on the scheduling goroutine, or return its error.
-		for _, id := range level {
-			if p := panics[id]; p != nil {
-				panic(p)
+		for _, fl := range fails {
+			if fl.panic != nil {
+				panic(fl.panic)
 			}
-			if errs[id] != nil {
-				return errs[id]
+			if fl.err != nil {
+				return fl.err
 			}
 		}
 		boundary(li, level)
@@ -235,17 +221,14 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 	return nil
 }
 
-// levelCost sums the estimated work of a level; a nil model charges
-// one unit per node.
-func levelCost(level []netlist.NodeID, cost func(netlist.NodeID) int64) int64 {
-	if cost == nil {
-		return int64(len(level))
+// evalNodes runs f over nodes in order, stopping at the first error.
+func evalNodes(nodes []netlist.NodeID, f func(netlist.NodeID) error) error {
+	for _, id := range nodes {
+		if err := f(id); err != nil {
+			return err
+		}
 	}
-	var c int64
-	for _, id := range level {
-		c += cost(id)
-	}
-	return c
+	return nil
 }
 
 // runLevelInline evaluates one level on the calling goroutine,
@@ -262,11 +245,7 @@ func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, l
 	}
 	switch {
 	case !instr:
-		for _, id := range level {
-			if err := f(id); err != nil {
-				return err
-			}
-		}
+		return evalNodes(level, f)
 	case tr.Fine():
 		lid := tr.NewSpan()
 		for _, id := range level {
@@ -286,10 +265,8 @@ func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, l
 		// Metrics only or coarse tracer: the single worker is busy for
 		// exactly the level wall time, so the level clock reading
 		// doubles as the busy-time attribution.
-		for _, id := range level {
-			if err := f(id); err != nil {
-				return err
-			}
+		if err := evalNodes(level, f); err != nil {
+			return err
 		}
 		if m != nil {
 			m.AddWorkerChunk(0, len(level), int64(time.Since(lt0)))

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 )
@@ -45,9 +47,6 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 				serial, parallel := cfg.a, cfg.a
 				serial.Workers = 1
 				parallel.Workers = 4
-				// Always exercise the pool, even where the cost-aware
-				// schedule (or a single-P runtime) would inline.
-				parallel.SerialCutoff = -1
 				rs, err := serial.Run(c, in)
 				if err != nil {
 					t.Fatal(err)
@@ -96,10 +95,11 @@ func compareNetState(t *testing.T, c *netlist.Circuit, id netlist.NodeID, s, p *
 // TestBatchedRunMatchesSequential is the float64 equivalence suite on
 // the full scenario grid: on every synthetic benchmark, for
 // deterministic and variational delays, ε ∈ {0, 1e-4} and worker
-// counts {1, 4} with every level dispatched, a run must reproduce the
-// sequential Workers=1 run bit for bit. The name is older than the
-// single level scheduler; it once compared a second, batched scheduler
-// against the per-gate one on this same grid.
+// counts {1, 4} (4 dispatches every level of at least 16 gates), a
+// run must reproduce the sequential Workers=1 run bit for bit. The
+// name is older than the single level scheduler; it once compared a
+// second, batched scheduler against the per-gate one on this same
+// grid.
 func TestBatchedRunMatchesSequential(t *testing.T) {
 	cs, err := synth.GenerateAll()
 	if err != nil {
@@ -123,7 +123,7 @@ func TestBatchedRunMatchesSequential(t *testing.T) {
 				}
 				for _, w := range []int{1, 4} {
 					t.Run(fmt.Sprintf("%s/%s/eps=%g/w=%d", c.Name, sc.name, eps, w), func(t *testing.T) {
-						a := Analyzer{Workers: w, Delay: sc.delay, ErrorBudget: eps, SerialCutoff: -1}
+						a := Analyzer{Workers: w, Delay: sc.delay, ErrorBudget: eps}
 						ra, err := a.Run(c, in)
 						if err != nil {
 							t.Fatal(err)
@@ -151,7 +151,7 @@ func TestBatchedExactProbabilitiesMatchesSequential(t *testing.T) {
 		in := skewed(c)
 		t.Run(c.Name, func(t *testing.T) {
 			seqA := Analyzer{Workers: 1, ExactProbabilities: true}
-			a := Analyzer{Workers: 4, ExactProbabilities: true, SerialCutoff: -1}
+			a := Analyzer{Workers: 4, ExactProbabilities: true}
 			rs, err := seqA.Run(c, in)
 			if err != nil {
 				t.Fatal(err)
@@ -167,47 +167,15 @@ func TestBatchedExactProbabilitiesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelMomentTimingMatchesSerial is the MomentTiming analog.
-func TestParallelMomentTimingMatchesSerial(t *testing.T) {
-	cs, err := synth.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cs {
-		in := uniform(c)
-		serial := MomentTiming{Workers: 1}
-		parallel := MomentTiming{Workers: 4, SerialCutoff: -1}
-		rs, err := serial.Run(c, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := parallel.Run(c, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range rs.State {
-			s, p := &rs.State[id], &rp.State[id]
-			for v := range s.P {
-				if math.Float64bits(s.P[v]) != math.Float64bits(p.P[v]) {
-					t.Fatalf("%s %s: P[%d]: %v vs %v", c.Name, c.Nodes[id].Name, v, s.P[v], p.P[v])
-				}
-			}
-			for d := range s.Arr {
-				if s.Arr[d] != p.Arr[d] {
-					t.Fatalf("%s %s: Arr[%d]: %+v vs %+v", c.Name, c.Nodes[id].Name, d, s.Arr[d], p.Arr[d])
-				}
-			}
-		}
-	}
-}
-
 // TestParallelErrorDeterministic: the first error in level order is
 // returned regardless of worker count. A parity gate wider than the
-// cap triggers it.
+// cap triggers it; filler gates make the level wide enough for
+// Workers=4 to dispatch it.
 func TestParallelErrorDeterministic(t *testing.T) {
 	src := "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n" +
 		"y = XOR(a, b, a, b, a, b, a, b)\n" +
-		"z = XOR(b, a, b, a, b, a, b, a)\n"
+		"z = XOR(b, a, b, a, b, a, b, a)\n" +
+		fillerGates(2, dispatchWidth*4)
 	c := parse(t, src, "wide-parity")
 	in := uniform(c)
 	a := Analyzer{MaxParityFanin: 3, Workers: 1}
@@ -216,7 +184,6 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		t.Fatal("expected parity-cap error")
 	}
 	a.Workers = 4
-	a.SerialCutoff = -1
 	for i := 0; i < 8; i++ {
 		_, errPar := a.Run(c, in)
 		if errPar == nil || errPar.Error() != errSerial.Error() {
@@ -230,7 +197,8 @@ func TestParallelErrorDeterministic(t *testing.T) {
 // worker (where nothing can recover it and the process dies). Two
 // gates of one level panic with their own names; under every worker
 // count the recovered value must be the first of them in level order,
-// the same contract runLevels keeps for errors.
+// the same contract runLevels keeps for errors. MomentTiming always
+// runs serially, so its row checks the inline path.
 func TestParallelPanicReachesCaller(t *testing.T) {
 	c, err := synth.Generate(mustProfile(t, "s344"))
 	if err != nil {
@@ -245,7 +213,7 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 				gates = append(gates, n)
 			}
 		}
-		if len(gates) >= 8 {
+		if len(gates) >= dispatchWidth*4 {
 			first, second = gates[len(gates)/4], gates[3*len(gates)/4]
 			break
 		}
@@ -268,10 +236,10 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			runs := map[string]func(){
 				"Analyzer": func() {
-					_, _ = (&Analyzer{Workers: w, SerialCutoff: -1, Delay: delay}).Run(c, in)
+					_, _ = (&Analyzer{Workers: w, Delay: delay}).Run(c, in)
 				},
 				"MomentTiming": func() {
-					_, _ = (&MomentTiming{Workers: w, SerialCutoff: -1, Delay: delay}).Run(c, in)
+					_, _ = (&MomentTiming{Delay: delay}).Run(c, in)
 				},
 			}
 			for name, run := range runs {
@@ -281,5 +249,51 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fillerGates returns .bench lines for AND gates f<from> … f<to-1>
+// of inputs a and b, each an output: passing gates that widen the
+// level of a test circuit.
+func fillerGates(from, to int) string {
+	var b strings.Builder
+	for i := from; i < to; i++ {
+		fmt.Fprintf(&b, "OUTPUT(f%d)\nf%d = AND(a, b)\n", i, i)
+	}
+	return b.String()
+}
+
+// TestCostAwareInlineAttribution pins the inline walk down
+// observably: a Workers=1 run executes every gate on the scheduling
+// goroutine, so all instrumented gate counts land on worker 0. The
+// name is older than the single dispatch rule; it once checked a
+// cost-aware fallback that inlined cheap levels of a Workers=4 run.
+func TestCostAwareInlineAttribution(t *testing.T) {
+	c, err := synth.Generate(mustProfile(t, "s298"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := uniform(c)
+	scope := obs.NewScope()
+	a := Analyzer{Workers: 1, Obs: scope}
+	if _, err := a.Run(c, in); err != nil {
+		t.Fatal(err)
+	}
+	snap := scope.Snapshot()
+	var total, w0 int64
+	for _, w := range snap.Workers {
+		total += w.Gates
+		if w.Worker == 0 {
+			w0 = w.Gates
+		}
+	}
+	if total == 0 || total != w0 {
+		t.Errorf("inline walk attributed %d of %d gates to worker 0", w0, total)
+	}
+	if total != int64(len(c.Nodes)) {
+		t.Errorf("instrumented %d gates, circuit has %d nodes", total, len(c.Nodes))
+	}
+	if len(snap.Levels) == 0 {
+		t.Error("inline walk recorded no level stats")
 	}
 }

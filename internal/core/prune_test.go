@@ -39,9 +39,9 @@ func sameNetState(a, b *NetState) bool {
 }
 
 // TestPruneZeroBitIdentical: with ErrorBudget 0 the pruning-capable
-// engines must be bit-identical to the exact serial run for every
-// bundled circuit, both scenarios and several worker counts, and must
-// report zero pruned mass and consumed budget everywhere.
+// engines must report zero pruned mass and consumed budget everywhere,
+// for every bundled circuit and both scenarios, and the Analyzer must
+// be bit-identical to the exact serial run at several worker counts.
 func TestPruneZeroBitIdentical(t *testing.T) {
 	for _, p := range synth.Profiles() {
 		c, err := synth.Generate(p)
@@ -50,9 +50,15 @@ func TestPruneZeroBitIdentical(t *testing.T) {
 		}
 		for scen, in := range scenarios(c) {
 			ref := run(t, c, in)
-			mref, err := (&MomentTiming{Workers: 1}).Run(c, in)
+			mres, err := (&MomentTiming{ErrorBudget: 0}).Run(c, in)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, n := range c.Nodes {
+				if st := &mres.State[n.ID]; st.PrunedMass != 0 || st.Budget != 0 {
+					t.Fatalf("%s/%s %s: moment ε=0 reports pruning (%v, %v)",
+						p.Name, scen, n.Name, st.PrunedMass, st.Budget)
+				}
 			}
 			for _, workers := range []int{1, 4} {
 				a := Analyzer{Workers: workers, ErrorBudget: 0}
@@ -68,18 +74,6 @@ func TestPruneZeroBitIdentical(t *testing.T) {
 					}
 					if !sameNetState(st, &ref.State[n.ID]) {
 						t.Fatalf("%s/%s w=%d %s: ε=0 not bit-identical to exact run",
-							p.Name, scen, workers, n.Name)
-					}
-				}
-				mt := MomentTiming{Workers: workers, ErrorBudget: 0}
-				mres, err := mt.Run(c, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range c.Nodes {
-					st, rf := &mres.State[n.ID], &mref.State[n.ID]
-					if st.P != rf.P || st.Arr != rf.Arr || st.PrunedMass != 0 || st.Budget != 0 {
-						t.Fatalf("%s/%s w=%d %s: moment ε=0 not bit-identical",
 							p.Name, scen, workers, n.Name)
 					}
 				}
@@ -159,12 +153,12 @@ func TestPruneMomentDeviationWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		for scen, in := range scenarios(c) {
-			exact, err := (&MomentTiming{Workers: 1}).Run(c, in)
+			exact, err := (&MomentTiming{}).Run(c, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, eps := range []float64{1e-4, 1e-2} {
-				mt := MomentTiming{Workers: 1, ErrorBudget: eps}
+				mt := MomentTiming{ErrorBudget: eps}
 				res, err := mt.Run(c, in)
 				if err != nil {
 					t.Fatal(err)
@@ -224,10 +218,6 @@ func TestPruneDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mref, err := (&MomentTiming{Workers: 1, ErrorBudget: eps}).Run(c, in)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{2, 4, 7} {
 				res, err := (&Analyzer{Workers: workers, ErrorBudget: eps}).Run(c, in)
 				if err != nil {
@@ -236,17 +226,6 @@ func TestPruneDeterministicAcrossWorkers(t *testing.T) {
 				for _, n := range c.Nodes {
 					if !sameNetState(&res.State[n.ID], &ref.State[n.ID]) {
 						t.Fatalf("%s ε=%g w=%d %s: pruned run differs from serial",
-							scen, eps, workers, n.Name)
-					}
-				}
-				mres, err := (&MomentTiming{Workers: workers, ErrorBudget: eps}).Run(c, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range c.Nodes {
-					a, b := &mres.State[n.ID], &mref.State[n.ID]
-					if a.P != b.P || a.Arr != b.Arr || a.PrunedMass != b.PrunedMass || a.Budget != b.Budget {
-						t.Fatalf("%s ε=%g w=%d %s: pruned moment run differs from serial",
 							scen, eps, workers, n.Name)
 					}
 				}
@@ -283,7 +262,7 @@ func TestPruneActuallyPrunes(t *testing.T) {
 		t.Fatalf("launch t.o.p. support did not shrink: exact %d bins, pruned %d bins",
 			ehi-elo, phi-plo)
 	}
-	mres, err := (&MomentTiming{Workers: 1, ErrorBudget: 1e-4}).Run(c, in)
+	mres, err := (&MomentTiming{ErrorBudget: 1e-4}).Run(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}

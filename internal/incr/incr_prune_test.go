@@ -20,13 +20,13 @@ import (
 // ε no matter how many times a cone is recomputed.
 //
 // Cone updates run on the level scheduler, so the sequence is also
-// replayed over Workers × SerialCutoff (-1 dispatches every level to
-// the pool, even on one processor): every row must recompute the same
-// nets and end bit-identical to the serial run. The poisoned row
-// swaps the result's grid for one of a different geometry first, so
-// the cone's first net panics on a pool worker; the panic must reach
-// this goroutine as a recoverable panic instead of killing the
-// process.
+// replayed at Workers 1 and 4 (4 dispatches the launch change's
+// widest cone level to the pool, even on one processor): every row
+// must recompute the same nets and end bit-identical to the serial
+// run. The poisoned row swaps the result's grid for one of a
+// different geometry first, so the cone's first net panics; the panic
+// must reach this goroutine as a recoverable panic instead of killing
+// the process.
 func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 	const eps = 1e-4
 	c := gen(t, "s344")
@@ -39,8 +39,8 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 	st := logic.SkewedStats()
 	g := pickGate(c)
 	d := dist.Normal{Mu: 2.5, Sigma: 0.2}
-	session := func(workers int, cutoff int64) *SPSTA {
-		inc, err := NewSPSTA(core.Analyzer{ErrorBudget: eps, Workers: workers, SerialCutoff: cutoff}, c, in)
+	session := func(workers int) *SPSTA {
+		inc, err := NewSPSTA(core.Analyzer{ErrorBudget: eps, Workers: workers}, c, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +58,13 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 		}
 		return evals
 	}
-	inc := session(1, 0)
+	inc := session(1)
 	evals := edit(inc)
 	for _, tc := range []struct {
 		workers int
-		cutoff  int64
 		poison  bool
-	}{{1, -1, false}, {4, 0, false}, {4, -1, false}, {4, -1, true}} {
-		got := session(tc.workers, tc.cutoff)
+	}{{1, false}, {4, false}, {4, true}} {
+		got := session(tc.workers)
 		if tc.poison {
 			got.Result().Grid = dist.NewGrid(0, 1, 0.5)
 			p := func() (p any) {
@@ -74,17 +73,17 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 				return nil
 			}()
 			if p == nil {
-				t.Errorf("workers=%d cutoff=%d: update on a poisoned grid did not panic", tc.workers, tc.cutoff)
+				t.Errorf("workers=%d: update on a poisoned grid did not panic", tc.workers)
 			}
 			continue
 		}
 		if gotEvals := edit(got); gotEvals != evals {
-			t.Errorf("workers=%d cutoff=%d: recomputed %v nets, serial %v", tc.workers, tc.cutoff, gotEvals, evals)
+			t.Errorf("workers=%d: recomputed %v nets, serial %v", tc.workers, gotEvals, evals)
 		}
 		for _, n := range c.Nodes {
 			a, b := &got.Result().State[n.ID], &inc.Result().State[n.ID]
 			if a.P != b.P || a.PrunedMass != b.PrunedMass || a.Budget != b.Budget || !sameTOPs(a, b) {
-				t.Fatalf("workers=%d cutoff=%d: %s state differs from the serial run", tc.workers, tc.cutoff, n.Name)
+				t.Fatalf("workers=%d: %s state differs from the serial run", tc.workers, n.Name)
 			}
 		}
 	}

@@ -298,8 +298,10 @@ type Request struct {
 	// Sigma > 0 selects variational N(1, sigma^2) gate delays
 	// instead of deterministic unit delays.
 	Sigma float64 `json:"sigma,omitempty"`
-	// Workers is the level-parallel worker count / Monte Carlo shard
-	// count (0 = GOMAXPROCS, at most maxRequestWorkers).
+	// Workers is the spsta engine's level-parallel worker count and
+	// the mc engine's shard count (0 = GOMAXPROCS, at most
+	// maxRequestWorkers); the moment engine ignores it and runs
+	// serially.
 	Workers int `json:"workers,omitempty"`
 	// Runs and Seed parameterize the Monte Carlo engine (defaults
 	// 10000 and 1).
@@ -1015,7 +1017,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 		er.PrunedMass = res.TotalPrunedMass()
 		er.MaxBudget = res.MaxConsumedBudget()
 	case "moment":
-		a := core.MomentTiming{Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon, Obs: scope}
+		a := core.MomentTiming{Delay: req.delay(), ErrorBudget: req.Epsilon, Obs: scope}
 		res, err := a.Run(c, in)
 		if err != nil {
 			return er, err
