@@ -99,7 +99,9 @@ type (
 	STAResult = ssta.STAResult
 	// MonteCarloResult is the reference simulation result.
 	MonteCarloResult = montecarlo.Result
-	// MonteCarloConfig parameterizes the reference simulation.
+	// MonteCarloConfig parameterizes the reference simulation. Its
+	// MomentNets field limits arrival-time moments to the listed
+	// nets (nil keeps them at every net); set it to the nets you read.
 	MonteCarloConfig = montecarlo.Config
 	// SymbolicSSTAResult is the canonical-form SSTA result.
 	SymbolicSSTAResult = symbolic.SSTAResult
@@ -246,6 +248,9 @@ func AnalyzeSTA(c *Circuit, inputs map[NodeID]InputStats, delay DelayModel, k fl
 }
 
 // SimulateMonteCarlo runs the four-value logic reference simulation.
+// With cfg.MomentNets set, only the listed nets accumulate arrival
+// moments (bit-identical to a nil run there); counts stay at every
+// net. A MomentNets node ID outside the circuit is an error.
 func SimulateMonteCarlo(c *Circuit, inputs map[NodeID]InputStats, cfg MonteCarloConfig) (*MonteCarloResult, error) {
 	return montecarlo.Simulate(c, inputs, cfg)
 }

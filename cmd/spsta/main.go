@@ -478,7 +478,7 @@ func runMC(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets [
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: runs, Seed: seed, Workers: workers, Delay: delay, Packed: packed, Obs: scope})
+	res, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: runs, Seed: seed, Workers: workers, Delay: delay, Packed: packed, MomentNets: targets, Obs: scope})
 	if err != nil {
 		return err
 	}

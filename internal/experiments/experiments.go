@@ -162,6 +162,7 @@ func RunAll(cfg Config, s Scenario) ([]Analysis, error) {
 		a.SSTATime = time.Since(t0)
 
 		t0 = time.Now()
+		// MomentNets stays nil: Table 3 times the paper's full per-net MC run.
 		a.MC, err = montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Packed: cfg.Packed, Obs: cfg.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: MC on %s: %w", c.Name, err)

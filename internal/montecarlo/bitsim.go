@@ -18,11 +18,14 @@
 //	fall      = iw & ^fw
 //
 // Arrival-time settling is inherently per-run arithmetic, so it runs
-// as a sparse pass: a bits.TrailingZeros64 walk over the switching
-// mask visits only the lanes whose output actually transitions and
-// replays the scalar engine's settle (MIN/MAX over the switching
-// fanins' times, per-lane MIN/MAX selected from the output's final
-// value for monotone gates).
+// as a sparse, fanin-major pass: for each fanin in order, a
+// bits.TrailingZeros64 walk visits only the lanes where both the
+// output and that fanin transition, and folds the fanin's time into a
+// per-lane accumulator (MIN on the lanes where a monotone gate
+// settles to its controlled value, MAX elsewhere); one last walk over
+// the switching mask adds the sampled gate delay. Each lane still sees
+// its switching fanins in fanin order, as the scalar engine's settle
+// does.
 //
 // Randomness: each lane l of a block starting at global run b draws
 // from the SplitMix64 stream runState(seed, b+l) (rng.go). The node-
@@ -58,17 +61,17 @@ type packedState struct {
 	srcs [laneCount]runSource
 	rngs [laneCount]*rand.Rand
 
-	// Per-gate fanin scratch for the settle pass: switching mask and
-	// tm base offset of each fanin.
-	fsw   []uint64
-	fbase []int
+	// Per-lane settle scratch of the gate being settled: the folded
+	// fanin time and the number of switching fanins (for MIS).
+	acc [laneCount]float64
+	k   [laneCount]int
 }
 
 // simulatePacked simulates runs runs with global indices
 // [start, start+runs) into res using the bit-parallel engine.
 // Preconditions (enforced by simulateRange): no CountGlitches, no
 // ProbeTimes; cfg.Delay non-nil.
-func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, seed int64, res *Result, start, runs int) {
+func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int) {
 	nn := len(c.Nodes)
 	st := &packedState{
 		iw: make([]uint64, nn),
@@ -95,7 +98,7 @@ func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 		if m != nil {
 			t0 = obs.Nanotime()
 		}
-		settled := simulateBlock(c, inputs, cfg, st, order, endpoints, defaultStats, res,
+		settled := simulateBlock(c, inputs, cfg, st, order, endpoints, moments, defaultStats, res,
 			seed, start+block, active)
 		if m != nil {
 			m.MCPackedBlocks.Add(1)
@@ -114,7 +117,7 @@ func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 // indices [block, block+active) and accumulates its statistics.
 // It returns the number of sparse settle-pass lane visits.
 func simulateBlock(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, st *packedState,
-	order, endpoints []netlist.NodeID, defaultStats logic.InputStats, res *Result,
+	order, endpoints []netlist.NodeID, moments []bool, defaultStats logic.InputStats, res *Result,
 	seed int64, block, active int) int64 {
 
 	activeMask := ^uint64(0) >> (laneCount - uint(active))
@@ -159,9 +162,10 @@ func simulateBlock(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStat
 		iw[id], fw[id] = wi, wf
 
 		// Statistics: word popcounts for the occurrence counts, a
-		// per-lane walk over the transition masks for the moments.
-		// Lanes are visited in ascending order = ascending global run
-		// order, matching the scalar engine's Welford Add sequence.
+		// per-lane walk over the transition masks for the moments of
+		// the nets that keep them. Lanes are visited in ascending
+		// order = ascending global run order, matching the scalar
+		// engine's Welford Add sequence.
 		s := &res.Stats[id]
 		one := wi & wf & activeMask
 		rise := ^wi & wf & activeMask
@@ -171,6 +175,9 @@ func simulateBlock(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStat
 		s.Count[logic.One] += int64(bits.OnesCount64(one))
 		s.Count[logic.Rise] += int64(bits.OnesCount64(rise))
 		s.Count[logic.Fall] += int64(bits.OnesCount64(fall))
+		if !moments[id] {
+			continue
+		}
 		base := int(id) * laneCount
 		for w := rise; w != 0; w &= w - 1 {
 			s.Rise.Add(tm[base+bits.TrailingZeros64(w)])
@@ -246,12 +253,15 @@ func evalPlanes(g logic.GateType, fanin []netlist.NodeID, iw, fw []uint64) (wi, 
 	panic("montecarlo: evalPlanes on non-combinational gate " + g.String())
 }
 
-// settleLanes runs the sparse settle pass for gate n: for each lane
-// in the switching mask sw, combine the switching fanins' transition
-// times with the lane's MIN/MAX settle operation and add the sampled
-// gate delay. This replays simulateScalar's settle arithmetic (same
-// first-then-strict-compare accumulation, same comparison order) so
-// the times are bit-identical.
+// settleLanes runs the sparse settle pass for gate n over the lanes
+// in the switching mask sw. It walks the fanins in order and, for
+// each, only the lanes where that fanin also switches: the first
+// switching fanin of a lane sets its accumulator, later ones take a
+// strict MIN on the lanes of opMinMask and a strict MAX elsewhere.
+// A final pass over sw adds the sampled gate delay. Per lane this is
+// simulateScalar's settle arithmetic in the same fanin order, and the
+// lane's delay draw stays one per gate in node order, so the times
+// are bit-identical.
 func settleLanes(cfg *Config, st *packedState, n *netlist.Node, id netlist.NodeID, wf, sw uint64) {
 	// opMin per lane: SettleOp returns OpMin exactly when a monotone
 	// gate's output settles to its controlled value, i.e. when the
@@ -265,48 +275,45 @@ func settleLanes(cfg *Config, st *packedState, n *netlist.Node, id netlist.NodeI
 			opMinMask = ^wf
 		}
 	}
-	st.fsw = st.fsw[:0]
-	st.fbase = st.fbase[:0]
+	tm := st.tm
+	acc, k := &st.acc, &st.k
+	seen := uint64(0) // lanes whose accumulator holds a fanin time
 	for _, f := range n.Fanin {
-		st.fsw = append(st.fsw, st.iw[f]^st.fw[f])
-		st.fbase = append(st.fbase, int(f)*laneCount)
+		fsw := sw & (st.iw[f] ^ st.fw[f])
+		fb := int(f) * laneCount
+		for w := fsw &^ seen; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			acc[l] = tm[fb+l]
+			k[l] = 1
+		}
+		for w := fsw & seen & opMinMask; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			if t := tm[fb+l]; t < acc[l] {
+				acc[l] = t
+			}
+			k[l]++
+		}
+		for w := fsw & seen &^ opMinMask; w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			if t := tm[fb+l]; t > acc[l] {
+				acc[l] = t
+			}
+			k[l]++
+		}
+		seen |= fsw
 	}
 	dn := cfg.Delay(n)
 	base := int(id) * laneCount
-	tm := st.tm
 	for w := sw; w != 0; w &= w - 1 {
 		l := bits.TrailingZeros64(w)
-		bit := uint64(1) << uint(l)
-		opMin := opMinMask&bit != 0
-		first := true
-		acc := 0.0
-		k := 0
-		for j, fsw := range st.fsw {
-			if fsw&bit == 0 {
-				continue
-			}
-			k++
-			t := tm[st.fbase[j]+l]
-			if first {
-				acc, first = t, false
-				continue
-			}
-			if opMin {
-				if t < acc {
-					acc = t
-				}
-			} else if t > acc {
-				acc = t
-			}
-		}
 		d := dn
 		if cfg.MIS != nil {
-			d = cfg.MIS(n, k)
+			d = cfg.MIS(n, k[l])
 		}
 		dt := d.Mu
 		if d.Sigma > 0 {
 			dt += d.Sigma * st.rngs[l].NormFloat64()
 		}
-		tm[base+l] = acc + dt
+		tm[base+l] = acc[l] + dt
 	}
 }

@@ -184,6 +184,56 @@ func TestPackedWorkersInvariance(t *testing.T) {
 	}
 }
 
+// TestMomentNets checks Config.MomentNets on both engines, Workers 1
+// and 3, under σ=0.2 and MIS delays: restricted to the endpoints, the
+// listed nets' moments are bit-identical to a nil run, every net's
+// counts and criticality are unchanged, and no unlisted net
+// accumulates a moment.
+func TestMomentNets(t *testing.T) {
+	c := genCircuit(t, "s386")
+	inputs := scenarioInputs(c, logic.UniformStats)
+	eps := c.Endpoints()
+	listed := make(map[netlist.NodeID]bool)
+	for _, ep := range eps {
+		listed[ep] = true
+	}
+	models := []Config{
+		{Delay: func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 0.2} }},
+		{MIS: func(_ *netlist.Node, k int) dist.Normal { return dist.Normal{Mu: 1 + 0.25*float64(k-1), Sigma: 0.1} }},
+	}
+	for mi, model := range models {
+		for _, packed := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				cfg := model
+				cfg.Runs, cfg.Seed, cfg.Workers, cfg.Packed, cfg.CountCriticality = 999, 21, workers, packed, true
+				full, err := Simulate(c, inputs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.MomentNets = eps
+				part, err := Simulate(c, inputs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range full.Stats {
+					f, p := &full.Stats[id], &part.Stats[id]
+					name := c.Nodes[id].Name
+					if f.Count != p.Count || f.Critical != p.Critical {
+						t.Errorf("model %d packed=%v workers=%d: net %s counts diverge", mi, packed, workers, name)
+					}
+					if listed[netlist.NodeID(id)] {
+						if f.Rise != p.Rise || f.Fall != p.Fall {
+							t.Errorf("model %d packed=%v workers=%d: endpoint %s moments diverge", mi, packed, workers, name)
+						}
+					} else if p.Rise.N() != 0 || p.Fall.N() != 0 {
+						t.Errorf("model %d packed=%v workers=%d: unlisted net %s has moments", mi, packed, workers, name)
+					}
+				}
+			}
+		}
+	}
+}
+
 func genCircuit(t *testing.T, name string) *netlist.Circuit {
 	t.Helper()
 	p, ok := synth.ProfileByName(name)

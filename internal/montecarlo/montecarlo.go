@@ -62,6 +62,15 @@ type Config struct {
 	// last (among endpoints that transition) and accumulates
 	// per-endpoint criticality counts.
 	CountCriticality bool
+	// MomentNets, when non-nil, limits the arrival-time moments
+	// (NetStats.Rise and Fall) to the listed nets; every other net's
+	// moments stay empty (N() == 0). Occurrence counts, criticality,
+	// glitch and probe counts are kept at every net either way, and
+	// the listed nets' moments are bit-identical to a nil run. nil
+	// accumulates moments at every net. Callers pass the nets they
+	// read: the Welford update is a large share of the packed
+	// engine's time, and most nets' moments are never read.
+	MomentNets []netlist.NodeID
 	// Workers splits the runs across goroutines (default 1,
 	// sequential). Each worker owns a contiguous range of global run
 	// indices and the per-net moment accumulators are merged in
@@ -151,6 +160,16 @@ func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cf
 			return nil, fmt.Errorf("montecarlo: launch %s: %w", c.Nodes[id].Name, err)
 		}
 	}
+	moments := make([]bool, len(c.Nodes))
+	for i := range moments {
+		moments[i] = cfg.MomentNets == nil
+	}
+	for _, id := range cfg.MomentNets {
+		if id < 0 || int(id) >= len(c.Nodes) {
+			return nil, fmt.Errorf("montecarlo: moment net %d out of range [0, %d)", id, len(c.Nodes))
+		}
+		moments[id] = true
+	}
 	if m := cfg.Obs.M(); m != nil {
 		m.MCRuns.Add(int64(runs))
 	}
@@ -160,10 +179,10 @@ func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cf
 	}
 	if workers <= 1 {
 		res := newResult(c, runs, len(cfg.ProbeTimes))
-		simulateRange(c, inputs, &cfg, seed, res, 0, runs)
+		simulateRange(c, inputs, &cfg, moments, seed, res, 0, runs)
 		return res, nil
 	}
-	return simulateParallel(c, inputs, &cfg, seed, runs, workers)
+	return simulateParallel(c, inputs, &cfg, moments, seed, runs, workers)
 }
 
 // simulateParallel assigns each worker a contiguous range of global
@@ -172,7 +191,7 @@ func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cf
 // (seed, r), the shard boundaries never change what any run draws —
 // only how the Welford accumulators associate, which the shard-order
 // merge keeps deterministic.
-func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, seed int64, runs, workers int) (*Result, error) {
+func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, runs, workers int) (*Result, error) {
 	shards := make([]*Result, workers)
 	var wg sync.WaitGroup
 	base := runs / workers
@@ -194,7 +213,7 @@ func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputS
 			if m != nil || tr != nil {
 				t0 = time.Now()
 			}
-			simulateRange(c, inputs, cfg, seed, sres, ws, wn)
+			simulateRange(c, inputs, cfg, moments, seed, sres, ws, wn)
 			if m != nil || tr != nil {
 				d := time.Since(t0)
 				if m != nil {
@@ -233,24 +252,25 @@ func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputS
 // simulateRange simulates runs runs with global indices
 // [start, start+runs) into res, dispatching to the packed or scalar
 // engine. cfg has been normalized by Simulate (Delay non-nil, inputs
-// validated).
-func simulateRange(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, seed int64, res *Result, start, runs int) {
+// validated); moments[id] reports whether net id accumulates arrival
+// moments (Config.MomentNets).
+func simulateRange(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int) {
 	if cfg.Packed {
 		if !cfg.CountGlitches && len(cfg.ProbeTimes) == 0 {
-			simulatePacked(c, inputs, cfg, seed, res, start, runs)
+			simulatePacked(c, inputs, cfg, moments, seed, res, start, runs)
 			return
 		}
 		if m := cfg.Obs.M(); m != nil {
 			m.MCScalarFallbacks.Add(1)
 		}
 	}
-	simulateScalar(c, inputs, cfg, seed, res, start, runs)
+	simulateScalar(c, inputs, cfg, moments, seed, res, start, runs)
 }
 
 // simulateScalar is the one-run-at-a-time engine: per run, per node
 // in topological order, draw or evaluate the four-value output and
 // settle the transition time.
-func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, seed int64, res *Result, start, runs int) {
+func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int) {
 	var endpoints []netlist.NodeID
 	if cfg.CountCriticality {
 		endpoints = c.Endpoints()
@@ -322,11 +342,13 @@ func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 			}
 			s := &res.Stats[id]
 			s.Count[vals[id]]++
-			switch vals[id] {
-			case logic.Rise:
-				s.Rise.Add(times[id])
-			case logic.Fall:
-				s.Fall.Add(times[id])
+			if moments[id] {
+				switch vals[id] {
+				case logic.Rise:
+					s.Rise.Add(times[id])
+				case logic.Fall:
+					s.Fall.Add(times[id])
+				}
 			}
 			for i, pt := range cfg.ProbeTimes {
 				if oneAt(vals[id], times[id], pt) {

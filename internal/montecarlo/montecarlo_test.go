@@ -185,6 +185,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Simulate(c, bad, Config{Runs: 10}); err == nil {
 		t.Error("invalid input stats accepted")
 	}
+	if _, err := Simulate(c, uniform(c), Config{Runs: 10, MomentNets: []netlist.NodeID{netlist.NodeID(len(c.Nodes))}}); err == nil {
+		t.Error("out-of-range moment net accepted")
+	}
 }
 
 func TestXORSettleAtMax(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/montecarlo"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/ssta"
 )
@@ -71,14 +72,14 @@ func (s *Service) runDriftCheck(did, tid string) error {
 	if err != nil {
 		return err
 	}
+	ep := c.CriticalEndpoint()
 	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{
 		Runs: s.cfg.DriftRuns, Seed: req.Seed, Workers: req.mcWorkers(),
-		Delay: req.delay(), Packed: true,
+		Delay: req.delay(), Packed: true, MomentNets: []netlist.NodeID{ep},
 	})
 	if err != nil {
 		return err
 	}
-	ep := c.CriticalEndpoint()
 	var muDev, sigmaDev float64
 	for _, dir := range []ssta.Dir{ssta.DirRise, ssta.DirFall} {
 		am, as, _ := sp.Arrival(ep, dir)

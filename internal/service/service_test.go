@@ -13,7 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/logic"
+	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/ssta"
 )
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -220,6 +223,98 @@ func TestCompareEndpoint(t *testing.T) {
 	if got := svc.reg.requests[engineIndex("compare")].Load(); got != 1 {
 		t.Errorf("compare requests counted = %d, want 1", got)
 	}
+}
+
+// TestMCMomentNetsMatchFullRun checks that restricting the mc engine's
+// moments to the endpoints (montecarlo.Config.MomentNets) changes no
+// number a response carries: the mc endpoint statistics of an analyze
+// and of a compare response equal, bit for bit, a Simulate of the same
+// request that keeps moments at every net.
+func TestMCMomentNetsMatchFullRun(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	full := func(req Request) *montecarlo.Result {
+		t.Helper()
+		c, _, err := svc.resolveSource(req.Circuit, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := montecarlo.Simulate(c, scenarioInputs(c, req.Scenario), montecarlo.Config{
+			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(), Delay: req.delay(), Packed: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	endpoint := func(res *montecarlo.Result, name string) (rise, fall DirStat) {
+		t.Helper()
+		n, ok := res.C.Node(name)
+		if !ok {
+			t.Fatalf("response names unknown net %q", name)
+		}
+		ra, fa := res.Arrival(n.ID, ssta.DirRise), res.Arrival(n.ID, ssta.DirFall)
+		return DirStat{Mu: ra.Mean(), Sigma: ra.Sigma(), P: res.P(n.ID, logic.Rise)},
+			DirStat{Mu: fa.Mean(), Sigma: fa.Sigma(), P: res.P(n.ID, logic.Fall)}
+	}
+
+	analyze := Request{Circuit: "s344", Engine: "mc", Sigma: 0.2, Workers: 3, Runs: 999, Seed: 7}
+	resp, body := post(t, srv.URL+"/v1/analyze", string(mustMarshal(t, analyze)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status = %d: %s", resp.StatusCode, body)
+	}
+	var ar Response
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	want := full(analyze)
+	if len(ar.Engines) != 1 || len(ar.Engines[0].Endpoints) == 0 {
+		t.Fatalf("analyze returned %d engines", len(ar.Engines))
+	}
+	for _, got := range ar.Engines[0].Endpoints {
+		n, _ := want.C.Node(got.Net)
+		rise, fall := endpoint(want, got.Net)
+		if got.Rise != rise || got.Fall != fall ||
+			got.P0 != want.P(n.ID, logic.Zero) || got.P1 != want.P(n.ID, logic.One) {
+			t.Errorf("analyze %s: got %+v, full run rise %+v fall %+v", got.Net, got, rise, fall)
+		}
+	}
+
+	compare := Request{Circuit: "s344", Sigma: 0.2, Workers: 3, Runs: 999, Seed: 8}
+	resp, body = post(t, srv.URL+"/v1/compare", string(mustMarshal(t, compare)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compare status = %d: %s", resp.StatusCode, body)
+	}
+	var cr CompareResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Rows) == 0 {
+		t.Fatal("compare returned no rows")
+	}
+	want = full(compare)
+	for _, row := range cr.Rows {
+		rise, fall := endpoint(want, row.Net)
+		d := rise
+		if row.Dir == "fall" {
+			d = fall
+		}
+		if row.MCMu != d.Mu || row.MCSigma != d.Sigma {
+			t.Errorf("compare %s %s: mc (%v, %v), full run (%v, %v)", row.Net, row.Dir, row.MCMu, row.MCSigma, d.Mu, d.Sigma)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestQueueRejection fills the single worker slot and disables
