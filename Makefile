@@ -89,13 +89,16 @@ soak:
 # GOMAXPROCS 1 and 2, so the pool is raced on one processor as well as
 # on two; the Monte Carlo packed, sharded, golden and MomentNets tests
 # do the same for the packed engine's per-lane settle scratch and the
-# shard merge.
+# shard merge. The incr restore and single-edit tests and the service's
+# delta tests also run at both counts: delta sessions run Update with
+# Workers = GOMAXPROCS next to the undo snapshot.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned' ./internal/core ./internal/incr
+	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit' ./internal/core ./internal/incr
+	$(GO) test -race -cpu 1,2 -run Delta ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...
 	$(MAKE) smoke

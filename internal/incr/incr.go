@@ -134,6 +134,15 @@ func (s *SSTA) update(seed netlist.NodeID) int {
 }
 
 // SPSTA is an incrementally-updatable SPSTA analysis.
+//
+// An optimizer's what-if loop edits one net and reverts it before
+// trying the next, so the session keeps one undo snapshot: the state
+// saved just before the latest edit that moved a net off its base
+// delay or launch statistics. Reverting exactly that edit, with no
+// other call in between, copies the snapshot back instead of
+// re-timing the cone. The snapshot copies the per-net values, not
+// the t.o.p. functions they point to, so a restored session shares
+// its t.o.p. storage with the pre-edit state again.
 type SPSTA struct {
 	a      core.Analyzer
 	c      *netlist.Circuit
@@ -142,6 +151,17 @@ type SPSTA struct {
 	base   ssta.DelayModel
 	over   map[netlist.NodeID]dist.Normal
 	res    *core.Result
+
+	undo    []core.NetState
+	undoFor edit
+	undoOK  bool
+}
+
+// edit names what a call changed: net id's delay override or, when
+// input is set, its launch statistics.
+type edit struct {
+	id    netlist.NodeID
+	input bool
 }
 
 // NewSPSTA runs the initial full analysis with the given analyzer
@@ -181,7 +201,7 @@ func NewSPSTA(a core.Analyzer, c *netlist.Circuit, inputs map[netlist.NodeID]log
 func (s *SPSTA) SetDelay(id netlist.NodeID, d dist.Normal) (int, error) {
 	old, had := s.over[id]
 	s.over[id] = d
-	n, err := s.a.Update(s.res, s.inputs, id)
+	n, err := s.apply(edit{id: id}, !had)
 	if had && old != d {
 		s.retire(old)
 	}
@@ -203,6 +223,35 @@ func (s *SPSTA) retire(d dist.Normal) {
 	s.res.Kernels().Forget(d)
 }
 
+// apply re-times the session after e and returns the nets
+// recomputed. fromBase says e moved its net off the base value; only
+// then is the pre-edit state saved, and it becomes usable only once
+// the update succeeds.
+func (s *SPSTA) apply(e edit, fromBase bool) (int, error) {
+	s.undoOK = false
+	if fromBase {
+		s.undo = append(s.undo[:0], s.res.State...)
+	}
+	n, err := s.a.Update(s.res, s.inputs, e.id)
+	s.undoOK = fromBase && err == nil
+	s.undoFor = e
+	return n, err
+}
+
+// revert re-times the session after e's net went back to its base
+// value. When e undoes the edit the snapshot was saved for, the saved
+// state is copied back and nothing is recomputed; otherwise the
+// change propagates through the net's cone.
+func (s *SPSTA) revert(e edit) (int, error) {
+	restore := s.undoOK && s.undoFor == e
+	s.undoOK = false
+	if restore {
+		copy(s.res.State, s.undo)
+		return 0, nil
+	}
+	return s.a.Update(s.res, s.inputs, e.id)
+}
+
 // Result returns the current analysis.
 func (s *SPSTA) Result() *core.Result { return s.res }
 
@@ -213,33 +262,38 @@ func (s *SPSTA) SetInput(id netlist.NodeID, st logic.InputStats) (int, error) {
 	if err := st.Validate(); err != nil {
 		return 0, err
 	}
+	cur, ok := s.inputs[id]
+	base, baseOK := s.baseIn[id]
 	s.inputs[id] = st
-	return s.a.Update(s.res, s.inputs, id)
+	return s.apply(edit{id: id, input: true}, ok == baseOK && cur == base)
 }
 
 // ClearDelay removes a delay override, restoring the base model for
 // the gate and propagating through its fanout cone. A no-op (zero
-// recomputations) when the gate has no override.
+// recomputations) when the gate has no override; zero recomputations
+// too when it reverts the session's latest edit, whose pre-edit state
+// is copied back.
 func (s *SPSTA) ClearDelay(id netlist.NodeID) (int, error) {
 	old, ok := s.over[id]
 	if !ok {
 		return 0, nil
 	}
 	delete(s.over, id)
-	n, err := s.a.Update(s.res, s.inputs, id)
+	n, err := s.revert(edit{id: id})
 	s.retire(old)
 	return n, err
 }
 
 // ClearInput restores one launch point's original statistics (the
-// map NewSPSTA was given) and propagates.
+// map NewSPSTA was given) and propagates, or copies the pre-edit
+// state back when this reverts the session's latest edit.
 func (s *SPSTA) ClearInput(id netlist.NodeID) (int, error) {
 	if st, ok := s.baseIn[id]; ok {
 		s.inputs[id] = st
 	} else {
 		delete(s.inputs, id)
 	}
-	return s.a.Update(s.res, s.inputs, id)
+	return s.revert(edit{id: id, input: true})
 }
 
 // Circuit returns the analyzed circuit.

@@ -118,39 +118,43 @@ func singleEdits(gates []netlist.NodeID) []singleEdit {
 
 // apply clears prev's override (none when prev < 0) and applies e, as
 // consecutive single-edit requests on one session do, returning the
-// nets recomputed.
-func (e singleEdit) apply(s *SPSTA, prev netlist.NodeID) (int, error) {
-	nets := 0
+// nets the revert and the new edit recomputed.
+func (e singleEdit) apply(s *SPSTA, prev netlist.NodeID) (revert, set int, err error) {
 	if prev >= 0 {
-		n, err := s.ClearDelay(prev)
-		if err != nil {
-			return nets, err
+		if revert, err = s.ClearDelay(prev); err != nil {
+			return revert, 0, err
 		}
-		nets += n
 	}
-	n, err := s.SetDelay(e.gate, e.d)
-	return nets + n, err
+	set, err = s.SetDelay(e.gate, e.d)
+	return revert, set, err
 }
 
-// TestSPSTASingleEditRecomputedSet pins the cone cutoff: replaying
-// BenchmarkSPSTASingleEdit's edit sequence once on s1196 must
-// recompute exactly 31,749 nets (62.01 per edit). A net is recomputed
-// iff it is the edited one or one of its fanins changed, so any other
-// total means the propagation visits a different set.
+// TestSPSTASingleEditRecomputedSet pins the cone cutoff and the
+// restore: replaying BenchmarkSPSTASingleEdit's edit sequence once on
+// s1196 must recompute exactly 15,881 nets in the new edits' cones
+// (31.02 per edit) and none in the reverts, each of which undoes the
+// session's latest edit by restoring its pre-edit state. A net is
+// recomputed iff it is the edited one or one of its fanins changed,
+// so any other cone total means the propagation visits a different
+// set.
 func TestSPSTASingleEditRecomputedSet(t *testing.T) {
 	s, gates := variationalSession(t, "s1196", 0.2, 1e-4)
-	nets := 0
+	reverts, sets := 0, 0
 	prev := netlist.NodeID(-1)
 	for _, e := range singleEdits(gates) {
-		n, err := e.apply(s, prev)
+		r, n, err := e.apply(s, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets += n
+		reverts += r
+		sets += n
 		prev = e.gate
 	}
-	if nets != 31749 {
-		t.Errorf("512 single edits recomputed %d nets, want 31749", nets)
+	if sets != 15881 {
+		t.Errorf("512 single edits recomputed %d nets in their cones, want 15881", sets)
+	}
+	if reverts != 0 {
+		t.Errorf("511 reverts recomputed %d nets, want 0", reverts)
 	}
 }
 
@@ -169,11 +173,11 @@ func BenchmarkSPSTASingleEdit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := edits[i%len(edits)]
-		n, err := e.apply(s, prev)
+		r, n, err := e.apply(s, prev)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nets += n
+		nets += r + n
 		prev = e.gate
 	}
 	b.ReportMetric(float64(nets)/float64(b.N), "nets/op")

@@ -81,6 +81,8 @@ type DeltaResponse struct {
 	Engine        EngineResult `json:"engine"`
 	// Edits is the number of overrides in effect after this request;
 	// NetsRecomputed the node recomputations the reconciliation cost.
+	// A revert of the session's latest edit restores the saved
+	// pre-edit state, and the nets it restores are not counted.
 	Edits          int `json:"edits"`
 	NetsRecomputed int `json:"nets_recomputed"`
 	// Session is "cold" when this request paid the initial full
@@ -254,7 +256,11 @@ func (sess *deltaSession) clearInput(id netlist.NodeID) (int, error) {
 // reconcile drives the session from its currently-applied override
 // set to the desired one: dropped overrides are cleared (reverting to
 // the base netlist), new or changed ones applied, unchanged ones
-// skipped entirely. Returns the total node recomputations.
+// skipped entirely. Returns the total node recomputations. The order
+// matters: clearing before setting lets a what-if request that drops
+// the previous request's single edit revert it while it is still the
+// session's latest edit, which incr.SPSTA restores without
+// recomputing anything.
 func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats) (int, error) {
 	evals := 0
 	for id := range sess.curDelay {
