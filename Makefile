@@ -18,9 +18,10 @@ bench:
 #     the disabled path is the enabled path minus the work behind the
 #     nil checks, this bounds the always-compiled instrumentation's
 #     cost on uninstrumented runs.
-#   - TestBenchGuardPackedSpeedup: word-packed Monte Carlo >= 5x the
-#     scalar engine on s1196 at 10,000 runs (one run on a 2-vCPU
-#     x86-64 host measured ~18x).
+#   - TestBenchGuardPackedSpeedup (internal/montecarlo): word-packed
+#     Monte Carlo >= 5x the scalar reference walk the package's tests
+#     keep, on s1196 at 10,000 runs (one run on a 2-vCPU x86-64 host
+#     measured ~20x).
 #   - TestBenchGuardTracingOverhead: the always-on service scope
 #     (metrics + coarse tracer + trace ID, what spstad attaches to
 #     every request) vs observability disabled, delta <= 2%.
@@ -47,7 +48,7 @@ bench:
 #     hot/cold/delta load with no SLO objective burning, client p99
 #     <= 500ms, rejections <= 1%.
 bench-guard:
-	BENCH_GUARD=1 $(GO) test -run TestBenchGuard -v -timeout 20m .
+	BENCH_GUARD=1 $(GO) test -run TestBenchGuard -v -timeout 20m . ./internal/montecarlo
 
 # Regenerate the checked-in benchmark JSON documents (BENCH_spsta.json,
 # BENCH_moment.json, BENCH_mc.json) with the default sweeps, including
@@ -88,8 +89,8 @@ soak:
 # with metrics and tracing live. The scheduler tests run again at
 # GOMAXPROCS 1 and 2, so the pool is raced on one processor as well as
 # on two; the Monte Carlo packed, sharded, golden and MomentNets tests
-# do the same for the packed engine's per-lane settle scratch and the
-# shard merge. The incr restore and single-edit tests and the service's
+# do the same for the packed engine's per-lane settle and glitch
+# scratch and the shard merge. The incr restore and single-edit tests and the service's
 # delta tests also run at both counts: delta sessions run Update with
 # Workers = GOMAXPROCS next to the undo snapshot.
 check:

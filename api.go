@@ -255,18 +255,6 @@ func SimulateMonteCarlo(c *Circuit, inputs map[NodeID]InputStats, cfg MonteCarlo
 	return montecarlo.Simulate(c, inputs, cfg)
 }
 
-// SimulateMonteCarloPacked runs the reference simulation on the
-// word-packed bit-parallel engine: 64 runs per uint64 bit-plane pair,
-// gate logic evaluated with word operations, arrival-time settling
-// only on the lanes that transition. Results are bit-identical to
-// SimulateMonteCarlo for the same (Seed, Workers); configurations the
-// packed engine cannot express (CountGlitches, ProbeTimes) fall back
-// to the scalar engine transparently.
-func SimulateMonteCarloPacked(c *Circuit, inputs map[NodeID]InputStats, cfg MonteCarloConfig) (*MonteCarloResult, error) {
-	cfg.Packed = true
-	return montecarlo.Simulate(c, inputs, cfg)
-}
-
 // AnalyzeSymbolicSSTA runs canonical first-order SSTA over nvars
 // global variation sources.
 func AnalyzeSymbolicSSTA(c *Circuit, inputs map[NodeID]InputStats, delay SymbolicDelayModel, nvars int) (*SymbolicSSTAResult, error) {
@@ -479,8 +467,8 @@ type (
 	EngineTracer = obs.Tracer
 	// EngineScope is one analysis' observability handle: a metrics
 	// registry plus an optional tracer. Pass it via
-	// SPSTAOptions.Obs or SimulateMonteCarloScoped; a nil scope
-	// disables instrumentation.
+	// SPSTAOptions.Obs or MonteCarloConfig.Obs; a nil scope disables
+	// instrumentation.
 	EngineScope = obs.Scope
 )
 
@@ -491,14 +479,6 @@ func NewEngineScope() *EngineScope { return obs.NewScope() }
 // NewTracedEngineScope returns a scope with a fresh metrics registry
 // and a fresh tracer.
 func NewTracedEngineScope() *EngineScope { return obs.NewTracedScope() }
-
-// SimulateMonteCarloScoped is SimulateMonteCarlo recording run counts,
-// shard busy times and packed-engine block statistics into the given
-// scope (nil runs uninstrumented).
-func SimulateMonteCarloScoped(c *Circuit, inputs map[NodeID]InputStats, cfg MonteCarloConfig, scope *EngineScope) (*MonteCarloResult, error) {
-	cfg.Obs = scope
-	return montecarlo.Simulate(c, inputs, cfg)
-}
 
 // SplitWideGates returns an equivalent circuit with every gate's
 // fanin bounded by maxFanin (wide gates become balanced trees) so

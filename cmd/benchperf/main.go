@@ -8,7 +8,7 @@
 //	                (default output BENCH_spsta.json)
 //	-engine moment  analytic moment-matching SPSTA per circuit, on
 //	                one worker (default output BENCH_moment.json)
-//	-engine mc      scalar vs word-packed Monte Carlo per circuit
+//	-engine mc      word-packed Monte Carlo per circuit
 //	                (default output BENCH_mc.json)
 //
 // The spsta and moment engines additionally sweep the -epsilon list of
@@ -19,10 +19,10 @@
 // grid resolution, peak support width, certified deviation budget and
 // speedup over the coarsen=off cell of the same configuration.
 //
-// Measurement is interleaved min-of-N: every variant of a circuit
-// (worker counts, or scalar/packed) is calibrated to a per-round
-// batch, then the batches run round-robin and each variant reports
-// its fastest round. Interleaving cancels slow drift (thermal,
+// Measurement is interleaved min-of-N: every cell of a circuit
+// (worker count, budget, sigma, coarsening) is calibrated to a
+// per-round batch, then the batches run round-robin and each cell
+// reports its fastest round. Interleaving cancels slow drift (thermal,
 // migration, background load) that sequential timing folds into
 // whichever variant runs last, and the minimum estimates the
 // noise-free cost.
@@ -30,7 +30,7 @@
 // Usage:
 //
 //	benchperf                              # SPSTA, all nine circuits, workers 1,2,4,8
-//	benchperf -engine mc -runs 10000       # scalar vs packed Monte Carlo
+//	benchperf -engine mc -runs 10000       # Monte Carlo runs/s per circuit
 //	benchperf -circuits s1196,s1238 -mintime 1s
 package main
 
@@ -81,9 +81,7 @@ type Row struct {
 	// resolution the deep levels actually ran at.
 	GridBins        int   `json:"grid_bins,omitempty"`
 	MaxSupportWidth int64 `json:"max_support_width,omitempty"`
-	// Engine ("scalar" or "packed") and Runs identify a Monte Carlo
-	// cell.
-	Engine  string  `json:"engine,omitempty"`
+	// Runs identifies a Monte Carlo cell.
 	Runs    int     `json:"runs,omitempty"`
 	Reps    int     `json:"reps"`
 	Rounds  int     `json:"rounds,omitempty"`
@@ -93,9 +91,6 @@ type Row struct {
 	// SpeedupV1 compares an SPSTA cell to the same circuit's
 	// workers=1 cell.
 	SpeedupV1 float64 `json:"speedup_vs_workers_1,omitempty"`
-	// SpeedupVsScalar compares a packed Monte Carlo cell to the same
-	// circuit's scalar cell.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar,omitempty"`
 	// SpeedupVsExact compares a pruned (ε>0) cell to the same
 	// circuit's exact ε=0 cell at the same worker count.
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
@@ -136,7 +131,7 @@ func main() {
 }
 
 func run() error {
-	engine := flag.String("engine", "spsta", "benchmark engine: spsta (level-parallel analyzer sweep), moment (analytic moment-matching sweep), or mc (scalar vs packed Monte Carlo)")
+	engine := flag.String("engine", "spsta", "benchmark engine: spsta (level-parallel analyzer sweep), moment (analytic moment-matching sweep), or mc (word-packed Monte Carlo)")
 	out := flag.String("out", "", "output JSON path (- for stdout; default BENCH_<engine>.json)")
 	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta; moment cells run one worker)")
 	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
@@ -448,57 +443,42 @@ func delayFor(sigma float64) ssta.DelayModel {
 	return func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: sigma} }
 }
 
-// benchMC measures the scalar and packed Monte Carlo engines per
-// circuit, interleaved.
+// benchMC measures the Monte Carlo engine per circuit.
 func benchMC(circuits []*netlist.Circuit, runs int, minTime time.Duration, rounds int, withMetrics bool) ([]Row, error) {
 	var out []Row
 	for _, c := range circuits {
 		in := experiments.Inputs(c, experiments.ScenarioI)
 		st := c.Stats()
-		cfgFor := func(packed bool) montecarlo.Config {
-			return montecarlo.Config{Runs: runs, Seed: 1, Workers: 1, Packed: packed}
-		}
-		vs := []variant{
-			{name: "scalar", fn: func() error {
-				_, err := montecarlo.Simulate(c, in, cfgFor(false))
-				return err
-			}},
-			{name: "packed", fn: func() error {
-				_, err := montecarlo.Simulate(c, in, cfgFor(true))
-				return err
-			}},
-		}
+		cfg := montecarlo.Config{Runs: runs, Seed: 1, Workers: 1}
+		vs := []variant{{name: "mc", fn: func() error {
+			_, err := montecarlo.Simulate(c, in, cfg)
+			return err
+		}}}
 		mins, reps, err := measureInterleaved(vs, minTime, rounds)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
 		}
-		for i, v := range vs {
-			row := Row{
-				Circuit:    c.Name,
-				Gates:      st.Gates,
-				Depth:      st.Depth,
-				Engine:     v.name,
-				Runs:       runs,
-				Reps:       reps[i],
-				Rounds:     rounds,
-				NsPerOp:    mins[i],
-				RunsPerSec: float64(runs) / mins[i] * 1e9,
-			}
-			if v.name == "packed" && mins[0] > 0 {
-				row.SpeedupVsScalar = mins[0] / mins[i]
-			}
-			if withMetrics {
-				snap, err := snapshotMC(c, in, cfgFor(v.name == "packed"))
-				if err != nil {
-					return nil, fmt.Errorf("%s %s: %w", c.Name, v.name, err)
-				}
-				row.Metrics = snap
-				row.CostUnits = snap.Cost.Total
-			}
-			out = append(out, row)
-			fmt.Fprintf(os.Stderr, "%-8s mc/%-6s  %12.0f ns/op  %12.0f runs/s  (%d reps × %d rounds)\n",
-				c.Name, v.name, row.NsPerOp, row.RunsPerSec, row.Reps, rounds)
+		row := Row{
+			Circuit:    c.Name,
+			Gates:      st.Gates,
+			Depth:      st.Depth,
+			Runs:       runs,
+			Reps:       reps[0],
+			Rounds:     rounds,
+			NsPerOp:    mins[0],
+			RunsPerSec: float64(runs) / mins[0] * 1e9,
 		}
+		if withMetrics {
+			snap, err := snapshotMC(c, in, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", c.Name, err)
+			}
+			row.Metrics = snap
+			row.CostUnits = snap.Cost.Total
+		}
+		out = append(out, row)
+		fmt.Fprintf(os.Stderr, "%-8s mc  %12.0f ns/op  %12.0f runs/s  (%d reps × %d rounds)\n",
+			c.Name, row.NsPerOp, row.RunsPerSec, row.Reps, rounds)
 	}
 	return out, nil
 }

@@ -34,9 +34,8 @@ func run() error {
 	what := flag.String("run", "all", "artifact: all, table2, table3, fig1, fig2, fig3, fig4, summary, ablation, sweep")
 	runs := flag.Int("runs", 10000, "Monte Carlo run count")
 	seed := flag.Int64("seed", 1, "Monte Carlo seed; Monte Carlo output is deterministic for a fixed (-seed, -workers) pair")
-	workers := flag.Int("workers", 0, "worker goroutines for the SPSTA level-parallel schedule and the Monte Carlo shards (0 = GOMAXPROCS); SPSTA results are identical for any worker count")
+	workers := flag.Int("workers", 0, "worker goroutines for the SPSTA level-parallel schedule (0 = GOMAXPROCS) and the Monte Carlo shard count (0 = one shard, so output does not depend on the host); SPSTA results are identical for any worker count")
 	circuits := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
-	packed := flag.Bool("packed", true, "use the word-packed bit-parallel Monte Carlo engine (bit-identical to -packed=false for the same seed and workers)")
 	epsilon := flag.Float64("epsilon", 0, "SPSTA per-net adaptive-pruning error budget (0 = exact); reported probabilities deviate from exact by at most the consumed budget")
 	coarsen := flag.String("coarsen", "off", "SPSTA depth-adaptive grid coarsening: off, fixed or auto (re-binning deviation is folded into the consumed budget; DESIGN.md \u00a715)")
 	metricsOut := flag.String("metrics", "", "write an aggregated engine-metrics snapshot of every run as JSON to this file (- for stdout)")
@@ -46,7 +45,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{MCRuns: *runs, Seed: *seed, Workers: *workers, Packed: *packed, Epsilon: *epsilon,
+	cfg := experiments.Config{MCRuns: *runs, Seed: *seed, Workers: *workers, Epsilon: *epsilon,
 		Coarsen: core.CoarsenPolicy{Mode: cmode}}
 	if *circuits != "" {
 		cfg.Circuits = strings.Split(*circuits, ",")

@@ -53,7 +53,6 @@ func run() error {
 	runs := flag.Int("runs", 10000, "Monte Carlo run count")
 	seed := flag.Int64("seed", 1, "Monte Carlo seed; Monte Carlo output is deterministic for a fixed (-seed, -workers) pair")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS): SPSTA evaluates each circuit level in parallel with results identical for any worker count; spsta-moments ignores it and runs serially; Monte Carlo shards its runs per worker, so its substreams — and hence its output — are determined by the (-seed, -workers) pair")
-	packed := flag.Bool("packed", true, "use the word-packed bit-parallel Monte Carlo engine (64 runs per machine word; bit-identical to -packed=false for the same seed and workers)")
 	net := flag.String("net", "", "report a single net instead of the endpoints")
 	split := flag.Int("split", 0, "decompose gates wider than this fanin into trees (0 disables)")
 	sigma := flag.Float64("sigma", 0, "gate delay sigma: >0 selects variational N(1, sigma^2) gate delays (exercising the convolution SUM path) instead of deterministic unit delays")
@@ -147,7 +146,7 @@ func run() error {
 		case "sta":
 			return runSTA(c, in, targets, delay)
 		case "mc":
-			return runMC(c, in, targets, *runs, *seed, *workers, *packed, delay, scope)
+			return runMC(c, in, targets, *runs, *seed, *workers, delay, scope)
 		case "critical":
 			return runCritical(c, in, *workers, delay, scope)
 		case "paths":
@@ -155,7 +154,7 @@ func run() error {
 		case "yield":
 			return runYield(c, in, *workers, delay, scope)
 		case "all":
-			return runAll(c, in, targets, *runs, *seed, *workers, *packed, *epsilon, delay, pol, scope)
+			return runAll(c, in, targets, *runs, *seed, *workers, *epsilon, delay, pol, scope)
 		}
 		return fmt.Errorf("unknown analyzer %q", *analyzer)
 	}
@@ -179,7 +178,7 @@ type pruneStats struct {
 // with per-engine wall time, the peak HeapAlloc growth observed while
 // the engine ran (sampled concurrently), and — for the pruning-capable
 // SPSTA engines — the total pruned mass and max consumed error budget.
-func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, packed bool, epsilon float64, delay ssta.DelayModel, pol core.CoarsenPolicy, scope *obs.Scope) error {
+func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, epsilon float64, delay ssta.DelayModel, pol core.CoarsenPolicy, scope *obs.Scope) error {
 	engines := []struct {
 		name string
 		f    func() (pruneStats, error)
@@ -191,7 +190,7 @@ func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets 
 		{"ssta", func() (pruneStats, error) { return pruneStats{}, runSSTA(c, in, targets, delay) }},
 		{"sta", func() (pruneStats, error) { return pruneStats{}, runSTA(c, in, targets, delay) }},
 		{"mc", func() (pruneStats, error) {
-			return pruneStats{}, runMC(c, in, targets, runs, seed, workers, packed, delay, scope)
+			return pruneStats{}, runMC(c, in, targets, runs, seed, workers, delay, scope)
 		}},
 	}
 	footer := report.Table{
@@ -471,14 +470,14 @@ func runSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets 
 	return t.Render(os.Stdout)
 }
 
-func runMC(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, packed bool, delay ssta.DelayModel, scope *obs.Scope) error {
+func runMC(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, delay ssta.DelayModel, scope *obs.Scope) error {
 	// The montecarlo package treats Workers as an exact shard count;
 	// resolve the 0 default here so the CLI contract ("0 means
 	// GOMAXPROCS") holds for Monte Carlo too.
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: runs, Seed: seed, Workers: workers, Delay: delay, Packed: packed, MomentNets: targets, Obs: scope})
+	res, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: runs, Seed: seed, Workers: workers, Delay: delay, MomentNets: targets, Obs: scope})
 	if err != nil {
 		return err
 	}

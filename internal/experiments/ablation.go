@@ -42,7 +42,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		in := Inputs(c, ScenarioI)
 		end := c.CriticalEndpoint()
 
-		discrete := core.Analyzer{Obs: cfg.Obs}
+		discrete := core.Analyzer{Workers: cfg.Workers, Obs: cfg.Obs}
 		dres, err := discrete.Run(c, in)
 		if err != nil {
 			return nil, err
@@ -56,13 +56,13 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact := core.Analyzer{ExactProbabilities: true, Obs: cfg.Obs}
+		exact := core.Analyzer{ExactProbabilities: true, Workers: cfg.Workers, Obs: cfg.Obs}
 		eres, err := exact.Run(c, in)
 		if err != nil {
 			return nil, err
 		}
 		sst := ssta.Analyze(c, in, nil)
-		mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Packed: cfg.Packed, Obs: cfg.Obs})
+		mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}

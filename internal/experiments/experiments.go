@@ -70,15 +70,12 @@ type Config struct {
 	Seed int64
 	// Circuits restricts the benchmark set (default: all nine).
 	Circuits []string
-	// Workers sets the SPSTA level-parallel worker count and the
-	// Monte Carlo shard count (0 = GOMAXPROCS inside each engine).
-	// SPSTA results are identical for any worker count; Monte Carlo
-	// results are determined by the (Seed, Workers) pair.
+	// Workers sets the SPSTA level-parallel worker count (0 =
+	// GOMAXPROCS) and the Monte Carlo shard count (0 = one shard, so
+	// experiment output does not depend on the host). SPSTA results
+	// are identical for any worker count; Monte Carlo results are
+	// determined by the (Seed, Workers) pair.
 	Workers int
-	// Packed selects the word-packed bit-parallel Monte Carlo engine
-	// (montecarlo.Config.Packed); results are bit-identical to the
-	// scalar engine for the same (Seed, Workers).
-	Packed bool
 	// Epsilon is the SPSTA adaptive-pruning error budget per net
 	// (core.Analyzer.ErrorBudget); 0 runs the exact engine. Pruned
 	// runs carry a certificate: every reported probability deviates
@@ -163,7 +160,7 @@ func RunAll(cfg Config, s Scenario) ([]Analysis, error) {
 
 		t0 = time.Now()
 		// MomentNets stays nil: Table 3 times the paper's full per-net MC run.
-		a.MC, err = montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Packed: cfg.Packed, Obs: cfg.Obs})
+		a.MC, err = montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Obs: cfg.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: MC on %s: %w", c.Name, err)
 		}
@@ -348,7 +345,7 @@ func Fig1(w io.Writer, cfg Config, s Scenario) error {
 	in := Inputs(c, s)
 	end := c.CriticalEndpoint()
 
-	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Packed: cfg.Packed, Obs: cfg.Obs})
+	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Obs: cfg.Obs})
 	if err != nil {
 		return err
 	}

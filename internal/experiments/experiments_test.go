@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/ssta"
 )
 
@@ -236,5 +237,42 @@ func TestSweep(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "cannot see input activity") {
 		t.Error("sweep output malformed")
+	}
+}
+
+// TestWorkersShardMonteCarlo: Sweep and Ablation honour Config.Workers
+// for their Monte Carlo runs. A sharded simulation records one
+// "mc shard" span per worker in the scope's tracer; an unsharded one
+// records none.
+func TestWorkersShardMonteCarlo(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"sweep", func(cfg Config) error { _, err := Sweep("s298", []float64{0.5}, cfg); return err }},
+		{"ablation", func(cfg Config) error { _, err := Ablation(cfg); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			scope := &obs.Scope{Metrics: obs.NewMetrics(), Tracer: obs.NewCoarseTracer()}
+			cfg := Config{MCRuns: 300, Seed: 2, Workers: 3, Circuits: []string{"s298"}, Obs: scope}
+			if err := tc.run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			shards := 0
+			var walk func([]*obs.SpanNode)
+			walk = func(nodes []*obs.SpanNode) {
+				for _, n := range nodes {
+					if n.Cat == "montecarlo" && strings.HasPrefix(n.Name, "mc shard ") {
+						shards++
+					}
+					walk(n.Children)
+				}
+			}
+			walk(scope.Tracer.Tree().Roots)
+			if shards != 3 {
+				t.Errorf("%d Monte Carlo shard spans, want 3 (one simulation, Workers 3)", shards)
+			}
+		})
 	}
 }

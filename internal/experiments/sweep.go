@@ -59,13 +59,13 @@ func Sweep(circuit string, rhos []float64, cfg Config) ([]SweepPoint, error) {
 		for _, id := range c.LaunchPoints() {
 			in[id] = st
 		}
-		a := core.Analyzer{Obs: cfg.Obs}
+		a := core.Analyzer{Workers: cfg.Workers, Obs: cfg.Obs}
 		sp, err := a.Run(c, in)
 		if err != nil {
 			return nil, err
 		}
 		sst := ssta.Analyze(c, in, nil)
-		mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Packed: cfg.Packed, Obs: cfg.Obs})
+		mc, err := montecarlo.Simulate(c, in, montecarlo.Config{Runs: cfg.runs(), Seed: cfg.Seed, Workers: cfg.Workers, Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,13 @@ import (
 	"repro/internal/synth"
 )
 
+// engines are the packed engine Simulate runs and the scalar
+// reference walk.
+var engines = []struct {
+	name string
+	run  engine
+}{{"packed", simulatePacked}, {"scalar", simulateScalar}}
+
 // scenarios are the paper's two launch-point statistics settings.
 var scenarios = []struct {
 	name  string
@@ -28,15 +35,15 @@ func scenarioInputs(c *netlist.Circuit, stats func() logic.InputStats) map[netli
 	return m
 }
 
-// comparePackedScalar runs cfg twice — scalar and Packed — and
-// requires every per-net statistic to match bit for bit.
+// comparePackedScalar runs cfg twice — on the scalar reference engine
+// and through Simulate — and requires every per-net statistic to
+// match bit for bit.
 func comparePackedScalar(t *testing.T, c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg Config) {
 	t.Helper()
-	scalar, err := Simulate(c, inputs, cfg)
+	scalar, err := simulate(c, inputs, cfg, simulateScalar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Packed = true
 	packed, err := Simulate(c, inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +59,11 @@ func comparePackedScalar(t *testing.T, c *netlist.Circuit, inputs map[netlist.No
 	}
 }
 
-// TestPackedMatchesScalarAllCircuits is the tentpole equivalence
-// contract: across all synthetic benchmark circuits, both scenarios
-// and serial/parallel sharding, the packed engine's occurrence counts
-// and moment accumulators are bit-identical to the scalar engine's.
+// TestPackedMatchesScalarAllCircuits is the equivalence contract:
+// across all synthetic benchmark circuits, both scenarios, unit, σ=0.2
+// and multiple-input-switching delays, and serial/parallel sharding,
+// the packed engine's occurrence, glitch, probe and criticality counts
+// and moment accumulators are bit-identical to the scalar reference's.
 // 999 runs exercise partial trailing blocks (999 = 15*64 + 39) and
 // odd shard boundaries.
 func TestPackedMatchesScalarAllCircuits(t *testing.T) {
@@ -63,12 +71,21 @@ func TestPackedMatchesScalarAllCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	models := []Config{
+		{},
+		{Delay: func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 0.2} }},
+		{MIS: func(_ *netlist.Node, k int) dist.Normal { return dist.Normal{Mu: 1 + 0.25*float64(k-1), Sigma: 0.1} }},
+	}
 	for _, c := range circuits {
 		for _, sc := range scenarios {
 			inputs := scenarioInputs(c, sc.stats)
-			for _, workers := range []int{1, 3} {
-				cfg := Config{Runs: 999, Seed: 11, Workers: workers, CountCriticality: true}
-				comparePackedScalar(t, c, inputs, cfg)
+			for _, model := range models {
+				for _, workers := range []int{1, 3} {
+					cfg := model
+					cfg.Runs, cfg.Seed, cfg.Workers = 999, 11, workers
+					cfg.CountCriticality, cfg.CountGlitches, cfg.ProbeTimes = true, true, goldenProbeTimes
+					comparePackedScalar(t, c, inputs, cfg)
+				}
 			}
 		}
 	}
@@ -102,10 +119,10 @@ func TestPackedMatchesScalarMIS(t *testing.T) {
 	comparePackedScalar(t, c, inputs, cfg)
 }
 
-// TestPackedFallback verifies that CountGlitches and ProbeTimes force
-// the scalar engine (counted by obs) and that results still match the
-// scalar engine exactly.
-func TestPackedFallback(t *testing.T) {
+// TestPackedEventCounters verifies that CountGlitches and ProbeTimes
+// each run on the packed engine (its blocks are counted) and match the
+// scalar reference exactly.
+func TestPackedEventCounters(t *testing.T) {
 	c := genCircuit(t, "s208")
 	inputs := scenarioInputs(c, logic.UniformStats)
 	cases := []struct {
@@ -121,12 +138,8 @@ func TestPackedFallback(t *testing.T) {
 			cfg := Config{Runs: 300, Seed: 9, Obs: scope}
 			tc.mod(&cfg)
 			comparePackedScalar(t, c, inputs, cfg)
-			snap := scope.Snapshot()
-			if snap.MonteCarloPacked.ScalarFallbacks == 0 {
-				t.Error("expected a scalar fallback to be counted")
-			}
-			if snap.MonteCarloPacked.Blocks != 0 {
-				t.Errorf("packed blocks = %d, want 0 (fallback)", snap.MonteCarloPacked.Blocks)
+			if got, want := scope.Snapshot().MonteCarloPacked.Blocks, int64(5); got != want { // ceil(300/64)
+				t.Errorf("packed blocks = %d, want %d", got, want)
 			}
 		})
 	}
@@ -139,7 +152,7 @@ func TestPackedObsCounters(t *testing.T) {
 	c := genCircuit(t, "s208")
 	inputs := scenarioInputs(c, logic.UniformStats)
 	scope := obs.NewScope()
-	if _, err := Simulate(c, inputs, Config{Runs: 130, Seed: 1, Packed: true, Obs: scope}); err != nil {
+	if _, err := Simulate(c, inputs, Config{Runs: 130, Seed: 1, Obs: scope}); err != nil {
 		t.Fatal(err)
 	}
 	snap := scope.Snapshot()
@@ -148,9 +161,6 @@ func TestPackedObsCounters(t *testing.T) {
 	}
 	if snap.MonteCarloPacked.SettleLanes == 0 {
 		t.Error("settle lanes = 0, want > 0")
-	}
-	if snap.MonteCarloPacked.ScalarFallbacks != 0 {
-		t.Errorf("scalar fallbacks = %d, want 0", snap.MonteCarloPacked.ScalarFallbacks)
 	}
 	if snap.MonteCarloRuns != 130 {
 		t.Errorf("runs = %d, want 130", snap.MonteCarloRuns)
@@ -162,17 +172,17 @@ func TestPackedObsCounters(t *testing.T) {
 // and the moment accumulators differ only by Welford association —
 // which Merge keeps deterministic — so packed results for different
 // Workers agree on all integer statistics and agree with the scalar
-// engine at the same Workers value (the bit-identity tests above).
+// reference at the same Workers value (the bit-identity tests above).
 // Here we pin down the weaker cross-worker contract on counts.
 func TestPackedWorkersInvariance(t *testing.T) {
 	c := genCircuit(t, "s298")
 	inputs := scenarioInputs(c, logic.SkewedStats)
-	base, err := Simulate(c, inputs, Config{Runs: 777, Seed: 13, Packed: true, Workers: 1})
+	base, err := Simulate(c, inputs, Config{Runs: 777, Seed: 13, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		r, err := Simulate(c, inputs, Config{Runs: 777, Seed: 13, Packed: true, Workers: workers})
+		r, err := Simulate(c, inputs, Config{Runs: 777, Seed: 13, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +194,8 @@ func TestPackedWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestMomentNets checks Config.MomentNets on both engines, Workers 1
+// TestMomentNets checks Config.MomentNets on the packed engine and the
+// scalar reference, Workers 1
 // and 3, under σ=0.2 and MIS delays: restricted to the endpoints, the
 // listed nets' moments are bit-identical to a nil run, every net's
 // counts and criticality are unchanged, and no unlisted net
@@ -202,16 +213,16 @@ func TestMomentNets(t *testing.T) {
 		{MIS: func(_ *netlist.Node, k int) dist.Normal { return dist.Normal{Mu: 1 + 0.25*float64(k-1), Sigma: 0.1} }},
 	}
 	for mi, model := range models {
-		for _, packed := range []bool{false, true} {
+		for _, en := range engines {
 			for _, workers := range []int{1, 3} {
 				cfg := model
-				cfg.Runs, cfg.Seed, cfg.Workers, cfg.Packed, cfg.CountCriticality = 999, 21, workers, packed, true
-				full, err := Simulate(c, inputs, cfg)
+				cfg.Runs, cfg.Seed, cfg.Workers, cfg.CountCriticality = 999, 21, workers, true
+				full, err := simulate(c, inputs, cfg, en.run)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.MomentNets = eps
-				part, err := Simulate(c, inputs, cfg)
+				part, err := simulate(c, inputs, cfg, en.run)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,14 +230,14 @@ func TestMomentNets(t *testing.T) {
 					f, p := &full.Stats[id], &part.Stats[id]
 					name := c.Nodes[id].Name
 					if f.Count != p.Count || f.Critical != p.Critical {
-						t.Errorf("model %d packed=%v workers=%d: net %s counts diverge", mi, packed, workers, name)
+						t.Errorf("model %d %s workers=%d: net %s counts diverge", mi, en.name, workers, name)
 					}
 					if listed[netlist.NodeID(id)] {
 						if f.Rise != p.Rise || f.Fall != p.Fall {
-							t.Errorf("model %d packed=%v workers=%d: endpoint %s moments diverge", mi, packed, workers, name)
+							t.Errorf("model %d %s workers=%d: endpoint %s moments diverge", mi, en.name, workers, name)
 						}
 					} else if p.Rise.N() != 0 || p.Fall.N() != 0 {
-						t.Errorf("model %d packed=%v workers=%d: unlisted net %s has moments", mi, packed, workers, name)
+						t.Errorf("model %d %s workers=%d: unlisted net %s has moments", mi, en.name, workers, name)
 					}
 				}
 			}

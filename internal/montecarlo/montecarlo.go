@@ -6,10 +6,10 @@
 // settle semantics per gate logic and transition direction), and
 // accumulates per-net occurrence counts and arrival-time moments.
 //
-// Two engines share the same sampling streams and therefore produce
-// bit-identical statistics: the scalar engine walks one run at a
-// time, and the packed engine (bitsim.go) evaluates 64 runs per gate
-// with word-level bit operations.
+// The engine (bitsim.go) evaluates 64 runs per gate with word-level
+// bit operations. The package's tests keep a one-run-at-a-time
+// reference walk that draws from the same per-run streams and must
+// match it bit for bit.
 package montecarlo
 
 import (
@@ -33,12 +33,11 @@ type Config struct {
 	// Seed selects the deterministic random streams (default 1).
 	// Every run r draws from its own SplitMix64 stream with starting
 	// state runState(Seed, r) — see rng.go — so the randomness
-	// consumed by run r depends only on (Seed, r), not on the engine
-	// (scalar or packed), the Workers count, or the shard split.
-	// Results are bit-identical across engines for a fixed (Seed,
-	// Workers) pair, and the per-shard streams cannot overlap the way
-	// the previous additive per-shard reseeding
-	// (rand.NewSource(Seed + w*1_000_003)) could.
+	// consumed by run r depends only on (Seed, r), not on the Workers
+	// count, the shard split or the run's lane in a 64-run block.
+	// Occurrence, glitch, probe and criticality counts are therefore
+	// identical for every Workers value; the moments depend on
+	// Workers only through the order the shard merge associates them.
 	Seed int64
 	// Delay is the gate delay model (default ssta.UnitDelay). A
 	// model with Sigma > 0 is sampled independently per gate per
@@ -47,16 +46,17 @@ type Config struct {
 	// gate (all ssta models are): the packed engine evaluates
 	// Delay(n) once per 64-run block instead of once per run.
 	Delay ssta.DelayModel
-	// CountGlitches additionally runs the event-walk semantics to
-	// count filtered glitches per net (slower; used by the glitch
-	// example). Forces the scalar engine even when Packed is set.
+	// CountGlitches additionally counts filtered glitches per net
+	// with the event-walk semantics (logic.GateType.SettleTime), run
+	// on the lanes where at least two fanins switch — the only ones
+	// that can glitch (used by the glitch example).
 	CountGlitches bool
 	// ProbeTimes requests time-resolved state sampling: for every
 	// probe time t, the per-net count of runs whose net is at logic
 	// one at t (initial value before its transition, final after).
 	// This is the sampled probability waveform of probabilistic
-	// waveform simulation. Forces the scalar engine even when Packed
-	// is set.
+	// waveform simulation. The cost is one pass over each net's
+	// transitioning lanes per probe time.
 	ProbeTimes []float64
 	// CountCriticality tracks, per run, which endpoint settles
 	// last (among endpoints that transition) and accumulates
@@ -82,16 +82,6 @@ type Config struct {
 	// simultaneously switching inputs (mirrors core.Analyzer.MIS).
 	// Like Delay, MIS models must be pure functions of (gate, k).
 	MIS ssta.MISModel
-	// Packed selects the bit-parallel engine: 64 runs are packed
-	// into a pair of uint64 bit-planes per net and every gate is
-	// evaluated for all 64 runs with a handful of word operations;
-	// only the lanes whose output actually transitions take the
-	// scalar settling pass. Statistics are bit-identical to the
-	// scalar engine for the same (Seed, Workers). CountGlitches and
-	// ProbeTimes need per-run event context and fall back to the
-	// scalar engine (results still identical, obs counts the
-	// fallback).
-	Packed bool
 	// Obs is the simulation's observability scope (metrics and
 	// optional tracing); nil disables instrumentation. Scopes are
 	// per-simulation: concurrent simulations with distinct scopes
@@ -141,6 +131,20 @@ func newResult(c *netlist.Circuit, runs, probes int) *Result {
 // to their cycle statistics; missing launch points default to the
 // paper's scenario I (uniform) statistics.
 func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg Config) (*Result, error) {
+	return simulate(c, inputs, cfg, simulatePacked)
+}
+
+// engine simulates runs runs with global indices [start, start+runs)
+// into res. cfg has been normalized by simulate (Delay non-nil,
+// inputs validated); moments[id] reports whether net id accumulates
+// arrival moments (Config.MomentNets).
+type engine func(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int)
+
+// simulate validates and normalizes cfg and runs it on run, sharded
+// per Config.Workers. Simulate always passes simulatePacked; the seam
+// lets the tests run their reference engine through the same
+// validation, sharding and merge.
+func simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg Config, run engine) (*Result, error) {
 	runs := cfg.Runs
 	if runs == 0 {
 		runs = 10000
@@ -179,10 +183,10 @@ func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cf
 	}
 	if workers <= 1 {
 		res := newResult(c, runs, len(cfg.ProbeTimes))
-		simulateRange(c, inputs, &cfg, moments, seed, res, 0, runs)
+		run(c, inputs, &cfg, moments, seed, res, 0, runs)
 		return res, nil
 	}
-	return simulateParallel(c, inputs, &cfg, moments, seed, runs, workers)
+	return simulateParallel(c, inputs, &cfg, run, moments, seed, runs, workers)
 }
 
 // simulateParallel assigns each worker a contiguous range of global
@@ -191,7 +195,7 @@ func Simulate(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cf
 // (seed, r), the shard boundaries never change what any run draws —
 // only how the Welford accumulators associate, which the shard-order
 // merge keeps deterministic.
-func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, runs, workers int) (*Result, error) {
+func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, run engine, moments []bool, seed int64, runs, workers int) (*Result, error) {
 	shards := make([]*Result, workers)
 	var wg sync.WaitGroup
 	base := runs / workers
@@ -213,7 +217,7 @@ func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputS
 			if m != nil || tr != nil {
 				t0 = time.Now()
 			}
-			simulateRange(c, inputs, cfg, moments, seed, sres, ws, wn)
+			run(c, inputs, cfg, moments, seed, sres, ws, wn)
 			if m != nil || tr != nil {
 				d := time.Since(t0)
 				if m != nil {
@@ -249,131 +253,6 @@ func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputS
 	return res, nil
 }
 
-// simulateRange simulates runs runs with global indices
-// [start, start+runs) into res, dispatching to the packed or scalar
-// engine. cfg has been normalized by Simulate (Delay non-nil, inputs
-// validated); moments[id] reports whether net id accumulates arrival
-// moments (Config.MomentNets).
-func simulateRange(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int) {
-	if cfg.Packed {
-		if !cfg.CountGlitches && len(cfg.ProbeTimes) == 0 {
-			simulatePacked(c, inputs, cfg, moments, seed, res, start, runs)
-			return
-		}
-		if m := cfg.Obs.M(); m != nil {
-			m.MCScalarFallbacks.Add(1)
-		}
-	}
-	simulateScalar(c, inputs, cfg, moments, seed, res, start, runs)
-}
-
-// simulateScalar is the one-run-at-a-time engine: per run, per node
-// in topological order, draw or evaluate the four-value output and
-// settle the transition time.
-func simulateScalar(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats, cfg *Config, moments []bool, seed int64, res *Result, start, runs int) {
-	var endpoints []netlist.NodeID
-	if cfg.CountCriticality {
-		endpoints = c.Endpoints()
-	}
-
-	vals := make([]logic.Value, len(c.Nodes))
-	times := make([]float64, len(c.Nodes))
-	inVals := make([]logic.Value, 0, 8)
-	inTimes := make([]float64, 0, 8)
-	order := c.TopoOrder()
-	defaultStats := logic.UniformStats()
-	src := &runSource{}
-	rng := newRunRNG(src)
-	// One cost unit per node visit: runs × topo-order length, counted
-	// up front — the walk is unconditional, so the product is exact and
-	// shard-invariant (each shard contributes its own runs).
-	if m := cfg.Obs.M(); m != nil {
-		m.CostMCOps.Add(int64(runs) * int64(len(order)))
-	}
-
-	for run := 0; run < runs; run++ {
-		src.state = runState(seed, start+run)
-		for _, id := range order {
-			n := c.Nodes[id]
-			switch {
-			case n.Type == logic.Const0:
-				vals[id], times[id] = logic.Zero, 0
-			case n.Type == logic.Const1:
-				vals[id], times[id] = logic.One, 0
-			case !n.Type.Combinational():
-				st, ok := inputs[id]
-				if !ok {
-					st = defaultStats
-				}
-				vals[id], times[id] = st.Sample(rng)
-			default:
-				inVals = inVals[:0]
-				inTimes = inTimes[:0]
-				for _, f := range n.Fanin {
-					inVals = append(inVals, vals[f])
-					inTimes = append(inTimes, times[f])
-				}
-				out, op := n.Type.SettleOp(inVals)
-				vals[id] = out
-				if cfg.CountGlitches {
-					_, _, gl, _ := n.Type.SettleTime(inVals, inTimes)
-					res.Stats[id].Glitches += int64(gl)
-				}
-				if out.Switching() {
-					t := settle(op, inVals, inTimes)
-					dn := cfg.Delay(n)
-					if cfg.MIS != nil {
-						k := 0
-						for _, v := range inVals {
-							if v.Switching() {
-								k++
-							}
-						}
-						dn = cfg.MIS(n, k)
-					}
-					d := dn.Mu
-					if dn.Sigma > 0 {
-						d += dn.Sigma * rng.NormFloat64()
-					}
-					times[id] = t + d
-				} else {
-					times[id] = 0
-				}
-			}
-			s := &res.Stats[id]
-			s.Count[vals[id]]++
-			if moments[id] {
-				switch vals[id] {
-				case logic.Rise:
-					s.Rise.Add(times[id])
-				case logic.Fall:
-					s.Fall.Add(times[id])
-				}
-			}
-			for i, pt := range cfg.ProbeTimes {
-				if oneAt(vals[id], times[id], pt) {
-					s.OneAt[i]++
-				}
-			}
-		}
-		if cfg.CountCriticality {
-			last := netlist.InvalidNode
-			lastT := 0.0
-			for _, ep := range endpoints {
-				if !vals[ep].Switching() {
-					continue
-				}
-				if last == netlist.InvalidNode || times[ep] > lastT {
-					last, lastT = ep, times[ep]
-				}
-			}
-			if last != netlist.InvalidNode {
-				res.Stats[last].Critical++
-			}
-		}
-	}
-}
-
 // oneAt reports whether a net with cycle value v and transition time
 // tt is at logic one at probe time pt.
 func oneAt(v logic.Value, tt, pt float64) bool {
@@ -386,29 +265,6 @@ func oneAt(v logic.Value, tt, pt float64) bool {
 		return pt < tt
 	}
 	return false
-}
-
-// settle combines the switching inputs' arrival times with op.
-func settle(op logic.Op, vals []logic.Value, times []float64) float64 {
-	first := true
-	acc := 0.0
-	for i, v := range vals {
-		if !v.Switching() {
-			continue
-		}
-		t := times[i]
-		if first {
-			acc, first = t, false
-			continue
-		}
-		if op == logic.OpMin && t < acc {
-			acc = t
-		}
-		if op == logic.OpMax && t > acc {
-			acc = t
-		}
-	}
-	return acc
 }
 
 // P returns the sampled occurrence probability of value v at net id.

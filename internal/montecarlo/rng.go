@@ -2,7 +2,7 @@ package montecarlo
 
 import "math/rand"
 
-// The Monte Carlo engines draw every random number from a per-run
+// The Monte Carlo engine draws every random number from a per-run
 // SplitMix64 stream: run r of a simulation seeded with Seed s uses a
 // rand.Source64 whose state is runState(s, r). This replaces the
 // earlier per-shard scheme (rand.NewSource(Seed + shard*1_000_003)),
@@ -27,8 +27,8 @@ import "math/rand"
 //     of global run indices. Run r consumes the same stream no matter
 //     which shard evaluates it, which is what lets the packed
 //     bit-parallel engine (bitsim.go) replay lane r's draws in a
-//     node-major loop order and still match the scalar engine's
-//     run-major order bit for bit.
+//     node-major loop order and still match the tests' scalar
+//     reference walk, run-major, bit for bit.
 
 // golden is the SplitMix64 state increment (2^64 / phi).
 const golden = 0x9E3779B97F4A7C15

@@ -211,8 +211,8 @@ type Metrics struct {
 	// convolution products, the FFT size formula); CostMixtureOps
 	// counts closed-form mixture work (k terms × union support width);
 	// CostLeafOps counts enumerated subset/parity leaves; CostMCOps
-	// counts Monte Carlo node evaluations (runs × topo nodes, plus
-	// settle-lane visits in the packed engine).
+	// counts Monte Carlo node evaluations (runs × topo nodes plus
+	// settle-lane visits).
 	CostBinOps     atomic.Int64
 	CostMixtureOps atomic.Int64
 	CostLeafOps    atomic.Int64
@@ -221,15 +221,12 @@ type Metrics struct {
 	// Packed Monte Carlo engine (montecarlo/bitsim.go):
 	// MCPackedBlocks counts simulated 64-run blocks,
 	// MCPackedSettleLanes counts sparse settle-pass lane visits
-	// (gate outputs that transitioned and took the scalar settling
-	// arithmetic), MCPackedBlockNS accumulates per-block wall time,
-	// and MCScalarFallbacks counts Packed requests that fell back to
-	// the scalar engine (CountGlitches / ProbeTimes need per-run
-	// event context).
+	// (gate outputs that transitioned and took the per-lane settling
+	// arithmetic), and MCPackedBlockNS accumulates per-block wall
+	// time.
 	MCPackedBlocks      atomic.Int64
 	MCPackedSettleLanes atomic.Int64
 	MCPackedBlockNS     atomic.Int64
-	MCScalarFallbacks   atomic.Int64
 
 	// Per-worker busy time and gate counts from the level-parallel
 	// schedule (worker id folded modulo MaxWorkers; Monte Carlo
@@ -378,10 +375,9 @@ type Snapshot struct {
 	} `json:"cost,omitzero"`
 	MonteCarloRuns   int64 `json:"monte_carlo_runs,omitempty"`
 	MonteCarloPacked struct {
-		Blocks          int64 `json:"blocks"`
-		SettleLanes     int64 `json:"settle_lanes"`
-		BlockNS         int64 `json:"block_ns"`
-		ScalarFallbacks int64 `json:"scalar_fallbacks"`
+		Blocks      int64 `json:"blocks"`
+		SettleLanes int64 `json:"settle_lanes"`
+		BlockNS     int64 `json:"block_ns"`
 	} `json:"monte_carlo_packed,omitzero"`
 	Levels  []LevelSnapshot  `json:"levels,omitempty"`
 	Workers []WorkerSnapshot `json:"workers,omitempty"`
@@ -426,7 +422,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s.MonteCarloPacked.Blocks = m.MCPackedBlocks.Load()
 	s.MonteCarloPacked.SettleLanes = m.MCPackedSettleLanes.Load()
 	s.MonteCarloPacked.BlockNS = m.MCPackedBlockNS.Load()
-	s.MonteCarloPacked.ScalarFallbacks = m.MCScalarFallbacks.Load()
 	m.mu.Lock()
 	for i, l := range m.levels {
 		s.Levels = append(s.Levels, LevelSnapshot{Level: i, Gates: l.gates, WallNS: l.wallNS})
@@ -493,7 +488,6 @@ func (m *Metrics) Reset() {
 	m.MCPackedBlocks.Store(0)
 	m.MCPackedSettleLanes.Store(0)
 	m.MCPackedBlockNS.Store(0)
-	m.MCScalarFallbacks.Store(0)
 	for w := 0; w < MaxWorkers; w++ {
 		m.WorkerBusyNS[w].Store(0)
 		m.WorkerGates[w].Store(0)
@@ -552,7 +546,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.MonteCarloPacked.Blocks += o.MonteCarloPacked.Blocks
 	s.MonteCarloPacked.SettleLanes += o.MonteCarloPacked.SettleLanes
 	s.MonteCarloPacked.BlockNS += o.MonteCarloPacked.BlockNS
-	s.MonteCarloPacked.ScalarFallbacks += o.MonteCarloPacked.ScalarFallbacks
 	for _, l := range o.Levels {
 		for len(s.Levels) <= l.Level {
 			s.Levels = append(s.Levels, LevelSnapshot{Level: len(s.Levels)})

@@ -36,7 +36,7 @@ const (
 // normalizing away every knob that cannot affect that engine's
 // output. Workers is excluded for spsta and moment (their results and
 // cost units are worker-invariant by design) but included, resolved,
-// for mc (a packed simulation is bit-identical only for a fixed
+// for mc (a simulation is bit-identical only for a fixed
 // seed/runs/workers triple).
 func cacheKey(digest string, req *Request, engine string) string {
 	var b strings.Builder

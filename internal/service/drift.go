@@ -75,7 +75,7 @@ func (s *Service) runDriftCheck(did, tid string) error {
 	ep := c.CriticalEndpoint()
 	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{
 		Runs: s.cfg.DriftRuns, Seed: req.Seed, Workers: req.mcWorkers(),
-		Delay: req.delay(), Packed: true, MomentNets: []netlist.NodeID{ep},
+		Delay: req.delay(), MomentNets: []netlist.NodeID{ep},
 	})
 	if err != nil {
 		return err

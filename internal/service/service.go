@@ -1036,7 +1036,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	case "mc":
 		res, err := montecarlo.Simulate(c, in, montecarlo.Config{
 			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(),
-			Delay: req.delay(), Packed: true, MomentNets: eps, Obs: scope,
+			Delay: req.delay(), MomentNets: eps, Obs: scope,
 		})
 		if err != nil {
 			return er, err

@@ -243,7 +243,7 @@ func TestMCMomentNetsMatchFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := montecarlo.Simulate(c, scenarioInputs(c, req.Scenario), montecarlo.Config{
-			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(), Delay: req.delay(), Packed: true,
+			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(), Delay: req.delay(),
 		})
 		if err != nil {
 			t.Fatal(err)
