@@ -273,12 +273,8 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			_, err := (&core.MomentTiming{ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
 			return err
 		}
-		res, err := analyzerFor(cl).Run(c, in)
-		if err != nil {
-			return err
-		}
-		res.Recycle()
-		return nil
+		_, err := analyzerFor(cl).Run(c, in)
+		return err
 	}
 	// certificate reruns the cell once (deterministically) outside the
 	// timed loop to extract the pruning / re-binning certificate.
@@ -310,7 +306,6 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 			return 0, 0, nil, err
 		}
 		bins := res.Grid.N
-		res.Recycle()
 		snap := scope.Snapshot()
 		return bins, snap.Grid.SupportWidthPeak, snap, nil
 	}

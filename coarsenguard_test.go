@@ -45,13 +45,10 @@ func TestBenchGuardCoarsenSpeedup(t *testing.T) {
 			a := core.Analyzer{Workers: 1, ErrorBudget: eps, Delay: delay,
 				Coarsen: core.CoarsenPolicy{Mode: mode}}
 			t0 := time.Now()
-			res, err := a.Run(c, in)
-			if err != nil {
+			if _, err := a.Run(c, in); err != nil {
 				t.Fatal(err)
 			}
-			el := time.Since(t0)
-			res.Recycle()
-			return el
+			return time.Since(t0)
 		}
 		one(core.CoarsenOff)
 		one(core.CoarsenAuto)

@@ -85,7 +85,7 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 	res := &MomentResult{C: c, State: make([]MomentState, len(c.Nodes)), Span: momentSpan(c, inputs)}
 	defaultStats := logic.UniformStats()
 	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
-	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), 1, c.Levelize(), name, func(id netlist.NodeID) error {
+	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), 1, c.Levelize(), name, func(_ int, id netlist.NodeID) error {
 		n := c.Nodes[id]
 		st := &res.State[id]
 		switch {
@@ -224,7 +224,7 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, maxFa
 			m.SubsetLeaves.Add(len(n.Fanin), *leaves)
 			m.CostLeafOps.Add(*leaves)
 		}
-		ncdOut := n.Type.EvalBool(allBool(len(n.Fanin), !ctrl))
+		ncdOut := nonControlledOutput(n.Type, ctrl)
 		ncdArr, ncdP := ncd.normal()
 		cdArr, cdP := cd.normal()
 		var riseArr, fallArr dist.Normal

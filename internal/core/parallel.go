@@ -27,7 +27,9 @@ func resolveWorkers(w int) int {
 // runs inline: its chunks would hold less than a gate each.
 const dispatchWidth = 4
 
-// runLevels evaluates f over every node, level by level. Nodes
+// runLevels evaluates f over every node, level by level, passing the
+// index of the worker that runs it (0 for inline levels), so f can use
+// per-worker scratch without locks. Nodes
 // within one level have all fanins in earlier levels (see
 // netlist.Levelize), so a level barrier is the only synchronization
 // the propagation needs: workers of one level write disjoint
@@ -65,7 +67,7 @@ const dispatchWidth = 4
 // busy time, and per-level/per-gate tracer spans. name resolves a
 // node id to its display name for gate spans and is only called when
 // tracing is on. The cost is tiered: with both registries nil the
-// gate loop is the bare f(id) call behind a single local nil check;
+// gate loop is the bare f(w, id) call behind a single local nil check;
 // with metrics only or a coarse tracer, busy time is attributed from
 // two Nanotime readings per chunk (inline levels reuse the level
 // reading — zero extra clock reads) and only per-level spans are
@@ -78,7 +80,7 @@ const dispatchWidth = 4
 // gate spans can name their parent even though the level span itself
 // is recorded after the barrier.
 func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, levels [][]netlist.NodeID,
-	name func(netlist.NodeID) string, f func(netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
+	name func(netlist.NodeID) string, f func(int, netlist.NodeID) error, boundary func(int, []netlist.NodeID)) error {
 	instr := m != nil || tr != nil
 	fine := tr.Fine()
 	if tr != nil {
@@ -140,7 +142,7 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 		case fine:
 			for _, id := range ch.nodes {
 				g0 := time.Now()
-				err = f(id)
+				err = f(w, id)
 				d := time.Since(g0)
 				if m != nil {
 					m.AddWorkerBusy(w, d)
@@ -152,10 +154,10 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 			}
 		case m != nil:
 			g0 := obs.Nanotime()
-			err = evalNodes(ch.nodes, f)
+			err = evalNodes(w, ch.nodes, f)
 			m.AddWorkerChunk(w, len(ch.nodes), obs.Nanotime()-g0)
 		default:
-			err = evalNodes(ch.nodes, f)
+			err = evalNodes(w, ch.nodes, f)
 		}
 		fails[ch.slot].err = err
 	}
@@ -221,10 +223,11 @@ func runLevels(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, workers int, l
 	return nil
 }
 
-// evalNodes runs f over nodes in order, stopping at the first error.
-func evalNodes(nodes []netlist.NodeID, f func(netlist.NodeID) error) error {
+// evalNodes runs f over nodes in order on worker w, stopping at the
+// first error.
+func evalNodes(w int, nodes []netlist.NodeID, f func(int, netlist.NodeID) error) error {
 	for _, id := range nodes {
-		if err := f(id); err != nil {
+		if err := f(w, id); err != nil {
 			return err
 		}
 	}
@@ -235,7 +238,7 @@ func evalNodes(nodes []netlist.NodeID, f func(netlist.NodeID) error) error {
 // attributing instrumentation to worker 0, and stops at the first
 // error (serial order is deterministic by construction).
 func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, level []netlist.NodeID,
-	name func(netlist.NodeID) string, f func(netlist.NodeID) error) error {
+	name func(netlist.NodeID) string, f func(int, netlist.NodeID) error) error {
 	var lt0 time.Time
 	var cost0 int64
 	instr := m != nil || tr != nil
@@ -245,12 +248,12 @@ func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, l
 	}
 	switch {
 	case !instr:
-		return evalNodes(level, f)
+		return evalNodes(0, level, f)
 	case tr.Fine():
 		lid := tr.NewSpan()
 		for _, id := range level {
 			g0 := time.Now()
-			err := f(id)
+			err := f(0, id)
 			d := time.Since(g0)
 			if m != nil {
 				m.AddWorkerBusy(0, d)
@@ -265,7 +268,7 @@ func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, l
 		// Metrics only or coarse tracer: the single worker is busy for
 		// exactly the level wall time, so the level clock reading
 		// doubles as the busy-time attribution.
-		if err := evalNodes(level, f); err != nil {
+		if err := evalNodes(0, level, f); err != nil {
 			return err
 		}
 		if m != nil {

@@ -91,7 +91,7 @@ func (kc *KernelCache) FromNormal(n Normal) *PMF {
 	} else if m != nil {
 		m.KernelHits.Add(1)
 	}
-	e.once.Do(func() { e.p = FromNormal(kc.grid, n) })
+	e.once.Do(func() { e.p = FromNormal(kc.grid, n).Freeze() })
 	return e.p
 }
 

@@ -132,7 +132,7 @@ func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
 	pl.grid.check(p.grid, "Convolve")
 	p.grid.check(q.grid, "Convolve")
 	p.grid.check(dst.grid, "Convolve")
-	dst.Reset()
+	dst.clear()
 	sa, sb := p.hi-p.lo, q.hi-q.lo
 	if sa == 0 || sb == 0 {
 		return false, false
@@ -159,7 +159,7 @@ func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
 func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 	n := pl.grid.N
 	w := dst.w
-	src, qs, qlo := p.w, q.w[q.lo:q.hi], q.lo
+	src, qs, qlo := p.bins(), q.bins(), q.lo
 	nq := len(qs)
 	clampAdd := func(i int, v float64) {
 		if v == 0 {
@@ -180,12 +180,11 @@ func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 	// be zero), which the support invariant permits: bins inside the
 	// support may be zero, bins outside are exactly zero.
 	firstT, lastT := -1, -1
-	for i := p.lo; i < p.hi; i++ {
-		a := src[i]
+	for i, a := range src {
 		if a == 0 {
 			continue
 		}
-		s0 := i + qlo
+		s0 := p.lo + i + qlo
 		t0 := int(pl.base[s0])
 		if pl.contig && t0 >= 0 && t0+nq < n {
 			// Fast row: every destination bin [t0, t0+nq] is in-grid

@@ -273,63 +273,3 @@ func TestFFTPlanCacheCounters(t *testing.T) {
 		t.Errorf("hits = %d, want 2", s.FFTPlanHits)
 	}
 }
-
-// TestArenaRecycleReuse checks the pool round trip: a recycled arena
-// of compatible shape is reused with every row it handed out zeroed
-// and retagged with the construction grid (even rows taken after a
-// mid-run Retarget), fresh and reused arenas both record their backing
-// bytes as the slab peak, and an incompatible geometry forces a fresh
-// allocation.
-func TestArenaRecycleReuse(t *testing.T) {
-	m := obs.NewMetrics()
-	g := NewGrid(-1, 7, 0.125).WithMetrics(m)
-	// Under the race detector sync.Pool deliberately drops a fraction
-	// of Puts, so retry the round trip until one lands (a handful of
-	// attempts makes a spurious miss vanishingly unlikely).
-	var a, a2 *Arena
-	for try := 0; try < 32; try++ {
-		// Drain the pool — arenas from other tests or from a failed
-		// attempt — so Get can only return this attempt's candidate.
-		for v := arenaPool.Get(); v != nil; v = arenaPool.Get() {
-		}
-		a = NewArena(g, 6)
-		a.Take()
-		a.Take().SetBin(5, 0.5)
-		a.Retarget(g.Coarsen(2))
-		a.Take().SetBin(3, 0.25)
-		a.Recycle()
-		a2 = NewArena(g, 4)
-		if a2 == a {
-			break
-		}
-	}
-	if a2 != a {
-		t.Fatal("compatible arena was not reused")
-	}
-	if got, want := m.Snapshot().Grid.SlabBytesPeak, int64(len(a.w))*8; got != want {
-		t.Errorf("SlabBytesPeak = %d, want %d", got, want)
-	}
-	for i := 0; i < 6; i++ {
-		p := a2.Take()
-		if p.Grid() != g {
-			t.Fatalf("row %d: grid %+v after reuse, want the construction grid", i, p.Grid())
-		}
-		if lo, hi := p.Support(); lo != hi {
-			t.Errorf("row %d: support [%d,%d) after reuse, want empty", i, lo, hi)
-		}
-		for k := 0; k < g.N; k++ {
-			if p.W(k) != 0 {
-				t.Fatalf("row %d bin %d = %v: recycled arena rows not zeroed", i, k, p.W(k))
-			}
-		}
-	}
-	if a2.Take() != nil {
-		t.Error("Take past the arena's rows returned a PMF")
-	}
-	a2.Recycle()
-	// Enough rows but a different geometry: the pooled arena must not
-	// satisfy the request.
-	if a3 := NewArena(NewGrid(-1, 7, 0.25), 4); a3 == a {
-		t.Fatal("arena reused for a different grid")
-	}
-}

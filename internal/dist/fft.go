@@ -49,11 +49,14 @@ func convolveFFTInto(dst, p, q *PMF) {
 		m <<= 1
 	}
 	// Pack a into the real part and b into the imaginary part of one
-	// complex vector: one forward transform computes both spectra.
-	re := getBins(m, g.met)
-	im := getBins(m, g.met)
-	copy(re[:sa], p.w[p.lo:p.hi])
-	copy(im[:sb], q.w[q.lo:q.hi])
+	// complex vector: one forward transform computes both spectra. The
+	// buffer is allocated per call; only operands that both reach
+	// fftCrossover come here, and the grid's delay kernels never do on
+	// the default timing grid.
+	buf := make([]float64, 2*m)
+	re, im := buf[:m], buf[m:]
+	copy(re[:sa], p.bins())
+	copy(im[:sb], q.bins())
 	pl := planFFT(m, g.met)
 	fftRadix2(re, im, false, pl)
 	// With z = a + i·b, A[k] = (Z[k] + conj(Z[−k]))/2 and
@@ -101,13 +104,6 @@ func convolveFFTInto(dst, p, q *PMF) {
 		clampAdd(int(base), v*(1-frac))
 		clampAdd(int(base)+1, v*frac)
 	}
-	// Clear and return the scratch (pool invariant: all-zero).
-	for i := range re {
-		re[i] = 0
-		im[i] = 0
-	}
-	putBins(re)
-	putBins(im)
 }
 
 // fftRadix2 is an in-place iterative radix-2 complex FFT (stdlib

@@ -15,8 +15,8 @@ func checkSupport(t *testing.T, name string, p *PMF) {
 		t.Fatalf("%s: support [%d,%d) out of range (N=%d)", name, lo, hi, p.grid.N)
 	}
 	for i := 0; i < p.grid.N; i++ {
-		if (i < lo || i >= hi) && p.w[i] != 0 {
-			t.Fatalf("%s: bin %d = %v outside support [%d,%d)", name, i, p.w[i], lo, hi)
+		if (i < lo || i >= hi) && p.W(i) != 0 {
+			t.Fatalf("%s: bin %d = %v outside support [%d,%d)", name, i, p.W(i), lo, hi)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		a, b := randomPMF(g, rng), randomPMF(g, rng)
 		d := rng.Float64()*6 - 3
 
-		dst := NewScratch(g)
+		dst := NewPMF(g)
 		// Dirty the destination to prove the Into variants clear it.
 		dst.SetBin(rng.Intn(g.N), rng.Float64())
 
@@ -109,7 +109,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 				}
 			}
 		}
-		dst.Release()
 	}
 }
 
@@ -126,7 +125,7 @@ func TestMixtureIntoMatchesAllocating(t *testing.T) {
 		mx, mn := MaxMixture(g, in), MinMixture(g, in)
 		checkSupport(t, "MaxMixture", mx)
 		checkSupport(t, "MinMixture", mn)
-		dst := NewScratch(g)
+		dst := NewPMF(g)
 		dst.SetBin(3, 0.7)
 		mx2 := MaxMixtureInto(dst, in).Clone()
 		mn2 := MinMixtureInto(dst, in).Clone()
@@ -135,28 +134,6 @@ func TestMixtureIntoMatchesAllocating(t *testing.T) {
 				t.Fatalf("k=%d: mixture Into mismatch at bin %d", k, i)
 			}
 		}
-		dst.Release()
-	}
-}
-
-func TestScratchPoolReuseIsClean(t *testing.T) {
-	g := NewGrid(0, 8, 0.25)
-	p := NewScratch(g)
-	for i := 0; i < g.N; i++ {
-		p.SetBin(i, float64(i+1))
-	}
-	p.Release()
-	for i := 0; i < 100; i++ {
-		q := NewScratch(g)
-		if m := q.Mass(); m != 0 {
-			t.Fatalf("recycled scratch has mass %v", m)
-		}
-		if lo, hi := q.Support(); lo != hi {
-			t.Fatalf("recycled scratch has support [%d,%d)", lo, hi)
-		}
-		checkSupport(t, "recycled", q)
-		q.SetBin(i%g.N, 1)
-		q.Release()
 	}
 }
 

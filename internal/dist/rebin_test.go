@@ -69,7 +69,6 @@ func TestRebinMassConservationAndBound(t *testing.T) {
 			if ks := kolmogorov(p, dst); ks > dev+1e-12 {
 				t.Fatalf("trial %d f=%d: Kolmogorov distance %g exceeds bound %g", trial, factor, ks, dev)
 			}
-			p.Release()
 		}
 	}
 }

@@ -305,11 +305,16 @@ func (g GateType) EvalBool(in []bool) bool {
 // constant (any intermediate glitch is filtered), otherwise a
 // transition. Use Settle to obtain the transition's arrival time.
 func (g GateType) Eval(in []Value) Value {
-	initial := make([]bool, len(in))
-	final := make([]bool, len(in))
-	for i, v := range in {
-		initial[i] = v.Initial()
-		final[i] = v.Final()
+	// Gates of up to 16 inputs evaluate on stack arrays, allocation
+	// free (the parity enumeration calls Eval at every leaf).
+	var initArr, finalArr [16]bool
+	initial, final := initArr[:0], finalArr[:0]
+	if len(in) > len(initArr) {
+		initial, final = make([]bool, 0, len(in)), make([]bool, 0, len(in))
+	}
+	for _, v := range in {
+		initial = append(initial, v.Initial())
+		final = append(final, v.Final())
 	}
 	return FromEdge(g.EvalBool(initial), g.EvalBool(final))
 }

@@ -65,7 +65,6 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	m.ConvDirect.Add(5)
 	m.ConvFFT.Add(2)
 	m.ConvSupport.Observe(160)
-	m.PoolGets.Add(4)
 	m.MixtureEvals.Add(3, 1)
 	m.SubsetLeaves.Add(4, 256)
 	m.MCRuns.Add(10000)

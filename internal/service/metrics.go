@@ -285,7 +285,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 	}
 	gauge("spstad_engine_support_width_peak_bins", "Widest t.o.p. support (bins) observed by any request.")
 	fmt.Fprintf(w, "spstad_engine_support_width_peak_bins %d\n", agg.Grid.SupportWidthPeak)
-	gauge("spstad_engine_slab_bytes_peak", "Largest t.o.p. arena backing (bytes) observed by any request.")
+	gauge("spstad_engine_slab_bytes_peak", "Largest stored-row footprint (bytes of slab chunks holding stored t.o.p. functions) of any request's run.")
 	fmt.Fprintf(w, "spstad_engine_slab_bytes_peak %d\n", agg.Grid.SlabBytesPeak)
 
 	counter("spstad_engine_cost_units_total", "Work units accumulated across all requests, by kind (DESIGN.md §14).")

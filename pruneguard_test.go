@@ -47,13 +47,10 @@ func TestBenchGuardPruneSpeedup(t *testing.T) {
 	one := func(budget float64) time.Duration {
 		a := core.Analyzer{Workers: 1, ErrorBudget: budget, Delay: delay}
 		t0 := time.Now()
-		res, err := a.Run(c, in)
-		if err != nil {
+		if _, err := a.Run(c, in); err != nil {
 			t.Fatal(err)
 		}
-		el := time.Since(t0)
-		res.Recycle()
-		return el
+		return time.Since(t0)
 	}
 	one(0)
 	one(eps)
