@@ -13,16 +13,12 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/paths"
-	"repro/internal/pgrid"
 	"repro/internal/power"
-	"repro/internal/rcnet"
-	"repro/internal/seq"
 	"repro/internal/ssta"
 	"repro/internal/symbolic"
 	"repro/internal/synth"
 	"repro/internal/verilog"
 	"repro/internal/vpoly"
-	"repro/internal/xtalk"
 )
 
 // Core circuit types.
@@ -339,70 +335,6 @@ func PathDelay(c *Circuit, p Path, launch Normal, delay DelayModel) Normal {
 // per-gate variation variables.
 func PathCriticalities(c *Circuit, ps []Path, launch map[NodeID]InputStats, delay DelayModel) []float64 {
 	return paths.Criticalities(c, ps, launch, delay)
-}
-
-// Coupling describes one crosstalk aggressor→victim coupling.
-type Coupling = xtalk.Coupling
-
-// CrosstalkAnalysis is the crosstalk-adjusted view of one victim
-// transition direction.
-type CrosstalkAnalysis = xtalk.Analysis
-
-// AnalyzeCrosstalk computes alignment probabilities and the
-// crosstalk-adjusted victim arrival from a base SPSTA result — the
-// paper's motivating aggressor-alignment effect.
-func AnalyzeCrosstalk(base *SPSTAResult, cp Coupling, d Dir) (*CrosstalkAnalysis, error) {
-	return xtalk.Analyze(base, cp, d)
-}
-
-// RCTree is an RC interconnect tree for Elmore delay analysis.
-type RCTree = rcnet.Tree
-
-// RCLoad describes one gate's output RC network.
-type RCLoad = rcnet.Load
-
-// NewRCTree builds an RC tree from topologically-numbered parent,
-// resistance and capacitance arrays.
-func NewRCTree(parent []int, r, c []float64) (*RCTree, error) {
-	return rcnet.NewTree(parent, r, c)
-}
-
-// RCLine builds a uniform distributed RC line.
-func RCLine(segments int, rDriver, rTotal, cTotal, cLoad float64) (*RCTree, error) {
-	return rcnet.Line(segments, rDriver, rTotal, cTotal, cLoad)
-}
-
-// RCDelayModel adapts per-gate RC loads into a DelayModel with
-// sensitivity-based variational Elmore delays.
-func RCDelayModel(loads map[NodeID]RCLoad, base DelayModel) DelayModel {
-	return rcnet.GateDelayModel(loads, base)
-}
-
-// SequentialOptions controls the sequential fixed-point iteration.
-type SequentialOptions = seq.Options
-
-// SequentialResult is a converged sequential analysis.
-type SequentialResult = seq.Result
-
-// AnalyzeSequential iterates SPSTA around the flip-flop loop until
-// the flop statistics reach a steady state (sequential
-// switching-activity estimation).
-func AnalyzeSequential(c *Circuit, inputs map[NodeID]InputStats, opt SequentialOptions) (*SequentialResult, error) {
-	return seq.FixedPoint(c, inputs, opt)
-}
-
-// PowerMesh is a resistive power-grid mesh.
-type PowerMesh = pgrid.Mesh
-
-// NewPowerMesh builds a W×H mesh with corner VDD pads.
-func NewPowerMesh(w, h int, r, vdd float64) (*PowerMesh, error) {
-	return pgrid.NewMesh(w, h, r, vdd)
-}
-
-// CouplePowerGrid derates gate delays by the IR droop induced by the
-// given per-net toggling rates (activity → droop → timing).
-func CouplePowerGrid(c *Circuit, m *PowerMesh, toggling []float64, iPerToggle, k float64, base DelayModel) (DelayModel, []float64, float64, error) {
-	return pgrid.Couple(c, m, toggling, iPerToggle, k, nil, base)
 }
 
 // IncrementalSSTA wraps SSTA for in-place re-analysis after delay or

@@ -290,31 +290,13 @@ func TestFacadeSPSTAOptions(t *testing.T) {
 	}
 }
 
-func TestFacadeCrosstalkAndPaths(t *testing.T) {
+func TestFacadePaths(t *testing.T) {
 	c, err := GenerateBenchmark("s208")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := UniformInputs(c)
-	res, err := AnalyzeSPSTA(c, in, SPSTAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	end := c.CriticalEndpoint()
-	var agg NodeID = -1
-	for _, n := range c.Nodes {
-		if n.ID != end && n.Type.Combinational() {
-			agg = n.ID
-			break
-		}
-	}
-	a, err := AnalyzeCrosstalk(res, Coupling{Victim: end, Aggressor: agg, Window: 0.5, Slowdown: 1}, DirRise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.POpposite < 0 || a.POpposite > 1 {
-		t.Errorf("POpposite = %v", a.POpposite)
-	}
 	ps := EnumeratePaths(c, end, 4)
 	if len(ps) == 0 {
 		t.Fatal("no paths")
@@ -333,30 +315,11 @@ func TestFacadeCrosstalkAndPaths(t *testing.T) {
 	}
 }
 
-func TestFacadeRCAndMIS(t *testing.T) {
-	line, err := RCLine(8, 1, 2, 0.25, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := NewRCTree([]int{-1, 0}, []float64{1, 2}, []float64{0.1, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tree
+func TestFacadeMIS(t *testing.T) {
 	c, err := GenerateBenchmark("s208")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := map[NodeID]RCLoad{}
-	for _, n := range c.Nodes {
-		if n.Type.Combinational() {
-			loads[n.ID] = RCLoad{Tree: line, Sink: 8, Intrinsic: 0.5, SigmaR: 0.1, SigmaC: 0.1}
-			break
-		}
-	}
-	model := RCDelayModel(loads, nil)
-	_ = AnalyzeSSTA(c, UniformInputs(c), model)
-
 	mis := func(n *Node, k int) Normal {
 		if k > 1 {
 			return Normal{Mu: 0.8}
@@ -366,40 +329,6 @@ func TestFacadeRCAndMIS(t *testing.T) {
 	if _, err := AnalyzeSPSTA(c, UniformInputs(c), SPSTAOptions{MIS: mis}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFacadeSequentialAndGrid(t *testing.T) {
-	c, err := GenerateBenchmark("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(map[NodeID]InputStats)
-	for _, id := range c.Inputs() {
-		in[id] = SkewedStats()
-	}
-	seq, err := AnalyzeSequential(c, in, SequentialOptions{MaxIterations: 30, Damping: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Iterations < 1 {
-		t.Error("no iterations")
-	}
-	toggling := make([]float64, len(c.Nodes))
-	for _, n := range c.Nodes {
-		toggling[n.ID] = seq.Final.TogglingRate(n.ID)
-	}
-	mesh, err := NewPowerMesh(6, 6, 0.5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, v, droop, err := CouplePowerGrid(c, mesh, toggling, 0.05, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 36 || droop < 0 {
-		t.Errorf("grid solve: %d nodes, droop %v", len(v), droop)
-	}
-	_ = AnalyzeSSTA(c, UniformInputs(c), model)
 }
 
 func TestFacadeIncremental(t *testing.T) {

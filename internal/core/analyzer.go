@@ -133,6 +133,9 @@ type Result struct {
 	// analysis; it lives on the Result so incremental re-analysis
 	// (Update) keeps hitting the cache built by Run.
 	kernels *dist.KernelCache
+	// scratch holds the per-worker scratch stacks of the last Update,
+	// so the next one reuses their grid-sized PMFs.
+	scratch []scratch
 }
 
 // Kernels returns the delay-kernel cache that Run built and that
@@ -329,6 +332,18 @@ func (a *Analyzer) Update(res *Result, inputs map[netlist.NodeID]logic.InputStat
 	c := res.C
 	res.Grid = res.Grid.WithMetrics(a.Obs.M())
 	rc := a.newRunCtx(res, 0)
+	if len(res.scratch) == len(rc.workers) {
+		for i := range rc.workers {
+			rc.workers[i].scr = res.scratch[i]
+			rc.workers[i].scr.retarget(rc.grid)
+		}
+	}
+	defer func() {
+		res.scratch = res.scratch[:0]
+		for _, w := range rc.workers {
+			res.scratch = append(res.scratch, w.scr)
+		}
+	}()
 	levels := make([][]netlist.NodeID, c.Depth()+1)
 	levels[c.Nodes[seed].Level] = []netlist.NodeID{seed}
 	// A node's evaluation writes only its own changed slot; queued is

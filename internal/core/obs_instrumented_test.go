@@ -48,15 +48,12 @@ func TestInstrumentedParallelMatchesSerial(t *testing.T) {
 	if snap.KernelCache.Hits == 0 {
 		t.Error("instrumented run recorded no kernel-cache hits")
 	}
-	if len(snap.Levels) == 0 {
-		t.Error("instrumented run recorded no level stats")
-	}
 	gates := int64(0)
-	for _, l := range snap.Levels {
-		gates += l.Gates
+	for _, w := range snap.Workers {
+		gates += w.Gates
 	}
 	if gates != int64(len(c.Nodes)) {
-		t.Errorf("level stats cover %d gates, circuit has %d nodes", gates, len(c.Nodes))
+		t.Errorf("worker stats cover %d gates, circuit has %d nodes", gates, len(c.Nodes))
 	}
 	if tr.Len() == 0 {
 		t.Error("tracer recorded no spans")

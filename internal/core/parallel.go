@@ -279,20 +279,18 @@ func runLevelInline(m *obs.Metrics, tr *obs.Tracer, parent obs.SpanID, li int, l
 	return nil
 }
 
-// recordLevel publishes one completed level's metrics and trace span.
-// lid is the level span's pre-allocated ID (its gate spans, if any,
-// already name it as parent); costDelta is the work-unit cost the
-// level accumulated.
+// recordLevel publishes one completed level's trace span, which
+// carries the level's gate count, wall time and (with metrics on) the
+// work-unit cost it accumulated. lid is the level span's
+// pre-allocated ID (its gate spans, if any, already name it as
+// parent).
 func recordLevel(m *obs.Metrics, tr *obs.Tracer, parent, lid obs.SpanID, level, gates int, start time.Time, costDelta int64) {
-	d := time.Since(start)
+	if tr == nil {
+		return
+	}
+	args := map[string]any{"gates": gates}
 	if m != nil {
-		m.RecordLevel(level, gates, d)
+		args["cost_units"] = costDelta
 	}
-	if tr != nil {
-		args := map[string]any{"gates": gates}
-		if m != nil {
-			args["cost_units"] = costDelta
-		}
-		tr.RecordSpan(lid, parent, "L"+strconv.Itoa(level), "level", 0, start, d, args)
-	}
+	tr.RecordSpan(lid, parent, "L"+strconv.Itoa(level), "level", 0, start, time.Since(start), args)
 }

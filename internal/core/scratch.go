@@ -71,12 +71,20 @@ func (s *scratch) free(mark int) {
 	s.n = mark
 }
 
-// retarget moves the stack onto grid g (a coarsening boundary, when
-// the stack is empty): PMFs of the old grid are dropped.
+// retarget moves the empty stack onto grid g. PMFs of the same
+// geometry are kept and rebound to g's metrics registry (an Update on
+// the stacks of the previous one); those of another geometry (a
+// coarsening boundary) are dropped.
 func (s *scratch) retarget(g dist.Grid) {
+	if s.grid.Equal(g) {
+		for _, p := range s.pmfs {
+			p.Rebind(g)
+		}
+	} else {
+		clear(s.pmfs)
+		s.pmfs = s.pmfs[:0]
+	}
 	s.grid = g
-	clear(s.pmfs)
-	s.pmfs = s.pmfs[:0]
 	s.n = 0
 }
 

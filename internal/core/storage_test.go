@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -70,6 +71,53 @@ func TestWorkerScratchZeroAfterEveryNode(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUpdateKeepsScratch checks that Update keeps its per-worker
+// scratch stacks on the Result: the next Update takes the same
+// grid-sized PMFs, rebound to its own scope's registry, and an Update
+// with another worker count builds new ones.
+func TestUpdateKeepsScratch(t *testing.T) {
+	p, _ := synth.ProfileByName("s386")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := uniform(c)
+	a := storageConfigs()["var"]
+	a.Coarsen = CoarsenPolicy{}
+	res, err := a.Run(c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed netlist.NodeID = -1
+	for _, n := range c.Nodes {
+		if n.Type.Combinational() {
+			seed = n.ID
+			break
+		}
+	}
+	update := func(workers int, scope *obs.Scope) *dist.PMF {
+		a.Workers, a.Obs = workers, scope
+		if _, err := a.Update(res, in, seed); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.scratch) != workers || len(res.scratch[0].pmfs) == 0 {
+			t.Fatalf("workers %d: Update left %d scratch stacks", workers, len(res.scratch))
+		}
+		return res.scratch[0].pmfs[0]
+	}
+	first := update(1, nil)
+	scope := obs.NewScope()
+	if update(1, scope) != first {
+		t.Error("a second Update rebuilt the scratch stack")
+	}
+	if first.Grid().Metrics() != scope.M() {
+		t.Error("a kept scratch PMF records into the previous Update's registry")
+	}
+	if update(2, nil) == first {
+		t.Error("an Update with another worker count kept the old stacks")
 	}
 }
 

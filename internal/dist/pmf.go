@@ -92,6 +92,14 @@ func (p *PMF) Reset() *PMF {
 	return p
 }
 
+// Rebind moves p onto g, a grid of the same geometry that may carry
+// another metrics registry: a buffer kept across analyses then records
+// into the current analysis's scope.
+func (p *PMF) Rebind(g Grid) {
+	p.grid.check(g, "Rebind")
+	p.grid = g
+}
+
 // expand grows the support to include bin i.
 func (p *PMF) expand(i int) {
 	if p.lo == p.hi {

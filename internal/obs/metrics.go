@@ -23,7 +23,6 @@ package obs
 import (
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -111,12 +110,6 @@ func (h *FaninHist) snapshot() []FaninBucket {
 		}
 	}
 	return out
-}
-
-// levelStat accumulates one level's schedule statistics.
-type levelStat struct {
-	gates  int64
-	wallNS int64
 }
 
 // Metrics is the engine metrics registry. All fields are updated with
@@ -229,9 +222,6 @@ type Metrics struct {
 	// shards report under their shard index).
 	WorkerBusyNS [MaxWorkers]atomic.Int64
 	WorkerGates  [MaxWorkers]atomic.Int64
-
-	mu     sync.Mutex
-	levels []levelStat
 }
 
 // NewMetrics returns an empty registry.
@@ -290,26 +280,6 @@ func (m *Metrics) AddWorkerChunk(worker, gates int, ns int64) {
 	}
 	m.WorkerBusyNS[w].Add(ns)
 	m.WorkerGates[w].Add(int64(gates))
-}
-
-// RecordLevel accumulates one level-barrier interval: gates evaluated
-// and wall time between the barriers. Called once per level by the
-// scheduling goroutine.
-func (m *Metrics) RecordLevel(level, gates int, wall time.Duration) {
-	m.mu.Lock()
-	for len(m.levels) <= level {
-		m.levels = append(m.levels, levelStat{})
-	}
-	m.levels[level].gates += int64(gates)
-	m.levels[level].wallNS += int64(wall)
-	m.mu.Unlock()
-}
-
-// LevelSnapshot is one level's accumulated schedule statistics.
-type LevelSnapshot struct {
-	Level  int   `json:"level"`
-	Gates  int64 `json:"gates"`
-	WallNS int64 `json:"wall_ns"`
 }
 
 // WorkerSnapshot is one worker's accumulated busy time.
@@ -371,7 +341,6 @@ type Snapshot struct {
 		SettleLanes int64 `json:"settle_lanes"`
 		BlockNS     int64 `json:"block_ns"`
 	} `json:"monte_carlo_packed,omitzero"`
-	Levels  []LevelSnapshot  `json:"levels,omitempty"`
 	Workers []WorkerSnapshot `json:"workers,omitempty"`
 }
 
@@ -412,11 +381,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s.MonteCarloPacked.Blocks = m.MCPackedBlocks.Load()
 	s.MonteCarloPacked.SettleLanes = m.MCPackedSettleLanes.Load()
 	s.MonteCarloPacked.BlockNS = m.MCPackedBlockNS.Load()
-	m.mu.Lock()
-	for i, l := range m.levels {
-		s.Levels = append(s.Levels, LevelSnapshot{Level: i, Gates: l.gates, WallNS: l.wallNS})
-	}
-	m.mu.Unlock()
 	for w := 0; w < MaxWorkers; w++ {
 		busy, gates := m.WorkerBusyNS[w].Load(), m.WorkerGates[w].Load()
 		if busy == 0 && gates == 0 {
@@ -480,12 +444,9 @@ func (m *Metrics) Reset() {
 		m.WorkerBusyNS[w].Store(0)
 		m.WorkerGates[w].Store(0)
 	}
-	m.mu.Lock()
-	m.levels = m.levels[:0]
-	m.mu.Unlock()
 }
 
-// Merge adds every counter, histogram bucket, level and worker total
+// Merge adds every counter, histogram bucket and worker total
 // of o into s. Aggregators (the spstad /metrics endpoint) use it to
 // fold per-request snapshots into a service-lifetime view.
 func (s *Snapshot) Merge(o *Snapshot) {
@@ -532,13 +493,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.MonteCarloPacked.Blocks += o.MonteCarloPacked.Blocks
 	s.MonteCarloPacked.SettleLanes += o.MonteCarloPacked.SettleLanes
 	s.MonteCarloPacked.BlockNS += o.MonteCarloPacked.BlockNS
-	for _, l := range o.Levels {
-		for len(s.Levels) <= l.Level {
-			s.Levels = append(s.Levels, LevelSnapshot{Level: len(s.Levels)})
-		}
-		s.Levels[l.Level].Gates += l.Gates
-		s.Levels[l.Level].WallNS += l.WallNS
-	}
 	for _, w := range o.Workers {
 		found := false
 		for i := range s.Workers {

@@ -69,8 +69,6 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	m.SubsetLeaves.Add(4, 256)
 	m.MCRuns.Add(10000)
 	m.AddWorkerBusy(1, 5*time.Millisecond)
-	m.RecordLevel(0, 7, time.Millisecond)
-	m.RecordLevel(2, 9, 2*time.Millisecond)
 
 	s := m.Snapshot()
 	if s.KernelCache.Hits != 3 || s.KernelCache.Misses != 1 {
@@ -78,9 +76,6 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	}
 	if s.Convolution.Direct != 5 || s.Convolution.FFT != 2 {
 		t.Errorf("convolution snapshot %+v", s.Convolution)
-	}
-	if len(s.Levels) != 3 || s.Levels[2].Gates != 9 || s.Levels[2].WallNS != int64(2*time.Millisecond) {
-		t.Errorf("levels snapshot %+v", s.Levels)
 	}
 	if len(s.Workers) != 1 || s.Workers[0].Worker != 1 || s.Workers[0].Gates != 1 {
 		t.Errorf("workers snapshot %+v", s.Workers)
@@ -104,7 +99,7 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 
 	m.Reset()
 	s = m.Snapshot()
-	if s.KernelCache.Hits != 0 || s.Convolution.Direct != 0 || len(s.Levels) != 0 || len(s.Workers) != 0 {
+	if s.KernelCache.Hits != 0 || s.Convolution.Direct != 0 || len(s.Workers) != 0 {
 		t.Errorf("Reset left data: %+v", s)
 	}
 }
@@ -146,15 +141,12 @@ func TestSnapshotMerge(t *testing.T) {
 	a.KernelHits.Add(2)
 	a.ConvSupport.Observe(5)
 	a.MixtureEvals.Add(2, 3)
-	a.RecordLevel(0, 4, time.Millisecond)
 	a.AddWorkerBusy(0, time.Millisecond)
 	b.KernelHits.Add(5)
 	b.ConvSupport.Observe(5)
 	b.ConvSupport.Observe(1000)
 	b.MixtureEvals.Add(2, 1)
 	b.MixtureEvals.Add(7, 2)
-	b.RecordLevel(0, 1, time.Millisecond)
-	b.RecordLevel(3, 2, time.Millisecond)
 	b.AddWorkerBusy(0, time.Millisecond)
 	b.AddWorkerBusy(2, time.Millisecond)
 
@@ -178,9 +170,6 @@ func TestSnapshotMerge(t *testing.T) {
 	if evals[2] != 4 || evals[7] != 2 {
 		t.Errorf("merged evals = %v", evals)
 	}
-	if len(s.Levels) != 4 || s.Levels[0].Gates != 5 || s.Levels[3].Gates != 2 {
-		t.Errorf("merged levels = %+v", s.Levels)
-	}
 	if len(s.Workers) != 2 || s.Workers[0].Gates != 2 || s.Workers[1].Worker != 2 {
 		t.Errorf("merged workers = %+v", s.Workers)
 	}
@@ -198,7 +187,6 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 				m.ConvDirect.Add(1)
 				m.ConvSupport.Observe(i)
 				m.AddWorkerBusy(w, time.Microsecond)
-				m.RecordLevel(i%4, 1, time.Nanosecond)
 			}
 		}()
 	}
@@ -208,11 +196,11 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 		t.Errorf("direct = %d, want 8000", s.Convolution.Direct)
 	}
 	var gates int64
-	for _, l := range s.Levels {
-		gates += l.Gates
+	for _, w := range s.Workers {
+		gates += w.Gates
 	}
 	if gates != 8000 {
-		t.Errorf("level gates = %d, want 8000", gates)
+		t.Errorf("worker gates = %d, want 8000", gates)
 	}
 	if len(s.Workers) != 8 {
 		t.Errorf("workers = %d, want 8", len(s.Workers))

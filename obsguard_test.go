@@ -238,9 +238,13 @@ func ExampleNewEngineScope() {
 		panic(err)
 	}
 	snap := scope.Snapshot()
-	fmt.Println("levels recorded:", len(snap.Levels) > 0)
+	gates := int64(0)
+	for _, w := range snap.Workers {
+		gates += w.Gates
+	}
+	fmt.Println("every gate attributed to a worker:", gates == int64(len(c.Nodes)))
 	fmt.Println("kernel lookups recorded:", snap.KernelCache.Hits+snap.KernelCache.Misses > 0)
 	// Output:
-	// levels recorded: true
+	// every gate attributed to a worker: true
 	// kernel lookups recorded: true
 }
