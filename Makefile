@@ -92,7 +92,10 @@ soak:
 # do the same for the packed engine's per-lane settle and glitch
 # scratch and the shard merge. The incr restore and single-edit tests and the service's
 # delta tests also run at both counts: delta sessions run Update with
-# Workers = GOMAXPROCS next to the undo snapshot.
+# Workers = GOMAXPROCS next to the undo snapshot. Under the race detector
+# the packed-vs-scalar equivalence test runs its three smallest
+# circuits only (the scalar glitch walk is the slowest code raced), so
+# a plain run after the race lines checks its full circuit grid.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
@@ -101,6 +104,7 @@ check:
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit' ./internal/core ./internal/incr
 	$(GO) test -race -cpu 1,2 -run Delta ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
+	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...
 	$(MAKE) smoke
 	$(MAKE) soak

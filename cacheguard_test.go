@@ -25,8 +25,10 @@ import (
 //
 //   - cache hit: the p99 of repeated identical /v1/analyze requests
 //     must be at least 50x faster than the cold request that filled
-//     the entry. A hit is a map lookup plus JSON encoding; everything
-//     engine-shaped has left the path.
+//     the entry. A hit is a map lookup plus writing the entry's stored
+//     response bytes between a small per-request head and tail;
+//     everything engine-shaped, and the encoding of the results, has
+//     left the path.
 //   - delta: a warm single-edit /v1/delta (deepest gate, so the
 //     recomputed fanout cone is small) must be at least 5x faster
 //     than a full uncached re-analysis of the same configuration.

@@ -65,11 +65,17 @@ func comparePackedScalar(t *testing.T, c *netlist.Circuit, inputs map[netlist.No
 // the packed engine's occurrence, glitch, probe and criticality counts
 // and moment accumulators are bit-identical to the scalar reference's.
 // 999 runs exercise partial trailing blocks (999 = 15*64 + 39) and
-// odd shard boundaries.
+// odd shard boundaries. Under the race detector, which slows the
+// scalar glitch walk most, only the three smallest circuits run: the
+// race check needs the sharded packed engine on some circuit, and the
+// full grid's bit equivalence is plain go test's to check.
 func TestPackedMatchesScalarAllCircuits(t *testing.T) {
 	circuits, err := synth.GenerateAll()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raceEnabled {
+		circuits = circuits[:3]
 	}
 	models := []Config{
 		{},

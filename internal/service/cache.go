@@ -8,11 +8,14 @@
 // are bit-identical regardless of worker count; mc is bit-identical
 // for fixed seed/runs/workers, which the key therefore includes), so
 // a cached EngineResult is indistinguishable from a fresh one apart
-// from its Cached flag.
+// from its Cached flag. That is also why an entry can keep the
+// response bytes of its result: encoded once, on the entry's first
+// full /v1/analyze hit, they serve every later one.
 package service
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -83,12 +86,22 @@ type flightCall struct {
 	err error
 }
 
-// cacheEntry is one stored result.
+// cacheEntry is one stored result. er never changes once stored, so
+// a request that got the entry from the cache reads it without the
+// lock.
 type cacheEntry struct {
 	key     string
 	er      EngineResult
-	bytes   int64
+	bytes   int64     // resultBytes(&er), plus len(body) once encoded; guarded by resultCache.mu
 	expires time.Time // zero: no TTL
+
+	// encode fills body, on the entry's first full /v1/analyze hit.
+	encode sync.Once
+	// body is er, with Cached set, as the element of Response.Engines
+	// that writeJSON's indented encoding writes: a newline, the
+	// element's four-space indent and json.MarshalIndent(er, "    ",
+	// "  "). Nil until encoded, and when er does not encode.
+	body []byte
 }
 
 // resultCache is the byte-bounded LRU plus the single-flight table.
@@ -122,19 +135,19 @@ func newResultCache(maxBytes int64, ttl time.Duration, reg *registry) *resultCac
 }
 
 // lookupLocked returns the live entry for key, expiring it lazily.
-func (rc *resultCache) lookupLocked(key string) (EngineResult, bool) {
+func (rc *resultCache) lookupLocked(key string) (*cacheEntry, bool) {
 	el, ok := rc.entries[key]
 	if !ok {
-		return EngineResult{}, false
+		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
 	if !e.expires.IsZero() && time.Now().After(e.expires) {
 		rc.removeLocked(el)
 		rc.reg.cacheEvictions.Add(1)
-		return EngineResult{}, false
+		return nil, false
 	}
 	rc.lru.MoveToFront(el)
-	return e.er, true
+	return e, true
 }
 
 func (rc *resultCache) removeLocked(el *list.Element) {
@@ -145,23 +158,54 @@ func (rc *resultCache) removeLocked(el *list.Element) {
 	rc.reg.cacheBytes.Store(rc.bytes)
 }
 
-// peekAll returns the stored results for every key, or nothing. It is
+// peekAll returns the stored entries for every key, or nothing. It is
 // the slot-free fast path for fully-cached requests: hits are counted
 // only when the whole request can be served, so a partial hit leaves
 // the books to the per-engine slow path.
-func (rc *resultCache) peekAll(keys []string) ([]EngineResult, bool) {
+func (rc *resultCache) peekAll(keys []string) ([]*cacheEntry, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	out := make([]EngineResult, 0, len(keys))
+	out := make([]*cacheEntry, 0, len(keys))
 	for _, key := range keys {
-		er, ok := rc.lookupLocked(key)
+		e, ok := rc.lookupLocked(key)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, er)
+		out = append(out, e)
 	}
 	rc.reg.cacheHits.Add(int64(len(keys)))
 	return out, true
+}
+
+// encoded returns the entry's response bytes (see cacheEntry.body),
+// encoding them on the first call; concurrent first calls wait for
+// that one encoding. The bytes count toward the entry's size, so an
+// entry still stored grows by them and the cache evicts from its LRU
+// tail, sparing this entry, until it is back under its bound. Nil
+// means er does not encode: the caller serves the value, and its
+// encoding fails the same way.
+//
+// Encoding is lazy because most stored results are never hit: cold
+// Monte Carlo runs with fresh seeds would otherwise each keep bytes
+// nothing serves.
+func (rc *resultCache) encoded(e *cacheEntry) []byte {
+	e.encode.Do(func() {
+		er := e.er
+		er.Cached = true
+		b, err := json.MarshalIndent(&er, "    ", "  ")
+		if err != nil {
+			return
+		}
+		e.body = append([]byte("\n    "), b...)
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		if el, ok := rc.entries[e.key]; ok && el.Value == e {
+			e.bytes += int64(len(e.body))
+			rc.bytes += int64(len(e.body))
+			rc.evictLocked(el)
+		}
+	})
+	return e.body
 }
 
 // getOrCompute returns the result for key, running compute at most
@@ -173,10 +217,10 @@ func (rc *resultCache) peekAll(keys []string) ([]EngineResult, bool) {
 // one such error (see lead), so it can never wedge the key.
 func (rc *resultCache) getOrCompute(key string, compute func() (EngineResult, error)) (EngineResult, cacheSource, error) {
 	rc.mu.Lock()
-	if er, ok := rc.lookupLocked(key); ok {
+	if e, ok := rc.lookupLocked(key); ok {
 		rc.reg.cacheHits.Add(1)
 		rc.mu.Unlock()
-		return er, cacheHit, nil
+		return e.er, cacheHit, nil
 	}
 	if call, ok := rc.inflight[key]; ok {
 		rc.reg.singleflightShared.Add(1)
@@ -236,9 +280,19 @@ func (rc *resultCache) storeLocked(key string, er EngineResult) {
 	}
 	rc.entries[key] = rc.lru.PushFront(e)
 	rc.bytes += e.bytes
-	for rc.bytes > rc.maxBytes && rc.lru.Len() > 0 {
-		rc.removeLocked(rc.lru.Back())
-		rc.reg.cacheEvictions.Add(1)
+	rc.evictLocked(nil)
+}
+
+// evictLocked evicts from the LRU tail until the cache is within its
+// bound, never evicting keep, and publishes the byte total.
+func (rc *resultCache) evictLocked(keep *list.Element) {
+	for el := rc.lru.Back(); el != nil && rc.bytes > rc.maxBytes; {
+		prev := el.Prev()
+		if el != keep {
+			rc.removeLocked(el)
+			rc.reg.cacheEvictions.Add(1)
+		}
+		el = prev
 	}
 	rc.reg.cacheBytes.Store(rc.bytes)
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -13,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func metricsSamples(t *testing.T, srv *httptest.Server) []string {
@@ -340,4 +344,361 @@ func TestResultCachePanicDoesNotWedgeKey(t *testing.T) {
 	if _, src, _ := rc.getOrCompute("k", nil); src != cacheHit {
 		t.Fatalf("retry result not stored: source %v", src)
 	}
+}
+
+// TestResultCacheBoundCountsStoredBytes: an entry's stored response
+// bytes count toward its size, the cache bound and the
+// spstad_cache_bytes gauge. An entry that grows on its first hit
+// evicts from the LRU tail until the cache is back under its bound,
+// and never evicts itself, even when it alone is over the bound.
+func TestResultCacheBoundCountsStoredBytes(t *testing.T) {
+	er := EngineResult{Engine: "spsta", Endpoints: []EndpointStat{{Net: "G1"}, {Net: "G2"}, {Net: "G3"}}}
+	size := resultBytes(&er)
+	enc := er
+	enc.Cached = true
+	b, err := json.MarshalIndent(&enc, "    ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := int64(len("\n    ") + len(b))
+	if stored <= size {
+		t.Fatalf("stored bytes %d not above the unencoded size %d: the cases below assume it", stored, size)
+	}
+	// hit serves key as a full peek hit and returns its stored bytes.
+	hit := func(rc *resultCache, key string) []byte {
+		t.Helper()
+		es, ok := rc.peekAll([]string{key})
+		if !ok {
+			t.Fatalf("%s not stored", key)
+		}
+		return rc.encoded(es[0])
+	}
+	check := func(rc *resultCache, reg *registry, entries int, bytes int64, evictions int64) {
+		t.Helper()
+		n, got := rc.stats()
+		if n != entries || got != bytes {
+			t.Fatalf("cache holds %d entries, %d bytes; want %d, %d", n, got, entries, bytes)
+		}
+		if g := reg.cacheBytes.Load(); g != got {
+			t.Fatalf("spstad_cache_bytes %d != accounted %d", g, got)
+		}
+		if e := reg.cacheEvictions.Load(); e != evictions {
+			t.Fatalf("evictions %d, want %d", e, evictions)
+		}
+	}
+
+	var reg registry
+	rc := newResultCache(2*(size+stored), 0, &reg)
+	for _, k := range []string{"k0", "k1", "k2"} {
+		rc.store(k, er)
+	}
+	check(rc, &reg, 3, 3*size, 0)
+	if got := hit(rc, "k0"); int64(len(got)) != stored {
+		t.Fatalf("stored %d bytes, want %d", len(got), stored)
+	}
+	check(rc, &reg, 3, 3*size+stored, 0)
+	// k1's bytes take the cache over its bound: k2, the LRU tail, goes.
+	hit(rc, "k1")
+	check(rc, &reg, 2, 2*(size+stored), 1)
+	if _, ok := rc.peekAll([]string{"k2"}); ok {
+		t.Fatal("k2 not evicted")
+	}
+	hit(rc, "k0")
+	hit(rc, "k1")
+	check(rc, &reg, 2, 2*(size+stored), 1)
+
+	var reg2 registry
+	small := newResultCache(size+stored-1, 0, &reg2)
+	small.store("k0", er)
+	small.store("k1", er)
+	hit(small, "k0")
+	check(small, &reg2, 1, size+stored, 1)
+	if _, ok := small.peekAll([]string{"k0"}); !ok {
+		t.Fatal("the entry being served evicted itself")
+	}
+}
+
+// indentedResponse is how a /v1/analyze body encoded before responses
+// could be served from stored bytes: the decoded Response through an
+// indented json.Encoder.
+func indentedResponse(t *testing.T, b []byte) (Response, []byte) {
+	t.Helper()
+	var r Response
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&r); err != nil {
+		t.Fatal(err)
+	}
+	return r, buf.Bytes()
+}
+
+// TestHitBodyByteIdentical: a full /v1/analyze hit, served from its
+// entries' stored bytes, is byte for byte the indented encoding of the
+// Response it decodes to, with every engine marked cached and the
+// body's length in Content-Length. The first hit encodes the entries,
+// the second serves what the first stored.
+func TestHitBodyByteIdentical(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	resp, b := post(t, srv.URL+"/v1/netlists", `{"circuit":"s298"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: %d %s", resp.StatusCode, b)
+	}
+	var up NetlistUploadResponse
+	if err := json.Unmarshal(b, &up); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ name, body string }{
+		{"spsta", `{"circuit":"s344","engine":"spsta","sigma":0.2,"epsilon":1e-4,"coarsen":"auto"}`},
+		{"moment", `{"circuit":"s344","engine":"moment","sigma":0.2}`},
+		{"mc", `{"circuit":"s344","engine":"mc","runs":2000}`},
+		{"all", `{"circuit":"s386","engine":"all","runs":2000,"sigma":0.2}`},
+		{"netlist_ref", fmt.Sprintf(`{"netlist_ref":%q}`, up.NetlistDigest)},
+	}
+	for _, tc := range cases {
+		if resp, b := post(t, srv.URL+"/v1/analyze", tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s cold: %d %s", tc.name, resp.StatusCode, b)
+		}
+		for i := 0; i < 2; i++ {
+			resp, b := post(t, srv.URL+"/v1/analyze", tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s hit %d: %d %s", tc.name, i, resp.StatusCode, b)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(b)) {
+				t.Fatalf("%s hit %d: Content-Length %q for a %d-byte body", tc.name, i, cl, len(b))
+			}
+			r, want := indentedResponse(t, b)
+			if !bytes.Equal(b, want) {
+				t.Fatalf("%s hit %d differs from the indented encoding:\n%s\nwant\n%s", tc.name, i, b, want)
+			}
+			for _, er := range r.Engines {
+				if !er.Cached {
+					t.Fatalf("%s hit %d: engine %s not marked cached", tc.name, i, er.Engine)
+				}
+			}
+		}
+	}
+	// Every entry was hit, so every entry holds its bytes: the hits
+	// were served from them, not re-encoded.
+	svc.cache.mu.Lock()
+	defer svc.cache.mu.Unlock()
+	if n := svc.cache.lru.Len(); n != 7 {
+		t.Fatalf("%d cache entries, want 7 (spsta, moment, mc, three of all, netlist_ref)", n)
+	}
+	for el := svc.cache.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.body == nil {
+			t.Fatalf("entry %s was hit but holds no stored bytes", e.key)
+		}
+	}
+}
+
+// requestIDs matches the per-request identity of a response body.
+var requestIDs = regexp.MustCompile(`"(request_id|trace_id)": "[^"]*"`)
+
+// TestConcurrentFirstHitsEncodeOnce sends concurrent first hits to the
+// entries of one request: each entry is encoded and accounted once,
+// and every reply is identical apart from its request and trace IDs.
+// Concurrent first calls of encoded on one entry get the same bytes.
+func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := `{"circuit":"s344","engine":"all","runs":2000}`
+	if resp, b := post(t, srv.URL+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold: %d %s", resp.StatusCode, b)
+	}
+	_, before := svc.cache.stats()
+	const n = 8
+	replies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("hit %d: status %d, %v: %s", i, resp.StatusCode, err, b)
+				return
+			}
+			replies[i] = requestIDs.ReplaceAll(b, nil)
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, b := range replies {
+		if !bytes.Equal(b, replies[0]) {
+			t.Fatalf("hit %d differs from hit 0 apart from its IDs:\n%s\n%s", i, b, replies[0])
+		}
+	}
+	_, after := svc.cache.stats()
+	var stored int64
+	svc.cache.mu.Lock()
+	for el := svc.cache.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.body == nil || e.bytes != resultBytes(&e.er)+int64(len(e.body)) {
+			t.Errorf("entry %s: %d bytes accounted for a %d-byte result and %d stored bytes",
+				e.key, e.bytes, resultBytes(&e.er), len(e.body))
+		}
+		stored += int64(len(e.body))
+	}
+	svc.cache.mu.Unlock()
+	if after-before != stored {
+		t.Fatalf("cache grew by %d bytes on its first hits, want %d: an entry was accounted more than once",
+			after-before, stored)
+	}
+
+	var reg registry
+	rc := newResultCache(1<<20, 0, &reg)
+	rc.store("k", EngineResult{Engine: "spsta", Endpoints: []EndpointStat{{Net: "G1"}}})
+	es, _ := rc.peekAll([]string{"k"})
+	got := make([][]byte, n)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = rc.encoded(es[0])
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("call %d got its own encoding", i)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status and the
+// byte count, so a benchmark measures the handler and not a copy of
+// the body.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkAnalyzeHit measures a full /v1/analyze cache hit of the
+// deepest synthetic circuit in process, through the handler without a
+// network, and the steps the hit takes besides writing its stored
+// bytes: decode (the body, the circuit through the registry, the cache
+// peek), run (scope, spans and the body's pieces, the head encode
+// included), merge (the scope snapshot into the service totals), log
+// (the slog line, as JSON like spstad's), flight (the flight record)
+// and head (encoding the response without its engines).
+func BenchmarkAnalyzeHit(b *testing.B) {
+	svc := New(Config{MaxConcurrent: 2, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	defer svc.Close()
+	h := svc.Handler()
+	const body = `{"circuit":"s1238","engine":"spsta","sigma":0.2}`
+	newReq := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+	}
+	serve := func() {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, newReq())
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	serve() // stores the result
+	serve() // encodes it
+
+	// peeked decodes r and resolves and peeks its request.
+	peeked := func(r *http.Request) *reqCtx {
+		rc := &reqCtx{id: newRequestID(), traceID: obs.NewTraceID(), path: "/v1/analyze", label: "spsta", t0: time.Now()}
+		req, err := decode(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rc.req = req
+		if rc.c, rc.digest, err = svc.resolveSource(req.Circuit, req.Bench, req.NetlistRef); err != nil {
+			b.Fatal(err)
+		}
+		rc.hits, rc.cached = svc.cache.peekAll([]string{cacheKey(rc.digest, req, "spsta")})
+		return rc
+	}
+	r := newReq()
+	rc := peeked(r)
+	resp, err := svc.execute(r, rc, svc.runAnalyze)
+	if _, ok := resp.(jsonBody); !ok || err != nil {
+		b.Fatalf("a full hit answered %T, %v, not its stored bytes", resp, err)
+	}
+
+	b.Run("handler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serve()
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		reqs := make([]*http.Request, b.N)
+		for i := range reqs {
+			reqs[i] = newReq()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			peeked(reqs[i])
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hit := *rc
+			if _, err := svc.execute(r, &hit, svc.runAnalyze); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc.reg.merge(rc.scope.Snapshot())
+		}
+	})
+	b.Run("log", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc.log.Info("request", "request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
+				"engine", rc.label, "circuit", rc.c.Name, "status", http.StatusOK,
+				"duration_ms", float64(time.Since(rc.t0).Microseconds())/1e3,
+				"cost_units", int64(0), "cached", rc.cached, "captured", false)
+		}
+	})
+	b.Run("flight", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc.recordFlight(rc.summary(http.StatusOK, "", 0), rc.scope, "")
+		}
+	})
+	b.Run("head", func(b *testing.B) {
+		b.ReportAllocs()
+		shell := Response{RequestID: rc.id, TraceID: rc.traceID, Circuit: rc.circuitInfo(),
+			NetlistDigest: rc.digest, Scenario: rc.req.Scenario, Engines: []EngineResult{}}
+		for i := 0; i < b.N; i++ {
+			if _, err := encodeJSON(&shell); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

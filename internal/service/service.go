@@ -665,7 +665,7 @@ type reqCtx struct {
 	c         *netlist.Circuit
 	digest    string
 	in        map[netlist.NodeID]logic.InputStats // see inputs
-	hits      []EngineResult                      // the peek step's full hit
+	hits      []*cacheEntry                       // the peek step's full hit
 	traceFile string                              // set when the request writes one
 
 	// cached / netsRecomputed / session feed the flight summary, the
@@ -722,6 +722,10 @@ func (s *Service) route(path, label string, decode func(*http.Request) (*job, er
 			rc.hits, rc.cached = s.cache.peekAll(keys)
 		}
 		resp, err := s.execute(r, rc, j.run)
+		var body jsonBody
+		if err == nil {
+			body, err = encodeJSON(resp)
+		}
 		if err != nil {
 			s.fail(w, rc, err)
 			return
@@ -743,7 +747,7 @@ func (s *Service) route(path, label string, decode func(*http.Request) (*job, er
 			args = append(args, "nets_recomputed", rc.netsRecomputed, "session", rc.session)
 		}
 		s.log.Info("request", args...)
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, body)
 	}
 }
 
@@ -886,7 +890,8 @@ func (s *Service) analyzeJob(r *http.Request) (*job, error) {
 }
 
 // runAnalyze is /v1/analyze's run step: the requested engines in
-// order, each through the result cache.
+// order, each through the result cache. A full peek hit is answered
+// from the entries' stored bytes (see hitBody).
 func (s *Service) runAnalyze(rc *reqCtx) (any, int64, error) {
 	resp := &Response{
 		RequestID:     rc.id,
@@ -906,8 +911,49 @@ func (s *Service) runAnalyze(rc *reqCtx) (any, int64, error) {
 		resp.Engines = append(resp.Engines, er)
 		resp.CostUnits += er.CostUnits
 	}
+	if rc.hits != nil {
+		if body, ok := s.hitBody(resp, rc.hits); ok {
+			return body, resp.CostUnits, nil
+		}
+	}
 	return resp, resp.CostUnits, nil
 }
+
+// emptyEngines is how a Response with no engines encodes its engines
+// field. Only cost_units and the empty trace_file follow it, so its
+// last occurrence is the field itself.
+var emptyEngines = []byte(`"engines": []`)
+
+// hitBody returns the body of a full hit, byte for byte the indented
+// encoding of resp: resp encoded without its engines (the head and
+// tail), and in between each engine's stored bytes (see
+// cacheEntry.body), which writeJSON writes without copying. ok is
+// false when a result does not encode; resp is then served as a value
+// and fails as one.
+func (s *Service) hitBody(resp *Response, hits []*cacheEntry) (body jsonBody, ok bool) {
+	shell := *resp
+	shell.Engines = []EngineResult{}
+	enc, err := encodeJSON(&shell)
+	if err != nil {
+		return nil, false
+	}
+	b := enc[0]
+	i := bytes.LastIndex(b, emptyEngines) + len(emptyEngines) - 1
+	body = append(make(jsonBody, 0, 2*len(hits)+2), b[:i])
+	for k, e := range hits {
+		stored := s.cache.encoded(e)
+		if stored == nil {
+			return nil, false
+		}
+		if k > 0 {
+			body = append(body, comma)
+		}
+		body = append(body, stored)
+	}
+	return append(body, closeIndent, b[i:]), true
+}
+
+var comma, closeIndent = []byte(","), []byte("\n  ")
 
 // cachedEngine returns one engine's result for the request: the peek
 // step's hit, a fresh traced run (published for later requests), or a
@@ -918,8 +964,8 @@ func (s *Service) cachedEngine(rc *reqCtx, engine string) (er EngineResult, err 
 	switch {
 	case rc.hits != nil:
 		for _, h := range rc.hits {
-			if h.Engine == engine {
-				er = h
+			if h.er.Engine == engine {
+				er = h.er
 			}
 		}
 	case rc.req.Trace:
@@ -1246,12 +1292,49 @@ func (s *Service) handleFlightGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// jsonBody is a JSON response body as pieces written in order.
+type jsonBody [][]byte
+
+// encodeJSON returns v's response body: its indented JSON encoding,
+// or v itself when v is already a jsonBody.
+func encodeJSON(v any) (jsonBody, error) {
+	if b, ok := v.(jsonBody); ok {
+		return b, nil
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return jsonBody{buf.Bytes()}, nil
+}
+
+// writeJSON writes v (see encodeJSON) as the response with status and
+// its Content-Length. It encodes before it writes the status, so a
+// value that does not encode, such as a NaN float, is answered 500
+// with the error instead of the status and an empty body. The request
+// pipeline encodes before it records a request, so there the failure
+// takes the pipeline's error path instead.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = encodeJSON(map[string]string{"error": "encoding response: " + err.Error()}) // a string map always encodes
+	}
+	n := 0
+	for _, b := range body {
+		n += len(b)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(status)
+	for _, b := range body {
+		if _, err := w.Write(b); err != nil {
+			return // the client went away; nothing else can reach it
+		}
+	}
 }
 
 func abs(v float64) float64 {

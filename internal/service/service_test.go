@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -650,5 +652,44 @@ func TestEnginePanicFreesSlot(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value that does not encode, here a NaN,
+// is answered 500 with the encoding error in a body of the stated
+// Content-Length, not 200 with an empty body. Through the request
+// pipeline it takes the error path: a 500 in the flight recorder and
+// the RED error series.
+func TestWriteJSONUnencodable(t *testing.T) {
+	nan := map[string]float64{"v": math.NaN()}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, nan)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Fatalf("writeJSON of a NaN: %d %q, want a 500 naming the NaN", rec.Code, rec.Body)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
+
+	svc := New(Config{MaxConcurrent: 1})
+	defer svc.Close()
+	h := svc.route("/v1/analyze", "spsta", func(r *http.Request) (*job, error) {
+		req, err := decode(r)
+		if err != nil {
+			return nil, err
+		}
+		return &job{req: req, label: "spsta", run: func(*reqCtx) (any, int64, error) { return nan, 0, nil }}, nil
+	})
+	rec = httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(`{"circuit":"s208"}`)))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Fatalf("pipeline answer of a NaN: %d %q, want a 500 naming the NaN", rec.Code, rec.Body)
+	}
+	sums, _ := svc.flight.list()
+	if len(sums) != 1 || sums[0].Status != http.StatusInternalServerError {
+		t.Fatalf("flight recorder holds %+v, want one 500", sums)
+	}
+	if got := svc.reg.errors[engineIndex("spsta")].Load(); got != 1 {
+		t.Fatalf("RED errors for the request: %d, want 1", got)
 	}
 }
