@@ -92,7 +92,11 @@ soak:
 # do the same for the packed engine's per-lane settle and glitch
 # scratch and the shard merge. The incr restore and single-edit tests and the service's
 # delta tests also run at both counts: delta sessions run Update with
-# Workers = GOMAXPROCS next to the undo snapshot. Under the race detector
+# Workers = GOMAXPROCS next to the undo snapshot. Among them are the
+# cross-scope checks (incr.TestSingleEditChargesCallingScope,
+# service.TestDeltaWarmCostMatchesFreshSession): an edit charges the
+# scope of the request that makes it, never the one that built the
+# session. Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
 # a plain run after the race lines checks its full circuit grid.

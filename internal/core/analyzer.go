@@ -166,8 +166,8 @@ type runCtx struct {
 	coarsened bool
 	// workers holds each scheduler worker's slab and scratch stack.
 	workers []worker
-	// met is the run's metrics registry (also carried by grid); nil
-	// disables the core-level counters.
+	// met is the registry of the current Run or Update, the one every
+	// kernel of the propagation charges; nil disables the counters.
 	met *obs.Metrics
 }
 
@@ -180,7 +180,7 @@ func (a *Analyzer) newRunCtx(res *Result, chunk int) *runCtx {
 		eps:     a.ErrorBudget,
 		certify: a.ErrorBudget > 0 || a.Coarsen.Mode != CoarsenOff,
 		coarsen: a.Coarsen,
-		met:     res.Grid.Metrics(),
+		met:     a.Obs.M(),
 	}
 	if rc.delay == nil {
 		rc.delay = ssta.UnitDelay
@@ -248,10 +248,6 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 		}
 		grid = dist.TimingGrid(c.Depth(), mu, sigma)
 	}
-	// Attach the scope's registry to the grid so every dist kernel
-	// call site (convolution, mixtures, re-binning, the kernel cache)
-	// records into this run's scope.
-	grid = grid.WithMetrics(a.Obs.M())
 	for id, st := range inputs {
 		if err := st.Validate(); err != nil {
 			return nil, fmt.Errorf("core: launch %s: %w", c.Nodes[id].Name, err)
@@ -273,7 +269,7 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 		C:       c,
 		Grid:    grid,
 		State:   make([]NetState, len(c.Nodes)),
-		kernels: dist.NewKernelCache(grid),
+		kernels: dist.NewKernelCache(),
 	}
 	rc := a.newRunCtx(res, runChunk*grid.N)
 	node := func(w int, id netlist.NodeID) error {
@@ -330,12 +326,12 @@ func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.Input
 // own, so replacing one never pins another run's chunk.
 func (a *Analyzer) Update(res *Result, inputs map[netlist.NodeID]logic.InputStats, seed netlist.NodeID) (int, error) {
 	c := res.C
-	res.Grid = res.Grid.WithMetrics(a.Obs.M())
 	rc := a.newRunCtx(res, 0)
-	if len(res.scratch) == len(rc.workers) {
+	if len(res.scratch) == len(rc.workers) && res.scratch[0].grid == rc.grid {
+		// The stacks are empty after every node; they are kept unless
+		// res.Grid moved since they were built.
 		for i := range rc.workers {
 			rc.workers[i].scr = res.scratch[i]
-			rc.workers[i].scr.retarget(rc.grid)
 		}
 	}
 	defer func() {
@@ -449,10 +445,10 @@ func (a *Analyzer) computeNode(res *Result, id netlist.NodeID, inputs map[netlis
 		st.P = in.P
 		// The cached launch kernel is shared and read-only; each
 		// direction scales it into its own stored t.o.p.
-		arr := rc.kernels.FromNormal(dist.Normal{Mu: in.Mu, Sigma: in.Sigma})
+		arr := rc.kernels.FromNormal(rc.met, rc.grid, dist.Normal{Mu: in.Mu, Sigma: in.Sigma})
 		var tr, tf float64
-		st.TOP[ssta.DirRise], tr = trimStored(ws.slab.StoreScaled(arr, in.P[logic.Rise]), rc.eps/2)
-		st.TOP[ssta.DirFall], tf = trimStored(ws.slab.StoreScaled(arr, in.P[logic.Fall]), rc.eps/2)
+		st.TOP[ssta.DirRise], tr = trimStored(rc.met, ws.slab.StoreScaled(arr, in.P[logic.Rise]), rc.eps/2)
+		st.TOP[ssta.DirFall], tf = trimStored(rc.met, ws.slab.StoreScaled(arr, in.P[logic.Fall]), rc.eps/2)
 		foldTrim(st, tr, tf)
 	default:
 		*st = NetState{}
@@ -497,7 +493,6 @@ func correctToExact(st *NetState, exact [logic.NumValues]float64) {
 // two stored t.o.p. functions take slab rows, and a whole-bin
 // deterministic delay writes the mixtures straight into them.
 func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) error {
-	grid := rc.grid
 	st := &res.State[n.ID]
 
 	switch {
@@ -518,8 +513,8 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 		}
 		d := rc.delay(n)
 		var tr, tf float64
-		st.TOP[ssta.DirRise], tr = ws.storeDelayed(rise, d, rc.kernels, rc.eps/2)
-		st.TOP[ssta.DirFall], tf = ws.storeDelayed(fall, d, rc.kernels, rc.eps/2)
+		st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, rise, d, rc.eps/2)
+		st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, fall, d, rc.eps/2)
 		foldTrim(st, tr, tf)
 		return nil
 
@@ -567,12 +562,12 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 			// when eps is 0). SizedMixture already applies the
 			// per-size delay.
 			misDelay := func(size int) dist.Normal { return a.MIS(n, size) }
-			ncd, p1 := dist.SizedMixturePruned(grid, ncdIn, true, misDelay, rc.eps/4)
-			cd, p2 := dist.SizedMixturePruned(grid, cdIn, false, misDelay, rc.eps/4)
+			ncd, p1 := dist.SizedMixturePruned(rc.met, rc.grid, ncdIn, true, misDelay, rc.eps/4)
+			cd, p2 := dist.SizedMixturePruned(rc.met, rc.grid, cdIn, false, misDelay, rc.eps/4)
 			st.PrunedMass += p1 + p2
 			pNCDSwitch, pCDSwitch = ncd.Mass(), cd.Mass()
-			ncdTOP, ncdTrim = ws.keep(ncd, rc.eps/4)
-			cdTOP, cdTrim = ws.keep(cd, rc.eps/4)
+			ncdTOP, ncdTrim = ws.keep(rc.met, ncd, rc.eps/4)
+			cdTOP, cdTrim = ws.keep(rc.met, cd, rc.eps/4)
 		} else {
 			if rc.eps > 0 {
 				// Negligible-switcher absorption (ε/4 per mixture):
@@ -583,8 +578,8 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 				st.PrunedMass += absorbNegligible(cdIn, cdMass, rc.eps/4, rc.empty, rc.met)
 			}
 			d := rc.delay(n)
-			ncdTOP, pNCDSwitch, ncdTrim = ws.storeMixture(grid, ncdIn, true, d, rc.kernels, rc.eps/4)
-			cdTOP, pCDSwitch, cdTrim = ws.storeMixture(grid, cdIn, false, d, rc.kernels, rc.eps/4)
+			ncdTOP, pNCDSwitch, ncdTrim = ws.storeMixture(rc, ncdIn, true, d, rc.eps/4)
+			cdTOP, pCDSwitch, cdTrim = ws.storeMixture(rc, cdIn, false, d, rc.eps/4)
 		}
 		// The output with every input at its non-controlling value
 		// (the non-controlled value) decides which mixture is rising.
@@ -650,12 +645,12 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 		var tr, tf float64
 		if a.MIS != nil {
 			// parityCombos applied the per-combo MIS delay.
-			st.TOP[ssta.DirRise], tr = ws.keep(rise, rc.eps/4)
-			st.TOP[ssta.DirFall], tf = ws.keep(fall, rc.eps/4)
+			st.TOP[ssta.DirRise], tr = ws.keep(rc.met, rise, rc.eps/4)
+			st.TOP[ssta.DirFall], tf = ws.keep(rc.met, fall, rc.eps/4)
 		} else {
 			d := rc.delay(n)
-			st.TOP[ssta.DirRise], tr = ws.storeDelayed(rise, d, rc.kernels, rc.eps/4)
-			st.TOP[ssta.DirFall], tf = ws.storeDelayed(fall, d, rc.kernels, rc.eps/4)
+			st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, rise, d, rc.eps/4)
+			st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, fall, d, rc.eps/4)
 		}
 		if rc.eps > 0 {
 			st.P[logic.Rise] = clampProb(st.P[logic.Rise] - tr)
@@ -724,9 +719,9 @@ func (a *Analyzer) parityCombos(res *Result, n *netlist.Node, ord []netlist.Node
 			} else {
 				next := sc.get()
 				if op == logic.OpMax {
-					dist.MaxPMFInto(next, acc, cond)
+					dist.MaxPMFInto(rc.met, next, acc, cond)
 				} else {
-					dist.MinPMFInto(next, acc, cond)
+					dist.MinPMFInto(rc.met, next, acc, cond)
 				}
 				acc = next
 			}
@@ -741,7 +736,7 @@ func (a *Analyzer) parityCombos(res *Result, n *netlist.Node, ord []netlist.Node
 					k++
 				}
 			}
-			acc = applyDelayInto(sc.get(), acc, a.MIS(n, k), rc.kernels)
+			acc = applyDelayInto(rc, sc.get(), acc, a.MIS(n, k))
 		}
 		if out == logic.Rise {
 			rise.AccumWeighted(acc, weight)
@@ -758,17 +753,17 @@ func (a *Analyzer) parityCombos(res *Result, n *netlist.Node, ord []netlist.Node
 }
 
 // applyDelayInto writes top shifted (deterministic delay) or
-// convolved (variational delay, kernel from the shared cache) into
-// dst and returns dst. top is read-only, so callers can pass a fanin
-// t.o.p. or a cached kernel without cloning.
-func applyDelayInto(dst, top *dist.PMF, d dist.Normal, kc *dist.KernelCache) *dist.PMF {
+// convolved (variational delay, kernel from the run's cache) into dst,
+// charging the run's registry, and returns dst. top is read-only, so
+// callers can pass a fanin t.o.p. or a cached kernel without cloning.
+func applyDelayInto(rc *runCtx, dst, top *dist.PMF, d dist.Normal) *dist.PMF {
 	if d.Sigma == 0 {
 		if d.Mu == 0 {
 			return dst.CopyFrom(top)
 		}
-		return top.ShiftInto(dst, d.Mu)
+		return top.ShiftInto(rc.met, dst, d.Mu)
 	}
-	return top.ConvolveInto(dst, kc.FromNormal(d))
+	return top.ConvolveInto(rc.met, dst, rc.kernels.FromNormal(rc.met, rc.grid, d))
 }
 
 func dirOf(v logic.Value) ssta.Dir {

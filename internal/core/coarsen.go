@@ -8,14 +8,14 @@
 // stored t.o.p. function onto a coarser grid at a level boundary —
 // between the barrier of one level and the first gate of the next,
 // when no worker is running — and continues the analysis entirely on
-// the coarse grid: the kernel cache re-discretizes delay kernels once
-// per resolution level, the FFT/convolution plans come from the
-// per-geometry plan cache, and each worker's scratch stack is
-// retargeted (stored rows carry their own grid, so the slabs need
-// nothing).
+// the coarse grid: the kernel cache, keyed on the grid, discretizes
+// delay kernels once per resolution level, the FFT/convolution plans
+// come from the per-grid plan cache, and each worker's scratch stack
+// moves to the coarse grid (stored rows carry their own grid, so the
+// slabs need nothing).
 //
-// Re-binning is certified like ε-pruning: dist.Rebin conserves mass
-// exactly and returns the Kolmogorov-distance bound (the largest
+// Re-binning is certified like ε-pruning: dist.PMF.Coarsen conserves
+// mass exactly and returns the Kolmogorov-distance bound (the largest
 // single coarse-bin mass), which maybeCoarsen folds into every net's
 // cumulative Budget so ConsumedBudget / MaxConsumedBudget remain
 // sound deviation certificates. With Coarsen off the analysis never
@@ -159,9 +159,9 @@ func maxSupportWidth(res *Result, level []netlist.NodeID) int {
 // re-binned in place onto the factor×-coarser grid, each net's Budget
 // absorbs its rise+fall deviation bounds (PrunedMass is untouched —
 // no occurrence mass is removed, only displaced within a bin group),
-// and the run context, result grid, kernel cache, worker scratch
-// stacks and shared empty PMF are retargeted so everything downstream
-// lives on the coarse grid. Reports whether the grid changed.
+// and the run context, result grid, worker scratch stacks and shared
+// empty PMF move to the coarse grid so everything downstream lives on
+// it. Reports whether the grid changed.
 func (rc *runCtx) maybeCoarsen(res *Result, level []netlist.NodeID) bool {
 	pol := rc.coarsen
 	switch pol.Mode {
@@ -187,14 +187,13 @@ func (rc *runCtx) maybeCoarsen(res *Result, level []netlist.NodeID) bool {
 		dev := 0.0
 		for d := range st.TOP {
 			if top := st.TOP[d]; top != nil {
-				dev += top.Rebin(cg, f)
+				dev += top.Coarsen(rc.met, f)
 			}
 		}
 		st.Budget += dev
 	}
 	rc.grid = cg
 	res.Grid = cg
-	rc.kernels.Rebind(cg)
 	for i := range rc.workers {
 		rc.workers[i].scr.retarget(cg)
 	}

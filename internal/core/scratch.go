@@ -4,6 +4,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // worker is one level-scheduler worker's private storage: the slab its
@@ -71,21 +72,12 @@ func (s *scratch) free(mark int) {
 	s.n = mark
 }
 
-// retarget moves the empty stack onto grid g. PMFs of the same
-// geometry are kept and rebound to g's metrics registry (an Update on
-// the stacks of the previous one); those of another geometry (a
-// coarsening boundary) are dropped.
+// retarget moves the empty stack onto grid g at a coarsening
+// boundary, dropping its PMFs and keeping its slices' capacity.
 func (s *scratch) retarget(g dist.Grid) {
-	if s.grid.Equal(g) {
-		for _, p := range s.pmfs {
-			p.Rebind(g)
-		}
-	} else {
-		clear(s.pmfs)
-		s.pmfs = s.pmfs[:0]
-	}
+	clear(s.pmfs)
+	s.pmfs = s.pmfs[:0]
 	s.grid = g
-	s.n = 0
 }
 
 // parityVals returns the stack's parity value slice, length k.
@@ -103,32 +95,32 @@ func (s *scratch) parityVals(k int) []logic.Value {
 // the cached kernel for a variational one. A whole-bin in-grid shift
 // copies straight into the stored row; every other case goes through
 // a scratch PMF, trimmed before it is stored so the row holds only
-// what is kept.
-func (w *worker) storeDelayed(top *dist.PMF, d dist.Normal, kc *dist.KernelCache, trim float64) (*dist.PMF, float64) {
+// what is kept. The work is charged to the run's registry.
+func (w *worker) storeDelayed(rc *runCtx, top *dist.PMF, d dist.Normal, trim float64) (*dist.PMF, float64) {
 	if d.Sigma == 0 {
 		var p *dist.PMF
 		if d.Mu == 0 {
 			p = w.slab.Store(top)
 		} else {
-			p = w.slab.StoreShifted(top, d.Mu)
+			p = w.slab.StoreShifted(rc.met, top, d.Mu)
 		}
 		if p != nil {
-			return trimStored(p, trim)
+			return trimStored(rc.met, p, trim)
 		}
 	}
-	return w.keep(applyDelayInto(w.scr.get(), top, d, kc), trim)
+	return w.keep(rc.met, applyDelayInto(rc, w.scr.get(), top, d), trim)
 }
 
 // keep trims p's tails with budget trim and stores it; p is the
 // worker's to modify (scratch, or a PMF nothing else holds).
-func (w *worker) keep(p *dist.PMF, trim float64) (*dist.PMF, float64) {
-	tr := p.TruncateTail(trim)
+func (w *worker) keep(m *obs.Metrics, p *dist.PMF, trim float64) (*dist.PMF, float64) {
+	tr := p.TruncateTail(m, trim)
 	return w.slab.Store(p), tr
 }
 
 // trimStored trims a stored row's tails in place and re-freezes it.
-func trimStored(p *dist.PMF, trim float64) (*dist.PMF, float64) {
-	tr := p.TruncateTail(trim)
+func trimStored(m *obs.Metrics, p *dist.PMF, trim float64) (*dist.PMF, float64) {
+	tr := p.TruncateTail(m, trim)
 	return p.Freeze(), tr
 }
 
@@ -138,20 +130,20 @@ func trimStored(p *dist.PMF, trim float64) (*dist.PMF, float64) {
 // probabilities always take the undelayed sum), and the trimmed mass.
 // A deterministic whole-bin delay writes the mixture straight into its
 // stored row.
-func (w *worker) storeMixture(g dist.Grid, in []dist.SwitchInput, max bool, d dist.Normal, kc *dist.KernelCache, trim float64) (*dist.PMF, float64, float64) {
+func (w *worker) storeMixture(rc *runCtx, in []dist.SwitchInput, max bool, d dist.Normal, trim float64) (*dist.PMF, float64, float64) {
 	if d.Sigma == 0 {
-		if p := w.slab.StoreMixture(g, in, max, d.Mu); p != nil {
+		if p := w.slab.StoreMixture(rc.met, rc.grid, in, max, d.Mu); p != nil {
 			mass := p.Mass()
-			p, tr := trimStored(p, trim)
+			p, tr := trimStored(rc.met, p, trim)
 			return p, mass, tr
 		}
 	}
 	mix := w.scr.get()
 	if max {
-		dist.MaxMixtureInto(mix, in)
+		dist.MaxMixtureInto(rc.met, mix, in)
 	} else {
-		dist.MinMixtureInto(mix, in)
+		dist.MinMixtureInto(rc.met, mix, in)
 	}
-	p, tr := w.storeDelayed(mix, d, kc, trim)
+	p, tr := w.storeDelayed(rc, mix, d, trim)
 	return p, mix.Mass(), tr
 }

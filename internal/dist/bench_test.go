@@ -25,7 +25,7 @@ func BenchmarkMixture(b *testing.B) {
 		})
 		b.Run("subset-2^k/k="+itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				SubsetMixture(g, in, true)
+				SubsetMixture(nil, g, in, true)
 			}
 		})
 	}

@@ -1,17 +1,28 @@
 package dist
 
-import "sync"
+import (
+	"sync"
 
-// KernelCache memoizes FromNormal discretizations on one fixed grid,
-// so a delay kernel shared by many gates (the common case: a cell
-// library has far fewer distinct delays than the circuit has gates)
-// is discretized once per distinct Normal instead of once per gate.
+	"repro/internal/obs"
+)
+
+// KernelCache memoizes FromNormal discretizations keyed on the Normal
+// and the grid, so a delay kernel shared by many gates (the common
+// case: a cell library has far fewer distinct delays than the circuit
+// has gates) is discretized once per distinct Normal and grid instead
+// of once per gate. Under multi-resolution coarsening the same Normal
+// lands on different bins on each grid, so each resolution level
+// discretizes its delay kernels exactly once and never serves another
+// level's.
 //
 // The cache is safe for concurrent use by the level-parallel
 // analyzers. Returned PMFs are shared across callers and MUST be
 // treated as read-only; every PMF kernel that reads two operands
 // (Convolve, MaxPMF, …) leaves them untouched, so cached kernels can
-// be passed directly as operands.
+// be passed directly as operands. The cache holds no metrics registry:
+// each lookup charges the registry its caller passes, so a cache kept
+// across runs (an incremental session's) charges every run its own
+// lookups.
 //
 // Misses are once-per-key: the entry is inserted under the write
 // lock and the discretization runs inside the entry's sync.Once, so
@@ -21,24 +32,16 @@ import "sync"
 // record hits, misses and races (slow-path lookups that found the
 // entry already inserted — exactly the lookups that used to waste a
 // discretization).
-//
-// Entries are keyed on the Normal AND the grid's geometry: under
-// multi-resolution coarsening (Rebind) a kernel discretized for one
-// resolution level must never serve another, since the same Normal
-// lands on different bins on each grid. Each resolution level thus
-// discretizes its delay kernels exactly once.
 type KernelCache struct {
-	grid Grid
-	mu   sync.RWMutex
-	m    map[kernelKey]*cacheEntry
+	mu sync.RWMutex
+	m  map[kernelKey]*cacheEntry
 }
 
-// kernelKey identifies one cached discretization: the Normal plus the
-// geometry of the grid it was discretized on.
+// kernelKey identifies one cached discretization: the Normal and the
+// grid it was discretized on.
 type kernelKey struct {
-	n      Normal
-	lo, dt float64
-	bins   int
+	n Normal
+	g Grid
 }
 
 // cacheEntry is one once-per-key cache slot; p is written inside once
@@ -49,30 +52,19 @@ type cacheEntry struct {
 	p    *PMF
 }
 
-// NewKernelCache returns an empty cache for grid g.
-func NewKernelCache(g Grid) *KernelCache {
-	return &KernelCache{grid: g, m: make(map[kernelKey]*cacheEntry)}
+// NewKernelCache returns an empty cache.
+func NewKernelCache() *KernelCache {
+	return &KernelCache{m: make(map[kernelKey]*cacheEntry)}
 }
 
-// Grid returns the grid new discretizations land on.
-func (kc *KernelCache) Grid() Grid { return kc.grid }
-
-// Rebind switches the grid new discretizations land on, e.g. after
-// the scheduler coarsens the analysis grid at a level boundary.
-// Kernels already discretized stay cached under their own grid's key
-// and are never returned for the new grid. Rebind must not race with
-// FromNormal — the analyzers call it only at level boundaries, when
-// no worker is running.
-func (kc *KernelCache) Rebind(g Grid) { kc.grid = g }
-
-// FromNormal returns the discretization of n on the cache's grid,
-// computing it on first use. The result is shared: read-only.
-func (kc *KernelCache) FromNormal(n Normal) *PMF {
-	key := kernelKey{n: n, lo: kc.grid.Lo, dt: kc.grid.Dt, bins: kc.grid.N}
+// FromNormal returns the discretization of n on g, computing it on
+// first use and charging the lookup to m (nil records nothing). The
+// result is shared: read-only.
+func (kc *KernelCache) FromNormal(m *obs.Metrics, g Grid, n Normal) *PMF {
+	key := kernelKey{n: n, g: g}
 	kc.mu.RLock()
 	e := kc.m[key]
 	kc.mu.RUnlock()
-	m := kc.grid.met
 	if e == nil {
 		kc.mu.Lock()
 		if e = kc.m[key]; e == nil {
@@ -91,7 +83,7 @@ func (kc *KernelCache) FromNormal(n Normal) *PMF {
 	} else if m != nil {
 		m.KernelHits.Add(1)
 	}
-	e.once.Do(func() { e.p = FromNormal(kc.grid, n).Freeze() })
+	e.once.Do(func() { e.p = FromNormal(g, n).Freeze() })
 	return e.p
 }
 

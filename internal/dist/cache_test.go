@@ -15,8 +15,8 @@ func TestKernelCacheConcurrentOnce(t *testing.T) {
 	const callers = 32
 	m := obs.NewMetrics()
 
-	g := Grid{Lo: -4, Dt: 0.125, N: 128}.WithMetrics(m)
-	kc := NewKernelCache(g)
+	g := Grid{Lo: -4, Dt: 0.125, N: 128}
+	kc := NewKernelCache()
 	n := Normal{Mu: 1, Sigma: 0.2}
 
 	got := make([]*PMF, callers)
@@ -28,7 +28,7 @@ func TestKernelCacheConcurrentOnce(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait() // line everyone up on the empty cache
-			got[i] = kc.FromNormal(n)
+			got[i] = kc.FromNormal(m, g, n)
 		}()
 	}
 	start.Done()
@@ -54,7 +54,7 @@ func TestKernelCacheConcurrentOnce(t *testing.T) {
 
 	// A later lookup is a plain hit.
 	before := kcs.Hits
-	if kc.FromNormal(n) != got[0] {
+	if kc.FromNormal(m, g, n) != got[0] {
 		t.Fatal("warm lookup returned a different pointer")
 	}
 	if h := m.Snapshot().KernelCache.Hits; h != before+1 {
@@ -66,9 +66,9 @@ func TestKernelCacheConcurrentOnce(t *testing.T) {
 // same PMF FromNormal produces directly.
 func TestKernelCacheMassMatchesUncached(t *testing.T) {
 	g := Grid{Lo: -4, Dt: 0.125, N: 128}
-	kc := NewKernelCache(g)
+	kc := NewKernelCache()
 	n := Normal{Mu: 0.5, Sigma: 1.5}
-	cached := kc.FromNormal(n)
+	cached := kc.FromNormal(nil, g, n)
 	direct := FromNormal(g, n)
 	lo, hi := cached.Support()
 	dlo, dhi := direct.Support()

@@ -3,6 +3,8 @@ package dist
 import (
 	"math"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // ConvPlan precomputes the bin-split tables of the direct convolution
@@ -60,30 +62,17 @@ func NewConvPlan(g Grid) *ConvPlan {
 // Grid returns the grid the plan was built for.
 func (pl *ConvPlan) Grid() Grid { return pl.grid }
 
-// planKey identifies one cached ConvPlan: the grid geometry, the
-// same identity KernelCache keys on.
-type planKey struct {
-	lo, dt float64
-	n      int
-}
-
 // convPlans caches split-table plans by grid for the process
 // lifetime, like fftPlans: plans are immutable once built and shared
-// freely, so each geometry — each resolution level of a
-// coarsening run included — builds its tables once per process. The
-// per-run hit/miss counters ride on the requesting grid's metrics
-// handle; the cached plan itself carries a metrics-free grid so a
-// plan built under one request's scope never records into another's
-// (the convolution kernels read the operand grid's handle, not the
-// plan's).
-var convPlans sync.Map // planKey → *ConvPlan
+// freely, so each grid — each resolution level of a coarsening run
+// included — builds its tables once per process. The per-run hit/miss
+// counters go to the registry of the caller asking for the plan.
+var convPlans sync.Map // Grid → *ConvPlan
 
 // PlanFor returns the (possibly cached) convolution plan for g,
-// recording a plan-cache hit or miss on g's metrics handle.
-func PlanFor(g Grid) *ConvPlan {
-	key := planKey{lo: g.Lo, dt: g.Dt, n: g.N}
-	m := g.met
-	if v, ok := convPlans.Load(key); ok {
+// recording a plan-cache hit or miss into m (nil records nothing).
+func PlanFor(m *obs.Metrics, g Grid) *ConvPlan {
+	if v, ok := convPlans.Load(g); ok {
 		if m != nil {
 			m.ConvPlanHits.Add(1)
 		}
@@ -92,15 +81,16 @@ func PlanFor(g Grid) *ConvPlan {
 	if m != nil {
 		m.ConvPlanMisses.Add(1)
 	}
-	pl := NewConvPlan(g.WithMetrics(nil))
-	if v, loaded := convPlans.LoadOrStore(key, pl); loaded {
+	pl := NewConvPlan(g)
+	if v, loaded := convPlans.LoadOrStore(g, pl); loaded {
 		return v.(*ConvPlan)
 	}
 	return pl
 }
 
 // ConvolveInto writes the convolution of p and q into dst (cleared
-// first) and returns dst; dst must not alias p or q. This is the one
+// first), charging it to m (nil records nothing), and returns dst;
+// dst must not alias p or q. This is the one
 // convolution kernel of the package: PMF.ConvolveInto, and through it
 // the level scheduler and the incremental delta cones, run it.
 // Operands whose supports both reach fftCrossover take the
@@ -112,12 +102,12 @@ func PlanFor(g Grid) *ConvPlan {
 // written once per row instead of twice), which reassociates
 // nothing: every bin receives the same adds in the same order as the
 // per-pair reference loop.
-func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
-	work, fft := pl.convStart(dst, p, q)
+func (pl *ConvPlan) ConvolveInto(m *obs.Metrics, dst, p, q *PMF) *PMF {
+	work, fft := pl.convStart(m, dst, p, q)
 	switch {
 	case !work:
 	case fft:
-		convolveFFTInto(dst, p, q)
+		convolveFFTInto(m, dst, p, q)
 	default:
 		convolveDirect(pl, dst, p, q)
 	}
@@ -125,10 +115,10 @@ func (pl *ConvPlan) ConvolveInto(dst, p, q *PMF) *PMF {
 }
 
 // convStart checks that p, q and dst live on the plan's grid, clears
-// dst and charges the convolution's metrics. It reports whether
-// there is any work (both supports non-empty) and whether the
-// wide-operand FFT path takes it.
-func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
+// dst and charges the convolution to m. It reports whether there is
+// any work (both supports non-empty) and whether the wide-operand FFT
+// path takes it.
+func (pl *ConvPlan) convStart(m *obs.Metrics, dst, p, q *PMF) (work, fft bool) {
 	pl.grid.check(p.grid, "Convolve")
 	p.grid.check(q.grid, "Convolve")
 	p.grid.check(dst.grid, "Convolve")
@@ -138,7 +128,7 @@ func (pl *ConvPlan) convStart(dst, p, q *PMF) (work, fft bool) {
 		return false, false
 	}
 	fft = sa >= fftCrossover && sb >= fftCrossover
-	if m := p.grid.met; m != nil {
+	if m != nil {
 		m.ConvSupport.Observe(sa)
 		m.ConvSupport.Observe(sb)
 		if fft {

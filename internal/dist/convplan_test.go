@@ -54,7 +54,7 @@ func refConvolveInto(dst, p, q *PMF) *PMF {
 		return dst
 	}
 	if sa >= fftCrossover && sb >= fftCrossover {
-		convolveFFTInto(dst, p, q)
+		convolveFFTInto(nil, dst, p, q)
 		return dst
 	}
 	return refDirectInto(dst, p, q)
@@ -137,8 +137,8 @@ func TestConvPlanBitIdenticalDirect(t *testing.T) {
 				q.SetBin(tc.qlo+1, 0)
 			}
 			want := refConvolveInto(NewPMF(g), p, q)
-			requireSameBins(t, tc.name, want, pl.ConvolveInto(NewPMF(g), p, q))
-			requireSameBins(t, tc.name+"/pmf", want, p.ConvolveInto(NewPMF(g), q))
+			requireSameBins(t, tc.name, want, pl.ConvolveInto(nil, NewPMF(g), p, q))
+			requireSameBins(t, tc.name+"/pmf", want, p.ConvolveInto(nil, NewPMF(g), q))
 		})
 	}
 }
@@ -173,8 +173,8 @@ func TestConvPlanBitIdenticalRandom(t *testing.T) {
 		}
 		p, q := pick(), pick()
 		want := refConvolveInto(NewPMF(g), p, q)
-		requireSameBins(t, "random", want, pl.ConvolveInto(NewPMF(g), p, q))
-		requireSameBins(t, "random/pmf", want, p.ConvolveInto(NewPMF(g), q))
+		requireSameBins(t, "random", want, pl.ConvolveInto(nil, NewPMF(g), p, q))
+		requireSameBins(t, "random/pmf", want, p.ConvolveInto(nil, NewPMF(g), q))
 
 		// Tally the regimes the draw exercised.
 		sa, sb := supportWidth(p), supportWidth(q)
@@ -203,16 +203,15 @@ func TestConvPlanBitIdenticalRandom(t *testing.T) {
 func TestConvPlanBitIdenticalFFT(t *testing.T) {
 	g := NewGrid(-8, 24, 1.0/16)
 	m := obs.NewMetrics()
-	gm := g.WithMetrics(m)
-	pl := NewConvPlan(gm)
-	p := FromNormal(gm, Normal{Mu: 4, Sigma: 2})
-	q := FromNormal(gm, Normal{Mu: 2, Sigma: 1.5})
+	pl := NewConvPlan(g)
+	p := FromNormal(g, Normal{Mu: 4, Sigma: 2})
+	q := FromNormal(g, Normal{Mu: 2, Sigma: 1.5})
 	if sa, sb := supportWidth(p), supportWidth(q); sa < fftCrossover || sb < fftCrossover {
 		t.Fatalf("operands too narrow for FFT dispatch: %d, %d", sa, sb)
 	}
-	want := refConvolveInto(NewPMF(gm), p, q)
-	requireSameBins(t, "fft", want, pl.ConvolveInto(NewPMF(gm), p, q))
-	requireSameBins(t, "fft/pmf", want, p.ConvolveInto(NewPMF(gm), q))
+	want := refConvolveInto(NewPMF(g), p, q)
+	requireSameBins(t, "fft", want, pl.ConvolveInto(m, NewPMF(g), p, q))
+	requireSameBins(t, "fft/pmf", want, p.ConvolveInto(m, NewPMF(g), q))
 	if n := m.Snapshot().Convolution.FFT; n != 2 {
 		t.Errorf("ConvFFT = %d, want 2 (both kernel calls dispatched to FFT)", n)
 	}

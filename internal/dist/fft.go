@@ -3,6 +3,8 @@ package dist
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/obs"
 )
 
 // fftCostUnits is the work-unit cost charged for one FFT convolution
@@ -39,7 +41,7 @@ const fftCrossover = 160
 // convolution in O(M log M); the shift/clamp pass is unchanged. The
 // two paths agree to floating-point roundoff (~1e-15 relative; see
 // TestConvolveFFTMatchesDirect).
-func convolveFFTInto(dst, p, q *PMF) {
+func convolveFFTInto(met *obs.Metrics, dst, p, q *PMF) {
 	g := p.grid
 	sa, sb := p.hi-p.lo, q.hi-q.lo
 	// Linear convolution length and FFT size (next power of two).
@@ -57,7 +59,7 @@ func convolveFFTInto(dst, p, q *PMF) {
 	re, im := buf[:m], buf[m:]
 	copy(re[:sa], p.bins())
 	copy(im[:sb], q.bins())
-	pl := planFFT(m, g.met)
+	pl := planFFT(m, met)
 	fftRadix2(re, im, false, pl)
 	// With z = a + i·b, A[k] = (Z[k] + conj(Z[−k]))/2 and
 	// B[k] = (Z[k] − conj(Z[−k]))/(2i). Store P = A·B back in place,

@@ -1,30 +1,20 @@
 package dist
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Grid is a uniform time grid shared by all discretized
 // distributions of one analysis. Bin i covers
 // [Lo + i·Dt, Lo + (i+1)·Dt) and is represented by its center.
 //
 // Every binary PMF operation requires both operands to live on the
-// same grid; mixing grids is a programming error and panics. Grid
-// identity is its geometry (Lo, Dt, N) — the metrics handle a grid
-// may carry does not participate in Equal or the cross-grid checks.
+// same grid; mixing grids is a programming error and panics. A grid
+// is its geometry and nothing else, so grids compare with ==. The
+// kernels that record metrics take the caller's registry as an
+// argument instead (DESIGN.md §9).
 type Grid struct {
 	Lo float64 // left edge of bin 0
 	Dt float64 // bin width
 	N  int     // number of bins
-
-	// met is the observability registry of the analysis this grid
-	// belongs to; nil disables instrumentation. The kernels in this
-	// package have no config struct, so the scoped-metrics handle
-	// rides on the grid value they already receive — one plain field
-	// load per kernel call, free on the disabled path.
-	met *obs.Metrics
 }
 
 // NewGrid builds a grid covering [lo, hi] with bin width dt.
@@ -73,24 +63,11 @@ func (g Grid) Index(x float64) int {
 	return i
 }
 
-// WithMetrics returns a copy of the grid carrying the metrics
-// registry (nil detaches). Analyzers attach their scope's registry
-// before building PMFs so every kernel call site records into it.
-func (g Grid) WithMetrics(m *obs.Metrics) Grid {
-	g.met = m
-	return g
-}
-
-// Metrics returns the registry the grid carries, or nil when
-// instrumentation is disabled.
-func (g Grid) Metrics() *obs.Metrics { return g.met }
-
 // Coarsen returns the factor×-coarser grid sharing the same left
 // edge: bin width Dt·factor and ceil(N/factor) bins, so every fine
-// bin i maps wholly into coarse bin i/factor. The metrics handle
-// carries over. The multi-resolution scheduler walks
-// TimingGrid resolutions down through Coarsen(2)/Coarsen(4) as
-// supports widen with depth (DESIGN.md §15).
+// bin i maps wholly into coarse bin i/factor. The multi-resolution
+// scheduler walks TimingGrid resolutions down through
+// Coarsen(2)/Coarsen(4) as supports widen with depth (DESIGN.md §15).
 func (g Grid) Coarsen(factor int) Grid {
 	if factor < 1 {
 		panic(fmt.Sprintf("dist: Coarsen factor %d < 1", factor))
@@ -100,13 +77,8 @@ func (g Grid) Coarsen(factor int) Grid {
 	return g
 }
 
-// Equal reports whether two grids have identical geometry. The
-// metrics handle is ignored: a caller-built bare grid and the same
-// grid tagged by an analyzer are the same grid.
-func (g Grid) Equal(o Grid) bool { return g.Lo == o.Lo && g.Dt == o.Dt && g.N == o.N }
-
 func (g Grid) check(o Grid, op string) {
-	if !g.Equal(o) {
+	if g != o {
 		panic(fmt.Sprintf("dist: %s across different grids: [%v,%v) dt=%v n=%d vs [%v,%v) dt=%v n=%d",
 			op, g.Lo, g.Hi(), g.Dt, g.N, o.Lo, o.Hi(), o.Dt, o.N))
 	}

@@ -95,10 +95,10 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 			alloc *PMF
 			into  *PMF
 		}{
-			{"ShiftInto", a.Shift(d), a.ShiftInto(dst, d).Clone()},
-			{"ConvolveInto", a.Convolve(b), a.ConvolveInto(dst, b).Clone()},
-			{"MaxPMFInto", MaxPMF(a, b), MaxPMFInto(dst, a, b).Clone()},
-			{"MinPMFInto", MinPMF(a, b), MinPMFInto(dst, a, b).Clone()},
+			{"ShiftInto", a.Shift(d), a.ShiftInto(nil, dst, d).Clone()},
+			{"ConvolveInto", a.Convolve(b), a.ConvolveInto(nil, dst, b).Clone()},
+			{"MaxPMFInto", MaxPMF(a, b), MaxPMFInto(nil, dst, a, b).Clone()},
+			{"MinPMFInto", MinPMF(a, b), MinPMFInto(nil, dst, a, b).Clone()},
 		}
 		for _, p := range pairs {
 			checkSupport(t, p.name, p.into)
@@ -127,8 +127,8 @@ func TestMixtureIntoMatchesAllocating(t *testing.T) {
 		checkSupport(t, "MinMixture", mn)
 		dst := NewPMF(g)
 		dst.SetBin(3, 0.7)
-		mx2 := MaxMixtureInto(dst, in).Clone()
-		mn2 := MinMixtureInto(dst, in).Clone()
+		mx2 := MaxMixtureInto(nil, dst, in).Clone()
+		mn2 := MinMixtureInto(nil, dst, in).Clone()
 		for i := 0; i < g.N; i++ {
 			if mx.W(i) != mx2.W(i) || mn.W(i) != mn2.W(i) {
 				t.Fatalf("k=%d: mixture Into mismatch at bin %d", k, i)
@@ -218,7 +218,7 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 		b.Scale((0.1 + 0.9*rng.Float64()) / b.Mass()) // sub-unit t.o.p. mass
 
 		viaFFT := NewPMF(g)
-		convolveFFTInto(viaFFT, a, b)
+		convolveFFTInto(nil, viaFFT, a, b)
 		direct := refConvolveDirect(a, b)
 		if tv := tvDistance(viaFFT, direct); tv > 1e-12 {
 			t.Fatalf("trial %d: TV(fft, direct) = %g > 1e-12", trial, tv)
@@ -245,7 +245,7 @@ func TestConvolveFFTMassConservation(t *testing.T) {
 	a.Scale(0.7 / a.Mass())
 	b.Scale(0.4 / b.Mass())
 	out := NewPMF(g)
-	convolveFFTInto(out, a, b)
+	convolveFFTInto(nil, out, a, b)
 	if diff := math.Abs(out.Mass() - 0.7*0.4); diff > 1e-12 {
 		t.Errorf("FFT convolution mass off by %g", diff)
 	}
@@ -253,10 +253,10 @@ func TestConvolveFFTMassConservation(t *testing.T) {
 
 func TestKernelCache(t *testing.T) {
 	g := NewGrid(-8, 8, 1.0/16)
-	kc := NewKernelCache(g)
+	kc := NewKernelCache()
 	n := Normal{Mu: 1, Sigma: 0.5}
-	p1 := kc.FromNormal(n)
-	p2 := kc.FromNormal(n)
+	p1 := kc.FromNormal(nil, g, n)
+	p2 := kc.FromNormal(nil, g, n)
 	if p1 != p2 {
 		t.Error("cache returned distinct kernels for the same Normal")
 	}
@@ -269,12 +269,9 @@ func TestKernelCache(t *testing.T) {
 			t.Fatalf("cached kernel differs at bin %d", i)
 		}
 	}
-	kc.FromNormal(Normal{Mu: 2, Sigma: 0.5})
+	kc.FromNormal(nil, g, Normal{Mu: 2, Sigma: 0.5})
 	if kc.Len() != 2 {
 		t.Errorf("cache Len = %d, want 2", kc.Len())
-	}
-	if kc.Grid() != g {
-		t.Error("cache grid mismatch")
 	}
 }
 

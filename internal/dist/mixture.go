@@ -28,19 +28,21 @@ type SwitchInput struct {
 // Π_{i∉S} Stay_i, where C_i is the running cumulative of TOP_i: the
 // product is the sub-distribution function of the whole mixture
 // (plus the constant empty-set term Π Stay_i, which is removed).
-// The result is the unnormalized output t.o.p. before gate delay.
+// The result is the unnormalized output t.o.p. before gate delay. It
+// records no metrics.
 func MaxMixture(g Grid, in []SwitchInput) *PMF {
-	return MaxMixtureInto(NewPMF(g), in)
+	return MaxMixtureInto(nil, NewPMF(g), in)
 }
 
-// MaxMixtureInto is MaxMixture writing into dst (cleared first).
-// dst must not alias any input TOP. Only the union of the input
-// supports is visited: below it every cumulative is zero, so
-// H[k] = H[-1]; above it every cumulative is the full mass, so H is
-// constant — both tails contribute exactly zero bins. dst's mass is
-// summed in the same pass and cached.
-func MaxMixtureInto(dst *PMF, in []SwitchInput) *PMF {
-	return mixtureInto(dst, in, true)
+// MaxMixtureInto is MaxMixture writing into dst (cleared first) and
+// charging the mixture to m (nil records nothing). dst must not alias
+// any input TOP. Only the union of the input supports is visited:
+// below it every cumulative is zero, so H[k] = H[-1]; above it every
+// cumulative is the full mass, so H is constant — both tails
+// contribute exactly zero bins. dst's mass is summed in the same pass
+// and cached.
+func MaxMixtureInto(m *obs.Metrics, dst *PMF, in []SwitchInput) *PMF {
+	return mixtureInto(m, dst, in, true)
 }
 
 // MinMixture is the OpMin counterpart of MaxMixture:
@@ -48,26 +50,27 @@ func MaxMixtureInto(dst *PMF, in []SwitchInput) *PMF {
 //	φ(y) = Σ_{∅≠S} (Π_{i∈S} t.o.p._i)(Π_{i∉S} Stay_i) · pdf(MIN_{i∈S})
 //
 // computed from survival-function products Π_i (Stay_i + (mass_i −
-// C_i[k])).
+// C_i[k])). It records no metrics.
 func MinMixture(g Grid, in []SwitchInput) *PMF {
-	return MinMixtureInto(NewPMF(g), in)
+	return MinMixtureInto(nil, NewPMF(g), in)
 }
 
-// MinMixtureInto is MinMixture writing into dst (cleared first).
-// dst must not alias any input TOP.
-func MinMixtureInto(dst *PMF, in []SwitchInput) *PMF {
-	return mixtureInto(dst, in, false)
+// MinMixtureInto is MinMixture writing into dst (cleared first) and
+// charging the mixture to m (nil records nothing). dst must not alias
+// any input TOP.
+func MinMixtureInto(m *obs.Metrics, dst *PMF, in []SwitchInput) *PMF {
+	return mixtureInto(m, dst, in, false)
 }
 
 // mixtureInto evaluates the max (or min) mixture into dst over the
 // union of the input supports.
-func mixtureInto(dst *PMF, in []SwitchInput, max bool) *PMF {
+func mixtureInto(m *obs.Metrics, dst *PMF, in []SwitchInput, max bool) *PMF {
 	dst.clear()
 	if len(in) == 0 {
 		return dst
 	}
 	lo, hi := mixtureSupport(dst.grid, in)
-	recordMixture(dst.grid, len(in), lo, hi)
+	recordMixture(m, len(in), lo, hi)
 	first, last, mass := mixtureBins(dst.w, 0, in, max, lo, hi)
 	if first <= last {
 		dst.lo, dst.hi = first, last+1
@@ -93,9 +96,9 @@ func mixtureSupport(g Grid, in []SwitchInput) (lo, hi int) {
 	return lo, hi
 }
 
-// recordMixture charges one k-input mixture over [lo, hi).
-func recordMixture(g Grid, k, lo, hi int) {
-	if m := g.met; m != nil {
+// recordMixture charges one k-input mixture over [lo, hi) to m.
+func recordMixture(m *obs.Metrics, k, lo, hi int) {
+	if m != nil {
 		m.MixtureEvals.Add(k, 1)
 		if hi > lo {
 			m.CostMixtureOps.Add(int64(k) * int64(hi-lo))
@@ -219,8 +222,9 @@ func Mixture(g Grid, in []SwitchInput, max bool) *PMF {
 
 // SubsetMixture is the literal O(2^k) subset enumeration of Eq. 11,
 // kept as the reference implementation for property tests against
-// MaxMixture/MinMixture and for the ablation benchmarks.
-func SubsetMixture(g Grid, in []SwitchInput, max bool) *PMF {
+// MaxMixture/MinMixture and for the ablation benchmarks. Its leaves and
+// their MIN/MAX bin operations are charged to m (nil records nothing).
+func SubsetMixture(m *obs.Metrics, g Grid, in []SwitchInput, max bool) *PMF {
 	out := NewPMF(g)
 	leaves := int64(0)
 	var rec func(i int, weight float64, acc *PMF)
@@ -239,25 +243,20 @@ func SubsetMixture(g Grid, in []SwitchInput, max bool) *PMF {
 		// Input i holds the non-controlling constant.
 		rec(i+1, weight*s.Stay, acc)
 		// Input i switches.
-		m := s.TOP.Mass()
-		if m == 0 {
+		mass := s.TOP.Mass()
+		if mass == 0 {
 			return
 		}
 		cond := s.TOP.Clone()
-		cond.Scale(1 / m)
+		cond.Scale(1 / mass)
 		next := cond
 		if acc != nil {
-			if max {
-				next = MaxPMF(acc, cond)
-			} else {
-				next = MinPMF(acc, cond)
-			}
-			next.Scale(1 / next.Mass())
+			next = combine(m, acc, cond, max)
 		}
-		rec(i+1, weight*m, next)
+		rec(i+1, weight*mass, next)
 	}
 	rec(0, 1, nil)
-	if m := g.met; m != nil {
+	if m != nil {
 		m.SubsetLeaves.Add(len(in), leaves)
 		m.CostLeafOps.Add(leaves)
 	}
@@ -269,8 +268,9 @@ func SubsetMixture(g Grid, in []SwitchInput, max bool) *PMF {
 // delayed by delay(|S|) before accumulation. This models the
 // multiple-input switching effect (the paper's reference [2]): a
 // gate whose inputs switch together is faster/slower than the
-// single-switching characterization. O(2^k) like SubsetMixture.
-func SizedMixture(g Grid, in []SwitchInput, max bool, delay func(size int) Normal) *PMF {
+// single-switching characterization. O(2^k) like SubsetMixture, and
+// charged to m the same way, delays included.
+func SizedMixture(m *obs.Metrics, g Grid, in []SwitchInput, max bool, delay func(size int) Normal) *PMF {
 	out := NewPMF(g)
 	leaves := int64(0)
 	var rec func(i, size int, weight float64, acc *PMF)
@@ -283,37 +283,25 @@ func SizedMixture(g Grid, in []SwitchInput, max bool, delay func(size int) Norma
 			if acc == nil {
 				return
 			}
-			d := delay(size)
-			var shifted *PMF
-			if d.Sigma == 0 {
-				shifted = acc.Shift(d.Mu)
-			} else {
-				shifted = acc.Convolve(FromNormal(g, d))
-			}
-			out.AccumWeighted(shifted, weight)
+			out.AccumWeighted(delayed(m, acc, delay(size)), weight)
 			return
 		}
 		s := in[i]
 		rec(i+1, size, weight*s.Stay, acc)
-		m := s.TOP.Mass()
-		if m == 0 {
+		mass := s.TOP.Mass()
+		if mass == 0 {
 			return
 		}
 		cond := s.TOP.Clone()
-		cond.Scale(1 / m)
+		cond.Scale(1 / mass)
 		next := cond
 		if acc != nil {
-			if max {
-				next = MaxPMF(acc, cond)
-			} else {
-				next = MinPMF(acc, cond)
-			}
-			next.Scale(1 / next.Mass())
+			next = combine(m, acc, cond, max)
 		}
-		rec(i+1, size+1, weight*m, next)
+		rec(i+1, size+1, weight*mass, next)
 	}
 	rec(0, 0, 1, nil)
-	if m := g.met; m != nil {
+	if m != nil {
 		m.SubsetLeaves.Add(len(in), leaves)
 		m.CostLeafOps.Add(leaves)
 	}
@@ -330,9 +318,9 @@ func SizedMixture(g Grid, in []SwitchInput, max bool, delay func(size int) Norma
 // cut; the caller folds it back into its four-value probability
 // accounting so probabilities still sum to 1. eps <= 0 falls through
 // to the exact SizedMixture (bit-identical, no reordering).
-func SizedMixturePruned(g Grid, in []SwitchInput, max bool, delay func(size int) Normal, eps float64) (*PMF, float64) {
+func SizedMixturePruned(m *obs.Metrics, g Grid, in []SwitchInput, max bool, delay func(size int) Normal, eps float64) (*PMF, float64) {
 	if eps <= 0 {
-		return SizedMixture(g, in, max, delay), 0
+		return SizedMixture(m, g, in, max, delay), 0
 	}
 	idx := make([]int, len(in))
 	masses := make([]float64, len(in))
@@ -372,37 +360,25 @@ func SizedMixturePruned(g Grid, in []SwitchInput, max bool, delay func(size int)
 			if acc == nil {
 				return
 			}
-			d := delay(size)
-			var shifted *PMF
-			if d.Sigma == 0 {
-				shifted = acc.Shift(d.Mu)
-			} else {
-				shifted = acc.Convolve(FromNormal(g, d))
-			}
-			out.AccumWeighted(shifted, weight)
+			out.AccumWeighted(delayed(m, acc, delay(size)), weight)
 			return
 		}
 		s := ord[i]
 		rec(i+1, size, weight*s.Stay, acc)
-		m := s.TOP.Mass()
-		if m == 0 {
+		mass := s.TOP.Mass()
+		if mass == 0 {
 			return
 		}
 		cond := s.TOP.Clone()
-		cond.Scale(1 / m)
+		cond.Scale(1 / mass)
 		next := cond
 		if acc != nil {
-			if max {
-				next = MaxPMF(acc, cond)
-			} else {
-				next = MinPMF(acc, cond)
-			}
-			next.Scale(1 / next.Mass())
+			next = combine(m, acc, cond, max)
 		}
-		rec(i+1, size+1, weight*m, next)
+		rec(i+1, size+1, weight*mass, next)
 	}
 	rec(0, 0, 1, nil)
-	if m := g.met; m != nil {
+	if m != nil {
 		m.SubsetLeaves.Add(len(in), leaves)
 		m.CostLeafOps.Add(leaves)
 		m.PrunedSubtrees.Add(cuts)
@@ -410,4 +386,26 @@ func SizedMixturePruned(g Grid, in []SwitchInput, max bool, delay func(size int)
 		m.PrunedMassFP.Add(obs.MassFP(pruned))
 	}
 	return out, pruned
+}
+
+// combine returns the unit-mass MAX (or MIN) of two conditional
+// arrival pdfs, one subset-enumeration step, charging it to m.
+func combine(m *obs.Metrics, acc, cond *PMF, max bool) *PMF {
+	next := NewPMF(acc.grid)
+	if max {
+		MaxPMFInto(m, next, acc, cond)
+	} else {
+		MinPMFInto(m, next, acc, cond)
+	}
+	next.Scale(1 / next.Mass())
+	return next
+}
+
+// delayed returns acc shifted (deterministic d) or convolved with the
+// discretization of d, charging it to m.
+func delayed(m *obs.Metrics, acc *PMF, d Normal) *PMF {
+	if d.Sigma == 0 {
+		return acc.ShiftInto(m, NewPMF(acc.grid), d.Mu)
+	}
+	return acc.ConvolveInto(m, NewPMF(acc.grid), FromNormal(acc.grid, d))
 }

@@ -22,7 +22,7 @@ func TestMixtureMatchesSubsetEnumeration(t *testing.T) {
 		}
 		for _, max := range []bool{true, false} {
 			fast := Mixture(g, in, max)
-			ref := SubsetMixture(g, in, max)
+			ref := SubsetMixture(nil, g, in, max)
 			for i := 0; i < g.N; i++ {
 				if math.Abs(fast.W(i)-ref.W(i)) > 1e-9 {
 					t.Fatalf("trial %d max=%v bin %d: fast %v vs ref %v",

@@ -33,8 +33,8 @@ type fftPlan struct {
 // fftPlans caches plans by transform size for the process lifetime.
 // Plans are immutable once built and a few KB each (sizes are powers
 // of two up to ~2·grid bins), so a global cache strictly dominates a
-// per-run one; the per-run hit/miss counters still ride on the
-// grid's metrics handle.
+// per-run one; the per-run hit/miss counters go to the registry of
+// the convolution that asks for the plan.
 var fftPlans sync.Map // int → *fftPlan
 
 // planFFT returns the (possibly cached) plan for size n, recording a

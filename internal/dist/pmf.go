@@ -92,14 +92,6 @@ func (p *PMF) Reset() *PMF {
 	return p
 }
 
-// Rebind moves p onto g, a grid of the same geometry that may carry
-// another metrics registry: a buffer kept across analyses then records
-// into the current analysis's scope.
-func (p *PMF) Rebind(g Grid) {
-	p.grid.check(g, "Rebind")
-	p.grid = g
-}
-
 // expand grows the support to include bin i.
 func (p *PMF) expand(i int) {
 	if p.lo == p.hi {
@@ -275,9 +267,9 @@ func (p *PMF) AccumWeighted(q *PMF, w float64) *PMF {
 // Shift returns the distribution translated by d. Fractional-bin
 // shifts split mass linearly between the two nearest bins; mass
 // pushed past an edge accumulates in the edge bin so total mass is
-// preserved.
+// preserved. It records no metrics.
 func (p *PMF) Shift(d float64) *PMF {
-	return p.ShiftInto(NewPMF(p.grid), d)
+	return p.ShiftInto(nil, NewPMF(p.grid), d)
 }
 
 // wholeShift splits a shift by d into whole bins and the fractional
@@ -289,14 +281,15 @@ func (g Grid) wholeShift(d float64) (ib int, frac float64) {
 }
 
 // ShiftInto writes the distribution translated by d into dst
-// (cleared first) and returns dst. dst must not alias p.
-func (p *PMF) ShiftInto(dst *PMF, d float64) *PMF {
+// (cleared first), charging its bin operations to m (nil records
+// nothing), and returns dst. dst must not alias p.
+func (p *PMF) ShiftInto(m *obs.Metrics, dst *PMF, d float64) *PMF {
 	p.grid.check(dst.grid, "ShiftInto")
 	dst.clear()
 	if p.lo == p.hi {
 		return dst
 	}
-	if m := p.grid.met; m != nil {
+	if m != nil {
 		m.CostBinOps.Add(int64(p.hi - p.lo))
 	}
 	ib, frac := p.grid.wholeShift(d)
@@ -357,36 +350,37 @@ func (p *PMF) ShiftInto(dst *PMF, d float64) *PMF {
 // When both operands' supports exceed the FFT crossover the O(n²)
 // direct product is replaced by an FFT linear convolution followed
 // by the same constant-fraction split (the two agree to roundoff;
-// see convolveFFTInto).
+// see convolveFFTInto). It records no metrics.
 func (p *PMF) Convolve(q *PMF) *PMF {
-	return p.ConvolveInto(NewPMF(p.grid), q)
+	return p.ConvolveInto(nil, NewPMF(p.grid), q)
 }
 
 // ConvolveInto writes the convolution of p and q into dst (cleared
-// first) and returns dst. dst must not alias p or q. It runs the
-// grid's cached ConvPlan.
-func (p *PMF) ConvolveInto(dst, q *PMF) *PMF {
-	return PlanFor(p.grid).ConvolveInto(dst, p, q)
+// first), charging it to m (nil records nothing), and returns dst.
+// dst must not alias p or q. It runs the grid's cached ConvPlan.
+func (p *PMF) ConvolveInto(m *obs.Metrics, dst, q *PMF) *PMF {
+	return PlanFor(m, p.grid).ConvolveInto(m, dst, p, q)
 }
 
 // MaxPMF returns the distribution of max(A, B) for independent A, B
 // given as unit- or sub-unit-mass PMFs. With atoms at bin centers,
 // P(max = k) = a[k]·CB[k] + b[k]·CA[k] − a[k]·b[k] (the joint atom
-// at k is counted once).
+// at k is counted once). It records no metrics.
 func MaxPMF(a, b *PMF) *PMF {
-	return MaxPMFInto(NewPMF(a.grid), a, b)
+	return MaxPMFInto(nil, NewPMF(a.grid), a, b)
 }
 
 // MaxPMFInto writes the distribution of max(A, B) into dst (cleared
-// first) and returns dst. dst must not alias a or b. The cumulative
-// sums run as scalars over the union support, so the kernel is a
-// single allocation-free pass.
-func MaxPMFInto(dst, a, b *PMF) *PMF {
+// first), charging its bin operations to m (nil records nothing), and
+// returns dst. dst must not alias a or b. The cumulative sums run as
+// scalars over the union support, so the kernel is a single
+// allocation-free pass.
+func MaxPMFInto(m *obs.Metrics, dst, a, b *PMF) *PMF {
 	a.grid.check(b.grid, "MaxPMF")
 	a.grid.check(dst.grid, "MaxPMF")
 	dst.clear()
 	lo, hi := unionSupport(a, b)
-	if m := a.grid.met; m != nil && hi > lo {
+	if m != nil && hi > lo {
 		m.CostBinOps.Add(int64(hi - lo))
 	}
 	ca, cb := 0.0, 0.0 // inclusive cumulative masses of A and B
@@ -403,18 +397,20 @@ func MaxPMFInto(dst, a, b *PMF) *PMF {
 }
 
 // MinPMF returns the distribution of min(A, B) for independent A, B.
+// It records no metrics.
 func MinPMF(a, b *PMF) *PMF {
-	return MinPMFInto(NewPMF(a.grid), a, b)
+	return MinPMFInto(nil, NewPMF(a.grid), a, b)
 }
 
 // MinPMFInto writes the distribution of min(A, B) into dst (cleared
-// first) and returns dst. dst must not alias a or b.
-func MinPMFInto(dst, a, b *PMF) *PMF {
+// first), charging its bin operations to m (nil records nothing), and
+// returns dst. dst must not alias a or b.
+func MinPMFInto(m *obs.Metrics, dst, a, b *PMF) *PMF {
 	a.grid.check(b.grid, "MinPMF")
 	a.grid.check(dst.grid, "MinPMF")
 	dst.clear()
 	lo, hi := unionSupport(a, b)
-	if m := a.grid.met; m != nil && hi > lo {
+	if m != nil && hi > lo {
 		m.CostBinOps.Add(int64(hi - lo))
 	}
 	ma, mb := a.Mass(), b.Mass()
@@ -455,7 +451,8 @@ func unionSupport(a, b *PMF) (lo, hi int) {
 
 // TruncateTail zeroes support bins from both ends of [lo, hi) while
 // the cumulative removed mass stays within eps, shrinking the tracked
-// support, and returns the mass actually removed. The smaller end bin
+// support, records the trim into m (nil records nothing), and returns
+// the mass actually removed. The smaller end bin
 // is always taken first, so for a fixed PMF and budget the truncation
 // is deterministic; interior zero bins at the ends are absorbed for
 // free. Removed mass is deleted, not redistributed — a t.o.p.'s Mass()
@@ -468,7 +465,7 @@ func unionSupport(a, b *PMF) (lo, hi int) {
 // support is empty or a single bin — there is no tail to trim around
 // a point mass, so the scan is skipped entirely. The window is kept;
 // Freeze trims it to the new support.
-func (p *PMF) TruncateTail(eps float64) float64 {
+func (p *PMF) TruncateTail(m *obs.Metrics, eps float64) float64 {
 	if eps <= 0 || p.hi-p.lo <= 1 {
 		return 0
 	}
@@ -494,7 +491,7 @@ func (p *PMF) TruncateTail(eps float64) float64 {
 		}
 	}
 	changed := removed > 0 || lo != p.lo || hi != p.hi
-	if m := p.grid.met; m != nil && changed {
+	if m != nil && changed {
 		m.TruncTails.Add(1)
 		m.TruncatedMassFP.Add(obs.MassFP(removed))
 		m.TruncatedBins.Observe((lo - p.lo) + (p.hi - hi))

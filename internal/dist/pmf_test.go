@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -23,8 +24,22 @@ func TestGridBasics(t *testing.T) {
 	if g.Index(-1.8) != 0 || g.Index(1.9) != 7 || g.Index(0.1) != 4 {
 		t.Error("Index wrong")
 	}
-	if !g.Equal(g) || g.Equal(NewGrid(-2, 2, 0.25)) {
-		t.Error("Equal wrong")
+	if g != NewGrid(-2, 2, 0.5) || g == NewGrid(-2, 2, 0.25) {
+		t.Error("== wrong")
+	}
+}
+
+// TestGridIsItsGeometry: a grid holds its geometry and nothing else,
+// so == is grid identity and no grid value can carry a run's metrics
+// registry into the PMFs built on it.
+func TestGridIsItsGeometry(t *testing.T) {
+	typ := reflect.TypeOf(Grid{})
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if want := []string{"Lo", "Dt", "N"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("Grid fields %v, want %v", fields, want)
 	}
 }
 

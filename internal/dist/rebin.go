@@ -28,25 +28,22 @@ func checkRebin(fine, coarse Grid, factor int) {
 	if factor != 2 && factor != 4 {
 		panic(fmt.Sprintf("dist: Rebin factor %d (want 2 or 4)", factor))
 	}
-	if want := fine.Coarsen(factor); !coarse.Equal(want) {
+	if want := fine.Coarsen(factor); coarse != want {
 		panic(fmt.Sprintf("dist: Rebin target grid [%v,%v) dt=%v n=%d is not the %d×-coarsening of [%v,%v) dt=%v n=%d",
 			coarse.Lo, coarse.Hi(), coarse.Dt, coarse.N, factor, fine.Lo, fine.Hi(), fine.Dt, fine.N))
 	}
 }
 
-// RebinInto writes p re-binned by factor into dst (cleared first) and
-// returns the worst-case deviation bound (the largest single coarse
-// bin mass). dst must live on p.Grid().Coarsen(factor) and must not
-// alias p; use Rebin for the in-place form.
-func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
+// RebinInto writes p re-binned by factor into dst (cleared first),
+// charging the re-bin to m (nil records nothing), and returns the
+// worst-case deviation bound (the largest single coarse bin mass). dst
+// must live on p.Grid().Coarsen(factor) and must not alias p; use
+// Coarsen for the in-place form.
+func (p *PMF) RebinInto(m *obs.Metrics, dst *PMF, factor int) float64 {
 	checkRebin(p.grid, dst.grid, factor)
 	dst.clear()
 	if p.lo == p.hi {
 		return 0
-	}
-	if m := p.grid.met; m != nil {
-		m.RebinCalls.Add(1)
-		m.CostBinOps.Add(int64(p.hi - p.lo))
 	}
 	clo, chi := p.lo/factor, (p.hi-1)/factor+1
 	dev, mass := rebinBins(dst.w, 0, p.w, p.off, p.lo, p.hi, factor)
@@ -54,10 +51,18 @@ func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
 	// which the one-directional support invariant permits.
 	dst.lo, dst.hi = clo, chi
 	dst.mass, dst.massOK = mass, true
-	if m := p.grid.met; m != nil {
+	recordRebin(m, p.hi-p.lo, dev)
+	return dev
+}
+
+// recordRebin charges one re-bin of a width-bin support with deviation
+// bound dev to m.
+func recordRebin(m *obs.Metrics, width int, dev float64) {
+	if m != nil {
+		m.RebinCalls.Add(1)
+		m.CostBinOps.Add(int64(width))
 		m.RebinDeviationFP.Add(obs.MassFP(dev))
 	}
-	return dev
 }
 
 // rebinBins sums the fine bins [lo, hi), stored in src from bin soff
@@ -66,7 +71,7 @@ func (p *PMF) RebinInto(dst *PMF, factor int) float64 {
 // coarse bins. Coarse bin c is written only after every fine bin it
 // covers has been read, so dst may alias src as long as doff <= soff
 // and no coarse write lands on a fine bin a later coarse bin reads
-// (see Rebin).
+// (see Coarsen).
 func rebinBins(dst []float64, doff int, src []float64, soff, lo, hi, factor int) (dev, mass float64) {
 	clo, chi := lo/factor, (hi-1)/factor+1
 	for c := clo; c < chi; c++ {
@@ -90,11 +95,10 @@ func rebinBins(dst []float64, doff int, src []float64, soff, lo, hi, factor int)
 	return dev, mass
 }
 
-// Rebin re-bins p by factor in place, retagging it onto cg (which
-// must equal p.Grid().Coarsen(factor) up to geometry; pass the
-// caller's coarse grid so the metrics handle carries over),
-// and returns the deviation bound. The coarse mass is summed in the
-// same pass and cached.
+// Coarsen re-bins p by factor in place onto p.Grid().Coarsen(factor),
+// charging the re-bin to m (nil records nothing), and returns the
+// deviation bound. The coarse mass is summed in the same pass and
+// cached.
 //
 // The coarse bins reuse p's window: position j holds coarse bin
 // j + off′ with off′ = min(off, lo/factor), so a window frozen to
@@ -105,16 +109,14 @@ func rebinBins(dst []float64, doff int, src []float64, soff, lo, hi, factor int)
 // ≥ (c+1)·f − off. Since off − off′ ≤ lo − lo/f < (c+1)·f − c for
 // every c ≥ lo/f, no write ever clobbers an unread fine bin, whatever
 // the residue of lo modulo f.
-func (p *PMF) Rebin(cg Grid, factor int) float64 {
+func (p *PMF) Coarsen(m *obs.Metrics, factor int) float64 {
+	cg := p.grid.Coarsen(factor)
 	checkRebin(p.grid, cg, factor)
 	if p.lo == p.hi {
 		p.grid = cg
 		return 0
 	}
-	if m := p.grid.met; m != nil {
-		m.RebinCalls.Add(1)
-		m.CostBinOps.Add(int64(p.hi - p.lo))
-	}
+	width := p.hi - p.lo
 	clo, chi := p.lo/factor, (p.hi-1)/factor+1
 	off := min(p.off, clo)
 	frozen := p.off == p.lo && len(p.w) == p.hi-p.lo
@@ -131,8 +133,13 @@ func (p *PMF) Rebin(cg Grid, factor int) float64 {
 	p.grid = cg
 	p.off, p.lo, p.hi = off, clo, chi
 	p.mass, p.massOK = mass, true
-	if m := cg.met; m != nil {
-		m.RebinDeviationFP.Add(obs.MassFP(dev))
-	}
+	recordRebin(m, width, dev)
 	return dev
+}
+
+// Rebin is Coarsen onto cg, which must be p.Grid().Coarsen(factor),
+// and records no metrics.
+func (p *PMF) Rebin(cg Grid, factor int) float64 {
+	checkRebin(p.grid, cg, factor)
+	return p.Coarsen(nil, factor)
 }

@@ -56,7 +56,7 @@ func TestRebinMassConservationAndBound(t *testing.T) {
 			mass := p.Mass()
 			cg := g.Coarsen(factor)
 			dst := NewPMF(cg)
-			dev := p.RebinInto(dst, factor)
+			dev := p.RebinInto(nil, dst, factor)
 			if d := math.Abs(dst.Mass() - mass); d > 1e-12 {
 				t.Fatalf("trial %d f=%d: mass drifted by %g", trial, factor, d)
 			}
@@ -83,7 +83,7 @@ func TestRebinInPlaceMatchesInto(t *testing.T) {
 			p := randomPMF(g, rng)
 			cg := g.Coarsen(factor)
 			want := NewPMF(cg)
-			wantDev := p.Clone().RebinInto(want, factor)
+			wantDev := p.Clone().RebinInto(nil, want, factor)
 			dev := p.Rebin(cg, factor)
 			if dev != wantDev {
 				t.Fatalf("trial %d f=%d: in-place bound %g, Into bound %g", trial, factor, dev, wantDev)
@@ -113,7 +113,7 @@ func TestRebinInPlaceMatchesInto(t *testing.T) {
 func TestRebinEmpty(t *testing.T) {
 	g := NewGrid(-4, 20, 1.0/16)
 	empty := NewPMF(g)
-	if dev := empty.RebinInto(NewPMF(g.Coarsen(2)), 2); dev != 0 {
+	if dev := empty.RebinInto(nil, NewPMF(g.Coarsen(2)), 2); dev != 0 {
 		t.Fatalf("empty RebinInto bound %g", dev)
 	}
 	if dev := empty.Rebin(g.Coarsen(2), 2); dev != 0 {
@@ -140,7 +140,7 @@ func TestRebinValidation(t *testing.T) {
 	}
 	mustPanic("factor 3", func() { p.Rebin(g.Coarsen(3), 3) })
 	mustPanic("wrong grid", func() { p.Rebin(g, 2) })
-	mustPanic("mismatched Into", func() { p.RebinInto(NewPMF(g.Coarsen(4)), 2) })
+	mustPanic("mismatched Into", func() { p.RebinInto(nil, NewPMF(g.Coarsen(4)), 2) })
 }
 
 // TestTruncateTailEdgeCases: the ε>0 scan must be skipped entirely —
@@ -151,7 +151,7 @@ func TestTruncateTailEdgeCases(t *testing.T) {
 	g := NewGrid(-4, 4, 1.0/16)
 
 	empty := NewPMF(g)
-	if r := empty.TruncateTail(0.5); r != 0 {
+	if r := empty.TruncateTail(nil, 0.5); r != 0 {
 		t.Fatalf("empty PMF trimmed %g", r)
 	}
 	if lo, hi := empty.Support(); lo != 0 || hi != 0 {
@@ -165,7 +165,7 @@ func TestTruncateTailEdgeCases(t *testing.T) {
 	}
 	// The budget exceeds the whole mass: a tail-trim must still keep
 	// the point mass (there is no tail around a single bin).
-	if r := point.TruncateTail(2); r != 0 {
+	if r := point.TruncateTail(nil, 2); r != 0 {
 		t.Fatalf("point mass trimmed %g", r)
 	}
 	if lo, hi := point.Support(); lo != lo0 || hi != hi0 {
@@ -182,7 +182,7 @@ func TestTruncateTailEdgeCases(t *testing.T) {
 	z.SetBin(20, 0.25)
 	z.SetBin(10, 0)
 	z.SetBin(20, 0)
-	if r := z.TruncateTail(1e-9); r != 0 {
+	if r := z.TruncateTail(nil, 1e-9); r != 0 {
 		t.Fatalf("zero-mass support trimmed %g", r)
 	}
 	if lo, hi := z.Support(); lo != hi {

@@ -1,5 +1,7 @@
 package dist
 
+import "repro/internal/obs"
+
 // Slab carves stored t.o.p. functions out of chunked backing arrays,
 // each frozen to exactly its support with its mass cached. An analysis
 // stores two t.o.p. functions per net and keeps them for the result's
@@ -146,15 +148,15 @@ func (s *Slab) StoreScaled(src *PMF, w float64) *PMF {
 // StoreShifted returns a frozen copy of src translated by d when the
 // translation is a whole number of bins and keeps the support inside
 // the grid — the case where ShiftInto is a plain copy, whose bin-op
-// cost it charges the same way. Otherwise it returns nil and charges
-// nothing.
-func (s *Slab) StoreShifted(src *PMF, d float64) *PMF {
+// cost it charges to m the same way. Otherwise it returns nil and
+// charges nothing.
+func (s *Slab) StoreShifted(m *obs.Metrics, src *PMF, d float64) *PMF {
 	g := src.grid
 	ib, frac := g.wholeShift(d)
 	if frac != 0 || src.lo == src.hi || src.lo+ib < 0 || src.hi+ib >= g.N {
 		return nil
 	}
-	if m := g.met; m != nil {
+	if m != nil {
 		m.CostBinOps.Add(int64(src.hi - src.lo))
 	}
 	p := s.frozen(g, src.lo+ib, src.hi+ib)
@@ -168,16 +170,16 @@ func (s *Slab) StoreShifted(src *PMF, d float64) *PMF {
 // stored row: no scratch PMF, no copy, and the mass summed in the
 // same pass. It applies when d is 0 or a whole number of bins that
 // keeps the inputs' union support inside the grid, and then gives
-// bins, support, mass and metrics identical to MaxMixtureInto or
-// MinMixtureInto followed by CopyFrom (d = 0) or ShiftInto.
-// Otherwise it returns nil and charges nothing.
-func (s *Slab) StoreMixture(g Grid, in []SwitchInput, max bool, d float64) *PMF {
+// bins, support, mass and metrics (charged to m) identical to
+// MaxMixtureInto or MinMixtureInto followed by CopyFrom (d = 0) or
+// ShiftInto. Otherwise it returns nil and charges nothing.
+func (s *Slab) StoreMixture(m *obs.Metrics, g Grid, in []SwitchInput, max bool, d float64) *PMF {
 	ib, frac := g.wholeShift(d)
 	lo, hi := mixtureSupport(g, in)
 	if frac != 0 || len(in) == 0 || (d != 0 && lo < hi && (lo+ib < 0 || hi+ib >= g.N)) {
 		return nil
 	}
-	recordMixture(g, len(in), lo, hi)
+	recordMixture(m, len(in), lo, hi)
 	if lo >= hi {
 		return s.Empty(g)
 	}
@@ -190,7 +192,7 @@ func (s *Slab) StoreMixture(g Grid, in []SwitchInput, max bool, d float64) *PMF 
 		return p
 	}
 	if d != 0 {
-		if m := g.met; m != nil {
+		if m != nil {
 			m.CostBinOps.Add(int64(last + 1 - first))
 		}
 	} else {

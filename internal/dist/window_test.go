@@ -23,11 +23,11 @@ func bandPMF(g Grid, rng *rand.Rand, lo, hi int) *PMF {
 
 // windowCase is one kernel run twice: on full-width operands (the
 // reference) and on the same operands frozen to their supports. Each
-// run gets a grid carrying its own metrics registry and returns the
-// PMFs and scalars to compare.
+// run gets its own metrics registry and returns the PMFs and scalars
+// to compare.
 type windowCase struct {
 	name string
-	run  func(g Grid, frozen bool) ([]*PMF, []float64)
+	run  func(m *obs.Metrics, g Grid, frozen bool) ([]*PMF, []float64)
 }
 
 // operand returns p re-tagged onto g, full-width or frozen: frozen
@@ -105,46 +105,46 @@ func TestWindowedKernelsMatchFullWidth(t *testing.T) {
 		}
 		one := func(g Grid, frozen bool, i int) *PMF { return operand(ops[i], g, frozen, slab) }
 		cases := []windowCase{
-			{"MaxMixtureInto", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{MaxMixtureInto(NewPMF(g), in(g, f))}, nil
+			{"MaxMixtureInto", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{MaxMixtureInto(m, NewPMF(g), in(g, f))}, nil
 			}},
-			{"MinMixtureInto", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{MinMixtureInto(NewPMF(g), in(g, f))}, nil
+			{"MinMixtureInto", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{MinMixtureInto(m, NewPMF(g), in(g, f))}, nil
 			}},
-			{"MaxPMFInto", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{MaxPMFInto(NewPMF(g), one(g, f, 0), one(g, f, 1))}, nil
+			{"MaxPMFInto", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{MaxPMFInto(m, NewPMF(g), one(g, f, 0), one(g, f, 1))}, nil
 			}},
-			{"MinPMFInto", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{MinPMFInto(NewPMF(g), one(g, f, 0), one(g, f, 1))}, nil
+			{"MinPMFInto", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{MinPMFInto(m, NewPMF(g), one(g, f, 0), one(g, f, 1))}, nil
 			}},
-			{"AccumWeighted into full", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"AccumWeighted into full", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				dst := one(g, false, 2)
 				return []*PMF{dst.AccumWeighted(one(g, f, 0), 0.3)}, nil
 			}},
-			{"AccumWeighted into window", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"AccumWeighted into window", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				// Into the frozen operand itself: inside its window, then
 				// from an operand that reaches outside it.
 				dst := one(g, f, 0)
 				dst.AccumWeighted(one(g, false, 0), 0.5)
 				return []*PMF{dst.AccumWeighted(one(g, f, 3), 0.25)}, nil
 			}},
-			{"ShiftInto whole bins", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{one(g, f, 1).ShiftInto(NewPMF(g), shift)}, nil
+			{"ShiftInto whole bins", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{one(g, f, 1).ShiftInto(m, NewPMF(g), shift)}, nil
 			}},
-			{"ShiftInto fractional", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{one(g, f, 1).ShiftInto(NewPMF(g), frac)}, nil
+			{"ShiftInto fractional", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{one(g, f, 1).ShiftInto(m, NewPMF(g), frac)}, nil
 			}},
-			{"ShiftInto edge-clamped", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{one(g, f, 2).ShiftInto(NewPMF(g), 40+frac), one(g, f, 2).ShiftInto(NewPMF(g), -40-frac)}, nil
+			{"ShiftInto edge-clamped", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{one(g, f, 2).ShiftInto(m, NewPMF(g), 40+frac), one(g, f, 2).ShiftInto(m, NewPMF(g), -40-frac)}, nil
 			}},
-			{"ConvolveInto direct", func(g Grid, f bool) ([]*PMF, []float64) {
-				return []*PMF{one(g, f, 0).ConvolveInto(NewPMF(g), one(g, f, 1))}, nil
+			{"ConvolveInto direct", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
+				return []*PMF{one(g, f, 0).ConvolveInto(m, NewPMF(g), one(g, f, 1))}, nil
 			}},
-			{"ConvolveInto FFT", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"ConvolveInto FFT", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				a, b := operand(wideA, g, f, slab), operand(wideB, g, f, slab)
-				return []*PMF{a.ConvolveInto(NewPMF(g), b)}, nil
+				return []*PMF{a.ConvolveInto(m, NewPMF(g), b)}, nil
 			}},
-			{"Rebin in place", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"Rebin in place", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				var out []*PMF
 				var devs []float64
 				for _, factor := range []int{2, 4} {
@@ -156,26 +156,26 @@ func TestWindowedKernelsMatchFullWidth(t *testing.T) {
 				}
 				return out, devs
 			}},
-			{"RebinInto", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"RebinInto", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				dst := NewPMF(g.Coarsen(4))
-				return []*PMF{dst}, []float64{one(g, f, 3).RebinInto(dst, 4)}
+				return []*PMF{dst}, []float64{one(g, f, 3).RebinInto(m, dst, 4)}
 			}},
-			{"TruncateTail", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"TruncateTail", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				p := one(g, f, 1)
-				r := p.TruncateTail(eps)
+				r := p.TruncateTail(m, eps)
 				p2 := one(g, f, 2)
-				r2 := p2.TruncateTail(1)
+				r2 := p2.TruncateTail(m, 1)
 				return []*PMF{p, p2.Freeze()}, []float64{r, r2}
 			}},
-			{"statistics", func(g Grid, f bool) ([]*PMF, []float64) {
+			{"statistics", func(m *obs.Metrics, g Grid, f bool) ([]*PMF, []float64) {
 				p := one(g, f, 0)
 				return nil, []float64{p.CDFAt(x), p.Quantile(q), p.Mean(), p.Var(), p.Skewness(), p.Mass()}
 			}},
 		}
 		for _, c := range cases {
 			mFull, mWin := obs.NewMetrics(), obs.NewMetrics()
-			fullOut, fullVals := c.run(base.WithMetrics(mFull), false)
-			winOut, winVals := c.run(base.WithMetrics(mWin), true)
+			fullOut, fullVals := c.run(mFull, base, false)
+			winOut, winVals := c.run(mWin, base, true)
 			name := c.name
 			for i := range fullOut {
 				// samePMF reads every grid bin and two past each edge, so
@@ -207,7 +207,7 @@ func TestRebinWindowResidues(t *testing.T) {
 			for _, width := range []int{1, 2, 3, 5, 17} {
 				p := bandPMF(g, rng, lo, lo+width)
 				want := NewPMF(g.Coarsen(factor))
-				wantDev := p.RebinInto(want, factor)
+				wantDev := p.RebinInto(nil, want, factor)
 				q := NewSlab(0).Store(p)
 				if dev := q.Rebin(g.Coarsen(factor), factor); dev != wantDev {
 					t.Fatalf("f=%d lo=%d w=%d: bound %v, want %v", factor, lo, width, dev, wantDev)
@@ -243,16 +243,15 @@ func TestSlabStoresMatchKernels(t *testing.T) {
 		}
 		for _, max := range []bool{true, false} {
 			mRef, mGot := obs.NewMetrics(), obs.NewMetrics()
-			gRef, gGot := base.WithMetrics(mRef), base.WithMetrics(mGot)
-			mix := NewPMF(gRef)
-			mixtureInto(mix, in, max)
+			mix := NewPMF(base)
+			mixtureInto(mRef, mix, in, max)
 			var want *PMF
 			if d == 0 {
-				want = NewPMF(gRef).CopyFrom(mix)
+				want = NewPMF(base).CopyFrom(mix)
 			} else {
-				want = mix.ShiftInto(NewPMF(gRef), d)
+				want = mix.ShiftInto(mRef, NewPMF(base), d)
 			}
-			got := slab.StoreMixture(gGot, in, max, d)
+			got := slab.StoreMixture(mGot, base, in, max, d)
 			if got == nil {
 				// Declined: the union shifted past the grid edge. Nothing
 				// may have been charged.
@@ -270,11 +269,11 @@ func TestSlabStoresMatchKernels(t *testing.T) {
 			}
 		}
 		src := in[0].TOP
-		if got := slab.StoreShifted(src, d+0.5/16); got != nil {
+		if got := slab.StoreShifted(nil, src, d+0.5/16); got != nil {
 			t.Fatalf("trial %d: StoreShifted accepted a fractional shift", trial)
 		}
-		if got := slab.StoreShifted(src, d); got != nil {
-			samePMF(t, "StoreShifted", src.ShiftInto(NewPMF(base), d), got)
+		if got := slab.StoreShifted(nil, src, d); got != nil {
+			samePMF(t, "StoreShifted", src.ShiftInto(nil, NewPMF(base), d), got)
 		}
 		w := rng.Float64()
 		samePMF(t, "StoreScaled", NewPMF(base).AccumWeighted(src, w), slab.StoreScaled(src, w))
@@ -344,7 +343,7 @@ func TestMixtureMatchesBinByBin(t *testing.T) {
 		}
 		for _, max := range []bool{true, false} {
 			want := refMixture(g, in, max)
-			got := mixtureInto(NewPMF(g), in, max)
+			got := mixtureInto(nil, NewPMF(g), in, max)
 			for i := 0; i < g.N; i++ {
 				if math.Float64bits(got.W(i)) != math.Float64bits(want.W(i)) {
 					t.Fatalf("trial %d max=%v: bin %d = %v (%#x), bin-by-bin %v (%#x)",

@@ -300,9 +300,12 @@ func (s *SPSTA) ClearInput(id netlist.NodeID) (int, error) {
 func (s *SPSTA) Circuit() *netlist.Circuit { return s.c }
 
 // SetObs re-attaches the session to an observability scope: later
-// SetDelay/SetInput/Clear* recomputations record their metrics (cost
-// units, level statistics) and level spans into the given scope
-// instead of the one the session was built with. This is what lets a
-// service hold one long-lived session and still attribute each delta
-// request's work to that request's scope. nil detaches.
+// SetDelay/SetInput/Clear* recomputations record all of their metrics
+// (cost units, kernel-cache lookups, convolutions) and level spans
+// into the given scope and none into the one the session was built
+// with: every kernel charges the registry of the Update that calls it,
+// not a registry stored with the session's t.o.p. functions or kernel
+// cache. This is what lets a service hold one long-lived session and
+// still attribute each delta request's work to that request's scope.
+// nil detaches.
 func (s *SPSTA) SetObs(scope *obs.Scope) { s.a.Obs = scope }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -122,17 +121,6 @@ func TestScopeNilSafety(t *testing.T) {
 	}
 	if s.Snapshot() == nil {
 		t.Error("Snapshot on a live scope returned nil")
-	}
-}
-
-func TestScopeContextCarriage(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("bare context unexpectedly carries a scope")
-	}
-	s := NewScope()
-	ctx := NewContext(context.Background(), s)
-	if FromContext(ctx) != s {
-		t.Error("FromContext did not return the attached scope")
 	}
 }
 

@@ -1,7 +1,5 @@
 package obs
 
-import "context"
-
 // Scope is one analysis' observability handle: a metrics registry
 // plus an optional tracer. Every concurrent analysis (a spstad
 // request, a CLI invocation, a test goroutine) owns its own Scope, so
@@ -77,20 +75,4 @@ func (s *Scope) Snapshot() *Snapshot {
 		return m.Snapshot()
 	}
 	return nil
-}
-
-// ctxKey keys a *Scope in a context.Context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying s; request handlers attach their
-// per-request scope here and pass the context down to analysis code.
-func NewContext(ctx context.Context, s *Scope) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the scope carried by ctx, or nil when none is
-// attached — the disabled-instrumentation default.
-func FromContext(ctx context.Context) *Scope {
-	s, _ := ctx.Value(ctxKey{}).(*Scope)
-	return s
 }

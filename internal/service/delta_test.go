@@ -12,8 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/incr"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 )
@@ -353,5 +355,88 @@ func TestDeltaPanicDropsSession(t *testing.T) {
 	if code != http.StatusOK || after.Session != "cold" || after.Edits != 1 {
 		t.Fatalf("delta after the panic: status %d, session %q, %d edits; want 200 from a re-hydrated (cold) session with 1 edit",
 			code, after.Session, after.Edits)
+	}
+}
+
+// TestDeltaWarmCostMatchesFreshSession: a warm /v1/delta response
+// reports the cost of its own edits, wherever the session was
+// hydrated. Each warm step's cost_units must equal what the same edit
+// adds to the scope of a session built outside the service and kept in
+// that one scope throughout, where no work can fall into another
+// request's registry.
+func TestDeltaWarmCostMatchesFreshSession(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2, SessionCacheSize: 8})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	const sigma, eps = 0.2, 1e-4
+	p, _ := synth.ProfileByName("s1196")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An inverter or buffer convolves its fanin's stored t.o.p. with
+	// the edited delay kernel directly, with no scratch mixture between
+	// them; a monotone gate goes through its mixture.
+	var gates [2]*netlist.Node
+	for _, n := range c.Nodes {
+		switch {
+		case len(n.Fanout) == 0:
+		case gates[0] == nil && (n.Type == logic.Not || n.Type == logic.Buf):
+			gates[0] = n
+		case gates[1] == nil && n.Type.Monotone():
+			gates[1] = n
+		}
+	}
+	if gates[0] == nil || gates[1] == nil {
+		t.Fatal("s1196 lacks an inverter or a monotone gate with fanout")
+	}
+	d1, d2 := dist.Normal{Mu: 2.5, Sigma: 0.3}, dist.Normal{Mu: 0.8, Sigma: 0.1}
+	scope := obs.NewScope()
+	ref, err := incr.NewSPSTA(core.Analyzer{ErrorBudget: eps, Delay: delayModel(sigma), Obs: scope}, c, deltaRefInputs(c, "I", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		edits []DeltaEdit
+		apply func() (int, error)
+	}{
+		{nil, nil},
+		{[]DeltaEdit{{Gate: gates[0].Name, Mu: d1.Mu, Sigma: d1.Sigma}},
+			func() (int, error) { return ref.SetDelay(gates[0].ID, d1) }},
+		{[]DeltaEdit{{Gate: gates[0].Name, Mu: d1.Mu, Sigma: d1.Sigma}, {Gate: gates[1].Name, Mu: d2.Mu, Sigma: d2.Sigma}},
+			func() (int, error) { return ref.SetDelay(gates[1].ID, d2) }},
+		{[]DeltaEdit{{Gate: gates[1].Name, Mu: d2.Mu, Sigma: d2.Sigma}},
+			func() (int, error) { return ref.ClearDelay(gates[0].ID) }},
+	}
+	for i, st := range steps {
+		resp, dr, b := postDelta(t, srv.URL, &DeltaRequest{
+			Circuit: "s1196", Scenario: "I", Epsilon: eps, Sigma: sigma, Edits: st.edits,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: %d %s", i, resp.StatusCode, b)
+		}
+		if st.apply == nil {
+			if dr.Session != "cold" {
+				t.Fatalf("step %d: session %q, want cold", i, dr.Session)
+			}
+			continue
+		}
+		if dr.Session != "warm" {
+			t.Fatalf("step %d: session %q, want warm", i, dr.Session)
+		}
+		before := scope.M().CostUnits()
+		evals, err := st.apply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dr.NetsRecomputed != evals {
+			t.Fatalf("step %d: %d nets recomputed, the reference session %d", i, dr.NetsRecomputed, evals)
+		}
+		if want := scope.M().CostUnits() - before; dr.CostUnits != want || dr.Engine.CostUnits != want {
+			t.Errorf("step %d: cost_units %d (engine %d), a fresh session's count of the same edit %d",
+				i, dr.CostUnits, dr.Engine.CostUnits, want)
+		}
 	}
 }

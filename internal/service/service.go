@@ -812,10 +812,12 @@ func (s *Service) begin(w http.ResponseWriter, r *http.Request, path, label stri
 }
 
 // newScope builds the request's observability scope and allocates its
-// root span: metrics and a tracer are always on (the flight recorder
-// needs span trees post hoc), but the tracer is coarse — request,
-// engine, level and shard spans only — unless the request asked for a
-// trace file, which upgrades to fine per-gate spans.
+// root span: a tracer is always on (the flight recorder needs span
+// trees post hoc), but it is coarse — request, engine, level and shard
+// spans only — unless the request asked for a trace file, which
+// upgrades to fine per-gate spans. Metrics are on unless the peek step
+// served every engine: a full cache hit runs no engine, so it gets no
+// registry and every obs call on its path sees a nil one.
 func (s *Service) newScope(rc *reqCtx) {
 	tr := obs.NewCoarseTracer()
 	if rc.req.Trace && s.cfg.TraceDir != "" {
@@ -823,7 +825,10 @@ func (s *Service) newScope(rc *reqCtx) {
 		rc.traceFile = filepath.Join(s.cfg.TraceDir, rc.id+".json")
 	}
 	tr.SetTraceID(rc.traceID)
-	rc.scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: tr, Span: tr.NewSpan()}
+	rc.scope = &obs.Scope{Tracer: tr, Span: tr.NewSpan()}
+	if !rc.cached {
+		rc.scope.Metrics = obs.NewMetrics()
+	}
 }
 
 // summary assembles the flight-recorder record of the request in its
