@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/incr
+	$(GO) test -bench=. -benchmem . ./internal/incr ./internal/dist
 
 # Performance gates, opt-in via BENCH_GUARD=1 because tight
 # thresholds need a quiet machine:

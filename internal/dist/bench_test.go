@@ -57,6 +57,55 @@ func BenchmarkPMFOps(b *testing.B) {
 	})
 }
 
+// BenchmarkConvolveDirect times the direct kernel at the variational
+// engine's shapes: a 55-bin t.o.p. against the Normal{1, 0.2} delay
+// kernel on TimingGrid (54 bins wide) and on its Coarsen(2) and
+// Coarsen(4) grids (28 and 14 bins), all half-split grids. It reports
+// ns per bin pair.
+func BenchmarkConvolveDirect(b *testing.B) {
+	fine := TimingGrid(25, 0, 1)
+	for _, g := range []Grid{fine, fine.Coarsen(2), fine.Coarsen(4)} {
+		rng := rand.New(rand.NewSource(1))
+		p := randPMF(g, rng, g.N/3, g.N/3+55)
+		q := FromNormal(g, Normal{Mu: 1, Sigma: 0.2})
+		pl := NewConvPlan(g)
+		dst := NewPMF(g)
+		pairs := supportWidth(p) * supportWidth(q)
+		b.Run("nq="+itoa(supportWidth(q)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pl.ConvolveInto(nil, dst, p, q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkConvolveCrossover times the direct kernel against the FFT
+// path on equal-width operands of 64 to 256 bins on a half-split
+// TimingGrid, the measurement behind fftCrossover.
+func BenchmarkConvolveCrossover(b *testing.B) {
+	g := TimingGrid(40, 0, 1)
+	pl := NewConvPlan(g)
+	for _, w := range []int{64, 96, 128, 160, 192, 256} {
+		rng := rand.New(rand.NewSource(int64(w)))
+		p := randPMF(g, rng, 140, 140+w)
+		q := randPMF(g, rng, 140, 140+w)
+		dst := NewPMF(g)
+		b.Run("direct/w="+itoa(w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst.clear()
+				convolveDirect(pl, dst, p, q)
+			}
+		})
+		b.Run("fft/w="+itoa(w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst.clear()
+				convolveFFTInto(nil, dst, p, q)
+			}
+		})
+	}
+}
+
 func BenchmarkClarkMax(b *testing.B) {
 	x := Normal{Mu: 0, Sigma: 1}
 	y := Normal{Mu: 0.5, Sigma: 1.5}

@@ -18,7 +18,12 @@ import (
 // true for every real grid; the theoretical exception is a grid whose
 // off sits within half an ulp of an integer — which is what lets the
 // kernel process a whole in-grid source row against two table slices
-// with no per-pair floor, branch, or bounds test.
+// with no per-pair floor, branch, or bounds test. It further notes
+// whether every split is exactly one half (half). That holds whenever
+// Lo is a whole number of bins: TimingGrid for the paper's σ = 1
+// launches puts Lo at −8, i.e. −128 bins, so off is a half-integer on
+// it and on its Coarsen grids, and the kernel then runs source rows
+// in pairs (see convolveDirect).
 //
 // Plans are read-only after construction and safe for concurrent use.
 type ConvPlan struct {
@@ -27,6 +32,7 @@ type ConvPlan struct {
 	one    []float64 // 1 − frac(s + off)
 	frc    []float64 // frac(s + off)
 	contig bool
+	half   bool // contig, and one[s] == frc[s] == 0.5 for every s
 }
 
 // NewConvPlan builds the split tables for grid g.
@@ -55,6 +61,10 @@ func NewConvPlan(g Grid) *ConvPlan {
 			pl.contig = false
 			break
 		}
+	}
+	pl.half = pl.contig
+	for s := 0; s < ns && pl.half; s++ {
+		pl.half = pl.one[s] == 0.5 && pl.frc[s] == 0.5
 	}
 	return pl
 }
@@ -99,9 +109,10 @@ func PlanFor(m *obs.Metrics, g Grid) *ConvPlan {
 // recomputing a floor per bin pair. Source rows whose destination
 // bins lie fully inside the grid additionally run a register-carried
 // form of the inner loop (each destination bin is read once and
-// written once per row instead of twice), which reassociates
-// nothing: every bin receives the same adds in the same order as the
-// per-pair reference loop.
+// written once per row instead of twice), and on a half-split grid
+// consecutive pairs of such rows run as one tile. Neither
+// reassociates anything: every bin receives the same adds in the same
+// order as the per-pair reference loop.
 func (pl *ConvPlan) ConvolveInto(m *obs.Metrics, dst, p, q *PMF) *PMF {
 	work, fft := pl.convStart(m, dst, p, q)
 	switch {
@@ -143,9 +154,19 @@ func (pl *ConvPlan) convStart(m *obs.Metrics, dst, p, q *PMF) (work, fft bool) {
 }
 
 // convolveDirect is the table-driven direct kernel with per-row
-// dispatch between the in-grid fast loop and the clamped fallback:
+// dispatch between the in-grid fast loops and the clamped fallback:
 // each support bin of p is a source row, run against q's support
 // bins.
+//
+// On a half plan, two consecutive non-zero source rows i and i+1 whose
+// destination bins [t0, t0+nq+1] all lie inside the grid run as one
+// tile. Every pair's two split products are the same number
+// h = (a·b)·0.5, computed once, and row i+1 lands one bin to the right
+// of row i, so bin t0+k receives row i's h0[k−1] and h0[k] and then
+// row i+1's h1[k−2] and h1[k−1] — the adds, and their order, of the
+// single-row loop run on row i and then on row i+1. The first two and
+// last two bins of the tile miss some of those terms and are written
+// outside the loop. Any other row runs the single-row loops.
 func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 	n := pl.grid.N
 	w := dst.w
@@ -170,13 +191,40 @@ func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 	// be zero), which the support invariant permits: bins inside the
 	// support may be zero, bins outside are exactly zero.
 	firstT, lastT := -1, -1
-	for i, a := range src {
+	for i := 0; i < len(src); i++ {
+		a := src[i]
 		if a == 0 {
 			continue
 		}
 		s0 := p.lo + i + qlo
 		t0 := int(pl.base[s0])
-		if pl.contig && t0 >= 0 && t0+nq < n {
+		switch {
+		case pl.half && nq >= 2 && i+1 < len(src) && src[i+1] != 0 && t0 >= 0 && t0+nq+1 < n:
+			// Two-row tile: x carries h0[k−1] and y carries h1[k−2]
+			// into bin k.
+			a1 := src[i+1]
+			wt := w[t0 : t0+nq+2]
+			x := a * qs[0] * 0.5
+			y := a1 * qs[0] * 0.5
+			wt[0] += x
+			h := a * qs[1] * 0.5
+			wt[1] = wt[1] + x + h + y
+			x = h
+			for k := 2; k < nq; k++ {
+				h0 := a * qs[k] * 0.5
+				h1 := a1 * qs[k-1] * 0.5
+				wt[k] = wt[k] + x + h0 + y + h1
+				x, y = h0, h1
+			}
+			h = a1 * qs[nq-1] * 0.5
+			wt[nq] = wt[nq] + x + y + h
+			wt[nq+1] += h
+			if firstT < 0 {
+				firstT = t0
+			}
+			lastT = t0 + 1
+			i++
+		case pl.contig && t0 >= 0 && t0+nq < n:
 			// Fast row: every destination bin [t0, t0+nq] is in-grid
 			// and consecutive pairs share a bin, so carry the running
 			// bin value in a register across the row. The j-th store
@@ -197,7 +245,7 @@ func convolveDirect(pl *ConvPlan, dst, p, q *PMF) {
 				firstT = t0
 			}
 			lastT = t0
-		} else {
+		default:
 			for j, b := range qs {
 				if b == 0 {
 					continue

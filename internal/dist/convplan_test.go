@@ -217,6 +217,119 @@ func TestConvPlanBitIdenticalFFT(t *testing.T) {
 	}
 }
 
+// TestConvPlanBitIdenticalHalfGrid drives the two-row tile of the
+// direct kernel on TimingGrid and its Coarsen(2)/Coarsen(4) grids,
+// where every split is exactly one half, and requires every draw to
+// match the per-pair reference bit for bit. The draws cover odd and
+// even source supports, zero rows that break pairs at both parities,
+// kernel widths 1, 2, 3, 14 and 28, pairs whose second row ends on or
+// just past the last grid bin, and rows that clamp at both edges; the
+// tallies at the end fail the test if a regime went unexercised.
+func TestConvPlanBitIdenticalHalfGrid(t *testing.T) {
+	fine := TimingGrid(25, 0, 1)
+	grids := []Grid{fine, fine.Coarsen(2), fine.Coarsen(4)}
+	for _, g := range grids {
+		if !NewConvPlan(g).half {
+			t.Fatalf("grid Lo=%v Dt=%v N=%d: plan does not report the half split", g.Lo, g.Dt, g.N)
+		}
+	}
+	if NewConvPlan(TimingGrid(25, 0, 0.7)).half {
+		t.Fatal("TimingGrid(25, 0, 0.7) reports the half split; its bins split 0.1/0.9")
+	}
+	widths := []int{1, 2, 3, 14, 28}
+	type tally struct{ odd, even, holeOdd, holeEven, inner, edgeLast, edgePast, clampLo, clampHi int }
+	seen := map[[2]int]*tally{}
+	rng := rand.New(rand.NewSource(20261019))
+	for draw := 0; draw < 1500; draw++ {
+		gi, nq := rng.Intn(len(grids)), widths[rng.Intn(len(widths))]
+		g := grids[gi]
+		pl := NewConvPlan(g)
+		floor := int(pl.base[0])
+		wp := 1 + rng.Intn(60)
+		// t0 is the first source row's destination bin.
+		var t0, qlo int
+		switch rng.Intn(3) {
+		case 0:
+			qlo = rng.Intn(-floor)
+			t0 = qlo + floor + rng.Intn(8)
+		case 1:
+			qlo = rng.Intn(g.N - nq + 1)
+			t0 = g.N - wp - nq - 2 + rng.Intn(nq+4)
+		default:
+			qlo = rng.Intn(g.N - nq + 1)
+			t0 = rng.Intn(g.N - nq - wp)
+		}
+		plo := t0 - qlo - floor
+		if plo < 0 || plo+wp > g.N {
+			continue
+		}
+		p := randPMF(g, rng, plo, plo+wp)
+		q := randPMF(g, rng, qlo, qlo+nq)
+		for h := rng.Intn(wp/4 + 2); h > 0; h-- {
+			p.SetBin(plo+rng.Intn(wp), 0)
+		}
+		if nq > 3 && rng.Intn(2) == 0 {
+			q.SetBin(qlo+rng.Intn(nq), 0)
+		}
+		want := refConvolveInto(NewPMF(g), p, q)
+		requireSameBins(t, "half", want, pl.ConvolveInto(nil, NewPMF(g), p, q))
+		requireSameBins(t, "half/pmf", want, p.ConvolveInto(nil, NewPMF(g), q))
+
+		k := [2]int{gi, nq}
+		ty := seen[k]
+		if ty == nil {
+			ty = &tally{}
+			seen[k] = ty
+		}
+		if wp%2 == 1 {
+			ty.odd++
+		} else {
+			ty.even++
+		}
+		src := p.bins()
+		for i, a := range src {
+			r := t0 + i
+			switch {
+			case a == 0:
+				if i > 0 && i+1 < len(src) && src[i-1] != 0 && src[i+1] != 0 {
+					if i%2 == 1 {
+						ty.holeOdd++
+					} else {
+						ty.holeEven++
+					}
+				}
+				continue
+			case r < 0:
+				ty.clampLo++
+			case r+nq >= g.N:
+				ty.clampHi++
+			}
+			if i+1 == len(src) || src[i+1] == 0 || r < 0 {
+				continue
+			}
+			switch r + nq + 1 {
+			case g.N - 1:
+				ty.edgeLast++
+			case g.N:
+				ty.edgePast++
+			default:
+				if r+nq+1 < g.N {
+					ty.inner++
+				}
+			}
+		}
+	}
+	for gi := range grids {
+		for _, nq := range widths {
+			ty := seen[[2]int{gi, nq}]
+			if ty == nil || ty.odd == 0 || ty.even == 0 || ty.holeOdd == 0 || ty.holeEven == 0 ||
+				ty.inner == 0 || ty.edgeLast == 0 || ty.edgePast == 0 || ty.clampLo == 0 || ty.clampHi == 0 {
+				t.Errorf("grid %d, kernel width %d: draws too tame: %+v", gi, nq, ty)
+			}
+		}
+	}
+}
+
 func supportWidth(p *PMF) int {
 	lo, hi := p.Support()
 	return hi - lo

@@ -26,8 +26,11 @@ func fftCostUnits(l int) int64 {
 // fftCrossover is the minimum support size BOTH convolution operands
 // must reach before Convolve switches from the O(sa·sb) direct
 // product to the O(M log M) FFT path. Below it the direct kernel's
-// tiny constant wins; the value was picked with
-// BenchmarkConvolveCrossover on the dist bench suite.
+// tiny constant wins. BenchmarkConvolveCrossover (bench_test.go)
+// times both paths at equal widths of 64 to 256 bins on a half-split
+// grid; with the two-row direct tile they tie at about this width
+// (DESIGN.md §13.2). Moving it changes which path, and so which bits,
+// serves operands of that width.
 const fftCrossover = 160
 
 // convolveFFTInto computes the same result as the direct Convolve
