@@ -14,10 +14,11 @@ bench:
 # Performance gates, opt-in via BENCH_GUARD=1 because tight
 # thresholds need a quiet machine:
 #   - TestBenchGuardObsOverhead: SPSTA (s1238, Workers=4) metrics
-#     enabled vs disabled, interleaved min-of-N, delta <= 2%. Since
-#     the disabled path is the enabled path minus the work behind the
-#     nil checks, this bounds the always-compiled instrumentation's
-#     cost on uninstrumented runs.
+#     enabled vs disabled, interleaved min-of-N, delta <= 2%. The
+#     registry holds counts only, so a metrics-only run reads no clock
+#     in the level scheduler. Since the disabled path is the enabled
+#     path minus the work behind the nil checks, this bounds the
+#     always-compiled instrumentation's cost on uninstrumented runs.
 #   - TestBenchGuardPackedSpeedup (internal/montecarlo): word-packed
 #     Monte Carlo >= 5x the scalar reference walk the package's tests
 #     keep, on s1196 at 10,000 runs (one run on a 2-vCPU x86-64 host
@@ -86,7 +87,9 @@ soak:
 # updates (Workers 1 and 4, plus a panic in a cone), so this is the
 # schedule-safety check; the instrumented variants
 # (core.TestInstrumentedParallelMatchesSerial and friends) re-check it
-# with metrics and tracing live. The scheduler tests run again at
+# with metrics and tracing live, and core.TestInstrumentedGatesMatchSpans
+# checks the registry's gate count against the level and gate spans,
+# inline and pooled. The scheduler tests run again at
 # GOMAXPROCS 1 and 2, so the pool is raced on one processor as well as
 # on two; the Monte Carlo packed, sharded, golden and MomentNets tests
 # do the same for the packed engine's per-lane settle and glitch

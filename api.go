@@ -389,7 +389,8 @@ type MISModel = ssta.MISModel
 type (
 	// EngineMetrics is the live metrics registry of the analysis
 	// engines (kernel-cache hits, convolution counts, subset leaves,
-	// per-level wall times, per-worker busy times).
+	// work-unit costs, gates scheduled). It holds counts only; wall
+	// time is in an EngineTracer's spans.
 	EngineMetrics = obs.Metrics
 	// EngineMetricsSnapshot is a JSON-serializable point-in-time copy
 	// of an EngineMetrics registry.

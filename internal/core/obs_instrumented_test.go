@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/ssta"
 	"repro/internal/synth"
 )
 
@@ -48,12 +50,11 @@ func TestInstrumentedParallelMatchesSerial(t *testing.T) {
 	if snap.KernelCache.Hits == 0 {
 		t.Error("instrumented run recorded no kernel-cache hits")
 	}
-	gates := int64(0)
-	for _, w := range snap.Workers {
-		gates += w.Gates
+	if snap.Gates != int64(len(c.Nodes)) {
+		t.Errorf("metrics count %d gates, circuit has %d nodes", snap.Gates, len(c.Nodes))
 	}
-	if gates != int64(len(c.Nodes)) {
-		t.Errorf("worker stats cover %d gates, circuit has %d nodes", gates, len(c.Nodes))
+	if gs, _ := scheduleSpans(tr); gs != len(c.Nodes) {
+		t.Errorf("%d gate spans, circuit has %d nodes", gs, len(c.Nodes))
 	}
 	if tr.Len() == 0 {
 		t.Error("tracer recorded no spans")
@@ -169,19 +170,107 @@ func TestParallelErrorMidLevelInstrumented(t *testing.T) {
 	}
 	// Every gate of the failing level ran every repeat: each chunk holds
 	// one gate, and every chunk runs, so the error choice cannot depend
-	// on worker timing.
-	snap := scope.Snapshot()
-	gates := int64(0)
-	for _, w := range snap.Workers {
-		gates += w.Gates
-	}
+	// on worker timing. A gate span is recorded only for a gate that ran.
 	// 8 parallel repeats × (2 inputs + width gates).
-	if want := int64(8 * (2 + width)); gates != want {
-		t.Errorf("workers evaluated %d gates, want %d (every gate of the failing level must run)", gates, want)
+	want := 8 * (2 + width)
+	if gs, _ := scheduleSpans(tr); gs != want {
+		t.Errorf("%d gate spans, want %d (every gate of the failing level must run)", gs, want)
 	}
-	if tr.Len() == 0 {
-		t.Error("tracer recorded no spans from failing runs")
+	if got := scope.Snapshot().Gates; got != int64(want) {
+		t.Errorf("metrics count %d gates, want %d", got, want)
 	}
+}
+
+// TestInstrumentedGatesMatchSpans checks the registry's one schedule
+// counter against the spans, the schedule's one clock: Gates is the
+// number of nodes a Run evaluates, and the count Update returns; the
+// level spans' gates args sum to the same number under either tracer,
+// and a fine tracer records one gate span per evaluated node. It holds
+// at Workers 1 (every level inline) and 4 (wide levels on the pool).
+func TestInstrumentedGatesMatchSpans(t *testing.T) {
+	c, err := synth.Generate(mustProfile(t, "s1196"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := uniform(c)
+	var seed netlist.NodeID = -1
+	for _, n := range c.Nodes {
+		if n.Type.Combinational() && n.Level == 2 {
+			seed = n.ID
+			break
+		}
+	}
+	if seed < 0 {
+		t.Fatal("no level-2 gate")
+	}
+	for _, workers := range []int{1, 4} {
+		for _, fine := range []bool{false, true} {
+			tracer := obs.NewCoarseTracer
+			if fine {
+				tracer = obs.NewTracer
+			}
+			check := func(op string, scope *obs.Scope, evaluated int) {
+				t.Helper()
+				gates, levelGates := scheduleSpans(scope.Tracer)
+				if got := scope.Snapshot().Gates; got != int64(evaluated) {
+					t.Errorf("w=%d fine=%v %s: metrics count %d gates, %d evaluated", workers, fine, op, got, evaluated)
+				}
+				if levelGates != evaluated {
+					t.Errorf("w=%d fine=%v %s: level spans sum to %d gates, %d evaluated", workers, fine, op, levelGates, evaluated)
+				}
+				wantSpans := 0
+				if fine {
+					wantSpans = evaluated
+				}
+				if gates != wantSpans {
+					t.Errorf("w=%d fine=%v %s: %d gate spans, want %d", workers, fine, op, gates, wantSpans)
+				}
+			}
+			scope := &obs.Scope{Metrics: obs.NewMetrics(), Tracer: tracer()}
+			a := Analyzer{Workers: workers, Obs: scope}
+			res, err := a.Run(c, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Run", scope, len(c.Nodes))
+
+			scope = &obs.Scope{Metrics: obs.NewMetrics(), Tracer: tracer()}
+			a.Obs = scope
+			a.Delay = func(n *netlist.Node) dist.Normal {
+				if n.ID == seed {
+					return dist.Normal{Mu: 2.5}
+				}
+				return ssta.UnitDelay(n)
+			}
+			n, err := a.Update(res, in, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n <= 1 {
+				t.Fatalf("w=%d: Update recomputed %d nets; the edit must reach the seed's fanout", workers, n)
+			}
+			check("Update", scope, n)
+		}
+	}
+}
+
+// scheduleSpans returns the number of gate spans in tr and the sum of
+// its level spans' gates args.
+func scheduleSpans(tr *obs.Tracer) (gates, levelGates int) {
+	var walk func([]*obs.SpanNode)
+	walk = func(ns []*obs.SpanNode) {
+		for _, n := range ns {
+			switch n.Cat {
+			case "gate":
+				gates++
+			case "level":
+				levelGates += n.Args["gates"].(int)
+			}
+			walk(n.Children)
+		}
+	}
+	walk(tr.Tree().Roots)
+	return gates, levelGates
 }
 
 // TestInstrumentedMomentTimingMatchesSerial is the MomentTiming

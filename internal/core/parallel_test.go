@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 )
@@ -261,36 +260,4 @@ func fillerGates(from, to int) string {
 		fmt.Fprintf(&b, "OUTPUT(f%d)\nf%d = AND(a, b)\n", i, i)
 	}
 	return b.String()
-}
-
-// TestCostAwareInlineAttribution pins the inline walk down
-// observably: a Workers=1 run executes every gate on the scheduling
-// goroutine, so all instrumented gate counts land on worker 0. The
-// name is older than the single dispatch rule; it once checked a
-// cost-aware fallback that inlined cheap levels of a Workers=4 run.
-func TestCostAwareInlineAttribution(t *testing.T) {
-	c, err := synth.Generate(mustProfile(t, "s298"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := uniform(c)
-	scope := obs.NewScope()
-	a := Analyzer{Workers: 1, Obs: scope}
-	if _, err := a.Run(c, in); err != nil {
-		t.Fatal(err)
-	}
-	snap := scope.Snapshot()
-	var total, w0 int64
-	for _, w := range snap.Workers {
-		total += w.Gates
-		if w.Worker == 0 {
-			w0 = w.Gates
-		}
-	}
-	if total == 0 || total != w0 {
-		t.Errorf("inline walk attributed %d of %d gates to worker 0", w0, total)
-	}
-	if total != int64(len(c.Nodes)) {
-		t.Errorf("instrumented %d gates, circuit has %d nodes", total, len(c.Nodes))
-	}
 }

@@ -89,12 +89,10 @@ func TestSingleEditChargesCallingScope(t *testing.T) {
 		mustEdit(t)(s.ClearDelay(g1))
 		mustEdit(t)(s.SetDelay(g1, dist.Normal{Mu: 0.7, Sigma: 0.1}))
 	}
-	// counters drops what depends on timing or on process-wide caches:
-	// worker busy time and the plan caches, which hit or miss by the
-	// order the tests ran in.
+	// counters drops what depends on process-wide caches: the plan
+	// caches, which hit or miss by the order the tests ran in.
 	counters := func(s *obs.Snapshot) *obs.Snapshot {
 		cp := *s
-		cp.Workers = nil
 		cp.Batch = obs.Snapshot{}.Batch
 		return &cp
 	}

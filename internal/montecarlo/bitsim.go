@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // laneCount is the number of runs packed per bit-plane word.
@@ -110,16 +109,11 @@ func simulatePacked(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputSta
 		if active > laneCount {
 			active = laneCount
 		}
-		var t0 int64
-		if m != nil {
-			t0 = obs.Nanotime()
-		}
 		settled := simulateBlock(c, inputs, cfg, st, order, endpoints, moments, defaultStats, res,
 			seed, start+block, active)
 		if m != nil {
 			m.MCPackedBlocks.Add(1)
 			m.MCPackedSettleLanes.Add(settled)
-			m.MCPackedBlockNS.Add(obs.Nanotime() - t0)
 			// active×nodes + settled sums to a shard-invariant total:
 			// block boundaries shift with the worker split, but every
 			// run visits every node exactly once and a lane's settle

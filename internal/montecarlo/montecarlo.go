@@ -212,23 +212,17 @@ func simulateParallel(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputS
 		go func() {
 			defer wg.Done()
 			sres := newResult(c, wn, len(cfg.ProbeTimes))
-			m, tr := cfg.Obs.M(), cfg.Obs.T()
+			tr := cfg.Obs.T()
 			var t0 time.Time
-			if m != nil || tr != nil {
+			if tr != nil {
 				t0 = time.Now()
 			}
 			run(c, inputs, cfg, moments, seed, sres, ws, wn)
-			if m != nil || tr != nil {
-				d := time.Since(t0)
-				if m != nil {
-					m.AddWorkerChunk(w, 0, int64(d))
-				}
-				if tr != nil {
-					tr.NameThread(w+1, "worker "+strconv.Itoa(w))
-					tr.RecordSpan(tr.NewSpan(), cfg.Obs.SpanID(),
-						"mc shard "+strconv.Itoa(w)+" ("+strconv.Itoa(wn)+" runs)",
-						"montecarlo", w+1, t0, d, nil)
-				}
+			if tr != nil {
+				tr.NameThread(w+1, "worker "+strconv.Itoa(w))
+				tr.RecordSpan(tr.NewSpan(), cfg.Obs.SpanID(),
+					"mc shard "+strconv.Itoa(w)+" ("+strconv.Itoa(wn)+" runs)",
+					"montecarlo", w+1, t0, time.Since(t0), nil)
 			}
 			shards[w] = sres
 		}()

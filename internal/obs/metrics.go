@@ -4,33 +4,28 @@
 //
 // The layer is always compiled and near-zero-cost when disabled: hot
 // paths in dist, core and montecarlo hold a *Metrics / *Tracer —
-// threaded through analyzer config and the dist.Grid value — and skip
-// every measurement on nil. Enabling instrumentation never changes
+// threaded through analyzer config and the dist kernels' arguments —
+// and skip every measurement on nil. Enabling instrumentation never changes
 // analysis results; counters and spans are observational only, so the
 // parallel-vs-serial bit-identity contract holds with instrumentation
 // on (asserted by core.TestInstrumentedParallelMatchesSerial).
+//
+// Metrics holds counts only; wall time lives in the Tracer's spans,
+// so there is one clock (TestMetricsHoldNoWallTime keeps it that way).
 //
 // Registries are request-scoped, not process-global: a Scope bundles
 // one Metrics and one optional Tracer, and every concurrent analysis
 // carries its own (see scope.go). The kernels that have no config
 // struct of their own (dist.PMF convolutions and mixtures, the
-// kernel cache) read the Metrics pointer riding on the Grid value
-// they already receive, so scoping costs one plain field load per
-// kernel call — cheaper than the atomic pointer load the old global
-// registry needed.
+// kernel cache) take the Metrics pointer as an argument from their
+// caller, which passes its scope's registry (nil when uninstrumented).
 package obs
 
 import (
 	"math/bits"
 	"sort"
 	"sync/atomic"
-	"time"
 )
-
-// MaxWorkers bounds the per-worker accumulator arrays; worker ids are
-// folded modulo MaxWorkers (real worker counts are GOMAXPROCS-sized,
-// far below the bound).
-const MaxWorkers = 64
 
 // MaxFanin bounds the per-fanin histograms; wider gates fold into the
 // last bucket (the analyzers cap enumeration fanin well below this).
@@ -208,20 +203,16 @@ type Metrics struct {
 	CostMCOps      atomic.Int64
 
 	// Packed Monte Carlo engine (montecarlo/bitsim.go):
-	// MCPackedBlocks counts simulated 64-run blocks,
+	// MCPackedBlocks counts simulated 64-run blocks and
 	// MCPackedSettleLanes counts sparse settle-pass lane visits
 	// (gate outputs that transitioned and took the per-lane settling
-	// arithmetic), and MCPackedBlockNS accumulates per-block wall
-	// time.
+	// arithmetic).
 	MCPackedBlocks      atomic.Int64
 	MCPackedSettleLanes atomic.Int64
-	MCPackedBlockNS     atomic.Int64
 
-	// Per-worker busy time and gate counts from the level-parallel
-	// schedule (worker id folded modulo MaxWorkers; Monte Carlo
-	// shards report under their shard index).
-	WorkerBusyNS [MaxWorkers]atomic.Int64
-	WorkerGates  [MaxWorkers]atomic.Int64
+	// Gates counts the nodes the level schedule ran: each scheduled
+	// level adds its width once, on the scheduling goroutine.
+	Gates atomic.Int64
 }
 
 // NewMetrics returns an empty registry.
@@ -262,31 +253,6 @@ func (m *Metrics) CostUnits() int64 {
 	}
 	return m.CostBinOps.Load() + m.CostMixtureOps.Load() +
 		m.CostLeafOps.Load() + m.CostMCOps.Load()
-}
-
-// AddWorkerBusy accumulates busy time and one evaluated gate for a
-// worker.
-func (m *Metrics) AddWorkerBusy(worker int, d time.Duration) {
-	m.AddWorkerChunk(worker, 1, int64(d))
-}
-
-// AddWorkerChunk accumulates one work chunk for a worker: gates
-// evaluated and raw busy nanoseconds (fed from Nanotime readings on
-// the metrics-only hot path).
-func (m *Metrics) AddWorkerChunk(worker, gates int, ns int64) {
-	w := worker % MaxWorkers
-	if w < 0 {
-		w = 0
-	}
-	m.WorkerBusyNS[w].Add(ns)
-	m.WorkerGates[w].Add(int64(gates))
-}
-
-// WorkerSnapshot is one worker's accumulated busy time.
-type WorkerSnapshot struct {
-	Worker int   `json:"worker"`
-	BusyNS int64 `json:"busy_ns"`
-	Gates  int64 `json:"gates"`
 }
 
 // Snapshot is the JSON-serializable view of a Metrics registry.
@@ -339,9 +305,8 @@ type Snapshot struct {
 	MonteCarloPacked struct {
 		Blocks      int64 `json:"blocks"`
 		SettleLanes int64 `json:"settle_lanes"`
-		BlockNS     int64 `json:"block_ns"`
 	} `json:"monte_carlo_packed,omitzero"`
-	Workers []WorkerSnapshot `json:"workers,omitempty"`
+	Gates int64 `json:"gates,omitempty"`
 }
 
 // Snapshot captures the registry's current totals.
@@ -380,74 +345,11 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s.MonteCarloRuns = m.MCRuns.Load()
 	s.MonteCarloPacked.Blocks = m.MCPackedBlocks.Load()
 	s.MonteCarloPacked.SettleLanes = m.MCPackedSettleLanes.Load()
-	s.MonteCarloPacked.BlockNS = m.MCPackedBlockNS.Load()
-	for w := 0; w < MaxWorkers; w++ {
-		busy, gates := m.WorkerBusyNS[w].Load(), m.WorkerGates[w].Load()
-		if busy == 0 && gates == 0 {
-			continue
-		}
-		s.Workers = append(s.Workers, WorkerSnapshot{Worker: w, BusyNS: busy, Gates: gates})
-	}
+	s.Gates = m.Gates.Load()
 	return s
 }
 
-// Reset zeroes every counter, histogram and accumulator.
-func (m *Metrics) Reset() {
-	m.KernelHits.Store(0)
-	m.KernelMisses.Store(0)
-	m.KernelRaces.Store(0)
-	m.ConvDirect.Store(0)
-	m.ConvFFT.Store(0)
-	for i := range m.ConvSupport.b {
-		m.ConvSupport.b[i].Store(0)
-	}
-	for i := range m.MixtureEvals.b {
-		m.MixtureEvals.b[i].Store(0)
-	}
-	for i := range m.SubsetLeaves.b {
-		m.SubsetLeaves.b[i].Store(0)
-	}
-	m.PrunedSubtrees.Store(0)
-	for i := range m.PrunedLeaves.b {
-		m.PrunedLeaves.b[i].Store(0)
-	}
-	m.PrunedMassFP.Store(0)
-	m.TruncTails.Store(0)
-	m.TruncatedMassFP.Store(0)
-	for i := range m.TruncatedBins.b {
-		m.TruncatedBins.b[i].Store(0)
-	}
-	for i := range m.PrunedSupportWidth.b {
-		m.PrunedSupportWidth.b[i].Store(0)
-	}
-	m.FFTPlanHits.Store(0)
-	m.FFTPlanMisses.Store(0)
-	m.ConvPlanHits.Store(0)
-	m.ConvPlanMisses.Store(0)
-	m.RebinCalls.Store(0)
-	m.RebinLevels.Store(0)
-	m.RebinDeviationFP.Store(0)
-	for i := range m.GridBinsPerLevel.b {
-		m.GridBinsPerLevel.b[i].Store(0)
-	}
-	m.SupportWidthPeak.Store(0)
-	m.SlabBytesPeak.Store(0)
-	m.CostBinOps.Store(0)
-	m.CostMixtureOps.Store(0)
-	m.CostLeafOps.Store(0)
-	m.CostMCOps.Store(0)
-	m.MCRuns.Store(0)
-	m.MCPackedBlocks.Store(0)
-	m.MCPackedSettleLanes.Store(0)
-	m.MCPackedBlockNS.Store(0)
-	for w := 0; w < MaxWorkers; w++ {
-		m.WorkerBusyNS[w].Store(0)
-		m.WorkerGates[w].Store(0)
-	}
-}
-
-// Merge adds every counter, histogram bucket and worker total
-// of o into s. Aggregators (the spstad /metrics endpoint) use it to
+// Merge adds every counter and histogram bucket of o into s. Aggregators (the spstad /metrics endpoint) use it to
 // fold per-request snapshots into a service-lifetime view.
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
@@ -492,22 +394,7 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.MonteCarloRuns += o.MonteCarloRuns
 	s.MonteCarloPacked.Blocks += o.MonteCarloPacked.Blocks
 	s.MonteCarloPacked.SettleLanes += o.MonteCarloPacked.SettleLanes
-	s.MonteCarloPacked.BlockNS += o.MonteCarloPacked.BlockNS
-	for _, w := range o.Workers {
-		found := false
-		for i := range s.Workers {
-			if s.Workers[i].Worker == w.Worker {
-				s.Workers[i].BusyNS += w.BusyNS
-				s.Workers[i].Gates += w.Gates
-				found = true
-				break
-			}
-		}
-		if !found {
-			s.Workers = append(s.Workers, w)
-		}
-	}
-	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })
+	s.Gates += o.Gates
 }
 
 // mergeHist merges two non-empty-bucket lists keyed by [Lo, Hi].

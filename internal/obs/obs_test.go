@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +59,7 @@ func TestFaninHistOverflow(t *testing.T) {
 	}
 }
 
-func TestMetricsSnapshotAndReset(t *testing.T) {
+func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
 	m.KernelHits.Add(3)
 	m.KernelMisses.Add(1)
@@ -67,7 +69,7 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	m.MixtureEvals.Add(3, 1)
 	m.SubsetLeaves.Add(4, 256)
 	m.MCRuns.Add(10000)
-	m.AddWorkerBusy(1, 5*time.Millisecond)
+	m.Gates.Add(7)
 
 	s := m.Snapshot()
 	if s.KernelCache.Hits != 3 || s.KernelCache.Misses != 1 {
@@ -76,8 +78,8 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	if s.Convolution.Direct != 5 || s.Convolution.FFT != 2 {
 		t.Errorf("convolution snapshot %+v", s.Convolution)
 	}
-	if len(s.Workers) != 1 || s.Workers[0].Worker != 1 || s.Workers[0].Gates != 1 {
-		t.Errorf("workers snapshot %+v", s.Workers)
+	if s.Gates != 7 {
+		t.Errorf("gates = %d, want 7", s.Gates)
 	}
 	if s.MonteCarloRuns != 10000 {
 		t.Errorf("mc runs = %d", s.MonteCarloRuns)
@@ -92,15 +94,42 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	if err := json.Unmarshal(enc, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.KernelCache.Hits != 3 {
-		t.Error("JSON round-trip lost kernel hits")
+	if back.KernelCache.Hits != 3 || back.Gates != 7 {
+		t.Error("JSON round-trip lost kernel hits or gates")
 	}
+}
 
-	m.Reset()
-	s = m.Snapshot()
-	if s.KernelCache.Hits != 0 || s.Convolution.Direct != 0 || len(s.Workers) != 0 {
-		t.Errorf("Reset left data: %+v", s)
+// TestMetricsHoldNoWallTime: the registry holds counts only, and the
+// tracer's spans are the one source of wall time. A field of type
+// time.Duration or named *NS, in Metrics or in its Snapshot, at any
+// depth, would be a second clock.
+func TestMetricsHoldNoWallTime(t *testing.T) {
+	durType := reflect.TypeOf(time.Duration(0))
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if typ == durType {
+			t.Errorf("%s is a time.Duration", path)
+		}
+		switch typ.Kind() {
+		case reflect.Array, reflect.Slice, reflect.Pointer:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if strings.HasSuffix(f.Name, "NS") {
+					t.Errorf("%s.%s is named as a wall time", path, f.Name)
+				}
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
 	}
+	walk("Metrics", reflect.TypeOf(Metrics{}))
+	walk("Snapshot", reflect.TypeOf(Snapshot{}))
 }
 
 func TestScopeNilSafety(t *testing.T) {
@@ -129,14 +158,13 @@ func TestSnapshotMerge(t *testing.T) {
 	a.KernelHits.Add(2)
 	a.ConvSupport.Observe(5)
 	a.MixtureEvals.Add(2, 3)
-	a.AddWorkerBusy(0, time.Millisecond)
+	a.Gates.Add(4)
 	b.KernelHits.Add(5)
 	b.ConvSupport.Observe(5)
 	b.ConvSupport.Observe(1000)
 	b.MixtureEvals.Add(2, 1)
 	b.MixtureEvals.Add(7, 2)
-	b.AddWorkerBusy(0, time.Millisecond)
-	b.AddWorkerBusy(2, time.Millisecond)
+	b.Gates.Add(9)
 
 	s := a.Snapshot()
 	s.Merge(b.Snapshot())
@@ -158,8 +186,8 @@ func TestSnapshotMerge(t *testing.T) {
 	if evals[2] != 4 || evals[7] != 2 {
 		t.Errorf("merged evals = %v", evals)
 	}
-	if len(s.Workers) != 2 || s.Workers[0].Gates != 2 || s.Workers[1].Worker != 2 {
-		t.Errorf("merged workers = %+v", s.Workers)
+	if s.Gates != 13 {
+		t.Errorf("merged gates = %d, want 13", s.Gates)
 	}
 }
 
@@ -167,14 +195,13 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 	m := NewMetrics()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				m.ConvDirect.Add(1)
 				m.ConvSupport.Observe(i)
-				m.AddWorkerBusy(w, time.Microsecond)
+				m.Gates.Add(1)
 			}
 		}()
 	}
@@ -183,15 +210,8 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 	if s.Convolution.Direct != 8000 {
 		t.Errorf("direct = %d, want 8000", s.Convolution.Direct)
 	}
-	var gates int64
-	for _, w := range s.Workers {
-		gates += w.Gates
-	}
-	if gates != 8000 {
-		t.Errorf("worker gates = %d, want 8000", gates)
-	}
-	if len(s.Workers) != 8 {
-		t.Errorf("workers = %d, want 8", len(s.Workers))
+	if s.Gates != 8000 {
+		t.Errorf("gates = %d, want 8000", s.Gates)
 	}
 }
 

@@ -235,10 +235,6 @@ func (r *registry) writePrometheus(w io.Writer) {
 
 	r.aggMu.Lock()
 	agg := r.agg
-	gates := int64(0)
-	for _, ws := range r.agg.Workers {
-		gates += ws.Gates
-	}
 	r.aggMu.Unlock()
 
 	counter("spstad_engine_kernel_cache_hits_total", "Delay-kernel cache hits across all requests.")
@@ -249,7 +245,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "spstad_engine_convolutions_total{method=\"direct\"} %d\n", agg.Convolution.Direct)
 	fmt.Fprintf(w, "spstad_engine_convolutions_total{method=\"fft\"} %d\n", agg.Convolution.FFT)
 	counter("spstad_engine_gates_total", "Gates evaluated by the level-parallel schedule across all requests.")
-	fmt.Fprintf(w, "spstad_engine_gates_total %d\n", gates)
+	fmt.Fprintf(w, "spstad_engine_gates_total %d\n", agg.Gates)
 	counter("spstad_engine_mc_runs_total", "Monte Carlo runs simulated across all requests.")
 	fmt.Fprintf(w, "spstad_engine_mc_runs_total %d\n", agg.MonteCarloRuns)
 	counter("spstad_engine_mc_packed_blocks_total", "Word-packed Monte Carlo blocks across all requests.")

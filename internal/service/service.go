@@ -103,10 +103,6 @@ type Config struct {
 	// TimelineCapacity bounds each timeline series' ring (samples
 	// kept); 0 means timeline.DefaultCapacity.
 	TimelineCapacity int
-	// Objectives overrides the default SLO set; nil applies
-	// defaultObjectives(cfg), an explicit empty slice disables SLO
-	// evaluation.
-	Objectives []timeline.Objective
 	// SLO knobs consumed by defaultObjectives (zero values pick the
 	// documented defaults). Availability and LatencyTarget are
 	// good-event fractions; LatencyThreshold is seconds;
@@ -197,11 +193,7 @@ func New(cfg Config) *Service {
 		timeline.Config{Capacity: cfg.TimelineCapacity},
 		s.registryCollector, runtimeCollector,
 	)
-	objectives := cfg.Objectives
-	if objectives == nil {
-		objectives = defaultObjectives(cfg)
-	}
-	eng := timeline.NewSLOEngine(s.tl, objectives)
+	eng := timeline.NewSLOEngine(s.tl, defaultObjectives(cfg))
 	s.captures = newCaptureManager(s, cfg)
 	eng.OnTransition = func(st timeline.ObjectiveStatus) {
 		if s.captures != nil {

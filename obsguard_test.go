@@ -168,7 +168,7 @@ func TestBenchGuardTracingOverhead(t *testing.T) {
 
 // TestBenchGuardPackedObsOverhead extends the disabled-path overhead
 // contract to the packed Monte Carlo engine: its per-block counters
-// (blocks, settle lanes, block wall time) must reduce to nil checks
+// (blocks, settle lanes, cost units) must reduce to nil checks
 // when no registry is installed, keeping the enabled-vs-disabled
 // delta within 2% — the same bound, proxy argument, and timing
 // discipline as TestBenchGuardObsOverhead.
@@ -238,13 +238,9 @@ func ExampleNewEngineScope() {
 		panic(err)
 	}
 	snap := scope.Snapshot()
-	gates := int64(0)
-	for _, w := range snap.Workers {
-		gates += w.Gates
-	}
-	fmt.Println("every gate attributed to a worker:", gates == int64(len(c.Nodes)))
+	fmt.Println("every node evaluated once:", snap.Gates == int64(len(c.Nodes)))
 	fmt.Println("kernel lookups recorded:", snap.KernelCache.Hits+snap.KernelCache.Misses > 0)
 	// Output:
-	// every gate attributed to a worker: true
+	// every node evaluated once: true
 	// kernel lookups recorded: true
 }

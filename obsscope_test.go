@@ -34,14 +34,10 @@ func TestConcurrentScopesIsolatedAndBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := scope.Snapshot()
-		gates := int64(0)
-		for _, w := range snap.Workers {
-			gates += w.Gates
-		}
 		ref[i] = solo{
 			circuit: c, result: res,
-			hits: snap.KernelCache.Hits, misses: snap.KernelCache.Misses,
-			gates: gates,
+			hits: snap.KernelCache.Hits + snap.KernelCache.Races, misses: snap.KernelCache.Misses,
+			gates: snap.Gates,
 		}
 	}
 
@@ -98,16 +94,16 @@ func TestConcurrentScopesIsolatedAndBitIdentical(t *testing.T) {
 		// solo run's work — nothing leaked in from the other five
 		// goroutines, nothing leaked out.
 		snap := scopes[i].Snapshot()
-		gates := int64(0)
-		for _, w := range snap.Workers {
-			gates += w.Gates
+		// A lookup that finds an entry another worker of the same run
+		// inserted counts as a hit or a race by timing, so the two are
+		// compared as one.
+		hits := snap.KernelCache.Hits + snap.KernelCache.Races
+		if hits != ref[i].hits || snap.KernelCache.Misses != ref[i].misses {
+			t.Errorf("%s: kernel lookups (%d hits and races, %d misses) != solo (%d, %d)",
+				name, hits, snap.KernelCache.Misses, ref[i].hits, ref[i].misses)
 		}
-		if snap.KernelCache.Hits != ref[i].hits || snap.KernelCache.Misses != ref[i].misses {
-			t.Errorf("%s: kernel lookups (%d hits, %d misses) != solo (%d, %d)",
-				name, snap.KernelCache.Hits, snap.KernelCache.Misses, ref[i].hits, ref[i].misses)
-		}
-		if gates != ref[i].gates {
-			t.Errorf("%s: %d instrumented gates != solo %d", name, gates, ref[i].gates)
+		if snap.Gates != ref[i].gates {
+			t.Errorf("%s: %d instrumented gates != solo %d", name, snap.Gates, ref[i].gates)
 		}
 	}
 }
