@@ -99,7 +99,10 @@ soak:
 # cross-scope checks (incr.TestSingleEditChargesCallingScope,
 # service.TestDeltaWarmCostMatchesFreshSession): an edit charges the
 # scope of the request that makes it, never the one that built the
-# session. Under the race detector
+# session. The service's request-clock and /metrics-scrape tests run
+# at both counts too: the one exit that records a request, and
+# scrapes reading the engine aggregate while requests merge into it.
+# Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
 # a plain run after the race lines checks its full circuit grid.
@@ -109,7 +112,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit' ./internal/core ./internal/incr
-	$(GO) test -race -cpu 1,2 -run Delta ./internal/service
+	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...

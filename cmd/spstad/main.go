@@ -61,7 +61,6 @@ func run() error {
 	driftRuns := flag.Int("drift-runs", 2000, "Monte Carlo runs per drift replay")
 	flightSize := flag.Int("flight-size", 128, "flight recorder ring size (recent request summaries kept for /debug/requests)")
 	slowLatency := flag.Duration("slow-latency", 2*time.Second, "flight recorder full-capture latency threshold (0 disables)")
-	slowCost := flag.Int64("slow-cost", 0, "flight recorder full-capture work-unit cost threshold (0 disables)")
 	registrySize := flag.Int("registry-size", service.DefaultRegistrySize, "parsed netlists kept in the content-addressed registry (LRU)")
 	cacheBytes := flag.Int64("cache-bytes", service.DefaultCacheBytes, "result cache budget in bytes (0 = default, negative disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
@@ -111,7 +110,6 @@ func run() error {
 		DriftRuns:        *driftRuns,
 		FlightSize:       *flightSize,
 		SlowLatency:      *slowLatency,
-		SlowCost:         *slowCost,
 		RegistrySize:     *registrySize,
 		CacheBytes:       *cacheBytes,
 		CacheTTL:         *cacheTTL,

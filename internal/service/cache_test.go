@@ -688,7 +688,7 @@ func BenchmarkAnalyzeHit(b *testing.B) {
 	b.Run("flight", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			svc.recordFlight(rc.summary(http.StatusOK, "", 0), rc.scope, "")
+			svc.recordFlight(rc.summary(http.StatusOK, "", 0, time.Since(rc.t0)), rc.scope, "")
 		}
 	})
 	b.Run("head", func(b *testing.B) {

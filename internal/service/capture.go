@@ -11,6 +11,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -53,21 +54,22 @@ func newCaptureManager(s *Service, cfg Config) *captureManager {
 	return &captureManager{dir: cfg.DebugDir, cpuDur: cpuDur, minInterval: minInterval, svc: s}
 }
 
-// onTransition is the SLO engine's hook. It runs on the sampling
-// goroutine, so everything slow is handed to a capture goroutine; at
-// most one capture runs at a time and captures are rate-limited so a
-// flapping objective cannot fill the disk.
-func (cm *captureManager) onTransition(st timeline.ObjectiveStatus) {
+// onTransition is the SLO engine's hook: it logs the transition to log
+// and, when auto-capture is on (cm non-nil), captures a burning
+// objective. It runs on the sampling goroutine, so everything slow is
+// handed to a capture goroutine; at most one capture runs at a time
+// and captures are rate-limited so a flapping objective cannot fill
+// the disk.
+func (cm *captureManager) onTransition(log *slog.Logger, st timeline.ObjectiveStatus) {
+	if !st.Burning {
+		log.Info("slo recovered", "objective", st.Name, "since", st.Since)
+		return
+	}
+	log.Warn("slo burning", "objective", st.Name, "since", st.Since, "windows", st.Windows)
 	if cm == nil {
 		return
 	}
 	s := cm.svc
-	if st.Burning {
-		s.log.Warn("slo burning", "objective", st.Name, "since", st.Since, "windows", st.Windows)
-	} else {
-		s.log.Info("slo recovered", "objective", st.Name, "since", st.Since)
-		return
-	}
 	cm.mu.Lock()
 	now := time.Now()
 	if cm.running || (!cm.last.IsZero() && now.Sub(cm.last) < cm.minInterval) {
@@ -113,7 +115,7 @@ func (cm *captureManager) capture(st timeline.ObjectiveStatus, now time.Time) er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	meta := captureMeta{Name: name, Objective: st, Burning: s.sloBurning(), Start: now}
+	meta := captureMeta{Name: name, Objective: st, Burning: s.tl.SLO().Burning(), Start: now}
 
 	// CPU profile first: it needs wall time to be useful, and the
 	// violating load is most likely still running right now. Profiling

@@ -1,6 +1,6 @@
 // The flight recorder: a fixed-size ring of recent request summaries
 // plus automatic full captures (span tree and metrics snapshot) for
-// requests that exceed a latency or cost threshold. The ring is the
+// requests that reach a latency threshold. The ring is the
 // first stop when diagnosing "that one slow request five minutes
 // ago": /debug/requests lists the summaries newest-first, and
 // /debug/requests/{id} returns a captured request's span tree (or the
@@ -60,8 +60,8 @@ type RequestSummary struct {
 	SLOBurning []string `json:"slo_burning,omitempty"`
 
 	// Captured marks entries holding a full span tree and metrics
-	// snapshot (the request exceeded the slow-latency or slow-cost
-	// threshold); /debug/requests/{id} serves them.
+	// snapshot (the request reached the slow-latency threshold);
+	// /debug/requests/{id} serves them.
 	Captured bool `json:"captured"`
 }
 
@@ -80,39 +80,30 @@ type flightEntry struct {
 // the same mutex, so a slow /debug reader never blocks requests for
 // longer than the copy.
 type flightRecorder struct {
-	mu       sync.Mutex
-	size     int
-	slowLat  time.Duration
-	slowCost int64
-	ring     []flightEntry
-	next     int
-	total    int64
+	mu      sync.Mutex
+	size    int
+	slowLat time.Duration // 0 disables capture
+	ring    []flightEntry
+	next    int
+	total   int64
 }
 
-func newFlightRecorder(size int, slowLat time.Duration, slowCost int64) *flightRecorder {
+func newFlightRecorder(size int, slowLat time.Duration) *flightRecorder {
 	if size <= 0 {
 		size = 128
 	}
-	return &flightRecorder{size: size, slowLat: slowLat, slowCost: slowCost}
-}
-
-// slow reports whether a request with the given latency and cost
-// crosses a capture threshold. A zero threshold is disabled.
-func (f *flightRecorder) slow(lat time.Duration, cost int64) bool {
-	if f.slowLat > 0 && lat >= f.slowLat {
-		return true
-	}
-	return f.slowCost > 0 && cost >= f.slowCost
+	return &flightRecorder{size: size, slowLat: slowLat}
 }
 
 // record appends one request to the ring, capturing the scope's span
-// tree and metrics snapshot when the request qualifies as slow.
+// tree and metrics snapshot when the request's latency reaches the
+// slow threshold.
 // scope may be nil (rejected requests never built one); stack is a
 // recovered panic's stack or empty. It returns whether the entry was
 // captured.
 func (f *flightRecorder) record(sum RequestSummary, scope *obs.Scope, stack string) bool {
 	e := flightEntry{sum: sum, stack: stack}
-	if scope != nil && f.slow(time.Duration(sum.LatencyNS), sum.CostUnits) {
+	if scope != nil && f.slowLat > 0 && time.Duration(sum.LatencyNS) >= f.slowLat {
 		e.sum.Captured = true
 		e.tracer = scope.T()
 		e.snap = scope.Snapshot()

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,9 +94,9 @@ func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load
 
 // registry is the service-level metrics store.
 type registry struct {
-	requests [numEngineLabels]atomic.Int64
-	errors   [numEngineLabels]atomic.Int64
-	latency  [numEngineLabels]latencyHist
+	// latency[i].count is also engine i's request count.
+	errors  [numEngineLabels]atomic.Int64
+	latency [numEngineLabels]latencyHist
 
 	queueDepth atomic.Int64
 	inflight   atomic.Int64
@@ -133,7 +134,6 @@ func (r *registry) observe(engine string, d time.Duration, failed bool) {
 	if i < 0 {
 		return
 	}
-	r.requests[i].Add(1)
 	if failed {
 		r.errors[i].Add(1)
 	}
@@ -163,7 +163,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 
 	counter("spstad_requests_total", "Requests served, by engine.")
 	for i, l := range engineLabels {
-		fmt.Fprintf(w, "spstad_requests_total{engine=%q} %d\n", l, r.requests[i].Load())
+		fmt.Fprintf(w, "spstad_requests_total{engine=%q} %d\n", l, r.latency[i].count.Load())
 	}
 	counter("spstad_request_errors_total", "Requests that failed, by engine.")
 	for i, l := range engineLabels {
@@ -233,8 +233,12 @@ func (r *registry) writePrometheus(w io.Writer) {
 	gauge("spstad_drift_sigma_deviation", "Absolute arrival-time sigma deviation, SPSTA vs packed Monte Carlo, at the last replayed request's critical endpoint.")
 	fmt.Fprintf(w, "spstad_drift_sigma_deviation %g\n", r.driftSigmaDev.Load())
 
+	// The copy's slices share their backing arrays with r.agg, which
+	// the next merge mutates, so the one slice read below is cloned
+	// under the lock too.
 	r.aggMu.Lock()
 	agg := r.agg
+	agg.Grid.BinsPerLevelHist = slices.Clone(agg.Grid.BinsPerLevelHist)
 	r.aggMu.Unlock()
 
 	counter("spstad_engine_kernel_cache_hits_total", "Delay-kernel cache hits across all requests.")

@@ -77,9 +77,6 @@ type Config struct {
 	// metrics snapshot for /debug/requests/{id}. 0 disables
 	// latency-triggered capture.
 	SlowLatency time.Duration
-	// SlowCost is the capture threshold in work-unit cost (see
-	// DESIGN.md §14); 0 disables cost-triggered capture.
-	SlowCost int64
 	// RegistrySize bounds the netlist registry (parsed circuits kept
 	// for netlist_ref requests and parse-once interning); 0 means
 	// DefaultRegistrySize.
@@ -175,7 +172,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		log:      log,
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
-		flight:   newFlightRecorder(cfg.FlightSize, cfg.SlowLatency, cfg.SlowCost),
+		flight:   newFlightRecorder(cfg.FlightSize, cfg.SlowLatency),
 		sessions: newSessionCache(cfg.SessionCacheSize),
 		stop:     make(chan struct{}),
 	}
@@ -195,15 +192,7 @@ func New(cfg Config) *Service {
 	)
 	eng := timeline.NewSLOEngine(s.tl, defaultObjectives(cfg))
 	s.captures = newCaptureManager(s, cfg)
-	eng.OnTransition = func(st timeline.ObjectiveStatus) {
-		if s.captures != nil {
-			s.captures.onTransition(st)
-		} else if st.Burning {
-			s.log.Warn("slo burning", "objective", st.Name, "since", st.Since, "windows", st.Windows)
-		} else {
-			s.log.Info("slo recovered", "objective", st.Name, "since", st.Since)
-		}
-	}
+	eng.OnTransition = func(st timeline.ObjectiveStatus) { s.captures.onTransition(s.log, st) }
 	s.tl.SetSLO(eng)
 	if cfg.TimelineInterval > 0 {
 		s.tl.Start(cfg.TimelineInterval)
@@ -660,9 +649,12 @@ type reqCtx struct {
 	hits      []*cacheEntry                       // the peek step's full hit
 	traceFile string                              // set when the request writes one
 
-	// cached / netsRecomputed / session feed the flight summary, the
-	// root span and the log line: a fully cache-served request, and a
-	// delta request's recompute footprint and session state.
+	// cost is the cost_units the response reports (run's), which the
+	// root span carries; cached / netsRecomputed / session feed the
+	// flight summary, the root span and the log line: a fully
+	// cache-served request, and a delta request's recompute footprint
+	// and session state.
+	cost           int64
 	cached         bool
 	netsRecomputed int
 	session        string
@@ -683,70 +675,54 @@ type job struct {
 }
 
 // route returns the handler of one analysis route: the request
-// pipeline begin → decode → resolve → cache peek → admit → scope and
-// root span → run → trace file → record → write. Each step has exactly
-// one site, here or in execute; a route supplies only its decode step,
+// pipeline begin → decode → resolve → cache peek → admit → scope → run
+// → encode → finish. Each step has exactly one site, here, in serve,
+// in execute or in finish; a route supplies only its decode step,
 // which returns the job, and the job's run step. label is the RED
 // label of a body that does not decode.
 func (s *Service) route(path, label string, decode func(*http.Request) (*job, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rc := s.begin(w, r, path, label)
-		j, err := decode(r)
-		if err == nil {
-			rc.req, rc.label = j.req, j.label
-			rc.c, rc.digest, err = s.resolveSource(j.req.Circuit, j.req.Bench, j.req.NetlistRef)
-		}
-		if err == nil && j.check != nil {
-			err = j.check(rc.c)
-		}
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		// Peek: a fully stored request never queues behind cold ones. A
-		// traced request always runs (a trace of a cache lookup is
-		// useless); a partial hit reuses its stored engines in run.
-		if len(j.peek) > 0 && !j.req.Trace {
-			keys := make([]string, len(j.peek))
-			for i, engine := range j.peek {
-				keys[i] = cacheKey(rc.digest, j.req, engine)
-			}
-			rc.hits, rc.cached = s.cache.peekAll(keys)
-		}
-		resp, err := s.execute(r, rc, j.run)
-		var body jsonBody
-		if err == nil {
-			body, err = encodeJSON(resp)
-		}
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		actual := rc.scope.M().CostUnits()
-		s.reg.merge(rc.scope.Snapshot())
-		s.reg.cost.observe(actual)
-		s.reg.deltaNets.Add(int64(rc.netsRecomputed))
-		if rc.label != "delta" {
-			s.sample(rc.req)
-		}
-		s.reg.observe(rc.label, time.Since(rc.t0), false)
-		captured := s.recordFlight(rc.summary(http.StatusOK, "", actual), rc.scope, "")
-		args := []any{"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-			"engine", rc.label, "circuit", rc.c.Name, "status", http.StatusOK,
-			"duration_ms", float64(time.Since(rc.t0).Microseconds()) / 1e3,
-			"cost_units", actual, "cached", rc.cached, "captured", captured}
-		if rc.session != "" {
-			args = append(args, "nets_recomputed", rc.netsRecomputed, "session", rc.session)
-		}
-		s.log.Info("request", args...)
-		writeJSON(w, http.StatusOK, body)
+		body, err := s.serve(r, rc, decode)
+		s.finish(w, rc, body, err)
 	}
 }
 
-// execute is the pipeline's admit → scope and root span → run → trace
-// file stretch. A request the peek step served takes no worker slot.
-// Slot release and inflight decrement are deferred, and a panic in run
-// becomes the request's 500 here, so no exit leaks a slot.
+// serve is the pipeline's decode → resolve → cache peek → execute →
+// encode stretch: it returns the response body or the request's error.
+func (s *Service) serve(r *http.Request, rc *reqCtx, decode func(*http.Request) (*job, error)) (jsonBody, error) {
+	j, err := decode(r)
+	if err == nil {
+		rc.req, rc.label = j.req, j.label
+		rc.c, rc.digest, err = s.resolveSource(j.req.Circuit, j.req.Bench, j.req.NetlistRef)
+	}
+	if err == nil && j.check != nil {
+		err = j.check(rc.c)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Peek: a fully stored request never queues behind cold ones. A
+	// traced request always runs (a trace of a cache lookup is
+	// useless); a partial hit reuses its stored engines in run.
+	if len(j.peek) > 0 && !j.req.Trace {
+		keys := make([]string, len(j.peek))
+		for i, engine := range j.peek {
+			keys[i] = cacheKey(rc.digest, j.req, engine)
+		}
+		rc.hits, rc.cached = s.cache.peekAll(keys)
+	}
+	resp, err := s.execute(r, rc, j.run)
+	if err != nil {
+		return nil, err
+	}
+	return encodeJSON(resp)
+}
+
+// execute is the pipeline's admit → scope → run stretch. A request the
+// peek step served takes no worker slot. Slot release and inflight
+// decrement are deferred, and a panic in run becomes the request's 500
+// here, so no exit leaks a slot.
 func (s *Service) execute(r *http.Request, rc *reqCtx, run func(*reqCtx) (any, int64, error)) (resp any, err error) {
 	if !rc.cached {
 		q0 := time.Now()
@@ -765,26 +741,75 @@ func (s *Service) execute(r *http.Request, rc *reqCtx, run func(*reqCtx) (any, i
 		}
 	}()
 	s.newScope(rc)
-	resp, cost, err := run(rc)
+	resp, rc.cost, err = run(rc)
+	return resp, err
+}
+
+// finish is the pipeline's one exit, for every request that began,
+// served or failed. It reads the end time once, and that duration is
+// the root span's, the RED observation's, the flight summary's
+// latency_ns and the log line's duration_ms. Every request that built
+// a scope records its root span here, failed ones included; a decode
+// failure or a load-shed rejection built none. A requested trace file
+// is written after the root span, so it holds the whole tree, and only
+// for a request that succeeded; a failed write fails the request.
+func (s *Service) finish(w http.ResponseWriter, rc *reqCtx, body jsonBody, err error) {
+	d := time.Since(rc.t0)
+	if tr := rc.scope.T(); tr != nil {
+		attrs := map[string]any{"request_id": rc.id, "engine": rc.label, "cost_units": rc.cost, "cached": rc.cached}
+		if rc.session != "" {
+			attrs["nets_recomputed"], attrs["session"] = rc.netsRecomputed, rc.session
+		}
+		if err != nil {
+			attrs["error"] = err.Error()
+		}
+		tr.RecordSpan(rc.scope.Span, 0, "POST "+rc.path, "request", 0, rc.t0, d, attrs)
+		if err == nil && rc.traceFile != "" {
+			err = writeTraceFile(rc.traceFile, tr)
+		}
+	}
+	s.reg.observe(rc.label, d, err != nil)
+	actual := rc.scope.M().CostUnits()
+	args := []any{"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path, "engine", rc.label,
+		"duration_ms", float64(d.Microseconds()) / 1e3}
 	if err != nil {
-		return nil, err
+		status := http.StatusInternalServerError
+		var he *httpError
+		if errors.As(err, &he) {
+			status = he.status
+		}
+		var stack string
+		if pe := (*panicErr)(nil); errors.As(err, &pe) {
+			stack = pe.stack
+		}
+		s.recordFlight(rc.summary(status, err.Error(), actual, d), rc.scope, stack)
+		s.log.Error("request failed", append(args, "status", status, "error", err.Error())...)
+		writeJSON(w, status, map[string]string{"request_id": rc.id, "trace_id": rc.traceID, "error": err.Error()})
+		return
 	}
-	attrs := map[string]any{"request_id": rc.id, "engine": rc.label, "cost_units": cost, "cached": rc.cached}
+	s.reg.merge(rc.scope.Snapshot())
+	s.reg.cost.observe(actual)
+	s.reg.deltaNets.Add(int64(rc.netsRecomputed))
+	if rc.label != "delta" {
+		s.sample(rc.req)
+	}
+	captured := s.recordFlight(rc.summary(http.StatusOK, "", actual, d), rc.scope, "")
+	args = append(args, "circuit", rc.c.Name, "status", http.StatusOK,
+		"cost_units", actual, "cached", rc.cached, "captured", captured)
 	if rc.session != "" {
-		attrs["nets_recomputed"], attrs["session"] = rc.netsRecomputed, rc.session
+		args = append(args, "nets_recomputed", rc.netsRecomputed, "session", rc.session)
 	}
-	tr := rc.scope.Tracer
-	tr.RecordSpan(rc.scope.Span, 0, "POST "+rc.path, "request", 0, rc.t0, time.Since(rc.t0), attrs)
-	if rc.traceFile != "" {
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(rc.traceFile, buf.Bytes(), 0o666); err != nil {
-			return nil, err
-		}
+	s.log.Info("request", args...)
+	writeJSON(w, http.StatusOK, body)
+}
+
+// writeTraceFile writes the tracer's Chrome trace_event JSON to path.
+func writeTraceFile(path string, tr *obs.Tracer) error {
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		return err
 	}
-	return resp, nil
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // begin starts a request context: a fresh request ID, and a trace ID
@@ -824,13 +849,13 @@ func (s *Service) newScope(rc *reqCtx) {
 }
 
 // summary assembles the flight-recorder record of the request in its
-// current state.
-func (rc *reqCtx) summary(status int, errMsg string, cost int64) RequestSummary {
+// current state; d is its latency (see finish).
+func (rc *reqCtx) summary(status int, errMsg string, cost int64, d time.Duration) RequestSummary {
 	sum := RequestSummary{
 		ID: rc.id, TraceID: rc.traceID, Path: rc.path, Engine: rc.label,
 		Status: status, Error: errMsg,
 		Rejected: status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable,
-		Start:    rc.t0, LatencyNS: time.Since(rc.t0).Nanoseconds(), QueueNS: rc.queueNS,
+		Start:    rc.t0, LatencyNS: d.Nanoseconds(), QueueNS: rc.queueNS,
 		CostUnits: cost,
 		Cached:    rc.cached, Delta: rc.label == "delta", NetsRecomputed: rc.netsRecomputed,
 	}
@@ -898,16 +923,17 @@ func (s *Service) runAnalyze(rc *reqCtx) (any, int64, error) {
 		Scenario:      rc.req.Scenario,
 		TraceFile:     rc.traceFile,
 	}
-	rc.cached = true
+	cached := true
 	for _, engine := range rc.req.engineList() {
 		er, err := s.cachedEngine(rc, engine)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", engine, err)
 		}
-		rc.cached = rc.cached && er.Cached
+		cached = cached && er.Cached
 		resp.Engines = append(resp.Engines, er)
 		resp.CostUnits += er.CostUnits
 	}
+	rc.cached = cached
 	if rc.hits != nil {
 		if body, ok := s.hitBody(resp, rc.hits); ok {
 			return body, resp.CostUnits, nil
@@ -1005,18 +1031,15 @@ type NetlistUploadResponse struct {
 func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
 	rc := s.begin(w, r, "/v1/netlists", "")
 	var req NetlistUploadRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, rc, err)
-		return
+	err := decodeJSON(r, &req)
+	if err == nil && (req.Circuit == "") == (req.Bench == "") {
+		err = errBadRequest("exactly one of circuit or bench must be set")
 	}
-	if (req.Circuit == "") == (req.Bench == "") {
-		s.fail(w, rc, errBadRequest("exactly one of circuit or bench must be set"))
-		return
+	if err == nil {
+		rc.c, rc.digest, err = s.resolveSource(req.Circuit, req.Bench, "")
 	}
-	var err error
-	rc.c, rc.digest, err = s.resolveSource(req.Circuit, req.Bench, "")
 	if err != nil {
-		s.fail(w, rc, err)
+		s.finish(w, rc, nil, err)
 		return
 	}
 	s.log.Info("netlist registered",
@@ -1028,24 +1051,26 @@ func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
 // runEngineSpanned wraps one engine run in an engine span parented
 // under the request root and attributes the engine's work-unit cost
 // delta (engines run serially within a request, so the delta is
-// exactly this engine's cost).
-func (s *Service) runEngineSpanned(rc *reqCtx, engine string) (EngineResult, error) {
+// exactly this engine's cost). The span is recorded on the way out,
+// a panic included, and its duration is the result's elapsed_ns.
+func (s *Service) runEngineSpanned(rc *reqCtx, engine string) (er EngineResult, err error) {
 	tr, m := rc.scope.Tracer, rc.scope.Metrics
 	eid := tr.NewSpan()
 	e0 := time.Now()
 	cost0 := m.CostUnits()
-	er, err := runEngine(engine, rc.c, rc.inputs(), rc.req, rc.scope.WithSpan(eid))
-	er.CostUnits = m.CostUnits() - cost0
-	tr.RecordSpan(eid, rc.scope.SpanID(), "engine "+engine, "engine", 0, e0, time.Since(e0),
-		map[string]any{"cost_units": er.CostUnits})
-	return er, err
+	defer func() {
+		d := time.Since(e0)
+		er.ElapsedNS, er.CostUnits = d.Nanoseconds(), m.CostUnits()-cost0
+		tr.RecordSpan(eid, rc.scope.SpanID(), "engine "+engine, "engine", 0, e0, d,
+			map[string]any{"cost_units": er.CostUnits})
+	}()
+	return runEngine(engine, rc.c, rc.inputs(), rc.req, rc.scope.WithSpan(eid))
 }
 
 // runEngine runs one engine and formats its endpoint statistics.
 func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, req *Request, scope *obs.Scope) (EngineResult, error) {
 	er := EngineResult{Engine: engine}
 	eps := c.Endpoints()
-	t0 := time.Now()
 	switch engine {
 	case "spsta":
 		a := core.Analyzer{
@@ -1097,7 +1122,6 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	default:
 		return er, errBadRequest("unknown engine %q", engine)
 	}
-	er.ElapsedNS = time.Since(t0).Nanoseconds()
 	return er, nil
 }
 
@@ -1189,33 +1213,6 @@ func (s *Service) sample(req *Request) {
 	s.mu.Lock()
 	s.sampled = &cp
 	s.mu.Unlock()
-}
-
-// fail writes an error response, records it in the RED series under
-// the request's label, and leaves a flight-recorder summary — load-shed
-// requests (429/503) included, with their rejection state and zero
-// cost, so shed traffic stays diagnosable from /debug/requests. A
-// recovered panic's stack goes into the flight entry too.
-func (s *Service) fail(w http.ResponseWriter, rc *reqCtx, err error) {
-	status := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
-		status = he.status
-	}
-	s.reg.observe(rc.label, time.Since(rc.t0), true)
-	var cost int64
-	if m := rc.scope.M(); m != nil {
-		cost = m.CostUnits()
-	}
-	var stack string
-	if pe := (*panicErr)(nil); errors.As(err, &pe) {
-		stack = pe.stack
-	}
-	s.recordFlight(rc.summary(status, err.Error(), cost), rc.scope, stack)
-	s.log.Error("request failed",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path, "engine", rc.label,
-		"status", status, "error", err.Error())
-	writeJSON(w, status, map[string]string{"request_id": rc.id, "trace_id": rc.traceID, "error": err.Error()})
 }
 
 // handleFlightList serves the flight recorder's ring, newest first.
@@ -1311,8 +1308,8 @@ func encodeJSON(v any) (jsonBody, error) {
 // its Content-Length. It encodes before it writes the status, so a
 // value that does not encode, such as a NaN float, is answered 500
 // with the error instead of the status and an empty body. The request
-// pipeline encodes before it records a request, so there the failure
-// takes the pipeline's error path instead.
+// pipeline encodes before finish, so there the failure is the
+// request's error instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := encodeJSON(v)
 	if err != nil {

@@ -188,7 +188,7 @@ func TestConcurrentRequestsIsolated(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if got := svc.reg.requests[engineIndex("spsta")].Load(); got != int64(len(circuits)) {
+	if got := svc.reg.latency[engineIndex("spsta")].count.Load(); got != int64(len(circuits)) {
 		t.Errorf("spsta requests counted = %d, want %d", got, len(circuits))
 	}
 	if got := svc.reg.errors[engineIndex("spsta")].Load(); got != 0 {
@@ -222,7 +222,7 @@ func TestCompareEndpoint(t *testing.T) {
 	if r.MaxMuDev < 0 || r.MaxMuDev > float64(r.Circuit.Depth) {
 		t.Errorf("max mean deviation %v out of [0, depth=%d]", r.MaxMuDev, r.Circuit.Depth)
 	}
-	if got := svc.reg.requests[engineIndex("compare")].Load(); got != 1 {
+	if got := svc.reg.latency[engineIndex("compare")].count.Load(); got != 1 {
 		t.Errorf("compare requests counted = %d, want 1", got)
 	}
 }
@@ -400,7 +400,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	for _, label := range []string{"spsta", "compare"} {
 		i := engineIndex(label)
-		if got, errs := svc.reg.requests[i].Load(), svc.reg.errors[i].Load(); got != int64(len(bodies)) || errs != got {
+		if got, errs := svc.reg.latency[i].count.Load(), svc.reg.errors[i].Load(); got != int64(len(bodies)) || errs != got {
 			t.Errorf("%s: %d requests, %d errors counted; want %d of each", label, got, errs, len(bodies))
 		}
 	}

@@ -64,11 +64,11 @@ func (s *Service) registryCollector(b *timeline.Batch) {
 	var totalBuckets [len(latencyBounds) + 1]int64
 	var buckets [len(latencyBounds) + 1]int64
 	for i, l := range engineLabels {
-		req := r.requests[i].Load()
+		h := &r.latency[i]
+		req := h.count.Load()
 		errs := r.errors[i].Load()
 		totalReq += req
 		totalErr += errs
-		h := &r.latency[i]
 		for bkt := range buckets {
 			c := h.buckets[bkt].Load()
 			buckets[bkt] = c
@@ -196,20 +196,11 @@ func defaultObjectives(cfg Config) []timeline.Objective {
 	return objs
 }
 
-// sloBurning snapshots the currently-burning objective names (nil when
-// the timeline is disabled or everything is healthy).
-func (s *Service) sloBurning() []string {
-	if s.tl == nil {
-		return nil
-	}
-	return s.tl.SLO().Burning()
-}
-
 // recordFlight stamps the flight summary with the burning objectives
 // and hands it to the recorder, so every /debug/requests entry shows
 // which SLOs were on fire while it ran.
 func (s *Service) recordFlight(sum RequestSummary, scope *obs.Scope, stack string) bool {
-	sum.SLOBurning = s.sloBurning()
+	sum.SLOBurning = s.tl.SLO().Burning()
 	return s.flight.record(sum, scope, stack)
 }
 
@@ -225,10 +216,6 @@ type TimelineResponse struct {
 // ?series=a,b ?window=5m ?points=200 (all optional; default every
 // series over the last 15 minutes).
 func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	if s.tl == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "timeline disabled (start with -timeline-interval > 0)"})
-		return
-	}
 	q := r.URL.Query()
 	window := 15 * time.Minute
 	if ws := q.Get("window"); ws != "" {
@@ -290,10 +277,6 @@ type SLOResponse struct {
 // percentiles (?window=, default 5m) for the total and per-engine
 // request histograms.
 func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.tl == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "timeline disabled (start with -timeline-interval > 0)"})
-		return
-	}
 	window := 5 * time.Minute
 	if ws := r.URL.Query().Get("window"); ws != "" {
 		d, err := time.ParseDuration(ws)
@@ -306,7 +289,7 @@ func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	resp := &SLOResponse{
 		Now:        now,
-		Burning:    s.sloBurning(),
+		Burning:    s.tl.SLO().Burning(),
 		Objectives: s.tl.SLO().Status(),
 	}
 	if resp.Burning == nil {
@@ -335,9 +318,6 @@ func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
 // writeSLOMetrics appends the spstad_slo_* and spstad_timeline_*
 // series to the Prometheus exposition.
 func (s *Service) writeSLOMetrics(w io.Writer) {
-	if s.tl == nil {
-		return
-	}
 	fmt.Fprintf(w, "# HELP spstad_timeline_samples_total Timeline sampler ticks taken.\n# TYPE spstad_timeline_samples_total counter\n")
 	fmt.Fprintf(w, "spstad_timeline_samples_total %d\n", s.tl.Samples())
 	status := s.tl.SLO().Status()
