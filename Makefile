@@ -101,7 +101,8 @@ soak:
 # scope of the request that makes it, never the one that built the
 # session. The service's request-clock and /metrics-scrape tests run
 # at both counts too: the one exit that records a request, and
-# scrapes reading the engine aggregate while requests merge into it.
+# scrapes reading the engine aggregate while requests merge into it,
+# and the drift monitor's ticker loop, which must stop with Close.
 # Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
@@ -112,7 +113,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit' ./internal/core ./internal/incr
-	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape' ./internal/service
+	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...

@@ -28,6 +28,14 @@
 //
 // Logs are JSON lines on stderr (log/slog); every request carries a
 // request ID. SIGINT/SIGTERM drain in-flight requests before exit.
+//
+// Flags size the worker pool, the netlist registry, the result and
+// session caches and the flight recorder, and set the drift-monitor
+// and timeline periods. The SLO table is fixed (DESIGN.md §17.2):
+// flags set only the latency threshold, the rejection budget and the
+// two burn windows, while the 0.99 targets and the burn thresholds
+// (2 fast, 1 slow) are constants. README "Operating spstad" names
+// every flag.
 package main
 
 import (
@@ -63,20 +71,12 @@ func run() error {
 	slowLatency := flag.Duration("slow-latency", 2*time.Second, "flight recorder full-capture latency threshold (0 disables)")
 	registrySize := flag.Int("registry-size", service.DefaultRegistrySize, "parsed netlists kept in the content-addressed registry (LRU)")
 	cacheBytes := flag.Int64("cache-bytes", service.DefaultCacheBytes, "result cache budget in bytes (0 = default, negative disables)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
 	sessionCache := flag.Int("session-cache", service.DefaultSessionCacheSize, "warm incremental /v1/delta sessions kept (LRU)")
 	timelineInterval := flag.Duration("timeline-interval", time.Second, "metrics timeline sampling period (0 disables the sampler)")
-	timelineCapacity := flag.Int("timeline-capacity", 0, "timeline samples kept per series (0 = 2048, ~34min at 1s)")
-	sloAvailability := flag.Float64("slo-availability", 0.99, "availability SLO: good-request fraction target")
 	sloLatencyThreshold := flag.Float64("slo-latency-threshold", 0.5, "latency SLO: per-request threshold in seconds")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "latency SLO: fraction of requests that must finish under the threshold")
 	sloRejectionBudget := flag.Float64("slo-rejection-budget", 0.01, "rejection SLO: tolerable rejected-request fraction")
-	sloCacheFloor := flag.Float64("slo-cache-floor", 0, "cache SLO: minimum result-cache hit rate (0 disables)")
-	sloDriftBound := flag.Float64("slo-drift-bound", 0, "drift SLO: bound on the mean-deviation gauge (0 disables)")
-	sloFastWindow := flag.Duration("slo-fast-window", time.Minute, "burn-rate fast window")
+	sloFastWindow := flag.Duration("slo-fast-window", time.Minute, "burn-rate fast window (objectives fire at burn 2 here and 1 over the slow window)")
 	sloSlowWindow := flag.Duration("slo-slow-window", 5*time.Minute, "burn-rate slow window")
-	sloFastBurn := flag.Float64("slo-fast-burn", 2, "burn-rate threshold for the fast window")
-	sloSlowBurn := flag.Float64("slo-slow-burn", 1, "burn-rate threshold for the slow window")
 	debugDir := flag.String("debug-dir", "", "directory for SLO auto-capture bundles (empty disables auto-capture)")
 	captureCPU := flag.Duration("capture-cpu", 2*time.Second, "CPU-profile duration per capture bundle")
 	captureMinInterval := flag.Duration("capture-min-interval", time.Minute, "minimum time between capture bundles")
@@ -112,21 +112,13 @@ func run() error {
 		SlowLatency:      *slowLatency,
 		RegistrySize:     *registrySize,
 		CacheBytes:       *cacheBytes,
-		CacheTTL:         *cacheTTL,
 		SessionCacheSize: *sessionCache,
 
 		TimelineInterval:    *timelineInterval,
-		TimelineCapacity:    *timelineCapacity,
-		SLOAvailability:     *sloAvailability,
 		SLOLatencyThreshold: *sloLatencyThreshold,
-		SLOLatencyTarget:    *sloLatencyTarget,
 		SLORejectionBudget:  *sloRejectionBudget,
-		SLOCacheHitFloor:    *sloCacheFloor,
-		SLODriftBound:       *sloDriftBound,
 		SLOFastWindow:       *sloFastWindow,
 		SLOSlowWindow:       *sloSlowWindow,
-		SLOFastBurn:         *sloFastBurn,
-		SLOSlowBurn:         *sloSlowBurn,
 		DebugDir:            *debugDir,
 		CaptureCPU:          *captureCPU,
 		CaptureMinInterval:  *captureMinInterval,

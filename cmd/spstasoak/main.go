@@ -10,6 +10,10 @@
 // SLO windows so violations surface within seconds rather than the
 // production 5-minute slow window; -addr points it at an externally
 // started daemon instead (whose own SLO configuration then applies).
+// The spawned daemon's latency and rejection objectives take their
+// limits from -p99-limit and -rejection-budget; the server-side
+// latency target (0.99) and burn thresholds (2 fast, 1 slow) are the
+// daemon's fixed values.
 //
 // A violation leaves evidence: the daemon's auto-capture writes a
 // diagnostic bundle (CPU+heap profiles, flight ring, the offending
@@ -101,7 +105,6 @@ func run() (int, error) {
 
 			TimelineInterval:    *timelineInterval,
 			SLOLatencyThreshold: p99Limit.Seconds(),
-			SLOLatencyTarget:    0.99,
 			SLORejectionBudget:  *rejBudget,
 			SLOFastWindow:       *fastWindow,
 			SLOSlowWindow:       *slowWindow,

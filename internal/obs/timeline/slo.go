@@ -29,16 +29,15 @@ type ObjectiveKind string
 const (
 	// KindRatio divides a bad-event counter by a total counter:
 	// burn = (bad/total) / (1 - Target). Availability ("999 of 1000
-	// requests succeed"), rejection rate and cache hit floors are all
-	// ratios.
+	// requests succeed") and rejection rate are ratios.
 	KindRatio ObjectiveKind = "ratio"
 	// KindLatency derives the bad fraction from a histogram series:
 	// an observation is bad when it exceeds Threshold (interpolated
 	// within its bucket), and burn = badFrac / (1 - Target). "99% of
 	// requests complete within 250ms" is a latency objective.
 	KindLatency ObjectiveKind = "latency"
-	// KindGauge bounds a gauge: burn = windowAverage / Bound. The
-	// accuracy-drift monitor's deviation gauges use this.
+	// KindGauge bounds a gauge: burn = windowAverage / Bound, for
+	// gauges such as the accuracy-drift monitor's deviation.
 	KindGauge ObjectiveKind = "gauge"
 )
 

@@ -265,13 +265,6 @@ func (st *Store) Samples() int64 {
 	return st.samples
 }
 
-// Names returns every series name in registration order.
-func (st *Store) Names() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return append([]string(nil), st.order...)
-}
-
 // Point is one emitted query point. T is unix milliseconds. Scalar
 // kinds fill V (and Rate for counters, per second); histogram points
 // summarize the step between emitted points: Count observations,

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // DefaultCacheBytes is the result cache's default capacity.
@@ -90,10 +89,9 @@ type flightCall struct {
 // a request that got the entry from the cache reads it without the
 // lock.
 type cacheEntry struct {
-	key     string
-	er      EngineResult
-	bytes   int64     // resultBytes(&er), plus len(body) once encoded; guarded by resultCache.mu
-	expires time.Time // zero: no TTL
+	key   string
+	er    EngineResult
+	bytes int64 // resultBytes(&er), plus len(body) once encoded; guarded by resultCache.mu
 
 	// encode fills body, on the entry's first full /v1/analyze hit.
 	encode sync.Once
@@ -111,7 +109,6 @@ type cacheEntry struct {
 type resultCache struct {
 	reg      *registry
 	maxBytes int64
-	ttl      time.Duration
 
 	mu       sync.Mutex
 	lru      *list.List // *cacheEntry, front = most recently used
@@ -120,34 +117,29 @@ type resultCache struct {
 	inflight map[string]*flightCall
 }
 
-func newResultCache(maxBytes int64, ttl time.Duration, reg *registry) *resultCache {
+func newResultCache(maxBytes int64, reg *registry) *resultCache {
 	if maxBytes == 0 {
 		maxBytes = DefaultCacheBytes
 	}
 	return &resultCache{
 		reg:      reg,
 		maxBytes: maxBytes,
-		ttl:      ttl,
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*flightCall),
 	}
 }
 
-// lookupLocked returns the live entry for key, expiring it lazily.
+// lookupLocked returns the stored entry for key and marks it most
+// recently used. Entries never go stale: a key names a deterministic
+// computation, so only the byte bound removes them.
 func (rc *resultCache) lookupLocked(key string) (*cacheEntry, bool) {
 	el, ok := rc.entries[key]
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && time.Now().After(e.expires) {
-		rc.removeLocked(el)
-		rc.reg.cacheEvictions.Add(1)
-		return nil, false
-	}
 	rc.lru.MoveToFront(el)
-	return e, true
+	return el.Value.(*cacheEntry), true
 }
 
 func (rc *resultCache) removeLocked(el *list.Element) {
@@ -275,9 +267,6 @@ func (rc *resultCache) storeLocked(key string, er EngineResult) {
 		rc.removeLocked(el)
 	}
 	e := &cacheEntry{key: key, er: er, bytes: resultBytes(&er)}
-	if rc.ttl > 0 {
-		e.expires = time.Now().Add(rc.ttl)
-	}
 	rc.entries[key] = rc.lru.PushFront(e)
 	rc.bytes += e.bytes
 	rc.evictLocked(nil)

@@ -255,10 +255,10 @@ func TestSingleFlightDedup(t *testing.T) {
 }
 
 // TestResultCacheEviction drives the LRU over its byte budget and
-// checks the accounting, plus TTL expiry.
+// checks the accounting.
 func TestResultCacheEviction(t *testing.T) {
 	var reg registry
-	rc := newResultCache(600, 0, &reg)
+	rc := newResultCache(600, &reg)
 	er := EngineResult{Engine: "spsta", Endpoints: []EndpointStat{{Net: "some-endpoint-net"}}}
 	for i := 0; i < 10; i++ {
 		rc.store(fmt.Sprintf("key-%d", i), er)
@@ -276,13 +276,6 @@ func TestResultCacheEviction(t *testing.T) {
 	if got := reg.cacheBytes.Load(); got != bytes {
 		t.Fatalf("cacheBytes gauge %d != accounted %d", got, bytes)
 	}
-
-	ttl := newResultCache(1<<20, time.Nanosecond, &reg)
-	ttl.store("k", er)
-	time.Sleep(time.Millisecond)
-	if _, src, _ := ttl.getOrCompute("k", func() (EngineResult, error) { return er, nil }); src != cacheComputed {
-		t.Fatalf("expired entry served as %v", src)
-	}
 }
 
 // TestResultCachePanicDoesNotWedgeKey makes a flight leader's compute
@@ -293,7 +286,7 @@ func TestResultCacheEviction(t *testing.T) {
 // flight.
 func TestResultCachePanicDoesNotWedgeKey(t *testing.T) {
 	var reg registry
-	rc := newResultCache(1<<20, 0, &reg)
+	rc := newResultCache(1<<20, &reg)
 	started := make(chan struct{})
 	joined := make(chan struct{})
 	leaderErr := make(chan error, 1)
@@ -388,7 +381,7 @@ func TestResultCacheBoundCountsStoredBytes(t *testing.T) {
 	}
 
 	var reg registry
-	rc := newResultCache(2*(size+stored), 0, &reg)
+	rc := newResultCache(2*(size+stored), &reg)
 	for _, k := range []string{"k0", "k1", "k2"} {
 		rc.store(k, er)
 	}
@@ -408,7 +401,7 @@ func TestResultCacheBoundCountsStoredBytes(t *testing.T) {
 	check(rc, &reg, 2, 2*(size+stored), 1)
 
 	var reg2 registry
-	small := newResultCache(size+stored-1, 0, &reg2)
+	small := newResultCache(size+stored-1, &reg2)
 	small.store("k0", er)
 	small.store("k1", er)
 	hit(small, "k0")
@@ -565,7 +558,7 @@ func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
 	}
 
 	var reg registry
-	rc := newResultCache(1<<20, 0, &reg)
+	rc := newResultCache(1<<20, &reg)
 	rc.store("k", EngineResult{Engine: "spsta", Endpoints: []EndpointStat{{Net: "G1"}}})
 	es, _ := rc.peekAll([]string{"k"})
 	got := make([][]byte, n)

@@ -151,9 +151,6 @@ func (cm *captureManager) capture(st timeline.ObjectiveStatus, now time.Time) er
 	// The offending timeline window: the longest objective window,
 	// ending now, at full sample resolution up to 2048 points.
 	window := s.tl.SLO().MaxWindow()
-	if window <= 0 {
-		window = 5 * time.Minute
-	}
 	meta.WindowMS = window.Milliseconds()
 	series := s.tl.Query(nil, now.Add(-window), now, 2048)
 	if writeJSONFile(filepath.Join(dir, "timeline.json"), &TimelineResponse{

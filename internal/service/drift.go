@@ -28,31 +28,27 @@ func (s *Service) driftLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			s.RunDriftCheckLogged()
+			// Each replay runs under a synthetic request identity (a
+			// drift- request ID and a fresh trace ID), so drift log
+			// lines correlate the same way client requests do.
+			did, tid := newDriftID(), obs.NewTraceID()
+			if err := s.runDriftCheck(did, tid); err != nil {
+				s.log.Error("drift check failed",
+					"request_id", did, "trace_id", tid, "error", err.Error())
+			}
 		}
 	}
 }
 
-// RunDriftCheckLogged runs one drift replay under a synthetic request
-// identity (a drift- request ID and a fresh trace ID), so drift log
-// lines correlate the same way client requests do.
-func (s *Service) RunDriftCheckLogged() {
-	did := "drift-" + newRequestID()[len("req-"):]
-	tid := obs.NewTraceID()
-	if err := s.runDriftCheck(did, tid); err != nil {
-		s.log.Error("drift check failed",
-			"request_id", did, "trace_id", tid, "error", err.Error())
-	}
-}
+func newDriftID() string { return "drift-" + newRequestID()[len("req-"):] }
 
 // RunDriftCheck performs one drift replay synchronously: it re-runs
 // the most recent sampled request's circuit through the SPSTA
 // analyzer and the packed Monte Carlo engine and updates the
 // deviation gauges. A no-op when no request has been sampled yet.
-// The ticker loop calls this (via RunDriftCheckLogged); tests may
-// call it directly.
+// The ticker loop runs the same replay; tests may call it directly.
 func (s *Service) RunDriftCheck() error {
-	return s.runDriftCheck("drift-"+newRequestID()[len("req-"):], obs.NewTraceID())
+	return s.runDriftCheck(newDriftID(), obs.NewTraceID())
 }
 
 func (s *Service) runDriftCheck(did, tid string) error {

@@ -213,7 +213,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "spstad_cache_hits_total %d\n", r.cacheHits.Load())
 	counter("spstad_cache_misses_total", "Engine runs the result cache could not serve.")
 	fmt.Fprintf(w, "spstad_cache_misses_total %d\n", r.cacheMisses.Load())
-	counter("spstad_cache_evictions_total", "Results evicted from the result cache (size or TTL).")
+	counter("spstad_cache_evictions_total", "Results evicted from the result cache by its byte bound.")
 	fmt.Fprintf(w, "spstad_cache_evictions_total %d\n", r.cacheEvictions.Load())
 	gauge("spstad_cache_bytes", "Estimated bytes held by the result cache.")
 	fmt.Fprintf(w, "spstad_cache_bytes %d\n", r.cacheBytes.Load())

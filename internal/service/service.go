@@ -85,9 +85,6 @@ type Config struct {
 	// DefaultCacheBytes, negative disables storage (single-flight
 	// dedup of concurrent identical requests stays on).
 	CacheBytes int64
-	// CacheTTL expires cached results after the given age; 0 keeps
-	// them until evicted by size.
-	CacheTTL time.Duration
 	// SessionCacheSize bounds the cached /v1/delta incremental
 	// sessions; 0 means DefaultSessionCacheSize.
 	SessionCacheSize int
@@ -97,29 +94,15 @@ type Config struct {
 	// store still exists and tests may drive Sample directly through
 	// Timeline).
 	TimelineInterval time.Duration
-	// TimelineCapacity bounds each timeline series' ring (samples
-	// kept); 0 means timeline.DefaultCapacity.
-	TimelineCapacity int
-	// SLO knobs consumed by defaultObjectives (zero values pick the
-	// documented defaults). Availability and LatencyTarget are
-	// good-event fractions; LatencyThreshold is seconds;
-	// RejectionBudget is the tolerable rejected fraction;
-	// CacheHitFloor (0 disables) is the minimum cache hit rate;
-	// DriftBound (0 disables) bounds the drift monitor's mean
-	// deviation gauge.
-	SLOAvailability     float64
+	// SLOLatencyThreshold (seconds, default 0.5) and
+	// SLORejectionBudget (the tolerable rejected fraction, default
+	// 0.01) parameterize two of defaultObjectives' fixed objectives.
 	SLOLatencyThreshold float64
-	SLOLatencyTarget    float64
 	SLORejectionBudget  float64
-	SLOCacheHitFloor    float64
-	SLODriftBound       float64
-	// SLOFastWindow/SLOSlowWindow and their burn thresholds
-	// parameterize the two-window burn-rate rule (defaults 1m/5m at
-	// burn 2/1).
+	// SLOFastWindow/SLOSlowWindow are the two burn-rate windows every
+	// objective evaluates (defaults 1m/5m, at burn thresholds 2/1).
 	SLOFastWindow time.Duration
 	SLOSlowWindow time.Duration
-	SLOFastBurn   float64
-	SLOSlowBurn   float64
 
 	// DebugDir, when non-empty, enables SLO auto-capture: an objective
 	// transitioning to burning snapshots a diagnostic bundle (CPU and
@@ -176,7 +159,7 @@ func New(cfg Config) *Service {
 		sessions: newSessionCache(cfg.SessionCacheSize),
 		stop:     make(chan struct{}),
 	}
-	s.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, &s.reg)
+	s.cache = newResultCache(cfg.CacheBytes, &s.reg)
 	// Evicting a netlist invalidates the delta sessions built on it:
 	// they hold the evicted *Circuit, and serving from them after the
 	// registry forgot the digest would let "stateless" delta requests
@@ -186,10 +169,7 @@ func New(cfg Config) *Service {
 	// The timeline store always exists (its endpoints and SLO state are
 	// part of the service surface); only the sampler goroutine is
 	// optional. Tests drive Sample directly through Timeline().
-	s.tl = timeline.NewStore(
-		timeline.Config{Capacity: cfg.TimelineCapacity},
-		s.registryCollector, runtimeCollector,
-	)
+	s.tl = timeline.NewStore(timeline.Config{}, s.registryCollector, runtimeCollector)
 	eng := timeline.NewSLOEngine(s.tl, defaultObjectives(cfg))
 	s.captures = newCaptureManager(s, cfg)
 	eng.OnTransition = func(st timeline.ObjectiveStatus) { s.captures.onTransition(s.log, st) }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/logic"
 	"repro/internal/montecarlo"
@@ -532,6 +533,43 @@ func TestDriftMonitor(t *testing.T) {
 	// fraction of a gate delay of simulation; a huge deviation means
 	// the replay compared the wrong statistics.
 	sampleValue(t, samples, "spstad_drift_mean_deviation")
+}
+
+// TestDriftLoopTicksAndStops runs the background drift monitor itself
+// rather than calling RunDriftCheck: with a sampled request its ticker
+// must replay it, and once Close returns the loop must be gone, so
+// spstad_drift_samples_total stops moving.
+func TestDriftLoopTicksAndStops(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	svc := New(Config{MaxConcurrent: 2, DriftInterval: interval, DriftRuns: 200})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+
+	resp, body := post(t, srv.URL+"/v1/analyze", `{"circuit":"s208"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status = %d: %s", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.reg.driftSamples.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("drift loop took no sample within 30s")
+		}
+		time.Sleep(interval)
+	}
+
+	svc.Close()
+	stopped := svc.reg.driftSamples.Load()
+	time.Sleep(10 * interval)
+	if got := svc.reg.driftSamples.Load(); got != stopped {
+		t.Errorf("drift samples moved after Close: %d -> %d", stopped, got)
+	}
+	var buf bytes.Buffer
+	svc.reg.writePrometheus(&buf)
+	samples := checkPrometheus(t, buf.String())
+	if got := sampleValue(t, samples, "spstad_drift_samples_total"); got != strconv.FormatInt(stopped, 10) {
+		t.Errorf("spstad_drift_samples_total = %s, want %d", got, stopped)
+	}
 }
 
 // TestTraceFile checks per-request trace emission on the analyze and

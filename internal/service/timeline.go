@@ -50,8 +50,6 @@ const (
 	objAvailability = "availability"
 	objLatency      = "latency-p99"
 	objRejection    = "rejection-rate"
-	objCacheFloor   = "cache-hit-floor"
-	objDrift        = "accuracy-drift"
 )
 
 // registryCollector scrapes the service registry's atomics into one
@@ -121,10 +119,13 @@ func runtimeCollector(b *timeline.Batch) {
 	b.Counter(seriesGCPause, float64(ms.PauseTotalNs)/1e9)
 }
 
-// defaultObjectives builds the service's SLO set from Config. Every
-// objective uses the classic two-window burn-rate rule: the slow
-// window proves the problem is sustained, the fast window proves it is
-// still happening and clears the alert promptly.
+// defaultObjectives is the service's fixed SLO set: 99% of requests
+// succeed, 99% finish under SLOLatencyThreshold, and at most
+// SLORejectionBudget are rejected. Every objective uses the classic
+// two-window burn-rate rule at burn 2 over the fast window and 1 over
+// the slow one: the slow window proves the problem is sustained, the
+// fast window proves it is still happening and clears the alert
+// promptly.
 func defaultObjectives(cfg Config) []timeline.Objective {
 	fast := cfg.SLOFastWindow
 	if fast <= 0 {
@@ -134,25 +135,9 @@ func defaultObjectives(cfg Config) []timeline.Objective {
 	if slow <= 0 {
 		slow = 5 * time.Minute
 	}
-	fastBurn := cfg.SLOFastBurn
-	if fastBurn <= 0 {
-		fastBurn = 2
-	}
-	slowBurn := cfg.SLOSlowBurn
-	if slowBurn <= 0 {
-		slowBurn = 1
-	}
 	windows := []timeline.BurnWindow{
-		{Window: fast, Threshold: fastBurn},
-		{Window: slow, Threshold: slowBurn},
-	}
-	avail := cfg.SLOAvailability
-	if avail <= 0 {
-		avail = 0.99
-	}
-	latTarget := cfg.SLOLatencyTarget
-	if latTarget <= 0 {
-		latTarget = 0.99
+		{Window: fast, Threshold: 2},
+		{Window: slow, Threshold: 1},
 	}
 	latThresh := cfg.SLOLatencyThreshold
 	if latThresh <= 0 {
@@ -162,16 +147,16 @@ func defaultObjectives(cfg Config) []timeline.Objective {
 	if rejBudget <= 0 {
 		rejBudget = 0.01
 	}
-	objs := []timeline.Objective{
+	return []timeline.Objective{
 		{
 			Name: objAvailability, Kind: timeline.KindRatio,
 			Bad: seriesReqTotalErrors, Total: seriesReqTotalCount,
-			Target: avail, Windows: windows,
+			Target: 0.99, Windows: windows,
 		},
 		{
 			Name: objLatency, Kind: timeline.KindLatency,
 			Hist: seriesReqTotalLatency, Threshold: latThresh,
-			Target: latTarget, Windows: windows,
+			Target: 0.99, Windows: windows,
 		},
 		{
 			Name: objRejection, Kind: timeline.KindRatio,
@@ -179,21 +164,6 @@ func defaultObjectives(cfg Config) []timeline.Objective {
 			Target: 1 - rejBudget, Windows: windows,
 		},
 	}
-	if cfg.SLOCacheHitFloor > 0 {
-		objs = append(objs, timeline.Objective{
-			Name: objCacheFloor, Kind: timeline.KindRatio,
-			Bad: seriesCacheMisses, Total: seriesCacheLookups,
-			Target: cfg.SLOCacheHitFloor, Windows: windows,
-		})
-	}
-	if cfg.SLODriftBound > 0 {
-		objs = append(objs, timeline.Objective{
-			Name: objDrift, Kind: timeline.KindGauge,
-			Series: seriesDriftMeanDev, Bound: cfg.SLODriftBound,
-			Windows: windows,
-		})
-	}
-	return objs
 }
 
 // recordFlight stamps the flight summary with the burning objectives

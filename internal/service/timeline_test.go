@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/timeline"
 )
 
 // sampleNow drives one timeline tick by hand; tests never start the
@@ -102,6 +104,65 @@ func TestTimelineEndpoints(t *testing.T) {
 	}
 	if total.P99 < total.P50 || total.P50 <= 0 {
 		t.Errorf("interpolated percentiles out of order: p50 %g p99 %g", total.P50, total.P99)
+	}
+}
+
+// TestDefaultObjectivesTable pins /debug/slo's objective table to the
+// fixed set: the three objectives, their kinds, series, targets and
+// thresholds, and the burn windows at thresholds 2 and 1, under the
+// Config spstad builds from its flag defaults (1m/5m windows) and the
+// one cmd/spstasoak builds (5s/20s).
+func TestDefaultObjectivesTable(t *testing.T) {
+	budget := 0.01
+	for _, tc := range []struct {
+		name       string
+		fast, slow time.Duration
+	}{
+		{"spstad", time.Minute, 5 * time.Minute},
+		{"spstasoak", 5 * time.Second, 20 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{
+				SLOLatencyThreshold: 0.5,
+				SLORejectionBudget:  budget,
+				SLOFastWindow:       tc.fast,
+				SLOSlowWindow:       tc.slow,
+			})
+			defer svc.Close()
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+
+			windows := []timeline.BurnWindow{
+				{Window: tc.fast, Threshold: 2},
+				{Window: tc.slow, Threshold: 1},
+			}
+			want := []timeline.Objective{
+				{
+					Name: "availability", Kind: timeline.KindRatio,
+					Bad: "req.total.errors", Total: "req.total.count",
+					Target: 0.99, Windows: windows,
+				},
+				{
+					Name: "latency-p99", Kind: timeline.KindLatency,
+					Hist: "req.total.latency", Threshold: 0.5,
+					Target: 0.99, Windows: windows,
+				},
+				{
+					Name: "rejection-rate", Kind: timeline.KindRatio,
+					Bad: "pool.rejected", Total: "req.total.count",
+					Target: 1 - budget, Windows: windows,
+				},
+			}
+			var slo SLOResponse
+			getJSON(t, srv.URL+"/debug/slo", &slo)
+			var got []timeline.Objective
+			for _, st := range slo.Objectives {
+				got = append(got, st.Objective)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("/debug/slo objectives\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
