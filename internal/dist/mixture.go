@@ -263,80 +263,43 @@ func SubsetMixture(m *obs.Metrics, g Grid, in []SwitchInput, max bool) *PMF {
 	return out
 }
 
-// SizedMixture evaluates the WEIGHTED SUM with a per-subset-size
+// SizedMixturePruned evaluates the WEIGHTED SUM with a per-subset-size
 // gate delay: each switching subset's combined arrival pdf is
 // delayed by delay(|S|) before accumulation. This models the
 // multiple-input switching effect (the paper's reference [2]): a
 // gate whose inputs switch together is faster/slower than the
 // single-switching characterization. O(2^k) like SubsetMixture, and
 // charged to m the same way, delays included.
-func SizedMixture(m *obs.Metrics, g Grid, in []SwitchInput, max bool, delay func(size int) Normal) *PMF {
-	out := NewPMF(g)
-	leaves := int64(0)
-	var rec func(i, size int, weight float64, acc *PMF)
-	rec = func(i, size int, weight float64, acc *PMF) {
-		if weight == 0 {
-			return
-		}
-		if i == len(in) {
-			leaves++
-			if acc == nil {
-				return
-			}
-			out.AccumWeighted(delayed(m, acc, delay(size)), weight)
-			return
-		}
-		s := in[i]
-		rec(i+1, size, weight*s.Stay, acc)
-		mass := s.TOP.Mass()
-		if mass == 0 {
-			return
-		}
-		cond := s.TOP.Clone()
-		cond.Scale(1 / mass)
-		next := cond
-		if acc != nil {
-			next = combine(m, acc, cond, max)
-		}
-		rec(i+1, size+1, weight*mass, next)
-	}
-	rec(0, 0, 1, nil)
-	if m != nil {
-		m.SubsetLeaves.Add(len(in), leaves)
-		m.CostLeafOps.Add(leaves)
-	}
-	return out
-}
-
-// SizedMixturePruned is SizedMixture with ε-bounded subset
-// branch-and-bound: inputs are ordered by ascending switching mass
-// (so low-probability switch branches sit near the enumeration root),
-// and any subtree whose exact remaining occurrence weight —
-// weight · Π_{j≥i}(Stay_j + mass_j), maintained as a suffix product —
-// fits in the remaining budget is cut whole, its weight spent from
-// the budget. The second return value is the total occurrence weight
-// cut; the caller folds it back into its four-value probability
-// accounting so probabilities still sum to 1. eps <= 0 falls through
-// to the exact SizedMixture (bit-identical, no reordering).
+//
+// eps > 0 adds ε-bounded subset branch-and-bound: inputs are ordered
+// by ascending switching mass (so low-probability switch branches sit
+// near the enumeration root), and any subtree whose exact remaining
+// occurrence weight — weight · Π_{j≥i}(Stay_j + mass_j), maintained
+// as a suffix product — fits in the remaining budget is cut whole,
+// its weight spent from the budget. The second return value is the
+// total occurrence weight cut; the caller folds it back into its
+// four-value probability accounting so probabilities still sum to 1.
+// eps <= 0 enumerates every subset in input order and cuts nothing.
 func SizedMixturePruned(m *obs.Metrics, g Grid, in []SwitchInput, max bool, delay func(size int) Normal, eps float64) (*PMF, float64) {
-	if eps <= 0 {
-		return SizedMixture(m, g, in, max, delay), 0
-	}
-	idx := make([]int, len(in))
-	masses := make([]float64, len(in))
-	for i := range in {
-		idx[i] = i
-		masses[i] = in[i].TOP.Mass()
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return masses[idx[a]] < masses[idx[b]] })
-	ord := make([]SwitchInput, len(in))
+	ord := in
 	// suffix[i] is the exact total occurrence weight of the subtree
-	// rooted at input i per unit of incoming weight.
-	suffix := make([]float64, len(ord)+1)
-	suffix[len(ord)] = 1
-	for i := len(ord) - 1; i >= 0; i-- {
-		ord[i] = in[idx[i]]
-		suffix[i] = (ord[i].Stay + masses[idx[i]]) * suffix[i+1]
+	// rooted at input i per unit of incoming weight (eps > 0 only).
+	var suffix []float64
+	if eps > 0 {
+		idx := make([]int, len(in))
+		masses := make([]float64, len(in))
+		for i := range in {
+			idx[i] = i
+			masses[i] = in[i].TOP.Mass()
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return masses[idx[a]] < masses[idx[b]] })
+		ord = make([]SwitchInput, len(in))
+		suffix = make([]float64, len(ord)+1)
+		suffix[len(ord)] = 1
+		for i := len(ord) - 1; i >= 0; i-- {
+			ord[i] = in[idx[i]]
+			suffix[i] = (ord[i].Stay + masses[idx[i]]) * suffix[i+1]
+		}
 	}
 	out := NewPMF(g)
 	budget, pruned := eps, 0.0
@@ -346,15 +309,6 @@ func SizedMixturePruned(m *obs.Metrics, g Grid, in []SwitchInput, max bool, dela
 		if weight == 0 {
 			return
 		}
-		if i < len(ord) {
-			if sub := weight * suffix[i]; sub <= budget {
-				budget -= sub
-				pruned += sub
-				cuts++
-				cutLeaves += int64(1) << uint(len(ord)-i)
-				return
-			}
-		}
 		if i == len(ord) {
 			leaves++
 			if acc == nil {
@@ -362,6 +316,15 @@ func SizedMixturePruned(m *obs.Metrics, g Grid, in []SwitchInput, max bool, dela
 			}
 			out.AccumWeighted(delayed(m, acc, delay(size)), weight)
 			return
+		}
+		if suffix != nil {
+			if sub := weight * suffix[i]; sub <= budget {
+				budget -= sub
+				pruned += sub
+				cuts++
+				cutLeaves += int64(1) << uint(len(ord)-i)
+				return
+			}
 		}
 		s := ord[i]
 		rec(i+1, size, weight*s.Stay, acc)
@@ -381,9 +344,11 @@ func SizedMixturePruned(m *obs.Metrics, g Grid, in []SwitchInput, max bool, dela
 	if m != nil {
 		m.SubsetLeaves.Add(len(in), leaves)
 		m.CostLeafOps.Add(leaves)
-		m.PrunedSubtrees.Add(cuts)
-		m.PrunedLeaves.Add(len(in), cutLeaves)
-		m.PrunedMassFP.Add(obs.MassFP(pruned))
+		if eps > 0 {
+			m.PrunedSubtrees.Add(cuts)
+			m.PrunedLeaves.Add(len(in), cutLeaves)
+			m.PrunedMassFP.Add(obs.MassFP(pruned))
+		}
 	}
 	return out, pruned
 }
