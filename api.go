@@ -54,16 +54,15 @@ type (
 	// CoarsenMode selects the discretized analyzer's depth-adaptive
 	// grid-coarsening policy (off by default).
 	CoarsenMode = core.CoarsenMode
-	// CoarsenPolicy configures depth-adaptive grid coarsening: the
-	// mode plus the optional re-binning factor and auto threshold.
+	// CoarsenPolicy configures depth-adaptive grid coarsening: its
+	// one field is the mode.
 	CoarsenPolicy = core.CoarsenPolicy
 )
 
 // Grid-coarsening modes of the discretized analyzer.
 const (
-	CoarsenOff   = core.CoarsenOff
-	CoarsenFixed = core.CoarsenFixed
-	CoarsenAuto  = core.CoarsenAuto
+	CoarsenOff  = core.CoarsenOff
+	CoarsenAuto = core.CoarsenAuto
 )
 
 // Four-value logic constants.
@@ -188,10 +187,11 @@ type SPSTAOptions struct {
 	// .DeviationBounds). Zero is the exact engine.
 	ErrorBudget float64
 	// Coarsen configures depth-adaptive grid coarsening (DESIGN.md
-	// §15): at level boundaries the stored t.o.p. functions are
-	// re-binned onto a 2×/4×-coarser grid, with the re-binning
-	// deviation folded into the per-net certificates. The zero value
-	// keeps one grid.
+	// §15): under CoarsenAuto, at every level boundary where the
+	// finished level's widest t.o.p. support exceeds 96 bins, the
+	// stored t.o.p. functions are re-binned onto a 2×-coarser grid,
+	// with the re-binning deviation folded into the per-net
+	// certificates. The zero value (CoarsenOff) keeps one grid.
 	Coarsen CoarsenPolicy
 	// ExactProbabilities applies the Section 3.5 higher-order
 	// correlation correction: four-value probabilities and t.o.p.

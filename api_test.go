@@ -258,7 +258,7 @@ func TestFacadeSPSTAOptions(t *testing.T) {
 	scope := NewEngineScope()
 	opt := SPSTAOptions{
 		Grid: grid, Delay: delay, Workers: 2, ErrorBudget: 1e-4,
-		Coarsen:            CoarsenPolicy{Mode: CoarsenFixed},
+		Coarsen:            CoarsenPolicy{Mode: CoarsenAuto},
 		ExactProbabilities: true, MIS: mis, Obs: scope,
 	}
 	got, err := AnalyzeSPSTA(c, in, opt)
@@ -267,7 +267,7 @@ func TestFacadeSPSTAOptions(t *testing.T) {
 	}
 	want, err := (&core.Analyzer{
 		Grid: grid, Delay: delay, Workers: 1, ErrorBudget: 1e-4,
-		Coarsen:            CoarsenPolicy{Mode: CoarsenFixed},
+		Coarsen:            CoarsenPolicy{Mode: CoarsenAuto},
 		ExactProbabilities: true, MIS: mis,
 	}).Run(c, in)
 	if err != nil {

@@ -72,7 +72,7 @@ type Row struct {
 	// benchmarks variational N(1, σ²) delays, which exercise the
 	// per-gate convolution path where tail truncation shrinks kernels.
 	Sigma float64 `json:"sigma,omitempty"`
-	// Coarsen ("off", "fixed" or "auto") records the depth-adaptive
+	// Coarsen ("off" or "auto") records the depth-adaptive
 	// grid-coarsening policy of an SPSTA cell (DESIGN.md §15).
 	Coarsen string `json:"coarsen,omitempty"`
 	// GridBins is the bin count of the cell's final (possibly
@@ -136,7 +136,7 @@ func run() error {
 	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta; moment cells run one worker)")
 	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
 	sigmaList := flag.String("sigma", "0", "comma-separated gate-delay sigmas to sweep (-engine spsta/moment); 0 is deterministic unit delay, >0 selects variational N(1, sigma^2) delays")
-	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, fixed, auto (DESIGN.md §15)")
+	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, auto (DESIGN.md §15)")
 	circuitsList := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
 	runs := flag.Int("runs", 10000, "Monte Carlo runs per op (-engine mc)")
 	minTime := flag.Duration("mintime", 200*time.Millisecond, "minimum total measurement time per (circuit, variant) cell")

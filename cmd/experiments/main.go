@@ -37,7 +37,7 @@ func run() error {
 	workers := flag.Int("workers", 0, "worker goroutines for the SPSTA level-parallel schedule (0 = GOMAXPROCS) and the Monte Carlo shard count (0 = one shard, so output does not depend on the host); SPSTA results are identical for any worker count")
 	circuits := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
 	epsilon := flag.Float64("epsilon", 0, "SPSTA per-net adaptive-pruning error budget (0 = exact); reported probabilities deviate from exact by at most the consumed budget")
-	coarsen := flag.String("coarsen", "off", "SPSTA depth-adaptive grid coarsening: off, fixed or auto (re-binning deviation is folded into the consumed budget; DESIGN.md \u00a715)")
+	coarsen := flag.String("coarsen", "off", "SPSTA depth-adaptive grid coarsening: off or auto (re-bin 2x whenever a level's widest support exceeds 96 bins; the re-binning deviation is folded into the consumed budget; DESIGN.md \u00a715)")
 	metricsOut := flag.String("metrics", "", "write an aggregated engine-metrics snapshot of every run as JSON to this file (- for stdout)")
 	flag.Parse()
 

@@ -57,8 +57,7 @@ func run() error {
 	split := flag.Int("split", 0, "decompose gates wider than this fanin into trees (0 disables)")
 	sigma := flag.Float64("sigma", 0, "gate delay sigma: >0 selects variational N(1, sigma^2) gate delays (exercising the convolution SUM path) instead of deterministic unit delays")
 	epsilon := flag.Float64("epsilon", 0, "per-net error budget for adaptive pruning in the spsta and spsta-moments engines (0 = exact; results deviate from the exact run by at most the consumed budget reported per net)")
-	coarsen := flag.String("coarsen", "off", "depth-adaptive grid coarsening in the spsta engine: off, fixed (re-bin 2x once at the first level boundary) or auto (re-bin whenever supports outgrow the threshold); the re-binning deviation is folded into the per-net consumed budget (DESIGN.md §15)")
-	coarsenFactor := flag.Int("coarsen-factor", 0, "re-binning factor for -coarsen fixed/auto: 2 or 4 (0 = default 2)")
+	coarsen := flag.String("coarsen", "off", "depth-adaptive grid coarsening in the spsta engine: off, or auto (re-bin 2x at every level boundary where a finished level's widest support exceeds 96 bins); the re-binning deviation is folded into the per-net consumed budget (DESIGN.md §15)")
 	costFlag := flag.Bool("cost", false, "report per-engine deterministic work-unit cost (DESIGN.md §14) in the -analyzer all footer (enables the metrics scope)")
 	metricsOut := flag.String("metrics", "", "append a JSON engine-metrics snapshot to the run report: - for stdout, or a file path")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the level schedule to this file (open in chrome://tracing or Perfetto)")
@@ -129,10 +128,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pol := core.CoarsenPolicy{Mode: cmode, Factor: *coarsenFactor}
-	if err := pol.Validate(); err != nil {
-		return err
-	}
+	pol := core.CoarsenPolicy{Mode: cmode}
 	dispatch := func() error {
 		switch *analyzer {
 		case "spsta":

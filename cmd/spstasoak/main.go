@@ -91,6 +91,13 @@ func run() (int, error) {
 			if err != nil {
 				return 2, err
 			}
+			// Runs after the daemon's Close below: a temp dir that
+			// holds no capture bundle goes; one that does stays.
+			defer func() {
+				if os.Remove(dir) != nil {
+					fmt.Printf("debug bundles kept in %s\n", dir)
+				}
+			}()
 		} else if err := os.MkdirAll(dir, 0o755); err != nil {
 			return 2, err
 		}

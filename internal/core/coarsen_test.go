@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/logic"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/ssta"
 	"repro/internal/synth"
@@ -117,12 +119,12 @@ func TestCoarsenZeroEpsCertified(t *testing.T) {
 	}
 	in := uniform(c)
 	exact := run(t, c, in)
-	res, err := (&Analyzer{Workers: 1, Coarsen: CoarsenPolicy{Mode: CoarsenFixed, Factor: 4}}).Run(c, in)
+	res, err := (&Analyzer{Workers: 1, Coarsen: autoPolicy()}).Run(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Grid.N >= exact.Grid.N {
-		t.Fatalf("fixed ×4 policy did not coarsen: %d -> %d bins", exact.Grid.N, res.Grid.N)
+		t.Fatalf("auto policy did not coarsen: %d -> %d bins", exact.Grid.N, res.Grid.N)
 	}
 	if res.MaxConsumedBudget() <= 0 {
 		t.Fatal("re-binning consumed no budget")
@@ -231,21 +233,55 @@ func TestCoarsenPolicyValidation(t *testing.T) {
 	}
 	in := uniform(c)
 	for _, pol := range []CoarsenPolicy{
-		{Mode: CoarsenAuto, Factor: 3},
-		{Mode: CoarsenFixed, Factor: -2},
 		{Mode: CoarsenMode(42)},
-		{Mode: CoarsenAuto, Threshold: -1},
+		{Mode: CoarsenMode(-1)},
 	} {
 		if _, err := (&Analyzer{Coarsen: pol}).Run(c, in); err == nil {
 			t.Fatalf("policy %+v accepted", pol)
 		}
 	}
-	for _, s := range []string{"off", "", "fixed", "auto"} {
-		if _, err := ParseCoarsenMode(s); err != nil {
-			t.Fatalf("ParseCoarsenMode(%q): %v", s, err)
+	for s, want := range map[string]CoarsenMode{"off": CoarsenOff, "": CoarsenOff, "auto": CoarsenAuto} {
+		if got, err := ParseCoarsenMode(s); err != nil || got != want {
+			t.Fatalf("ParseCoarsenMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if s != "" && want.String() != s {
+			t.Fatalf("%v.String() = %q, want %q", want, want.String(), s)
 		}
 	}
-	if _, err := ParseCoarsenMode("bogus"); err == nil {
-		t.Fatal("ParseCoarsenMode accepted bogus")
+	for _, s := range []string{"bogus", "fixed"} {
+		if _, err := ParseCoarsenMode(s); err == nil {
+			t.Fatalf("ParseCoarsenMode accepted %q", s)
+		}
+	}
+}
+
+// TestWideKernelsTakeTheFFT pins which convolution path serves wide
+// delay kernels. At σ=1.0 a delay kernel spans ~266 bins on the
+// default grid, past the direct/FFT crossover, so an s1196 run with
+// coarsening off (spstad's default) must charge FFT convolutions;
+// under auto the re-binned grid keeps every operand below the
+// crossover, and the run charges none.
+func TestWideKernelsTakeTheFFT(t *testing.T) {
+	p, _ := synth.ProfileByName("s1196")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := uniform(c)
+	delay := func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 1} }
+	for _, tc := range []struct {
+		mode CoarsenMode
+		fft  bool
+	}{{CoarsenOff, true}, {CoarsenAuto, false}} {
+		scope := obs.NewScope()
+		a := Analyzer{Workers: 1, Delay: delay, Coarsen: CoarsenPolicy{Mode: tc.mode}, Obs: scope}
+		if _, err := a.Run(c, in); err != nil {
+			t.Fatal(err)
+		}
+		conv := scope.M().Snapshot().Convolution
+		if got := conv.FFT > 0; got != tc.fft {
+			t.Errorf("coarsen=%v: %d FFT and %d direct convolutions, want FFT > 0 to be %v",
+				tc.mode, conv.FFT, conv.Direct, tc.fft)
+		}
 	}
 }

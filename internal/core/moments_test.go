@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -170,10 +172,17 @@ func TestMomentTimingANDGateClosedForm(t *testing.T) {
 }
 
 func TestMomentTimingFaninCap(t *testing.T) {
-	src := "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\ny = AND(a, b, c)\n"
-	c := parse(t, src, "and3")
-	mt := MomentTiming{MaxFanin: 2}
-	if _, err := mt.Run(c, uniform(c)); err == nil {
-		t.Error("fanin over cap accepted")
+	// One input over DefaultMaxMomentFanin (16).
+	var src strings.Builder
+	var ins []string
+	for i := 0; i <= DefaultMaxMomentFanin; i++ {
+		fmt.Fprintf(&src, "INPUT(i%d)\n", i)
+		ins = append(ins, fmt.Sprintf("i%d", i))
+	}
+	fmt.Fprintf(&src, "OUTPUT(y)\ny = AND(%s)\n", strings.Join(ins, ", "))
+	c := parse(t, src.String(), "and17")
+	var mt MomentTiming
+	if _, err := mt.Run(c, uniform(c)); err == nil || !strings.Contains(err.Error(), "moment cap") {
+		t.Errorf("fanin over cap: err = %v, want the moment cap", err)
 	}
 }

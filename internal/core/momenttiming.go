@@ -27,9 +27,6 @@ const DefaultMaxMomentFanin = 16
 type MomentTiming struct {
 	// Delay is the gate delay model (default ssta.UnitDelay).
 	Delay ssta.DelayModel
-	// MaxFanin caps the subset enumeration (default
-	// DefaultMaxMomentFanin).
-	MaxFanin int
 	// ErrorBudget is the per-net ε for adaptive pruning (DESIGN.md
 	// §11): the subset enumerations order fanins by switching
 	// probability and cut whole subtrees whose exact remaining
@@ -78,10 +75,6 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 	if delay == nil {
 		delay = ssta.UnitDelay
 	}
-	maxFanin := a.MaxFanin
-	if maxFanin == 0 {
-		maxFanin = DefaultMaxMomentFanin
-	}
 	res := &MomentResult{C: c, State: make([]MomentState, len(c.Nodes)), Span: momentSpan(c, inputs)}
 	defaultStats := logic.UniformStats()
 	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
@@ -106,7 +99,7 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 			st.Arr[ssta.DirRise] = arr
 			st.Arr[ssta.DirFall] = arr
 		default:
-			if err := momentGate(res, n, delay, maxFanin, a.ErrorBudget, a.Obs.M()); err != nil {
+			if err := momentGate(res, n, delay, a.ErrorBudget, a.Obs.M()); err != nil {
 				return err
 			}
 			if a.ErrorBudget > 0 {
@@ -157,7 +150,7 @@ func sqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, maxFanin int, eps float64, m *obs.Metrics) error {
+func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps float64, m *obs.Metrics) error {
 	st := &res.State[n.ID]
 	d := delay(n)
 	shift := func(x dist.Normal) dist.Normal {
@@ -181,8 +174,8 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, maxFa
 		return nil
 
 	case n.Type.Monotone():
-		if len(n.Fanin) > maxFanin {
-			return fmt.Errorf("core: %s: fanin %d exceeds moment cap %d", n.Name, len(n.Fanin), maxFanin)
+		if len(n.Fanin) > DefaultMaxMomentFanin {
+			return fmt.Errorf("core: %s: fanin %d exceeds moment cap %d", n.Name, len(n.Fanin), DefaultMaxMomentFanin)
 		}
 		ctrl, _ := n.Type.Controlling()
 		ncVal := logic.Zero

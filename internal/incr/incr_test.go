@@ -243,7 +243,6 @@ func TestSPSTARejectsExactProbabilities(t *testing.T) {
 	in := experiments.Inputs(c, experiments.ScenarioI)
 	for name, a := range map[string]core.Analyzer{
 		"exact probabilities": {ExactProbabilities: true},
-		"fixed coarsening":    {Coarsen: core.CoarsenPolicy{Mode: core.CoarsenFixed}},
 		"auto coarsening":     {Coarsen: core.CoarsenPolicy{Mode: core.CoarsenAuto}},
 	} {
 		if _, err := NewSPSTA(a, c, in); err == nil {

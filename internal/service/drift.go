@@ -12,7 +12,6 @@ package service
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -44,8 +43,8 @@ func newDriftID() string { return "drift-" + newRequestID()[len("req-"):] }
 
 // RunDriftCheck performs one drift replay synchronously: it re-runs
 // the most recent sampled request's circuit through the SPSTA
-// analyzer and the packed Monte Carlo engine and updates the
-// deviation gauges. A no-op when no request has been sampled yet.
+// analyzer the request was served with (its coarsening included) and
+// the packed Monte Carlo engine and updates the deviation gauges. A no-op when no request has been sampled yet.
 // The ticker loop runs the same replay; tests may call it directly.
 func (s *Service) RunDriftCheck() error {
 	return s.runDriftCheck(newDriftID(), obs.NewTraceID())
@@ -63,7 +62,7 @@ func (s *Service) runDriftCheck(did, tid string) error {
 		return err
 	}
 	in := scenarioInputs(c, req.Scenario)
-	a := core.Analyzer{Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon}
+	a := req.spstaAnalyzer(nil)
 	sp, err := a.Run(c, in)
 	if err != nil {
 		return err

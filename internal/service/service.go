@@ -269,9 +269,14 @@ type Request struct {
 	Runs int   `json:"runs,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
 	// Coarsen selects the spsta engine's depth-adaptive grid-coarsening
-	// policy: "off" (default), "fixed" or "auto" (DESIGN.md §15). The
-	// re-binning deviation is certified through max_budget.
+	// policy (DESIGN.md §15): "off" (default) keeps one grid; "auto"
+	// re-bins 2× at every level boundary where the finished level's
+	// widest t.o.p. support exceeds 96 bins. Any other spelling is a
+	// 400. The re-binning deviation is certified through max_budget.
 	Coarsen string `json:"coarsen,omitempty"`
+	// coarsen is Coarsen parsed by decode (the zero value, off, for a
+	// Request that did not come through it).
+	coarsen core.CoarsenMode
 	// Trace requests a per-request trace file (requires the service
 	// to be configured with a TraceDir).
 	Trace bool `json:"trace,omitempty"`
@@ -494,14 +499,12 @@ func decode(r *http.Request) (*Request, error) {
 	default:
 		return nil, errBadRequest("unknown engine %q (want spsta, moment, mc, or all)", req.Engine)
 	}
-	switch req.Coarsen {
-	case "":
-		req.Coarsen = "off"
-	case "off", "fixed", "auto":
-	default:
-		return nil, errBadRequest("unknown coarsen mode %q (want off, fixed or auto)", req.Coarsen)
+	mode, err := core.ParseCoarsenMode(req.Coarsen)
+	if err != nil {
+		return nil, errBadRequest("%v", err)
 	}
-	if req.Coarsen != "off" && req.Engine != "spsta" && req.Engine != "all" {
+	req.coarsen, req.Coarsen = mode, mode.String()
+	if mode != core.CoarsenOff && req.Engine != "spsta" && req.Engine != "all" {
 		return nil, errBadRequest("coarsen applies only to the spsta engine (engine %q)", req.Engine)
 	}
 	if req.Workers < 0 || req.Workers > maxRequestWorkers {
@@ -584,11 +587,14 @@ func scenarioInputs(c *netlist.Circuit, scenario string) map[netlist.NodeID]logi
 	return experiments.Inputs(c, scen)
 }
 
-func (req *Request) coarsenPolicy() core.CoarsenPolicy {
-	// decode has already validated the spelling; ParseCoarsenMode only
-	// translates it.
-	mode, _ := core.ParseCoarsenMode(req.Coarsen)
-	return core.CoarsenPolicy{Mode: mode}
+// spstaAnalyzer is the spsta engine's analyzer for the request's
+// knobs, recording into scope; the served run and the drift replay
+// both build it here.
+func (req *Request) spstaAnalyzer(scope *obs.Scope) core.Analyzer {
+	return core.Analyzer{
+		Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon,
+		Coarsen: core.CoarsenPolicy{Mode: req.coarsen}, Obs: scope,
+	}
 }
 
 func (req *Request) delay() ssta.DelayModel { return delayModel(req.Sigma) }
@@ -1053,10 +1059,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 	eps := c.Endpoints()
 	switch engine {
 	case "spsta":
-		a := core.Analyzer{
-			Workers: req.Workers, Delay: req.delay(), ErrorBudget: req.Epsilon,
-			Coarsen: req.coarsenPolicy(), Obs: scope,
-		}
+		a := req.spstaAnalyzer(scope)
 		res, err := a.Run(c, in)
 		if err != nil {
 			return er, err

@@ -10,16 +10,19 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
 	"repro/internal/ssta"
+	"repro/internal/synth"
 )
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -452,9 +455,10 @@ func TestRequestKnobs(t *testing.T) {
 }
 
 // TestCoarsenRequestKnob exercises the coarsen request field end to
-// end: fixed and auto analyzes succeed (auto on the deepest circuit so
-// it actually fires), the invalid spellings and engine combinations
-// 400, and the re-binning counters show up in /metrics afterwards.
+// end: auto analyzes succeed (on the deepest circuit so it actually
+// fires), the invalid spellings and engine combinations 400 — an
+// unknown spelling with a message naming both modes — and the
+// re-binning counters show up in /metrics afterwards.
 func TestCoarsenRequestKnob(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()
@@ -463,7 +467,6 @@ func TestCoarsenRequestKnob(t *testing.T) {
 
 	for _, body := range []string{
 		`{"circuit":"s1196","coarsen":"auto","epsilon":0.0001}`,
-		`{"circuit":"s208","coarsen":"fixed"}`,
 		`{"circuit":"s208","engine":"all","runs":200,"coarsen":"auto"}`,
 	} {
 		resp, b := post(t, srv.URL+"/v1/analyze", body)
@@ -473,12 +476,19 @@ func TestCoarsenRequestKnob(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"circuit":"s208","coarsen":"maybe"}`,
+		`{"circuit":"s208","coarsen":"fixed"}`,
 		`{"circuit":"s208","engine":"mc","coarsen":"auto"}`,
-		`{"circuit":"s208","engine":"moment","coarsen":"fixed"}`,
+		`{"circuit":"s208","engine":"moment","coarsen":"auto"}`,
 	} {
 		resp, b := post(t, srv.URL+"/v1/analyze", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, b)
+		}
+		if strings.Contains(body, "coarsen\":\"auto") {
+			continue
+		}
+		if !strings.Contains(string(b), `want off or auto`) {
+			t.Errorf("body %s: error %s does not name off and auto", body, b)
 		}
 	}
 
@@ -533,6 +543,58 @@ func TestDriftMonitor(t *testing.T) {
 	// fraction of a gate delay of simulation; a huge deviation means
 	// the replay compared the wrong statistics.
 	sampleValue(t, samples, "spstad_drift_mean_deviation")
+}
+
+// TestDriftReplaysServedCoarsening: the drift replay runs the SPSTA
+// analyzer the sampled request was served with. For a coarsen auto
+// request the mean-deviation gauge must equal the deviation of an
+// auto analyzer from the same Monte Carlo run, bit for bit.
+func TestDriftReplaysServedCoarsening(t *testing.T) {
+	const driftRuns = 2000
+	svc := New(Config{MaxConcurrent: 2, DriftRuns: driftRuns})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	resp, body := post(t, srv.URL+"/v1/analyze",
+		`{"circuit":"s1196","sigma":0.2,"epsilon":0.0001,"coarsen":"auto"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status = %d: %s", resp.StatusCode, body)
+	}
+	if err := svc.RunDriftCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, _ := synth.ProfileByName("s1196")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := scenarioInputs(c, "I")
+	a := core.Analyzer{Workers: 1, Delay: delayModel(0.2), ErrorBudget: 1e-4,
+		Coarsen: core.CoarsenPolicy{Mode: core.CoarsenAuto}}
+	sp, err := a.Run(c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := c.CriticalEndpoint()
+	mc, err := montecarlo.Simulate(c, in, montecarlo.Config{
+		Runs: driftRuns, Seed: 1, Workers: runtime.GOMAXPROCS(0),
+		Delay: delayModel(0.2), MomentNets: []netlist.NodeID{ep},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, dir := range []ssta.Dir{ssta.DirRise, ssta.DirFall} {
+		am, _, _ := sp.Arrival(ep, dir)
+		if m := mc.Arrival(ep, dir); m.N() > 0 {
+			want = max(want, math.Abs(am-m.Mean()))
+		}
+	}
+	if got := svc.reg.driftMeanDev.Load(); got != want {
+		t.Errorf("spstad_drift_mean_deviation = %v, want %v (the auto analyzer's)", got, want)
+	}
 }
 
 // TestDriftLoopTicksAndStops runs the background drift monitor itself

@@ -14,68 +14,131 @@ import (
 	"testing"
 )
 
-// The operator-surface guards keep spstad's knobs paying for their
-// place, in the spirit of TestInternalPackagesHaveAnImporter: a
-// service.Config field nothing but the daemon's flag wiring sets has
-// never run under a test, and a flag the README never names is a knob
-// no operator can find. Either gets exercised and documented, or
-// deleted.
+// The surface guards keep the engine's and spstad's knobs paying for
+// their place, in the spirit of TestInternalPackagesHaveAnImporter: a
+// configuration field nothing sets has never run, and a flag the
+// README never names is a knob no operator can find. Either gets
+// exercised and documented, or deleted.
 
 const spstadMain = "cmd/spstad/main.go"
 
-// TestServiceConfigFieldsAreSet checks that every service.Config field
-// is a key in some Config composite literal outside cmd/spstad's flag
-// wiring. Tests, cmd/spstasoak and spstabench (whose module nests
-// under this one) count.
-func TestServiceConfigFieldsAreSet(t *testing.T) {
-	fields := configFields(t)
-	if len(fields) == 0 {
-		t.Fatal("no service.Config fields found; run from the module root")
+// surfaceTypes are the configuration structs whose every field some
+// caller must set. A field counts as set by a key in a composite
+// literal of the type, or by an x.F = assignment in a file that
+// imports the type's package (matched by field name: the walker reads
+// syntax, not types). spstabench, whose module nests under this one,
+// counts like any other caller.
+var surfaceTypes = []struct {
+	pkg, typ, file string
+	// counts reports whether a file's settings count.
+	counts func(path string) bool
+	// unset names the fields that may stay unset, with the reason.
+	unset map[string]string
+}{
+	{
+		// Tests, cmd/spstasoak and spstabench count; spstad's own flag
+		// wiring does not.
+		pkg: "repro/internal/service", typ: "Config", file: "internal/service/service.go",
+		counts: func(path string) bool { return path != spstadMain },
+	},
+	{
+		pkg: "repro/internal/core", typ: "Analyzer", file: "internal/core/analyzer.go",
+		counts: outsideCore,
+		unset: map[string]string{
+			"MaxParityFanin": "the fault-injection seam of TestParityFaninCap, " +
+				"TestParallelErrorDeterministic and incr's update-error restore case",
+		},
+	},
+	{
+		pkg: "repro/internal/core", typ: "CoarsenPolicy", file: "internal/core/coarsen.go",
+		counts: outsideCore,
+	},
+	{
+		pkg: "repro/internal/core", typ: "MomentTiming", file: "internal/core/momenttiming.go",
+		counts: outsideCore,
+	},
+}
+
+// outsideCore accepts non-test files outside internal/core: the
+// engine's own package and its tests do not pay for a knob.
+func outsideCore(path string) bool {
+	return !strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "internal/core/")
+}
+
+// TestSurfaceFieldsAreSet checks that every field of each
+// surfaceTypes entry is set by a file whose settings count, apart
+// from the entry's named exceptions.
+func TestSurfaceFieldsAreSet(t *testing.T) {
+	set := make([]map[string]bool, len(surfaceTypes))
+	for i := range set {
+		set[i] = map[string]bool{}
 	}
-	set := map[string]bool{}
 	walkGo(t, func(path string, f *ast.File) {
-		if path == spstadMain {
-			return
-		}
-		local := ""
-		if filepath.ToSlash(filepath.Dir(path)) == "internal/service" {
-			local = "." // the package's own files name the type bare
-		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/service" {
-				local = "service"
-				if imp.Name != nil {
-					local = imp.Name.Name
+		for i, st := range surfaceTypes {
+			if !st.counts(path) {
+				continue
+			}
+			local := ""
+			if filepath.ToSlash(filepath.Dir(path)) == filepath.Dir(st.file) {
+				local = "." // the package's own files name the type bare
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == st.pkg {
+					local = filepath.Base(st.pkg)
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
 				}
 			}
+			if local != "" {
+				fieldsSetIn(f, local, st.typ, set[i])
+			}
 		}
-		if local == "" {
-			return
+	})
+	for i, st := range surfaceTypes {
+		fields := structFields(t, st.file, st.typ)
+		if len(fields) == 0 {
+			t.Fatalf("no %s fields found in %s; run from the module root", st.typ, st.file)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok || !isConfigType(lit.Type, local) {
+		var unset []string
+		for _, name := range fields {
+			if _, ok := st.unset[name]; !ok && !set[i][name] {
+				unset = append(unset, name)
+			}
+		}
+		if len(unset) > 0 {
+			t.Errorf("%s.%s fields no counted caller sets: %s",
+				filepath.Base(st.pkg), st.typ, strings.Join(unset, ", "))
+		}
+	}
+}
+
+// fieldsSetIn records in set the fields f sets on typ, named through
+// local ("." for bare): keys of typ's composite literals, and the
+// selectors of x.F = assignments.
+func fieldsSetIn(f *ast.File, local, typ string, set map[string]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if !isNamedType(n.Type, local, typ) {
 				return true
 			}
-			for _, elt := range lit.Elts {
+			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
 						set[id.Name] = true
 					}
 				}
 			}
-			return true
-		})
-	})
-	var unset []string
-	for _, name := range fields {
-		if !set[name] {
-			unset = append(unset, name)
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					set[sel.Sel.Name] = true
+				}
+			}
 		}
-	}
-	if len(unset) > 0 {
-		t.Errorf("service.Config fields set only by %s: %s", spstadMain, strings.Join(unset, ", "))
-	}
+		return true
+	})
 }
 
 // TestSpstadFlagsAreDocumented checks that README.md names every flag
@@ -134,18 +197,18 @@ func TestSpstadFlagsAreDocumented(t *testing.T) {
 	}
 }
 
-// configFields lists service.Config's field names in declaration
-// order.
-func configFields(t *testing.T) []string {
+// structFields lists the field names of the struct type typ declared
+// in file, in declaration order.
+func structFields(t *testing.T, file, typ string) []string {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "internal/service/service.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fields []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != "Config" {
+		if !ok || ts.Name.Name != typ {
 			return true
 		}
 		for _, fld := range ts.Type.(*ast.StructType).Fields.List {
@@ -158,15 +221,15 @@ func configFields(t *testing.T) []string {
 	return fields
 }
 
-// isConfigType reports whether a composite literal's type is the
-// service package's Config, named through local ("." for bare).
-func isConfigType(typ ast.Expr, local string) bool {
-	switch x := typ.(type) {
+// isNamedType reports whether a composite literal's type is typ of
+// the package named through local ("." for bare).
+func isNamedType(expr ast.Expr, local, typ string) bool {
+	switch x := expr.(type) {
 	case *ast.Ident:
-		return local == "." && x.Name == "Config"
+		return local == "." && x.Name == typ
 	case *ast.SelectorExpr:
 		pkg, ok := x.X.(*ast.Ident)
-		return ok && pkg.Name == local && x.Sel.Name == "Config"
+		return ok && pkg.Name == local && x.Sel.Name == typ
 	}
 	return false
 }
