@@ -84,8 +84,11 @@ soak:
 # friends) exercise the level-parallel analyzer with Workers=4, which
 # dispatches every level of at least 16 gates to the pool, and
 # incr.TestSPSTAIncrementalPrunedMatchesFull does the same for cone
-# updates (Workers 1 and 4, plus a panic in a cone), so this is the
-# schedule-safety check; the instrumented variants
+# updates (Workers 1, 2 and 4, plus a panic in a cone, over unit and
+# sigma=0.6 base delays, each edit sequence bit-identical to a full
+# run), so this is the schedule-safety check; the folded delay-kernel
+# certificate oracle (core.TestFoldedKernelCertificate, GOMAXPROCS
+# workers) runs serial and pooled at the two counts below; the instrumented variants
 # (core.TestInstrumentedParallelMatchesSerial and friends) re-check it
 # with metrics and tracing live, and core.TestInstrumentedGatesMatchSpans
 # checks the registry's gate count against the level and gate spans,
@@ -112,7 +115,7 @@ check:
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit' ./internal/core ./internal/incr
+	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel' ./internal/core ./internal/incr
 	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo

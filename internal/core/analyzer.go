@@ -75,9 +75,10 @@ type Analyzer struct {
 	Workers int
 	// ErrorBudget is the per-net ε for adaptive pruning (DESIGN.md
 	// §11): each net may spend at most this much occurrence mass on
-	// subset branch-and-bound cuts, negligible-switcher absorption
-	// and t.o.p. tail truncation combined. Removed mass is folded
-	// back into the four-value probabilities (they still sum to 1)
+	// subset branch-and-bound cuts, negligible-switcher absorption,
+	// t.o.p. tail truncation and delay-kernel tail folding combined.
+	// Removed mass is folded back into the four-value probabilities
+	// (they still sum to 1; folded kernel mass is moved, not removed)
 	// and tracked per net: NetState.PrunedMass is the local spend,
 	// NetState.Budget the cumulative certified deviation bound. Zero
 	// disables pruning and is bit-identical to the exact engine;
@@ -442,7 +443,7 @@ func (a *Analyzer) computeNode(res *Result, id netlist.NodeID, inputs map[netlis
 		st.P = in.P
 		// The cached launch kernel is shared and read-only; each
 		// direction scales it into its own stored t.o.p.
-		arr := rc.kernels.FromNormal(rc.met, rc.grid, dist.Normal{Mu: in.Mu, Sigma: in.Sigma})
+		arr, _ := rc.kernels.FromNormal(rc.met, rc.grid, dist.Normal{Mu: in.Mu, Sigma: in.Sigma}, 0)
 		var tr, tf float64
 		st.TOP[ssta.DirRise], tr = trimStored(rc.met, ws.slab.StoreScaled(arr, in.P[logic.Rise]), rc.eps/2)
 		st.TOP[ssta.DirFall], tf = trimStored(rc.met, ws.slab.StoreScaled(arr, in.P[logic.Fall]), rc.eps/2)
@@ -510,8 +511,8 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 		}
 		d := rc.delay(n)
 		var tr, tf float64
-		st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, rise, d, rc.eps/2)
-		st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, fall, d, rc.eps/2)
+		st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, st, rise, d, rc.eps/2)
+		st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, st, fall, d, rc.eps/2)
 		foldTrim(st, tr, tf)
 		return nil
 
@@ -575,8 +576,8 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 				st.PrunedMass += absorbNegligible(cdIn, cdMass, rc.eps/4, rc.empty, rc.met)
 			}
 			d := rc.delay(n)
-			ncdTOP, pNCDSwitch, ncdTrim = ws.storeMixture(rc, ncdIn, true, d, rc.eps/4)
-			cdTOP, pCDSwitch, cdTrim = ws.storeMixture(rc, cdIn, false, d, rc.eps/4)
+			ncdTOP, pNCDSwitch, ncdTrim = ws.storeMixture(rc, st, ncdIn, true, d, rc.eps/4)
+			cdTOP, pCDSwitch, cdTrim = ws.storeMixture(rc, st, cdIn, false, d, rc.eps/4)
 		}
 		// The output with every input at its non-controlling value
 		// (the non-controlled value) decides which mixture is rising.
@@ -646,8 +647,8 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 			st.TOP[ssta.DirFall], tf = ws.keep(rc.met, fall, rc.eps/4)
 		} else {
 			d := rc.delay(n)
-			st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, rise, d, rc.eps/4)
-			st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, fall, d, rc.eps/4)
+			st.TOP[ssta.DirRise], tr = ws.storeDelayed(rc, st, rise, d, rc.eps/4)
+			st.TOP[ssta.DirFall], tf = ws.storeDelayed(rc, st, fall, d, rc.eps/4)
 		}
 		if rc.eps > 0 {
 			st.P[logic.Rise] = clampProb(st.P[logic.Rise] - tr)
@@ -750,9 +751,10 @@ func (a *Analyzer) parityCombos(res *Result, n *netlist.Node, ord []netlist.Node
 }
 
 // applyDelayInto writes top shifted (deterministic delay) or
-// convolved (variational delay, kernel from the run's cache) into dst,
-// charging the run's registry, and returns dst. top is read-only, so
-// callers can pass a fanin t.o.p. or a cached kernel without cloning.
+// convolved (variational delay, the full kernel from the run's cache)
+// into dst, charging the run's registry, and returns dst. top is
+// read-only, so callers can pass a fanin t.o.p. or a cached kernel
+// without cloning.
 func applyDelayInto(rc *runCtx, dst, top *dist.PMF, d dist.Normal) *dist.PMF {
 	if d.Sigma == 0 {
 		if d.Mu == 0 {
@@ -760,7 +762,8 @@ func applyDelayInto(rc *runCtx, dst, top *dist.PMF, d dist.Normal) *dist.PMF {
 		}
 		return top.ShiftInto(rc.met, dst, d.Mu)
 	}
-	return top.ConvolveInto(rc.met, dst, rc.kernels.FromNormal(rc.met, rc.grid, d))
+	k, _ := rc.kernels.FromNormal(rc.met, rc.grid, d, 0)
+	return top.ConvolveInto(rc.met, dst, k)
 }
 
 func dirOf(v logic.Value) ssta.Dir {

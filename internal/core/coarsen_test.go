@@ -257,10 +257,12 @@ func TestCoarsenPolicyValidation(t *testing.T) {
 
 // TestWideKernelsTakeTheFFT pins which convolution path serves wide
 // delay kernels. At σ=1.0 a delay kernel spans ~266 bins on the
-// default grid, past the direct/FFT crossover, so an s1196 run with
-// coarsening off (spstad's default) must charge FFT convolutions;
+// default grid, past the direct/FFT crossover, so an exact s1196 run
+// with coarsening off (spstad's default) must charge FFT convolutions;
 // under auto the re-binned grid keeps every operand below the
-// crossover, and the run charges none.
+// crossover, and the run charges none. At ε=1e-4 the kernel's folded
+// tails (ε/8 of its mass) leave ~140 bins, below the crossover, so an
+// off run charges none either.
 func TestWideKernelsTakeTheFFT(t *testing.T) {
 	p, _ := synth.ProfileByName("s1196")
 	c, err := synth.Generate(p)
@@ -270,18 +272,19 @@ func TestWideKernelsTakeTheFFT(t *testing.T) {
 	in := uniform(c)
 	delay := func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 1} }
 	for _, tc := range []struct {
+		eps  float64
 		mode CoarsenMode
 		fft  bool
-	}{{CoarsenOff, true}, {CoarsenAuto, false}} {
+	}{{0, CoarsenOff, true}, {0, CoarsenAuto, false}, {1e-4, CoarsenOff, false}} {
 		scope := obs.NewScope()
-		a := Analyzer{Workers: 1, Delay: delay, Coarsen: CoarsenPolicy{Mode: tc.mode}, Obs: scope}
+		a := Analyzer{Workers: 1, Delay: delay, ErrorBudget: tc.eps, Coarsen: CoarsenPolicy{Mode: tc.mode}, Obs: scope}
 		if _, err := a.Run(c, in); err != nil {
 			t.Fatal(err)
 		}
 		conv := scope.M().Snapshot().Convolution
 		if got := conv.FFT > 0; got != tc.fft {
-			t.Errorf("coarsen=%v: %d FFT and %d direct convolutions, want FFT > 0 to be %v",
-				tc.mode, conv.FFT, conv.Direct, tc.fft)
+			t.Errorf("ε=%g coarsen=%v: %d FFT and %d direct convolutions, want FFT > 0 to be %v",
+				tc.eps, tc.mode, conv.FFT, conv.Direct, tc.fft)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // accept a per-net error budget ε (ErrorBudget). A budget of zero is
 // the exact path, bit-identical to the pre-pruning engines; a
 // positive budget lets every net spend at most ε of occurrence mass
-// on three deterministic approximations:
+// on four deterministic approximations:
 //
 //   - subset branch-and-bound: enumeration subtrees whose exact
 //     remaining occurrence weight (maintained as a suffix product
@@ -14,7 +14,14 @@
 //     support the closed-form mixture kernels visit;
 //   - t.o.p. tail truncation: dist.(*PMF).TruncateTail trims
 //     low-mass support tails before the function is stored, so every
-//     downstream kernel iterates a narrower window.
+//     downstream kernel iterates a narrower window;
+//   - delay-kernel tail folding: a variational delay convolves with a
+//     kernel whose outer tails, holding at most ε/8 (kernelTailShare)
+//     of its mass, are folded into its new edge bins. A convolution
+//     with input mass m then displaces at most δ·m, δ being the folded
+//     share, which worker.storeDelayed charges to PrunedMass and
+//     Budget and takes out of that site's truncation allowance. The
+//     mass is moved, not removed, so the probabilities keep it.
 //
 // The mass a net removes is recorded in its state (PrunedMass) and
 // folded back into the four-value probabilities — monotone gates
@@ -37,6 +44,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ssta"
 )
+
+// kernelTailShare is the share of ε a delay kernel's folded tails may
+// hold: half the smallest per-direction truncation allowance (ε/4), so
+// every site keeps at least ε/8 for truncating its result.
+const kernelTailShare = 1.0 / 8
 
 // bbState tracks one enumeration's branch-and-bound spending: the
 // remaining local budget, the occurrence mass actually cut, and the

@@ -96,7 +96,14 @@ func (s *scratch) parityVals(k int) []logic.Value {
 // copies straight into the stored row; every other case goes through
 // a scratch PMF, trimmed before it is stored so the row holds only
 // what is kept. The work is charged to the run's registry.
-func (w *worker) storeDelayed(rc *runCtx, top *dist.PMF, d dist.Normal, trim float64) (*dist.PMF, float64) {
+//
+// At ε > 0 the delay kernel's outer tails are folded inward
+// (kernelTailShare). The convolution then displaces at most δ·m of
+// top's mass m, δ being the kernel's folded share. That mass is moved,
+// not removed, so it is charged to st's PrunedMass and Budget but not
+// to its probabilities, and it comes out of the trim allowance, so the
+// net's spend stays within ε.
+func (w *worker) storeDelayed(rc *runCtx, st *NetState, top *dist.PMF, d dist.Normal, trim float64) (*dist.PMF, float64) {
 	if d.Sigma == 0 {
 		var p *dist.PMF
 		if d.Mu == 0 {
@@ -107,8 +114,16 @@ func (w *worker) storeDelayed(rc *runCtx, top *dist.PMF, d dist.Normal, trim flo
 		if p != nil {
 			return trimStored(rc.met, p, trim)
 		}
+		return w.keep(rc.met, applyDelayInto(rc, w.scr.get(), top, d), trim)
 	}
-	return w.keep(rc.met, applyDelayInto(rc, w.scr.get(), top, d), trim)
+	k, share := rc.kernels.FromNormal(rc.met, rc.grid, d, rc.eps*kernelTailShare)
+	if share > 0 {
+		moved := share * top.Mass()
+		st.PrunedMass += moved
+		st.Budget += moved
+		trim -= moved
+	}
+	return w.keep(rc.met, top.ConvolveInto(rc.met, w.scr.get(), k), trim)
 }
 
 // keep trims p's tails with budget trim and stores it; p is the
@@ -125,12 +140,12 @@ func trimStored(m *obs.Metrics, p *dist.PMF, trim float64) (*dist.PMF, float64) 
 }
 
 // storeMixture evaluates the max (or min) mixture of in and stores it
-// delayed by d, its tails trimmed with budget trim. It returns the
-// stored t.o.p., the mixture's mass before the delay and the trim (the
-// probabilities always take the undelayed sum), and the trimmed mass.
-// A deterministic whole-bin delay writes the mixture straight into its
-// stored row.
-func (w *worker) storeMixture(rc *runCtx, in []dist.SwitchInput, max bool, d dist.Normal, trim float64) (*dist.PMF, float64, float64) {
+// delayed by d for net st, its tails trimmed with budget trim. It
+// returns the stored t.o.p., the mixture's mass before the delay and
+// the trim (the probabilities always take the undelayed sum), and the
+// trimmed mass. A deterministic whole-bin delay writes the mixture
+// straight into its stored row.
+func (w *worker) storeMixture(rc *runCtx, st *NetState, in []dist.SwitchInput, max bool, d dist.Normal, trim float64) (*dist.PMF, float64, float64) {
 	if d.Sigma == 0 {
 		if p := w.slab.StoreMixture(rc.met, rc.grid, in, max, d.Mu); p != nil {
 			mass := p.Mass()
@@ -144,6 +159,6 @@ func (w *worker) storeMixture(rc *runCtx, in []dist.SwitchInput, max bool, d dis
 	} else {
 		dist.MinMixtureInto(rc.met, mix, in)
 	}
-	p, tr := w.storeDelayed(rc, mix, d, trim)
+	p, tr := w.storeDelayed(rc, st, mix, d, trim)
 	return p, mix.Mass(), tr
 }

@@ -255,8 +255,8 @@ func TestKernelCache(t *testing.T) {
 	g := NewGrid(-8, 8, 1.0/16)
 	kc := NewKernelCache()
 	n := Normal{Mu: 1, Sigma: 0.5}
-	p1 := kc.FromNormal(nil, g, n)
-	p2 := kc.FromNormal(nil, g, n)
+	p1, _ := kc.FromNormal(nil, g, n, 0)
+	p2, _ := kc.FromNormal(nil, g, n, 0)
 	if p1 != p2 {
 		t.Error("cache returned distinct kernels for the same Normal")
 	}
@@ -269,7 +269,7 @@ func TestKernelCache(t *testing.T) {
 			t.Fatalf("cached kernel differs at bin %d", i)
 		}
 	}
-	kc.FromNormal(nil, g, Normal{Mu: 2, Sigma: 0.5})
+	kc.FromNormal(nil, g, Normal{Mu: 2, Sigma: 0.5}, 0)
 	if kc.Len() != 2 {
 		t.Errorf("cache Len = %d, want 2", kc.Len())
 	}

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,19 +16,35 @@ import (
 // TestSPSTAIncrementalPrunedMatchesFull: with a nonzero error budget
 // the incremental engine must land on the same state as a pruned full
 // re-run with the same ε after a sequence of SetDelay/SetInput
-// changes. Budgets are per gate and re-derived from the configuration
-// on every recomputation, so the incremental path cannot double-spend
-// ε no matter how many times a cone is recomputed.
+// changes, bit for bit. Budgets are per gate and re-derived from the
+// configuration on every recomputation, so the incremental path cannot
+// double-spend ε no matter how many times a cone is recomputed. The
+// sequence runs over two base delay models: unit delays, and N(1, 0.6²)
+// delays, whose kernels lose the most bins to tail folding (161 → 84
+// on the default grid), so every recomputed net convolves with the
+// folded kernels Run cached.
 //
 // Cone updates run on the level scheduler, so the sequence is also
-// replayed at Workers 1 and 4 (4 dispatches the launch change's
+// replayed at Workers 2 and 4 (4 dispatches the launch change's
 // widest cone level to the pool, even on one processor): every row
 // must recompute the same nets and end bit-identical to the serial
-// run. The poisoned row swaps the result's grid for one of a
-// different geometry first, so the cone's first net panics; the panic
-// must reach this goroutine as a recoverable panic instead of killing
-// the process.
+// run and to the full re-run. The poisoned row swaps the result's grid
+// for one of a different geometry first, so the cone's first net
+// panics; the panic must reach this goroutine as a recoverable panic
+// instead of killing the process.
 func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
+	for _, base := range []struct {
+		name  string
+		delay ssta.DelayModel
+	}{
+		{"unit", ssta.UnitDelay},
+		{"sigma0.6", func(*netlist.Node) dist.Normal { return dist.Normal{Mu: 1, Sigma: 0.6} }},
+	} {
+		t.Run(base.name, func(t *testing.T) { prunedMatchesFull(t, base.delay) })
+	}
+}
+
+func prunedMatchesFull(t *testing.T, baseDelay ssta.DelayModel) {
 	const eps = 1e-4
 	c := gen(t, "s344")
 	in := experiments.Inputs(c, experiments.ScenarioI)
@@ -40,7 +57,7 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 	g := pickGate(c)
 	d := dist.Normal{Mu: 2.5, Sigma: 0.2}
 	session := func(workers int) *SPSTA {
-		inc, err := NewSPSTA(core.Analyzer{ErrorBudget: eps, Workers: workers}, c, in)
+		inc, err := NewSPSTA(core.Analyzer{ErrorBudget: eps, Workers: workers, Delay: baseDelay}, c, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,13 +75,30 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 		}
 		return evals
 	}
+
+	in2 := experiments.Inputs(c, experiments.ScenarioI)
+	in2[launch] = st
+	full := core.Analyzer{Workers: 1, ErrorBudget: eps, Delay: func(n *netlist.Node) dist.Normal {
+		if n.ID == g {
+			return d
+		}
+		return baseDelay(n)
+	}}
+	want, err := full.Run(c, in2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	inc := session(1)
 	evals := edit(inc)
 	for _, tc := range []struct {
 		workers int
 		poison  bool
-	}{{1, false}, {4, false}, {4, true}} {
-		got := session(tc.workers)
+	}{{1, false}, {2, false}, {4, false}, {4, true}} {
+		got := inc
+		if tc.workers != 1 {
+			got = session(tc.workers)
+		}
 		if tc.poison {
 			got.Result().Grid = dist.NewGrid(0, 1, 0.5)
 			p := func() (p any) {
@@ -77,50 +111,13 @@ func TestSPSTAIncrementalPrunedMatchesFull(t *testing.T) {
 			}
 			continue
 		}
-		if gotEvals := edit(got); gotEvals != evals {
-			t.Errorf("workers=%d: recomputed %v nets, serial %v", tc.workers, gotEvals, evals)
-		}
-		for _, n := range c.Nodes {
-			a, b := &got.Result().State[n.ID], &inc.Result().State[n.ID]
-			if a.P != b.P || a.PrunedMass != b.PrunedMass || a.Budget != b.Budget || !sameTOPs(a, b) {
-				t.Fatalf("workers=%d: %s state differs from the serial run", tc.workers, n.Name)
+		if got != inc {
+			if gotEvals := edit(got); gotEvals != evals {
+				t.Errorf("workers=%d: recomputed %v nets, serial %v", tc.workers, gotEvals, evals)
 			}
 		}
-	}
-
-	in2 := experiments.Inputs(c, experiments.ScenarioI)
-	in2[launch] = st
-	full := core.Analyzer{ErrorBudget: eps, Delay: func(n *netlist.Node) dist.Normal {
-		if n.ID == g {
-			return d
-		}
-		return ssta.UnitDelay(n)
-	}}
-	want, err := full.Run(c, in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range c.Nodes {
-		for v := logic.Zero; v < logic.NumValues; v++ {
-			got := inc.Result().Probability(n.ID, v)
-			if diff := math.Abs(got - want.Probability(n.ID, v)); diff > 1e-9 {
-				t.Fatalf("%s P[%v]: incremental %v vs pruned full %v", n.Name, v, got, want.Probability(n.ID, v))
-			}
-		}
-		if diff := math.Abs(inc.Result().ConsumedBudget(n.ID) - want.ConsumedBudget(n.ID)); diff > 1e-9 {
-			t.Fatalf("%s: incremental consumed budget %v vs pruned full %v",
-				n.Name, inc.Result().ConsumedBudget(n.ID), want.ConsumedBudget(n.ID))
-		}
-		for _, dir := range []ssta.Dir{ssta.DirRise, ssta.DirFall} {
-			gm, gs, gp := inc.Result().Arrival(n.ID, dir)
-			wm, ws, wp := want.Arrival(n.ID, dir)
-			if math.Abs(gp-wp) > 1e-9 {
-				t.Fatalf("%s %v: incremental prob %v vs pruned full %v", n.Name, dir, gp, wp)
-			}
-			if wp > 1e-9 && (math.Abs(gm-wm) > 1e-6 || math.Abs(gs-ws) > 1e-6) {
-				t.Fatalf("%s %v: incremental (%v,%v) vs pruned full (%v,%v)", n.Name, dir, gm, gs, wm, ws)
-			}
-		}
+		requireSameState(t, got.Result(), inc.Result(), fmt.Sprintf("workers=%d, against the serial session", tc.workers))
+		requireSameState(t, got.Result(), want, fmt.Sprintf("workers=%d, against a pruned full run", tc.workers))
 	}
 
 	// The pruned incremental result stays within the certified budget
