@@ -180,11 +180,12 @@ type SPSTAOptions struct {
 	Workers int
 	// ErrorBudget is the per-net ε of adaptive pruning: each net may
 	// spend at most this much occurrence mass on subset
-	// branch-and-bound, negligible-switcher absorption and t.o.p. tail
-	// truncation. The removed mass is folded back so four-value
-	// probabilities still sum to 1, and the result certifies a
-	// worst-case deviation per net (SPSTAResult.ConsumedBudget,
-	// .DeviationBounds). Zero is the exact engine.
+	// branch-and-bound, negligible-switcher absorption, t.o.p. tail
+	// truncation and delay-kernel tail folding. The removed mass is
+	// folded back so four-value probabilities still sum to 1, and the
+	// result certifies a worst-case deviation per net
+	// (SPSTAResult.ConsumedBudget, .DeviationBounds). Zero is the
+	// exact engine.
 	ErrorBudget float64
 	// Coarsen configures depth-adaptive grid coarsening (DESIGN.md
 	// §15): under CoarsenAuto, at every level boundary where the
