@@ -31,6 +31,56 @@ func BenchmarkMixture(b *testing.B) {
 	}
 }
 
+// BenchmarkMixtureKernel times the mixture kernel alone (mixtureBins
+// into a preallocated row) for k = 2, 3 and 4 inputs, max and min, at
+// the two widths the engines run it at: a 450-bin union on the fine
+// TimingGrid(25, 0, 1), as on the unit-delay engine's s5378-sized
+// circuits, and a 60-bin union on its Coarsen(4) grid, as on the
+// variational engine after coarsening. Each input's window is a random
+// band of a third to all of the union; the first starts at the union's
+// left edge and the second ends at its right edge. It reports ns per
+// union bin.
+func BenchmarkMixtureKernel(b *testing.B) {
+	fine := TimingGrid(25, 0, 1)
+	for _, c := range []struct {
+		name  string
+		g     Grid
+		width int
+	}{{"fine", fine, 450}, {"coarse", fine.Coarsen(4), 60}} {
+		for _, k := range []int{2, 3, 4} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			slab := NewSlab(0)
+			lo := (c.g.N - c.width) / 2
+			in := make([]SwitchInput, k)
+			for i := range in {
+				w := c.width/3 + rng.Intn(c.width-c.width/3+1)
+				a := lo + rng.Intn(c.width-w+1)
+				switch i {
+				case 0:
+					a = lo
+				case 1:
+					a = lo + c.width - w
+				}
+				in[i] = SwitchInput{Stay: 0.2 + 0.6*rng.Float64(), TOP: slab.Store(bandPMF(c.g, rng, a, a+w))}
+			}
+			ulo, uhi := mixtureSupport(c.g, in)
+			out := make([]float64, uhi-ulo)
+			for _, max := range []bool{true, false} {
+				op := "max"
+				if !max {
+					op = "min"
+				}
+				b.Run(c.name+"/"+op+"/k="+itoa(k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						mixtureBins(out, ulo, in, max, ulo, uhi)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uhi-ulo), "ns/bin")
+				})
+			}
+		}
+	}
+}
+
 func BenchmarkPMFOps(b *testing.B) {
 	g := NewGrid(-8, 24, 1.0/16)
 	p := FromNormal(g, Normal{Mu: 2, Sigma: 1})

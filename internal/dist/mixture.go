@@ -115,100 +115,325 @@ func recordMixture(m *obs.Metrics, k, lo, hi int) {
 // order — H[k] = Π_i f_i[k] with f_i[k] = Stay_i + C_i[k] for max and
 // Stay_i + (mass_i − C_i[k]) for min, where C_i is input i's running
 // cumulative — and bin k is H[k] − H[k−1] (max) or H[k−1] − H[k]
-// (min), with H[−1] the product at C = 0. The kernel builds H in out
-// one input at a time: each bin still multiplies its factors in input
-// order starting from the first, so every bin is bit-identical to the
-// bin-by-bin evaluation, but each input is read only over its own
-// support — outside it C_i is constant and the factor is one scale —
-// so a frozen window is read exactly where it holds bins.
+// (min), with H[−1] the product at C = 0.
+//
+// The kernel is one bin loop per group of up to four inputs (lanes),
+// which carries the group's cumulatives side by side so that their add
+// chains overlap. A group's product starts from the product of the
+// groups before it, which they leave in out (the first group starts
+// from 1, and 1·f = f), and the last group also takes the differences
+// and the mass. Every bin therefore multiplies its factors in input
+// order from the first, and each cumulative is the same left-to-right
+// sum over its input's window, so every bin is bit-identical to the
+// bin-by-bin evaluation. The loop runs over segments of [lo, hi) split
+// at the group's window edges: within a segment each lane reads either
+// its input's bins or zeros (outside its window C_i is constant, and
+// C + 0 = C), so the loop tests no support. A padding lane, which only
+// a single-input group needs, has Stay 1 and no bins: its factor is
+// exactly 1. The first and last non-zero bins are found afterwards by
+// scanning in from both ends, which reads only the zero bins at the
+// ends.
 func mixtureBins(out []float64, base int, in []SwitchInput, max bool, lo, hi int) (first, last int, mass float64) {
 	if lo >= hi {
 		return 0, -1, 0
 	}
 	out = out[lo-base : hi-base]
 	prev := 1.0 // H[-1]
-	for i, s := range in {
-		top, stay := s.TOP, s.Stay
-		m := 0.0
-		if max {
-			prev *= stay
-		} else {
-			m = top.Mass()
-			prev *= stay + m
-		}
-		// Before the support C_i = 0, after it C_i is the support's
-		// full sum; inside, the bins accumulate left to right.
-		a, b := 0, 0
-		if top.lo < top.hi {
-			a, b = top.lo-lo, top.hi-lo
-		}
-		win, src := out[a:b], top.bins()
-		src = src[:len(win)]
-		cum := 0.0
-		set := i == 0
-		if max {
-			scaleBins(out[:a], stay, set)
-			switch {
-			case set:
-				for j, x := range src {
-					cum += x
-					win[j] = stay + cum
-				}
-			default:
-				for j, x := range src {
-					cum += x
-					win[j] *= stay + cum
-				}
+	var ls mixLanes
+	for g := 0; g < len(in); g += len(ls) {
+		grp := in[g:min(g+len(ls), len(in))]
+		for i, s := range grp {
+			l := &ls[i]
+			l.stay, l.src, l.a, l.b = s.Stay, s.TOP.bins(), 0, 0
+			if max {
+				prev *= l.stay
+			} else {
+				l.m = s.TOP.Mass()
+				prev *= l.stay + l.m
 			}
-			scaleBins(out[b:], stay+cum, set)
-		} else {
-			scaleBins(out[:a], stay+(m-cum), set)
-			switch {
-			case set:
-				for j, x := range src {
-					cum += x
-					win[j] = stay + (m - cum)
-				}
-			default:
-				for j, x := range src {
-					cum += x
-					win[j] *= stay + (m - cum)
-				}
+			if l.src != nil {
+				l.a, l.b = s.TOP.lo-lo, s.TOP.hi-lo
 			}
-			scaleBins(out[b:], stay+(m-cum), set)
+		}
+		n := len(grp)
+		if n == 1 {
+			ls[1], n = mixLane{stay: 1}, 2
+		}
+		head, final := g == 0, g+len(ls) >= len(in)
+		switch {
+		case !final && max:
+			maxProducts(out, head, &ls)
+		case !final:
+			minProducts(out, head, &ls)
+		case max && n == 2:
+			mass = maxDiffs2(out, head, &ls, prev)
+		case max && n == 3:
+			mass = maxDiffs3(out, head, &ls, prev)
+		case max:
+			mass = maxDiffs4(out, head, &ls, prev)
+		case n == 2:
+			mass = minDiffs2(out, head, &ls, prev)
+		case n == 3:
+			mass = minDiffs3(out, head, &ls, prev)
+		default:
+			mass = minDiffs4(out, head, &ls, prev)
 		}
 	}
 	first, last = hi, lo-1
-	for t, h := range out {
-		v := h - prev
-		if !max {
-			v = prev - h // not −v: equal products give +0, not −0
-		}
-		out[t] = v
+	for t, v := range out {
 		if v != 0 {
-			if first > last {
-				first = lo + t
-			}
-			last = lo + t
+			first = lo + t
+			break
 		}
-		mass += v
-		prev = h
+	}
+	for t := len(out) - 1; t >= first-lo; t-- {
+		if out[t] != 0 {
+			last = lo + t
+			break
+		}
 	}
 	return first, last, mass
 }
 
-// scaleBins multiplies every bin of w by f, or sets it to f when set
-// (the first factor of a product that starts at 1).
-func scaleBins(w []float64, f float64, set bool) {
-	if set {
-		for i := range w {
-			w[i] = f
+// laneBins bounds a segment: the length of the zero and one rows a
+// segment reads.
+const laneBins = 256
+
+var (
+	zeroBins [laneBins]float64
+	oneBins  = func() (r [laneBins]float64) {
+		for i := range r {
+			r[i] = 1
 		}
-		return
+		return r
+	}()
+)
+
+// mixLane is one input of a mixture loop: its window's bins, the
+// window [a, b) in bins from the union's lo, its Stay and its mass
+// (min only), and what it reads in the current segment.
+type mixLane struct {
+	src, cur []float64
+	a, b     int
+	stay, m  float64
+}
+
+// mixLanes are the inputs one mixture loop carries.
+type mixLanes [4]mixLane
+
+// segment points lanes [0, n) at what they read from bin t — their
+// window's bins from t, or zeros — and returns the end of the segment
+// that starts at t: the next window edge, at most laneBins bins on and
+// at most end.
+func (ls *mixLanes) segment(n, t, end int) int {
+	end = min(end, t+laneBins)
+	for i := range ls[:n] {
+		l := &ls[i]
+		switch {
+		case t < l.a:
+			end = min(end, l.a)
+			l.cur = zeroBins[:]
+		case t < l.b:
+			end = min(end, l.b)
+			l.cur = l.src[t-l.a:]
+		default:
+			l.cur = zeroBins[:]
+		}
 	}
-	for i := range w {
-		w[i] *= f
+	return end
+}
+
+// factors returns the row a group's product starts from over out[t:end]:
+// the earlier groups' product in out, or ones for the head group.
+func factors(out []float64, head bool, t, end int) []float64 {
+	if head {
+		return oneBins[:end-t]
 	}
+	return out[t:end]
+}
+
+// The bin loops below run one group of lanes over every segment of
+// out. Each lane adds its bin to its cumulative, and the product
+// starts from the earlier groups' product (factors) and takes the
+// lanes' factors in order. maxProducts and minProducts leave a full
+// group's product in out; the Diffs loops, one per lane count, write
+// the last group's differences from prev on and return their sum. A
+// product that meets a difference is rounded by an explicit
+// conversion, so it is never contracted into a fused multiply-add.
+
+func maxProducts(out []float64, head bool, ls *mixLanes) {
+	s0, s1, s2, s3 := ls[0].stay, ls[1].stay, ls[2].stay, ls[3].stay
+	var c0, c1, c2, c3 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(4, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2, x3 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)], ls[3].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			c3 += x3[j]
+			o[j] = f[j] * (s0 + c0) * (s1 + c1) * (s2 + c2) * (s3 + c3)
+		}
+	}
+}
+
+func minProducts(out []float64, head bool, ls *mixLanes) {
+	s0, s1, s2, s3 := ls[0].stay, ls[1].stay, ls[2].stay, ls[3].stay
+	m0, m1, m2, m3 := ls[0].m, ls[1].m, ls[2].m, ls[3].m
+	var c0, c1, c2, c3 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(4, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2, x3 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)], ls[3].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			c3 += x3[j]
+			o[j] = f[j] * (s0 + (m0 - c0)) * (s1 + (m1 - c1)) * (s2 + (m2 - c2)) * (s3 + (m3 - c3))
+		}
+	}
+}
+
+func maxDiffs2(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1 := ls[0].stay, ls[1].stay
+	var c0, c1 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(2, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1 := ls[0].cur[:len(o)], ls[1].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			h := float64(f[j] * (s0 + c0) * (s1 + c1))
+			v := h - prev
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
+}
+
+func maxDiffs3(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1, s2 := ls[0].stay, ls[1].stay, ls[2].stay
+	var c0, c1, c2 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(3, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			h := float64(f[j] * (s0 + c0) * (s1 + c1) * (s2 + c2))
+			v := h - prev
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
+}
+
+func maxDiffs4(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1, s2, s3 := ls[0].stay, ls[1].stay, ls[2].stay, ls[3].stay
+	var c0, c1, c2, c3 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(4, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2, x3 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)], ls[3].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			c3 += x3[j]
+			h := float64(f[j] * (s0 + c0) * (s1 + c1) * (s2 + c2) * (s3 + c3))
+			v := h - prev
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
+}
+
+// The min loops take prev − h, not −(h − prev): equal products give
+// +0, not −0.
+
+func minDiffs2(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1 := ls[0].stay, ls[1].stay
+	m0, m1 := ls[0].m, ls[1].m
+	var c0, c1 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(2, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1 := ls[0].cur[:len(o)], ls[1].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			h := float64(f[j] * (s0 + (m0 - c0)) * (s1 + (m1 - c1)))
+			v := prev - h
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
+}
+
+func minDiffs3(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1, s2 := ls[0].stay, ls[1].stay, ls[2].stay
+	m0, m1, m2 := ls[0].m, ls[1].m, ls[2].m
+	var c0, c1, c2 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(3, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			h := float64(f[j] * (s0 + (m0 - c0)) * (s1 + (m1 - c1)) * (s2 + (m2 - c2)))
+			v := prev - h
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
+}
+
+func minDiffs4(out []float64, head bool, ls *mixLanes, prev float64) (mass float64) {
+	s0, s1, s2, s3 := ls[0].stay, ls[1].stay, ls[2].stay, ls[3].stay
+	m0, m1, m2, m3 := ls[0].m, ls[1].m, ls[2].m, ls[3].m
+	var c0, c1, c2, c3 float64
+	for t, end := 0, 0; t < len(out); t = end {
+		end = ls.segment(4, t, len(out))
+		o, f := out[t:end], factors(out, head, t, end)
+		f = f[:len(o)]
+		x0, x1, x2, x3 := ls[0].cur[:len(o)], ls[1].cur[:len(o)], ls[2].cur[:len(o)], ls[3].cur[:len(o)]
+		for j := range o {
+			c0 += x0[j]
+			c1 += x1[j]
+			c2 += x2[j]
+			c3 += x3[j]
+			h := float64(f[j] * (s0 + (m0 - c0)) * (s1 + (m1 - c1)) * (s2 + (m2 - c2)) * (s3 + (m3 - c3)))
+			v := prev - h
+			o[j] = v
+			mass += v
+			prev = h
+		}
+	}
+	return mass
 }
 
 // Mixture dispatches to MaxMixture or MinMixture. op must not be

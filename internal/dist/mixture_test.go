@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,4 +164,151 @@ func pmfSkew(p *PMF) float64 {
 		m3 += p.W(i) * d * d * d
 	}
 	return m3 / mass / (s * s * s)
+}
+
+// TestMixtureKernelRegimes pins the fused mixture kernel to the
+// bin-by-bin recurrence (refMixture), bit for bit in every bin, in the
+// support bounds and in the cached mass, for k = 1…9 inputs (so one,
+// two and three groups of lanes) and both ops. Input windows are laid
+// out disjoint, nested, sharing an edge, one bin wide or empty, with
+// Stay 0 among the stays, over union widths from 1 to 700 bins (past
+// the segment length laneBins). Inputs carry interior zero bins, and
+// disjoint windows leave gaps, so neighbouring products are often
+// equal and the difference must be +0, not −0. The tallies at the end
+// fail the test if a regime went unexercised.
+func TestMixtureKernelRegimes(t *testing.T) {
+	g := TimingGrid(40, 0, 1) // 896 bins
+	rng := rand.New(rand.NewSource(20261019))
+	slab := NewSlab(1024)
+	type window struct{ a, b int }
+	widths := []int{1, 2, 16, 128, laneBins, laneBins + 1, 700}
+	tally := map[string]int{}
+	for draw := 0; draw < 2000; draw++ {
+		k := 1 + draw%9
+		// Union width: log-uniform in [1, 700], or one of the edges.
+		w := int(math.Exp(rng.Float64() * math.Log(700)))
+		if draw%5 == 0 {
+			w = widths[rng.Intn(len(widths))]
+		}
+		w = min(max(w, 1), 700)
+		base := rng.Intn(g.N - w + 1)
+		wins := make([]window, k)
+		for i := range wins {
+			a := rng.Intn(w)
+			win := window{a, a + 1 + rng.Intn(w-a)}
+			if i > 0 {
+				p := wins[i-1]
+				switch rng.Intn(7) {
+				case 0: // nested in the previous window
+					if p.a < p.b {
+						a := p.a + rng.Intn(p.b-p.a)
+						win = window{a, a + 1 + rng.Intn(p.b-a)}
+					}
+				case 1: // starts where the previous one ends
+					if p.b < w {
+						win = window{p.b, p.b + 1 + rng.Intn(w-p.b)}
+					}
+				case 2: // same start as the previous one
+					if p.a < p.b {
+						win = window{p.a, p.a + 1 + rng.Intn(w-p.a)}
+					}
+				case 3: // one bin
+					win = window{a, a + 1}
+				case 4: // empty
+					win = window{}
+				}
+			}
+			wins[i] = win
+		}
+		in := make([]SwitchInput, k)
+		for i, win := range wins {
+			top := NewPMF(g)
+			if win.a < win.b {
+				top = bandPMF(g, rng, base+win.a, base+win.b)
+				if win.b-win.a > 2 && rng.Intn(3) == 0 {
+					// A run of interior zeros.
+					z := win.a + 1 + rng.Intn(win.b-win.a-2)
+					for j := z; j < min(z+1+rng.Intn(8), win.b-1); j++ {
+						top.SetBin(base+j, 0)
+					}
+				}
+				top.Scale(rng.Float64() / top.Mass())
+			}
+			if draw%2 == 0 {
+				top = slab.Store(top)
+			}
+			stay := float64(rng.Intn(4)) * 0.25 * (1 - top.Mass())
+			in[i] = SwitchInput{Stay: stay, TOP: top}
+			if stay == 0 {
+				tally["stay 0"]++
+			}
+		}
+		for i, x := range wins {
+			if x.a == x.b {
+				tally["empty window"]++
+				continue
+			}
+			if x.b-x.a == 1 {
+				tally["one-bin window"]++
+			}
+			for _, y := range wins[i+1:] {
+				switch {
+				case y.a == y.b:
+				case x.b < y.a || y.b < x.a:
+					tally["disjoint windows"]++
+				case x.b == y.a || y.b == x.a || x.a == y.a || x.b == y.b:
+					tally["windows sharing an edge"]++
+				case (x.a < y.a && y.b < x.b) || (y.a < x.a && x.b < y.b):
+					tally["nested windows"]++
+				}
+			}
+		}
+		lo, hi := mixtureSupport(g, in)
+		tally[widthRegime(hi-lo)]++
+		for _, max := range []bool{true, false} {
+			want := refMixture(g, in, max)
+			got := mixtureInto(nil, NewPMF(g), in, max)
+			for i := 0; i < g.N; i++ {
+				if math.Float64bits(got.W(i)) != math.Float64bits(want.W(i)) {
+					t.Fatalf("draw %d k=%d max=%v: bin %d = %v (%#x), bin-by-bin %v (%#x)",
+						draw, k, max, i, got.W(i), math.Float64bits(got.W(i)), want.W(i), math.Float64bits(want.W(i)))
+				}
+				if lo <= i && i < hi && want.W(i) == 0 {
+					tally["equal products"]++
+				}
+			}
+			if glo, ghi := got.Support(); glo != want.lo || ghi != want.hi {
+				t.Fatalf("draw %d k=%d max=%v: support [%d,%d), bin-by-bin [%d,%d)", draw, k, max, glo, ghi, want.lo, want.hi)
+			}
+			if math.Float64bits(got.Mass()) != math.Float64bits(sum(want.bins())) {
+				t.Fatalf("draw %d k=%d max=%v: cached mass %v, sum %v", draw, k, max, got.Mass(), sum(want.bins()))
+			}
+			tally[fmt.Sprintf("k=%d max=%v", k, max)]++
+		}
+	}
+	want := []string{"stay 0", "empty window", "one-bin window", "disjoint windows",
+		"windows sharing an edge", "nested windows", "equal products"}
+	for _, w := range []int{1, 2, 17, 129, laneBins + 1, 513} {
+		want = append(want, widthRegime(w))
+	}
+	for k := 1; k <= 9; k++ {
+		want = append(want, fmt.Sprintf("k=%d max=true", k), fmt.Sprintf("k=%d max=false", k))
+	}
+	for _, r := range want {
+		if tally[r] == 0 {
+			t.Errorf("regime %q never exercised", r)
+		}
+	}
+	t.Logf("tallies: %v", tally)
+}
+
+// widthRegime names the union-width bucket of w bins: one bin, up to a
+// few lanes' worth, up to one segment (laneBins), and past it.
+func widthRegime(w int) string {
+	for _, hi := range []int{1, 16, 128, laneBins, 512} {
+		if w <= hi {
+			return fmt.Sprintf("union width <= %d", hi)
+		}
+	}
+	return "union width > 512"
 }

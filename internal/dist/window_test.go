@@ -316,7 +316,7 @@ func refMixture(g Grid, in []SwitchInput, max bool) *PMF {
 	return out
 }
 
-// TestMixtureMatchesBinByBin pins the input-at-a-time mixture kernel to
+// TestMixtureMatchesBinByBin pins the fused mixture kernel to
 // the bin-by-bin recurrence, bit for bit, on frozen and full-width
 // inputs — including inputs with equal cumulative products, where a
 // negated difference would store −0 instead of +0.
