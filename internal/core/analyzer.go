@@ -615,6 +615,7 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 		sc := &ws.scr
 		rise, fall := sc.get(), sc.get()
 		vals := sc.parityVals(len(n.Fanin))
+		sc.parityConds(len(n.Fanin))
 		// With a budget, fanins are reordered by ascending switching
 		// probability so low-weight subtrees sit near the enumeration
 		// root, and whole subtrees are cut when their exact remaining
@@ -666,9 +667,13 @@ func (a *Analyzer) gate(res *Result, n *netlist.Node, rc *runCtx, ws *worker) er
 // mass into rise/fall. The settled transition time of a parity gate
 // is the MAX over its switching inputs (every switch toggles the
 // output; see logic.SettleOp). leaves, when non-nil, counts the
-// enumerated combinations for the obs subset-leaf histogram. Each
-// leaf's conditional pdfs live on the scratch stack sc above the
-// leaf's mark and are freed when the leaf is done.
+// enumerated combinations for the obs subset-leaf histogram. The
+// conditional pdf of fanin position j switching in direction d,
+// in.TOP[d]/P, is built by the first leaf that needs it into
+// sc.conds[2j+d], below every leaf's mark, and read by every later
+// one: 0 + w·x is w·x, so it is the same conditional a leaf would
+// build. Each leaf's MAX/MIN combinations and delayed pdf live on the
+// stack above the leaf's mark and are freed when the leaf is done.
 //
 // ord is the fanin evaluation order (n.Fanin itself on exact runs,
 // a switching-probability sort under a budget). When bb is non-nil,
@@ -711,7 +716,13 @@ func (a *Analyzer) parityCombos(res *Result, n *netlist.Node, ord []netlist.Node
 			if p == 0 {
 				return
 			}
-			cond := sc.get().AccumWeighted(in.TOP[dirOf(v)], 1/p)
+			d := dirOf(v)
+			cond := sc.conds[2*j+int(d)]
+			if lo, hi := cond.Support(); lo == hi {
+				// Not built yet (or built from an empty t.o.p., which
+				// rebuilding leaves empty).
+				cond.AccumWeighted(in.TOP[d], 1/p)
+			}
 			if acc == nil {
 				acc = cond
 			} else {

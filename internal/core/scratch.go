@@ -39,7 +39,7 @@ func newWorkers(n int, g dist.Grid, chunk int) []worker {
 // support of every popped PMF, so a PMF is all-zero whenever it is
 // taken. computeNode frees to 0 after every node, and each parity leaf
 // frees back to its own mark. The stack also holds the parity
-// enumeration's per-gate slices.
+// enumeration's per-gate slices and conditionals (parityConds).
 type scratch struct {
 	grid dist.Grid
 	pmfs []*dist.PMF
@@ -48,6 +48,7 @@ type scratch struct {
 	vals   []logic.Value
 	ord    []netlist.NodeID
 	suffix []float64
+	conds  []*dist.PMF
 }
 
 // get returns an all-zero PMF on the scratch grid, valid until the
@@ -77,6 +78,8 @@ func (s *scratch) free(mark int) {
 func (s *scratch) retarget(g dist.Grid) {
 	clear(s.pmfs)
 	s.pmfs = s.pmfs[:0]
+	clear(s.conds)
+	s.conds = s.conds[:0]
 	s.grid = g
 }
 
@@ -87,6 +90,18 @@ func (s *scratch) parityVals(k int) []logic.Value {
 	}
 	s.vals = s.vals[:k]
 	return s.vals
+}
+
+// parityConds pushes 2k all-zero PMFs for a parity gate of fanin k,
+// one per (fanin position j, direction d) conditional, at
+// s.conds[2j+d]. They sit below every leaf's mark, so a conditional
+// built by one leaf serves every later leaf of the gate; the node's
+// free clears them.
+func (s *scratch) parityConds(k int) {
+	s.conds = s.conds[:0]
+	for range 2 * k {
+		s.conds = append(s.conds, s.get())
+	}
 }
 
 // storeDelayed returns a stored (frozen) copy of top delayed by d,
