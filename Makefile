@@ -110,11 +110,24 @@ soak:
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
 # a plain run after the race lines checks its full circuit grid.
+# The FMA guard re-runs the mixture and golden tests built for x86-64-v3
+# (GOAMD64=v3, where FMA instructions are available): the fused
+# mixture kernel is pinned bit for bit to the bin-by-bin recurrence and
+# golden_top.txt to recorded bits, so a product contracted into a
+# fused multiply-add fails it. The kernel rounds every product that
+# meets a difference with an explicit float64 conversion, which keeps
+# it unfused on arm64, where Go contracts; Go 1.24 does not contract
+# on amd64 at all, so the line guards against a toolchain that starts
+# to. It is skipped, with a message, on a CPU whose /proc/cpuinfo
+# lacks avx2 or fma.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then \
+		GOAMD64=v3 $(GO) test -run 'Mixture|Golden' ./internal/dist ./internal/core; \
+	else echo "check: skipping the GOAMD64=v3 FMA guard: /proc/cpuinfo lacks avx2 or fma"; fi
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel' ./internal/core ./internal/incr
 	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
