@@ -96,15 +96,19 @@ soak:
 # GOMAXPROCS 1 and 2, so the pool is raced on one processor as well as
 # on two; the Monte Carlo packed, sharded, golden and MomentNets tests
 # do the same for the packed engine's per-lane settle and glitch
-# scratch and the shard merge. The incr restore and single-edit tests and the service's
-# delta tests also run at both counts: delta sessions run Update with
-# Workers = GOMAXPROCS next to the undo snapshot. Among them are the
+# scratch and the shard merge. The incr restore, single-edit and Apply
+# tests (FuzzApplyMatchesFullRun's seed corpus among them: edit sets
+# on both engines checked bit for bit against full runs, grid-moving
+# launch edits rejected) and the service's delta tests also run at
+# both counts: delta sessions run Update with Workers = GOMAXPROCS
+# next to the undo snapshot. Among them are the
 # cross-scope checks (incr.TestSingleEditChargesCallingScope,
 # service.TestDeltaWarmCostMatchesFreshSession): an edit charges the
 # scope of the request that makes it, never the one that built the
 # session. The service's request-clock and /metrics-scrape tests run
 # at both counts too: the one exit that records a request, and
-# scrapes reading the engine aggregate while requests merge into it,
+# scrapes reading the lifetime engine registry while finishing
+# requests add into it,
 # and the drift monitor's ticker loop, which must stop with Close.
 # Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
@@ -128,7 +132,7 @@ check:
 	if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then \
 		GOAMD64=v3 $(GO) test -run 'Mixture|Golden' ./internal/dist ./internal/core; \
 	else echo "check: skipping the GOAMD64=v3 FMA guard: /proc/cpuinfo lacks avx2 or fma"; fi
-	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel' ./internal/core ./internal/incr
+	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel|Apply' ./internal/core ./internal/incr
 	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo

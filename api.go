@@ -340,6 +340,8 @@ func PathCriticalities(c *Circuit, ps []Path, launch map[NodeID]InputStats, dela
 
 // IncrementalSSTA wraps SSTA for in-place re-analysis after delay or
 // launch-statistics changes (only the affected cone is recomputed).
+// Its edits are IncrementalSPSTA's: each returns the nets recomputed
+// and an error.
 type IncrementalSSTA = incr.SSTA
 
 // NewIncrementalSSTA runs the initial full SSTA analysis.
@@ -351,11 +353,12 @@ func NewIncrementalSSTA(c *Circuit, inputs map[NodeID]InputStats, base DelayMode
 type IncrementalSPSTA = incr.SPSTA
 
 // NewIncrementalSPSTA runs the initial full SPSTA analysis with
-// ε-bounded pruning (eps = 0 is exact). Every SetDelay/SetInput/Clear*
-// update is bit-identical to a full re-run with the same eps and
-// overrides: each recomputed gate re-derives its budget from the
-// configuration, so repeated updates do not compound the error, and
-// propagation stops only where a net's state is exactly unchanged.
+// ε-bounded pruning (eps = 0 is exact). Every
+// SetDelay/SetInput/Clear*/Apply update is bit-identical to a full
+// re-run with the same eps and overrides: each recomputed gate
+// re-derives its budget from the configuration, so repeated updates do
+// not compound the error, and propagation stops only where a net's
+// state is exactly unchanged.
 func NewIncrementalSPSTA(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*IncrementalSPSTA, error) {
 	return incr.NewSPSTA(core.Analyzer{ErrorBudget: eps}, c, inputs)
 }

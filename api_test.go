@@ -345,7 +345,7 @@ func TestFacadeIncremental(t *testing.T) {
 			break
 		}
 	}
-	if evals := inc.SetDelay(gate, Normal{Mu: 1.5}); evals < 1 {
+	if evals, _ := inc.SetDelay(gate, Normal{Mu: 1.5}); evals < 1 {
 		t.Error("nothing recomputed")
 	}
 	sp, err := NewIncrementalSPSTA(c, in, 0)

@@ -58,19 +58,20 @@ func run() error {
 	sigma := flag.Float64("sigma", 0, "gate delay sigma: >0 selects variational N(1, sigma^2) gate delays (exercising the convolution SUM path) instead of deterministic unit delays")
 	epsilon := flag.Float64("epsilon", 0, "per-net error budget for adaptive pruning in the spsta and spsta-moments engines (0 = exact; results deviate from the exact run by at most the consumed budget reported per net)")
 	coarsen := flag.String("coarsen", "off", "depth-adaptive grid coarsening in the spsta engine: off, or auto (re-bin 2x at every level boundary where a finished level's widest support exceeds 96 bins); the re-binning deviation is folded into the per-net consumed budget (DESIGN.md §15)")
-	costFlag := flag.Bool("cost", false, "report per-engine deterministic work-unit cost (DESIGN.md §14) in the -analyzer all footer (enables the metrics scope)")
 	metricsOut := flag.String("metrics", "", "append a JSON engine-metrics snapshot to the run report: - for stdout, or a file path")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the level schedule to this file (open in chrome://tracing or Perfetto)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060) for the duration of the run")
 	flag.Parse()
 
-	// One scope for the whole CLI invocation: metrics when -metrics,
-	// -pprof or -cost asks for them, a tracer when -trace does. A nil
-	// scope (no flag) keeps the zero-overhead fast path.
+	// One scope for the whole CLI invocation: metrics when -metrics or
+	// -pprof asks for them or -analyzer all reports each engine's cost
+	// units, a tracer when -trace does. A nil scope keeps the
+	// zero-overhead fast path.
 	var scope *obs.Scope
-	if *metricsOut != "" || *pprofAddr != "" || *traceOut != "" || *costFlag {
+	withMetrics := *metricsOut != "" || *pprofAddr != "" || *analyzer == "all"
+	if withMetrics || *traceOut != "" {
 		scope = &obs.Scope{}
-		if *metricsOut != "" || *pprofAddr != "" || *costFlag {
+		if withMetrics {
 			scope.Metrics = obs.NewMetrics()
 		}
 		if *traceOut != "" {
@@ -211,10 +212,7 @@ func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets 
 		// Engines run serially, so the counter delta is exactly this
 		// engine's deterministic work-unit cost (DESIGN.md §14). The
 		// closed-form ssta/sta engines don't count work units.
-		cost := "-"
-		if met != nil {
-			cost = fmt.Sprint(met.CostUnits() - cost0)
-		}
+		cost := fmt.Sprint(met.CostUnits() - cost0)
 		pruned, budget := "-", "-"
 		if ps.ok {
 			pruned = fmt.Sprintf("%.3g", ps.pruned)

@@ -230,22 +230,37 @@ func (rc *runCtx) slabBytes() int64 {
 	return b
 }
 
+// GridFor returns the grid Run analyzes c on with these launch
+// statistics: a.Grid when set, else dist.TimingGrid for the circuit
+// depth and the widest launch arrival sigma, at least 1. An
+// incremental session checks its launch edits against it, since an
+// edit that moves it cannot be re-timed on the session's grid.
+func (a *Analyzer) GridFor(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) dist.Grid {
+	if a.Grid.N != 0 {
+		return a.Grid
+	}
+	return dist.TimingGrid(c.Depth(), 0, LaunchSigma(inputs))
+}
+
+// LaunchSigma is the launch arrival sigma GridFor sizes its default
+// grid for: the widest in inputs, at least 1.
+func LaunchSigma(inputs map[netlist.NodeID]logic.InputStats) float64 {
+	sigma := 1.0
+	for _, st := range inputs {
+		if st.Sigma > sigma {
+			sigma = st.Sigma
+		}
+	}
+	return sigma
+}
+
 // Run executes SPSTA over the circuit. inputs maps launch points to
 // their cycle statistics (default: the paper's scenario I).
 func (a *Analyzer) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) (*Result, error) {
 	if err := a.Coarsen.Validate(); err != nil {
 		return nil, err
 	}
-	grid := a.Grid
-	if grid.N == 0 {
-		mu, sigma := 0.0, 1.0
-		for _, st := range inputs {
-			if st.Sigma > sigma {
-				sigma = st.Sigma
-			}
-		}
-		grid = dist.TimingGrid(c.Depth(), mu, sigma)
-	}
+	grid := a.GridFor(c, inputs)
 	for id, st := range inputs {
 		if err := st.Validate(); err != nil {
 			return nil, fmt.Errorf("core: launch %s: %w", c.Nodes[id].Name, err)

@@ -79,10 +79,10 @@ func TestSSTAClearRestoresBaseline(t *testing.T) {
 	st := logic.UniformStats()
 	st.Mu, st.Sigma = 1.0, 0.5
 	inc.SetInput(launch, st)
-	if n := inc.ClearDelay(g); n == 0 {
+	if n, _ := inc.ClearDelay(g); n == 0 {
 		t.Fatal("ClearDelay recomputed nothing")
 	}
-	if n := inc.ClearInput(launch); n == 0 {
+	if n, _ := inc.ClearInput(launch); n == 0 {
 		t.Fatal("ClearInput recomputed nothing")
 	}
 	for _, n := range c.Nodes {

@@ -57,7 +57,7 @@ func TestSSTAIncrementalMatchesFull(t *testing.T) {
 	for i, g := range gates {
 		d := dist.Normal{Mu: 2 + float64(i), Sigma: 0.1 * float64(i)}
 		over[g] = d
-		evals := inc.SetDelay(g, d)
+		evals, _ := inc.SetDelay(g, d)
 		if evals == 0 {
 			t.Fatalf("SetDelay recomputed nothing")
 		}
@@ -85,7 +85,7 @@ func TestSSTAIncrementalTouchesOnlyCone(t *testing.T) {
 	in := experiments.Inputs(c, experiments.ScenarioI)
 	inc := NewSSTA(c, in, nil)
 	g := pickGate(c)
-	evals := inc.SetDelay(g, dist.Normal{Mu: 1.5, Sigma: 0})
+	evals, _ := inc.SetDelay(g, dist.Normal{Mu: 1.5, Sigma: 0})
 	total := c.Stats().Gates
 	if evals >= total/2 {
 		t.Errorf("incremental update recomputed %d of %d gates", evals, total)
@@ -122,7 +122,7 @@ func TestSSTAEarlyCutoff(t *testing.T) {
 	in := experiments.Inputs(c, experiments.ScenarioI)
 	inc := NewSSTA(c, in, nil)
 	g := pickGate(c)
-	evals := inc.SetDelay(g, dist.Normal{Mu: 1, Sigma: 0}) // same as unit
+	evals, _ := inc.SetDelay(g, dist.Normal{Mu: 1, Sigma: 0}) // same as unit
 	if evals != 1 {
 		t.Errorf("no-op change recomputed %d nodes, want 1", evals)
 	}

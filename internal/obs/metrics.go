@@ -23,7 +23,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -349,88 +348,60 @@ func (m *Metrics) Snapshot() *Snapshot {
 	return s
 }
 
-// Merge adds every counter and histogram bucket of o into s. Aggregators (the spstad /metrics endpoint) use it to
-// fold per-request snapshots into a service-lifetime view.
-func (s *Snapshot) Merge(o *Snapshot) {
-	if o == nil {
+// AddTo adds every counter and histogram bucket of m into dst, with
+// atomic adds, and raises dst's two peaks to m's. Aggregators (the
+// spstad /metrics endpoint) use it to fold per-request registries
+// into one lifetime registry that stays readable while requests fold
+// into it. Nil-safe; a nil m adds nothing.
+func (m *Metrics) AddTo(dst *Metrics) {
+	if m == nil {
 		return
 	}
-	s.KernelCache.Hits += o.KernelCache.Hits
-	s.KernelCache.Misses += o.KernelCache.Misses
-	s.KernelCache.Races += o.KernelCache.Races
-	s.Convolution.Direct += o.Convolution.Direct
-	s.Convolution.FFT += o.Convolution.FFT
-	s.Convolution.SupportHist = mergeHist(s.Convolution.SupportHist, o.Convolution.SupportHist)
-	s.Mixture.EvalsByFanin = mergeFanin(s.Mixture.EvalsByFanin, o.Mixture.EvalsByFanin)
-	s.Mixture.SubsetLeavesByFanin = mergeFanin(s.Mixture.SubsetLeavesByFanin, o.Mixture.SubsetLeavesByFanin)
-	s.Pruning.Subtrees += o.Pruning.Subtrees
-	s.Pruning.PrunedLeavesByFanin = mergeFanin(s.Pruning.PrunedLeavesByFanin, o.Pruning.PrunedLeavesByFanin)
-	s.Pruning.PrunedMass += o.Pruning.PrunedMass
-	s.Pruning.Truncations += o.Pruning.Truncations
-	s.Pruning.TruncatedMass += o.Pruning.TruncatedMass
-	s.Pruning.TruncatedBinsHist = mergeHist(s.Pruning.TruncatedBinsHist, o.Pruning.TruncatedBinsHist)
-	s.Pruning.SupportWidthHist = mergeHist(s.Pruning.SupportWidthHist, o.Pruning.SupportWidthHist)
-	s.Batch.FFTPlanHits += o.Batch.FFTPlanHits
-	s.Batch.FFTPlanMisses += o.Batch.FFTPlanMisses
-	s.Batch.ConvPlanHits += o.Batch.ConvPlanHits
-	s.Batch.ConvPlanMisses += o.Batch.ConvPlanMisses
-	s.Grid.RebinCalls += o.Grid.RebinCalls
-	s.Grid.RebinLevels += o.Grid.RebinLevels
-	s.Grid.RebinDeviation += o.Grid.RebinDeviation
-	s.Grid.BinsPerLevelHist = mergeHist(s.Grid.BinsPerLevelHist, o.Grid.BinsPerLevelHist)
-	// Peaks aggregate as maxima: the merged view reports the largest
-	// support width and slab footprint any merged request reached.
-	if o.Grid.SupportWidthPeak > s.Grid.SupportWidthPeak {
-		s.Grid.SupportWidthPeak = o.Grid.SupportWidthPeak
-	}
-	if o.Grid.SlabBytesPeak > s.Grid.SlabBytesPeak {
-		s.Grid.SlabBytesPeak = o.Grid.SlabBytesPeak
-	}
-	s.Cost.BinOps += o.Cost.BinOps
-	s.Cost.MixtureOps += o.Cost.MixtureOps
-	s.Cost.LeafOps += o.Cost.LeafOps
-	s.Cost.MCOps += o.Cost.MCOps
-	s.Cost.Total += o.Cost.Total
-	s.MonteCarloRuns += o.MonteCarloRuns
-	s.MonteCarloPacked.Blocks += o.MonteCarloPacked.Blocks
-	s.MonteCarloPacked.SettleLanes += o.MonteCarloPacked.SettleLanes
-	s.Gates += o.Gates
+	add(&dst.KernelHits, &m.KernelHits)
+	add(&dst.KernelMisses, &m.KernelMisses)
+	add(&dst.KernelRaces, &m.KernelRaces)
+	add(&dst.ConvDirect, &m.ConvDirect)
+	add(&dst.ConvFFT, &m.ConvFFT)
+	addAll(dst.ConvSupport.b[:], m.ConvSupport.b[:])
+	addAll(dst.MixtureEvals.b[:], m.MixtureEvals.b[:])
+	addAll(dst.SubsetLeaves.b[:], m.SubsetLeaves.b[:])
+	add(&dst.PrunedSubtrees, &m.PrunedSubtrees)
+	addAll(dst.PrunedLeaves.b[:], m.PrunedLeaves.b[:])
+	add(&dst.PrunedMassFP, &m.PrunedMassFP)
+	add(&dst.TruncTails, &m.TruncTails)
+	add(&dst.TruncatedMassFP, &m.TruncatedMassFP)
+	addAll(dst.TruncatedBins.b[:], m.TruncatedBins.b[:])
+	addAll(dst.PrunedSupportWidth.b[:], m.PrunedSupportWidth.b[:])
+	add(&dst.FFTPlanHits, &m.FFTPlanHits)
+	add(&dst.FFTPlanMisses, &m.FFTPlanMisses)
+	add(&dst.ConvPlanHits, &m.ConvPlanHits)
+	add(&dst.ConvPlanMisses, &m.ConvPlanMisses)
+	add(&dst.RebinCalls, &m.RebinCalls)
+	add(&dst.RebinLevels, &m.RebinLevels)
+	add(&dst.RebinDeviationFP, &m.RebinDeviationFP)
+	addAll(dst.GridBinsPerLevel.b[:], m.GridBinsPerLevel.b[:])
+	ObserveMax(&dst.SupportWidthPeak, m.SupportWidthPeak.Load())
+	ObserveMax(&dst.SlabBytesPeak, m.SlabBytesPeak.Load())
+	add(&dst.MCRuns, &m.MCRuns)
+	add(&dst.CostBinOps, &m.CostBinOps)
+	add(&dst.CostMixtureOps, &m.CostMixtureOps)
+	add(&dst.CostLeafOps, &m.CostLeafOps)
+	add(&dst.CostMCOps, &m.CostMCOps)
+	add(&dst.MCPackedBlocks, &m.MCPackedBlocks)
+	add(&dst.MCPackedSettleLanes, &m.MCPackedSettleLanes)
+	add(&dst.Gates, &m.Gates)
 }
 
-// mergeHist merges two non-empty-bucket lists keyed by [Lo, Hi].
-func mergeHist(a, b []HistBucket) []HistBucket {
-	for _, o := range b {
-		found := false
-		for i := range a {
-			if a[i].Lo == o.Lo && a[i].Hi == o.Hi {
-				a[i].Count += o.Count
-				found = true
-				break
-			}
-		}
-		if !found {
-			a = append(a, o)
-		}
+// add adds src's value to dst, skipping the write when it is zero.
+func add(dst, src *atomic.Int64) {
+	if v := src.Load(); v != 0 {
+		dst.Add(v)
 	}
-	sort.Slice(a, func(i, j int) bool { return a[i].Lo < a[j].Lo })
-	return a
 }
 
-// mergeFanin merges two non-empty-bucket lists keyed by fanin.
-func mergeFanin(a, b []FaninBucket) []FaninBucket {
-	for _, o := range b {
-		found := false
-		for i := range a {
-			if a[i].Fanin == o.Fanin {
-				a[i].Count += o.Count
-				found = true
-				break
-			}
-		}
-		if !found {
-			a = append(a, o)
-		}
+// addAll adds each histogram bucket of src to dst's.
+func addAll(dst, src []atomic.Int64) {
+	for i := range src {
+		add(&dst[i], &src[i])
 	}
-	sort.Slice(a, func(i, j int) bool { return a[i].Fanin < a[j].Fanin })
-	return a
 }

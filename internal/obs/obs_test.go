@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -153,22 +154,31 @@ func TestScopeNilSafety(t *testing.T) {
 	}
 }
 
+// TestSnapshotMerge: AddTo folds one registry into another, so the
+// snapshot of the sum merges the two registries' snapshots — counters
+// and histogram buckets add, the peaks take the larger — and a nil
+// registry adds nothing. Every counter and histogram of Metrics must
+// take part, so a new one that AddTo misses fails here.
 func TestSnapshotMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
 	a.KernelHits.Add(2)
 	a.ConvSupport.Observe(5)
 	a.MixtureEvals.Add(2, 3)
 	a.Gates.Add(4)
+	a.SupportWidthPeak.Store(90)
 	b.KernelHits.Add(5)
 	b.ConvSupport.Observe(5)
 	b.ConvSupport.Observe(1000)
 	b.MixtureEvals.Add(2, 1)
 	b.MixtureEvals.Add(7, 2)
 	b.Gates.Add(9)
+	b.SupportWidthPeak.Store(40)
 
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	s.Merge(nil) // must be a no-op
+	var sum Metrics
+	a.AddTo(&sum)
+	b.AddTo(&sum)
+	(*Metrics)(nil).AddTo(&sum) // must be a no-op
+	s := sum.Snapshot()
 	if s.KernelCache.Hits != 7 {
 		t.Errorf("merged hits = %d, want 7", s.KernelCache.Hits)
 	}
@@ -189,6 +199,45 @@ func TestSnapshotMerge(t *testing.T) {
 	if s.Gates != 13 {
 		t.Errorf("merged gates = %d, want 13", s.Gates)
 	}
+	if s.Grid.SupportWidthPeak != 90 {
+		t.Errorf("merged support width peak = %d, want 90", s.Grid.SupportWidthPeak)
+	}
+
+	// Field i of src holds i+1 in every counter and bucket; added
+	// twice, dst must hold 2(i+1), or i+1 for the two peaks.
+	src, dst := NewMetrics(), NewMetrics()
+	counters := func(m *Metrics, f func(name string, i int, c *atomic.Int64)) {
+		v := reflect.ValueOf(m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			switch p := v.Field(i).Addr().Interface().(type) {
+			case *atomic.Int64:
+				f(name, i, p)
+			case *Pow2Hist:
+				for j := range p.b {
+					f(name, i, &p.b[j])
+				}
+			case *FaninHist:
+				for j := range p.b {
+					f(name, i, &p.b[j])
+				}
+			default:
+				t.Fatalf("Metrics.%s has type %T, which this test does not fill", name, p)
+			}
+		}
+	}
+	counters(src, func(_ string, i int, c *atomic.Int64) { c.Store(int64(i + 1)) })
+	src.AddTo(dst)
+	src.AddTo(dst)
+	counters(dst, func(name string, i int, c *atomic.Int64) {
+		want := int64(2 * (i + 1))
+		if name == "SupportWidthPeak" || name == "SlabBytesPeak" {
+			want = int64(i + 1)
+		}
+		if got := c.Load(); got != want {
+			t.Errorf("Metrics.%s: AddTo twice gives %d, want %d", name, got, want)
+		}
+	})
 }
 
 func TestMetricsConcurrentUpdates(t *testing.T) {

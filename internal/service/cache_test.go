@@ -595,9 +595,9 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 // network, and the steps the hit takes besides writing its stored
 // bytes: decode (the body, the circuit through the registry, the cache
 // peek), run (scope, spans and the body's pieces, the head encode
-// included), merge (the scope snapshot into the service totals), log
-// (the slog line, as JSON like spstad's), flight (the flight record)
-// and head (encoding the response without its engines).
+// included), merge (the scope's registry added to the service's engine
+// totals), log (the slog line, as JSON like spstad's), flight (the
+// flight record) and head (encoding the response without its engines).
 func BenchmarkAnalyzeHit(b *testing.B) {
 	svc := New(Config{MaxConcurrent: 2, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
 	defer svc.Close()
@@ -666,7 +666,7 @@ func BenchmarkAnalyzeHit(b *testing.B) {
 	b.Run("merge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			svc.reg.merge(rc.scope.Snapshot())
+			rc.scope.M().AddTo(&svc.reg.engine)
 		}
 	})
 	b.Run("log", func(b *testing.B) {

@@ -3,16 +3,17 @@
 // profile name, or inline bench) plus the complete set of gate-delay
 // and launch-statistics overrides it wants relative to that base; the
 // service keeps a cached incr.SPSTA / incr.SSTA session per (digest,
-// scenario, engine, epsilon, sigma), diffs the requested override set
-// against what the session currently has applied — clearing dropped
-// overrides, applying changed ones — and re-converges only the
-// affected fanout cones. The API is stateless (every request carries
-// its full edit set) while the expensive state, the converged
-// analysis, lives server-side and is invalidated when the registry
-// evicts the underlying netlist.
+// scenario, engine, epsilon, sigma) and drives it to the requested
+// override set with incr's Apply, which clears dropped overrides,
+// applies changed ones and re-converges only the affected fanout
+// cones. The API is stateless (every request carries its full edit
+// set) while the expensive state, the converged analysis, lives
+// server-side and is invalidated when the registry evicts the
+// underlying netlist.
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -179,8 +180,9 @@ func (req *DeltaRequest) sessionKey(digest string) string {
 // deltaSession is one cached incremental analysis. The outer cache
 // hands out the same session to every request with the same key;
 // requests serialize on mu, the first one hydrates (pays the full
-// initial run), and each later one reconciles the session's applied
-// override set with the request's desired one.
+// initial run), and each later one drives the session to the
+// request's override set (incr's Apply, which owns the overrides in
+// effect).
 type deltaSession struct {
 	key    string
 	digest string
@@ -189,8 +191,7 @@ type deltaSession struct {
 	hydrated bool
 	sp       *incr.SPSTA
 	ss       *incr.SSTA
-	curDelay map[netlist.NodeID]dist.Normal
-	curInput map[netlist.NodeID]logic.InputStats
+	apply    func(map[netlist.NodeID]dist.Normal, map[netlist.NodeID]logic.InputStats) (int, error)
 }
 
 // hydrate runs the session's initial full analysis under the calling
@@ -207,116 +208,23 @@ func (sess *deltaSession) hydrate(req *DeltaRequest, c *netlist.Circuit, in map[
 		if err != nil {
 			return err
 		}
-		sess.sp = sp
+		sess.sp, sess.apply = sp, sp.Apply
 	default:
 		sess.ss = incr.NewSSTA(c, in, delayModel(req.Sigma))
+		sess.apply = sess.ss.Apply
 	}
-	sess.curDelay = make(map[netlist.NodeID]dist.Normal)
-	sess.curInput = make(map[netlist.NodeID]logic.InputStats)
 	sess.hydrated = true
 	return nil
 }
 
-// attach points the session's instrumentation at the calling
-// request's scope.
-func (sess *deltaSession) attach(scope *obs.Scope) {
-	if sess.sp != nil {
-		sess.sp.SetObs(scope)
-	}
-}
-
-func (sess *deltaSession) setDelay(id netlist.NodeID, d dist.Normal) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.SetDelay(id, d)
-	}
-	return sess.ss.SetDelay(id, d), nil
-}
-
-func (sess *deltaSession) clearDelay(id netlist.NodeID) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.ClearDelay(id)
-	}
-	return sess.ss.ClearDelay(id), nil
-}
-
-func (sess *deltaSession) setInput(id netlist.NodeID, st logic.InputStats) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.SetInput(id, st)
-	}
-	return sess.ss.SetInput(id, st), nil
-}
-
-func (sess *deltaSession) clearInput(id netlist.NodeID) (int, error) {
-	if sess.sp != nil {
-		return sess.sp.ClearInput(id)
-	}
-	return sess.ss.ClearInput(id), nil
-}
-
-// reconcile drives the session from its currently-applied override
-// set to the desired one: dropped overrides are cleared (reverting to
-// the base netlist), new or changed ones applied, unchanged ones
-// skipped entirely. Returns the total node recomputations. The order
-// matters: clearing before setting lets a what-if request that drops
-// the previous request's single edit revert it while it is still the
-// session's latest edit, which incr.SPSTA restores without
-// recomputing anything.
-func (sess *deltaSession) reconcile(delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats) (int, error) {
-	evals := 0
-	for id := range sess.curDelay {
-		if _, ok := delay[id]; ok {
-			continue
-		}
-		n, err := sess.clearDelay(id)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		delete(sess.curDelay, id)
-	}
-	for id := range sess.curInput {
-		if _, ok := input[id]; ok {
-			continue
-		}
-		n, err := sess.clearInput(id)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		delete(sess.curInput, id)
-	}
-	for id, d := range delay {
-		if cur, ok := sess.curDelay[id]; ok && cur == d {
-			continue
-		}
-		n, err := sess.setDelay(id, d)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		sess.curDelay[id] = d
-	}
-	for id, st := range input {
-		if cur, ok := sess.curInput[id]; ok && cur == st {
-			continue
-		}
-		n, err := sess.setInput(id, st)
-		evals += n
-		if err != nil {
-			return evals, err
-		}
-		sess.curInput[id] = st
-	}
-	return evals, nil
-}
-
 // serve runs one delta request on the session under its lock:
 // hydrate a cold session (or point a warm one at the request's
-// scope), reconcile the override set, and format the result. The
-// unlock is deferred and a panic on the way (a dist invariant check
-// inside a cone update, say) is recovered into the returned error, so a
-// failing request never leaves the session locked. Any failure also
-// marks the session unhydrated: a request already queued on the lock
+// scope), apply the override set, and format the result. The unlock
+// is deferred and a panic on the way (a dist invariant check inside a
+// cone update, say) is recovered into the returned error, so a
+// failing request never leaves the session locked. Any failure but a
+// rejected override set, which changes nothing, also marks the
+// session unhydrated: a request already queued on the lock
 // re-hydrates instead of reusing the half-updated analysis.
 func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, inputs func() map[netlist.NodeID]logic.InputStats,
 	delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats, scope *obs.Scope) (cold bool, evals int, er EngineResult, err error) {
@@ -326,18 +234,18 @@ func (sess *deltaSession) serve(req *DeltaRequest, c *netlist.Circuit, inputs fu
 		if p := recover(); p != nil {
 			err = panicError(p)
 		}
-		if err != nil {
+		if err != nil && !errors.Is(err, incr.ErrRejected) {
 			sess.hydrated = false
 		}
 	}()
 	cold = !sess.hydrated
 	if cold {
 		err = sess.hydrate(req, c, inputs(), scope)
-	} else {
-		sess.attach(scope)
+	} else if sess.sp != nil {
+		sess.sp.SetObs(scope)
 	}
 	if err == nil {
-		evals, err = sess.reconcile(delay, input)
+		evals, err = sess.apply(delay, input)
 	}
 	if err == nil {
 		er = sess.engineResult(c)
@@ -426,7 +334,7 @@ func (sc *sessionCache) removeLocked(el *list.Element) {
 	}
 }
 
-// drop removes one session (a request poisoned it mid-reconcile).
+// drop removes one session (a request failed mid-update on it).
 func (sc *sessionCache) drop(key string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -486,10 +394,14 @@ func (s *Service) runDelta(rc *reqCtx, dreq *DeltaRequest, delay map[netlist.Nod
 	sess := s.sessions.getOrCreate(dreq.sessionKey(rc.digest), rc.digest)
 	e0 := time.Now()
 	cold, evals, er, err := sess.serve(dreq, rc.c, rc.inputs, delay, input, rc.scope)
+	if errors.Is(err, incr.ErrRejected) {
+		// Rejected before any edit was applied: the session is intact.
+		return nil, 0, errBadRequest("%v", err)
+	}
 	if err != nil {
-		// A mid-reconcile failure leaves the session's analysis out of
-		// sync with its bookkeeping; drop it so the next request
-		// re-hydrates from scratch.
+		// A failure mid-update leaves the session's analysis
+		// half-updated; drop it so the next request re-hydrates from
+		// scratch.
 		s.sessions.drop(sess.key)
 		return nil, 0, err
 	}

@@ -440,3 +440,103 @@ func TestDeltaWarmCostMatchesFreshSession(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaSSTARevertRestores: the ssta engine follows
+// DeltaResponse's revert rule too. A request that drops the previous
+// request's single edit restores the saved pre-edit state, reports
+// no nets recomputed, and answers the base analysis bit for bit.
+func TestDeltaSSTARevertRestores(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	p, _ := synth.ProfileByName("s344")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate *netlist.Node
+	for _, n := range c.Nodes {
+		if n.Type.Combinational() && len(n.Fanout) > 0 {
+			gate = n
+			break
+		}
+	}
+	req := &DeltaRequest{Circuit: "s344", Engine: "ssta", Sigma: 0.1}
+	for i, edits := range [][]DeltaEdit{nil, {{Gate: gate.Name, Mu: 2.5, Sigma: 0.2}}, nil} {
+		req.Edits = edits
+		resp, dr, b := postDelta(t, srv.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: %d %s", i, resp.StatusCode, b)
+		}
+		switch i {
+		case 1:
+			if dr.NetsRecomputed == 0 {
+				t.Fatal("the edit recomputed nothing")
+			}
+			continue
+		case 2:
+			if dr.Session != "warm" || dr.NetsRecomputed != 0 {
+				t.Fatalf("revert: session %q, %d nets recomputed; want a warm restore of 0", dr.Session, dr.NetsRecomputed)
+			}
+		}
+		ref := ssta.Analyze(c, deltaRefInputs(c, "I", nil), delayModel(0.1))
+		for j, ep := range c.Endpoints() {
+			g := dr.Engine.Endpoints[j]
+			r, f := ref.At(ep, ssta.DirRise), ref.At(ep, ssta.DirFall)
+			if g.Rise.Mu != r.Mu || g.Rise.Sigma != r.Sigma || g.Fall.Mu != f.Mu || g.Fall.Sigma != f.Sigma {
+				t.Fatalf("step %d, %s: delta (%v,%v)/(%v,%v), base analysis (%v,%v)/(%v,%v)", i, g.Net,
+					g.Rise.Mu, g.Rise.Sigma, g.Fall.Mu, g.Fall.Sigma, r.Mu, r.Sigma, f.Mu, f.Sigma)
+			}
+		}
+	}
+}
+
+// TestDeltaGridWideningRejected: a full analysis sizes its grid by the
+// widest launch sigma (at least 1), and a session keeps its hydration
+// grid, so a launch edit to sigma 2 cannot match a full analysis. It
+// is answered 400, naming the limit, and the session stays warm and
+// unchanged; sigma 1, which keeps the grid, is served.
+func TestDeltaGridWideningRejected(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	p, _ := synth.ProfileByName("s208")
+	c, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := c.LaunchPoints()[0]
+	st := deltaRefInputs(c, "I", nil)[launch]
+	req := &DeltaRequest{Circuit: "s208"}
+	_, base, _ := postDelta(t, srv.URL, req)
+	if base.Session != "cold" {
+		t.Fatalf("first delta session %q, want cold", base.Session)
+	}
+
+	req.Edits = []DeltaEdit{{Input: c.Nodes[launch].Name, Mu: st.Mu, Sigma: 2, P: st.P[:]}}
+	resp, _, b := postDelta(t, srv.URL, req)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("widest launch sigma must stay 1")) {
+		t.Fatalf("sigma 2 launch edit: %d %s; want 400 naming the limit", resp.StatusCode, b)
+	}
+
+	req.Edits = nil
+	resp, after, b := postDelta(t, srv.URL, req)
+	if resp.StatusCode != http.StatusOK || after.Session != "warm" || after.NetsRecomputed != 0 {
+		t.Fatalf("after the rejection: %d, session %q, %d nets recomputed; want the warm base session untouched (%s)",
+			resp.StatusCode, after.Session, after.NetsRecomputed, b)
+	}
+	for i, ep := range base.Engine.Endpoints {
+		if got := after.Engine.Endpoints[i]; got.Rise != ep.Rise || got.Fall != ep.Fall {
+			t.Fatalf("%s: %+v after the rejection, %+v before", ep.Net, got, ep)
+		}
+	}
+
+	req.Edits = []DeltaEdit{{Input: c.Nodes[launch].Name, Mu: st.Mu, Sigma: 1, P: st.P[:]}}
+	if resp, dr, b := postDelta(t, srv.URL, req); resp.StatusCode != http.StatusOK || dr.Session != "warm" {
+		t.Fatalf("sigma 1 launch edit: %d %s", resp.StatusCode, b)
+	}
+}

@@ -3,7 +3,7 @@
 // accuracy-drift monitor's deviation gauges. The registry is a fixed
 // set of atomics — no dependency beyond the standard library — and
 // renders itself in the Prometheus text exposition format, including
-// a summary of the merged per-request engine scopes.
+// a summary of the per-request engine registries added together.
 package service
 
 import (
@@ -11,8 +11,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,11 +119,10 @@ type registry struct {
 	driftMeanDev  atomicFloat
 	driftSigmaDev atomicFloat
 
-	// agg accumulates the per-request engine scopes: every request's
-	// snapshot is merged in after it completes, so /metrics exposes
-	// lifetime engine totals next to the RED series.
-	aggMu sync.Mutex
-	agg   obs.Snapshot
+	// engine accumulates the per-request engine registries: every
+	// successful request's registry is added in as it finishes, so
+	// /metrics exposes lifetime engine totals next to the RED series.
+	engine obs.Metrics
 }
 
 // observe records one finished request for the engine label.
@@ -138,17 +135,6 @@ func (r *registry) observe(engine string, d time.Duration, failed bool) {
 		r.errors[i].Add(1)
 	}
 	r.latency[i].observe(d)
-}
-
-// merge folds a finished request's engine-scope snapshot into the
-// lifetime aggregate.
-func (r *registry) merge(s *obs.Snapshot) {
-	if s == nil {
-		return
-	}
-	r.aggMu.Lock()
-	r.agg.Merge(s)
-	r.aggMu.Unlock()
 }
 
 // writePrometheus renders the registry in the Prometheus text
@@ -233,13 +219,7 @@ func (r *registry) writePrometheus(w io.Writer) {
 	gauge("spstad_drift_sigma_deviation", "Absolute arrival-time sigma deviation, SPSTA vs packed Monte Carlo, at the last replayed request's critical endpoint.")
 	fmt.Fprintf(w, "spstad_drift_sigma_deviation %g\n", r.driftSigmaDev.Load())
 
-	// The copy's slices share their backing arrays with r.agg, which
-	// the next merge mutates, so the one slice read below is cloned
-	// under the lock too.
-	r.aggMu.Lock()
-	agg := r.agg
-	agg.Grid.BinsPerLevelHist = slices.Clone(agg.Grid.BinsPerLevelHist)
-	r.aggMu.Unlock()
+	agg := r.engine.Snapshot()
 
 	counter("spstad_engine_kernel_cache_hits_total", "Delay-kernel cache hits across all requests.")
 	fmt.Fprintf(w, "spstad_engine_kernel_cache_hits_total %d\n", agg.KernelCache.Hits)

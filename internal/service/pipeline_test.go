@@ -186,9 +186,10 @@ func TestRequestClockIsRootSpan(t *testing.T) {
 }
 
 // TestMetricsScrapeDuringRequests scrapes /metrics while distinct
-// coarsened analyses finish and merge their engine snapshots into the
-// service aggregate. Under -race it fails if a scrape reads the
-// aggregate's grid histogram outside the lock the merges take.
+// coarsened analyses finish and add their engine registries into the
+// service's lifetime registry. Under -race it fails if a scrape reads
+// that registry while a finishing request writes it other than
+// atomically.
 func TestMetricsScrapeDuringRequests(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 2})
 	defer svc.Close()

@@ -2,10 +2,10 @@
 // service that runs the SPSTA, moment-matching and Monte Carlo
 // engines on demand. Every request gets its own request ID and its
 // own *obs.Scope, so concurrent analyses never share instrumentation
-// state; finished scopes are merged into a service-lifetime aggregate
-// that /metrics exposes in the Prometheus text format next to RED
-// series (request rate, errors, latency per engine) and worker-pool
-// gauges. A background drift monitor replays a sampled recent request
+// state; finished scopes' registries are added into one lifetime
+// registry that /metrics exposes in the Prometheus text format next
+// to RED series (request rate, errors, latency per engine) and
+// worker-pool gauges. A background drift monitor replays a sampled recent request
 // through the packed Monte Carlo engine and exports the deviation of
 // the analytic engines from simulation as gauges.
 //
@@ -773,7 +773,7 @@ func (s *Service) finish(w http.ResponseWriter, rc *reqCtx, body jsonBody, err e
 		writeJSON(w, status, map[string]string{"request_id": rc.id, "trace_id": rc.traceID, "error": err.Error()})
 		return
 	}
-	s.reg.merge(rc.scope.Snapshot())
+	rc.scope.M().AddTo(&s.reg.engine)
 	s.reg.cost.observe(actual)
 	s.reg.deltaNets.Add(int64(rc.netsRecomputed))
 	if rc.label != "delta" {
