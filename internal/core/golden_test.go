@@ -21,9 +21,12 @@ import (
 	"repro/internal/synth"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_top.txt from the current engine")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current engines")
 
-const goldenTOPFile = "testdata/golden_top.txt"
+const (
+	goldenTOPFile    = "testdata/golden_top.txt"
+	goldenMomentFile = "testdata/golden_moment.txt"
+)
 
 // goldenDigest hashes a result's float64 bits in net order: the four
 // probabilities, PrunedMass, Budget, then per direction the result
@@ -141,20 +144,97 @@ func goldenMISLines(t *testing.T) []string {
 //
 //	go test ./internal/core -run TestGoldenTOP -update
 func TestGoldenTOP(t *testing.T) {
+	skipUnlessAMD64(t)
+	checkGolden(t, goldenTOPFile, goldenTOPLines(t))
+}
+
+// momentDigest hashes an analytic result's float64 bits in net order:
+// the four probabilities, then the rise and fall conditional arrival
+// mean and sigma.
+func momentDigest(res *MomentResult) string {
+	h := sha256.New()
+	var b [8]byte
+	putF := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for i := range res.State {
+		st := &res.State[i]
+		for _, p := range st.P {
+			putF(p)
+		}
+		for _, a := range st.Arr {
+			putF(a.Mu)
+			putF(a.Sigma)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenMomentLines runs the analytic engine over every built-in
+// profile × scenario (I uniform, II skewed) × σ ∈ {0, 0.2} and
+// returns one "cell digest" line per run.
+func goldenMomentLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for _, p := range synth.Profiles() {
+		c, err := synth.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scen := range []struct {
+			name string
+			in   map[netlist.NodeID]logic.InputStats
+		}{{"I", uniform(c)}, {"II", skewed(c)}} {
+			for _, sigma := range []float64{0, 0.2} {
+				var delay ssta.DelayModel
+				if sigma > 0 {
+					delay = varDelay
+				}
+				res, err := (&MomentTiming{Delay: delay}).Run(c, scen.in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, fmt.Sprintf("%s %s sigma=%g %s", p.Name, scen.name, sigma, momentDigest(res)))
+			}
+		}
+	}
+	return lines
+}
+
+// TestGoldenMoment pins the analytic moment engine to a recorded
+// reference the same way TestGoldenTOP pins the t.o.p. engine: per
+// cell, a SHA-256 over every net's probabilities and conditional
+// arrival moments must match testdata/golden_moment.txt. Regenerate
+// only for an intended numeric change:
+//
+//	go test ./internal/core -run TestGoldenMoment -update
+func TestGoldenMoment(t *testing.T) {
+	skipUnlessAMD64(t)
+	checkGolden(t, goldenMomentFile, goldenMomentLines(t))
+}
+
+func skipUnlessAMD64(t *testing.T) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits are recorded on amd64; Go may fuse multiply-adds on %s, which changes the low bits", runtime.GOARCH)
 	}
-	got := goldenTOPLines(t)
+}
+
+// checkGolden compares got line by line with the golden file, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, file string, got []string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenTOPFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenTOPFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	f, err := os.Open(goldenTOPFile)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatalf("%v (run with -update to record)", err)
 	}
@@ -168,7 +248,7 @@ func TestGoldenTOP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d cells, golden file has %d", len(got), len(want))
+		t.Fatalf("%d cells, %s has %d", len(got), file, len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
