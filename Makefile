@@ -57,7 +57,7 @@ bench-guard:
 # sweep is the long pole.
 bench-json:
 	$(GO) run ./cmd/benchperf -engine spsta -epsilon 0,0.0001 -sigma 0,0.2 -coarsen off,auto
-	$(GO) run ./cmd/benchperf -engine moment -epsilon 0,0.0001 -sigma 0,0.2
+	$(GO) run ./cmd/benchperf -engine moment -sigma 0,0.2
 	$(GO) run ./cmd/benchperf -engine mc
 
 # spstad end-to-end smoke: start the service on an ephemeral port,
@@ -116,14 +116,15 @@ soak:
 # a plain run after the race lines checks its full circuit grid.
 # The FMA guard re-runs the mixture and golden tests built for x86-64-v3
 # (GOAMD64=v3, where FMA instructions are available): the fused
-# mixture kernel is pinned bit for bit to the bin-by-bin recurrence and
-# golden_top.txt to recorded bits, so a product contracted into a
-# fused multiply-add fails it. The kernel rounds every product that
-# meets a difference with an explicit float64 conversion, which keeps
-# it unfused on arm64, where Go contracts; Go 1.24 does not contract
-# on amd64 at all, so the line guards against a toolchain that starts
-# to. It is skipped, with a message, on a CPU whose /proc/cpuinfo
-# lacks avx2 or fma.
+# mixture kernel is pinned bit for bit to the bin-by-bin recurrence,
+# and golden_top.txt (TestGoldenTOP) and golden_moment.txt
+# (TestGoldenMoment, the analytic moment engine) to recorded bits, so
+# a product contracted into a fused multiply-add fails it. The kernel
+# rounds every product that meets a difference with an explicit
+# float64 conversion, which keeps it unfused on arm64, where Go
+# contracts; Go 1.24 does not contract on amd64 at all, so the line
+# guards against a toolchain that starts to. It is skipped, with a
+# message, on a CPU whose /proc/cpuinfo lacks avx2 or fma.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi

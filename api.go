@@ -219,11 +219,10 @@ func AnalyzeSPSTA(c *Circuit, inputs map[NodeID]InputStats, opt SPSTAOptions) (*
 }
 
 // AnalyzeSPSTAMoments runs the analytic (Clark-based) SPSTA
-// abstraction with ε-bounded subset branch-and-bound (see
-// SPSTAOptions.ErrorBudget); eps = 0 is the exact abstraction.
-func AnalyzeSPSTAMoments(c *Circuit, inputs map[NodeID]InputStats, eps float64) (*SPSTAMomentResult, error) {
-	a := core.MomentTiming{ErrorBudget: eps}
-	return a.Run(c, inputs)
+// abstraction. It has no error budget: the subset enumerations run
+// exact.
+func AnalyzeSPSTAMoments(c *Circuit, inputs map[NodeID]InputStats) (*SPSTAMomentResult, error) {
+	return (&core.MomentTiming{}).Run(c, inputs)
 }
 
 // AnalyzeToggleMoments propagates toggling-rate means, variances and

@@ -62,7 +62,7 @@ func TestFacadeAnalyzersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := AnalyzeSPSTAMoments(c, in, 0)
+	analytic, err := AnalyzeSPSTAMoments(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,10 @@
 //	-engine mc      word-packed Monte Carlo per circuit
 //	                (default output BENCH_mc.json)
 //
-// The spsta and moment engines additionally sweep the -epsilon list of
+// The spsta engine additionally sweeps the -epsilon list of
 // adaptive-pruning error budgets; each ε>0 cell reports its speedup
-// over the exact ε=0 cell at the same worker count. The spsta engine
+// over the exact ε=0 cell at the same worker count. The moment engine
+// has no error budget and rejects a nonzero -epsilon. The spsta engine
 // also sweeps the -coarsen list of depth-adaptive grid-coarsening
 // policies (DESIGN.md §15); each coarsening cell reports its final
 // grid resolution, peak support width, certified deviation budget and
@@ -64,8 +65,8 @@ type Row struct {
 	// Workers is the worker count of an SPSTA cell (1 for a moment
 	// cell, which always runs serially).
 	Workers int `json:"workers,omitempty"`
-	// Epsilon is the adaptive-pruning error budget of an SPSTA or
-	// moment cell (0 = exact).
+	// Epsilon is the adaptive-pruning error budget of an SPSTA cell
+	// (0 = exact).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Sigma is the gate-delay standard deviation of an SPSTA or moment
 	// cell: 0 benchmarks deterministic unit delays (pure shifts), >0
@@ -134,7 +135,7 @@ func run() error {
 	engine := flag.String("engine", "spsta", "benchmark engine: spsta (level-parallel analyzer sweep), moment (analytic moment-matching sweep), or mc (word-packed Monte Carlo)")
 	out := flag.String("out", "", "output JSON path (- for stdout; default BENCH_<engine>.json)")
 	workersList := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (-engine spsta; moment cells run one worker)")
-	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta/moment); 0 is the exact baseline")
+	epsilonList := flag.String("epsilon", "0", "comma-separated adaptive-pruning error budgets to sweep (-engine spsta; the moment engine runs exact and accepts only 0); 0 is the exact baseline")
 	sigmaList := flag.String("sigma", "0", "comma-separated gate-delay sigmas to sweep (-engine spsta/moment); 0 is deterministic unit delay, >0 selects variational N(1, sigma^2) delays")
 	coarsenList := flag.String("coarsen", "off", "comma-separated grid-coarsening policies to sweep (-engine spsta): off, auto (DESIGN.md §15)")
 	circuitsList := flag.String("circuits", "", "comma-separated circuit subset (default: all nine)")
@@ -183,12 +184,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if *engine == "moment" {
-			workers = []int{1}
-		}
 		epsilons, err := parseFloats(*epsilonList)
 		if err != nil {
 			return err
+		}
+		if *engine == "moment" {
+			workers = []int{1}
+			for _, e := range epsilons {
+				if e != 0 {
+					return fmt.Errorf("-epsilon applies to -engine spsta only; the moment engine runs exact")
+				}
+			}
 		}
 		sigmas, err := parseFloats(*sigmaList)
 		if err != nil {
@@ -270,22 +276,15 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 	}
 	runOnce := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) error {
 		if engine == "moment" {
-			_, err := (&core.MomentTiming{ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
+			_, err := (&core.MomentTiming{Delay: delayFor(cl.sigma)}).Run(c, in)
 			return err
 		}
 		_, err := analyzerFor(cl).Run(c, in)
 		return err
 	}
-	// certificate reruns the cell once (deterministically) outside the
-	// timed loop to extract the pruning / re-binning certificate.
+	// certificate reruns an spsta cell once (deterministically) outside
+	// the timed loop to extract the pruning / re-binning certificate.
 	certificate := func(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, cl cell) (pruned, budget float64, err error) {
-		if engine == "moment" {
-			res, err := (&core.MomentTiming{ErrorBudget: cl.eps, Delay: delayFor(cl.sigma)}).Run(c, in)
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.TotalPrunedMass(), res.MaxConsumedBudget(), nil
-		}
 		res, err := analyzerFor(cl).Run(c, in)
 		if err != nil {
 			return 0, 0, err
@@ -413,7 +412,7 @@ func benchAnalyzer(engine string, circuits []*netlist.Circuit, workers []int, ep
 					row.CostUnits = snap.Cost.Total
 				}
 			} else if withMetrics {
-				snap, err := snapshotMoment(c, in, cl.eps, cl.sigma)
+				snap, err := snapshotMoment(c, in, cl.sigma)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", c.Name, vs[i].name, err)
 				}
@@ -544,12 +543,11 @@ func measureInterleaved(vs []variant, minTime time.Duration, rounds int) ([]floa
 }
 
 // snapshotMoment runs the moment engine once more with metrics
-// enabled and returns the snapshot (including the pruned-leaf counters
-// of an ε>0 cell). It runs outside the timed loop so the reported
-// ns/op measures the uninstrumented fast path.
-func snapshotMoment(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, eps, sigma float64) (*obs.Snapshot, error) {
+// enabled and returns the snapshot. It runs outside the timed loop so
+// the reported ns/op measures the uninstrumented fast path.
+func snapshotMoment(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, sigma float64) (*obs.Snapshot, error) {
 	scope := obs.NewScope()
-	if _, err := (&core.MomentTiming{ErrorBudget: eps, Delay: delayFor(sigma), Obs: scope}).Run(c, in); err != nil {
+	if _, err := (&core.MomentTiming{Delay: delayFor(sigma), Obs: scope}).Run(c, in); err != nil {
 		return nil, err
 	}
 	return scope.Snapshot(), nil

@@ -56,7 +56,7 @@ func run() error {
 	net := flag.String("net", "", "report a single net instead of the endpoints")
 	split := flag.Int("split", 0, "decompose gates wider than this fanin into trees (0 disables)")
 	sigma := flag.Float64("sigma", 0, "gate delay sigma: >0 selects variational N(1, sigma^2) gate delays (exercising the convolution SUM path) instead of deterministic unit delays")
-	epsilon := flag.Float64("epsilon", 0, "per-net error budget for adaptive pruning in the spsta and spsta-moments engines (0 = exact; results deviate from the exact run by at most the consumed budget reported per net)")
+	epsilon := flag.Float64("epsilon", 0, "per-net error budget for adaptive pruning in the spsta engine (0 = exact; results deviate from the exact run by at most the consumed budget reported per net); spsta-moments always runs exact and rejects a nonzero value")
 	coarsen := flag.String("coarsen", "off", "depth-adaptive grid coarsening in the spsta engine: off, or auto (re-bin 2x at every level boundary where a finished level's widest support exceeds 96 bins); the re-binning deviation is folded into the per-net consumed budget (DESIGN.md §15)")
 	metricsOut := flag.String("metrics", "", "append a JSON engine-metrics snapshot to the run report: - for stdout, or a file path")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the level schedule to this file (open in chrome://tracing or Perfetto)")
@@ -125,6 +125,9 @@ func run() error {
 	if *epsilon < 0 {
 		return fmt.Errorf("-epsilon must be >= 0 (got %v)", *epsilon)
 	}
+	if *epsilon > 0 && *analyzer == "spsta-moments" {
+		return fmt.Errorf("-epsilon applies to the spsta analyzer only; spsta-moments runs exact")
+	}
 	cmode, err := core.ParseCoarsenMode(*coarsen)
 	if err != nil {
 		return err
@@ -136,8 +139,7 @@ func run() error {
 			_, err := runSPSTA(c, in, targets, *workers, *epsilon, delay, pol, scope)
 			return err
 		case "spsta-moments":
-			_, err := runSPSTAMoments(c, in, targets, *epsilon, delay, scope)
-			return err
+			return runSPSTAMoments(c, in, targets, delay, scope)
 		case "ssta":
 			return runSSTA(c, in, targets, delay)
 		case "sta":
@@ -174,7 +176,7 @@ type pruneStats struct {
 // runAll runs every comparison engine and prints a summary footer
 // with per-engine wall time, the peak HeapAlloc growth observed while
 // the engine ran (sampled concurrently), and — for the pruning-capable
-// SPSTA engines — the total pruned mass and max consumed error budget.
+// spsta engine — the total pruned mass and max consumed error budget.
 func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, runs int, seed int64, workers int, epsilon float64, delay ssta.DelayModel, pol core.CoarsenPolicy, scope *obs.Scope) error {
 	engines := []struct {
 		name string
@@ -183,7 +185,7 @@ func runAll(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets 
 		{"spsta", func() (pruneStats, error) {
 			return runSPSTA(c, in, targets, workers, epsilon, delay, pol, scope)
 		}},
-		{"spsta-moments", func() (pruneStats, error) { return runSPSTAMoments(c, in, targets, epsilon, delay, scope) }},
+		{"spsta-moments", func() (pruneStats, error) { return pruneStats{}, runSPSTAMoments(c, in, targets, delay, scope) }},
 		{"ssta", func() (pruneStats, error) { return pruneStats{}, runSSTA(c, in, targets, delay) }},
 		{"sta", func() (pruneStats, error) { return pruneStats{}, runSTA(c, in, targets, delay) }},
 		{"mc", func() (pruneStats, error) {
@@ -413,11 +415,11 @@ func runSPSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, target
 	return pruneStats{ok: true, pruned: res.TotalPrunedMass(), budget: res.MaxConsumedBudget()}, nil
 }
 
-func runSPSTAMoments(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, epsilon float64, delay ssta.DelayModel, scope *obs.Scope) (pruneStats, error) {
-	a := core.MomentTiming{Delay: delay, ErrorBudget: epsilon, Obs: scope}
+func runSPSTAMoments(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, delay ssta.DelayModel, scope *obs.Scope) error {
+	a := core.MomentTiming{Delay: delay, Obs: scope}
 	res, err := a.Run(c, in)
 	if err != nil {
-		return pruneStats{}, err
+		return err
 	}
 	t := report.Table{
 		Title:   "SPSTA (analytic moments)",
@@ -430,10 +432,7 @@ func runSPSTAMoments(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats,
 		t.Add(n.Name, report.F3(rp), report.F(ra.Mu), report.F(ra.Sigma),
 			report.F3(fp), report.F(fa.Mu), report.F(fa.Sigma))
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		return pruneStats{}, err
-	}
-	return pruneStats{ok: true, pruned: res.TotalPrunedMass(), budget: res.MaxConsumedBudget()}, nil
+	return t.Render(os.Stdout)
 }
 
 func runSSTA(c *netlist.Circuit, in map[netlist.NodeID]logic.InputStats, targets []netlist.NodeID, delay ssta.DelayModel) error {

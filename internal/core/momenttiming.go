@@ -27,15 +27,6 @@ const DefaultMaxMomentFanin = 16
 type MomentTiming struct {
 	// Delay is the gate delay model (default ssta.UnitDelay).
 	Delay ssta.DelayModel
-	// ErrorBudget is the per-net ε for adaptive pruning (DESIGN.md
-	// §11): the subset enumerations order fanins by switching
-	// probability and cut whole subtrees whose exact remaining
-	// occurrence weight fits in the budget (ε/2 per mixture direction
-	// for monotone gates, ε for the parity enumeration). Removed mass
-	// is folded back into the four-value probabilities and tracked in
-	// MomentState.PrunedMass/Budget. Zero disables pruning and is
-	// bit-identical to the exact engine.
-	ErrorBudget float64
 	// Obs is the analysis' observability scope (metrics and optional
 	// tracing); nil disables instrumentation. Scopes are per-analysis,
 	// so concurrent Runs with distinct scopes never share counters.
@@ -49,22 +40,12 @@ type MomentState struct {
 	// Arr[d] is the conditional arrival-time normal of direction d
 	// (meaningful when P[Rise]/P[Fall] > 0).
 	Arr [2]dist.Normal
-	// PrunedMass bounds the occurrence mass removed at this net by
-	// ε-bounded pruning (0 on exact runs); already folded back into P.
-	PrunedMass float64
-	// Budget is the net's cumulative certified deviation bound: the
-	// local pruning bound plus every combinational fanin's Budget.
-	Budget float64
 }
 
 // MomentResult is a completed analytic SPSTA analysis.
 type MomentResult struct {
 	C     *netlist.Circuit
 	State []MomentState
-	// Span is the analytic arrival interval width every conditional
-	// statistic of the run lies in (the grid-free analog of the
-	// Analyzer's grid span), used by DeviationBounds.
-	Span float64
 }
 
 // Run executes the analytic analyzer, level by level on the calling
@@ -75,7 +56,7 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 	if delay == nil {
 		delay = ssta.UnitDelay
 	}
-	res := &MomentResult{C: c, State: make([]MomentState, len(c.Nodes)), Span: momentSpan(c, inputs)}
+	res := &MomentResult{C: c, State: make([]MomentState, len(c.Nodes))}
 	defaultStats := logic.UniformStats()
 	name := func(id netlist.NodeID) string { return c.Nodes[id].Name }
 	err := runLevels(a.Obs.M(), a.Obs.T(), a.Obs.SpanID(), 1, c.Levelize(), name, func(_ int, id netlist.NodeID) error {
@@ -99,15 +80,8 @@ func (a *MomentTiming) Run(c *netlist.Circuit, inputs map[netlist.NodeID]logic.I
 			st.Arr[ssta.DirRise] = arr
 			st.Arr[ssta.DirFall] = arr
 		default:
-			if err := momentGate(res, n, delay, a.ErrorBudget, a.Obs.M()); err != nil {
+			if err := momentGate(res, n, delay, a.Obs.M()); err != nil {
 				return err
-			}
-			if a.ErrorBudget > 0 {
-				// Cumulative certificate: fanin deviation bounds add
-				// (see Analyzer.computeNode).
-				for _, f := range n.Fanin {
-					st.Budget += res.State[f].Budget
-				}
 			}
 		}
 		return nil
@@ -150,7 +124,7 @@ func sqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps float64, m *obs.Metrics) error {
+func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, m *obs.Metrics) error {
 	st := &res.State[n.ID]
 	d := delay(n)
 	shift := func(x dist.Normal) dist.Normal {
@@ -193,26 +167,8 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 		if m != nil {
 			leaves = new(int64)
 		}
-		ordNC, ordC := n.Fanin, n.Fanin
-		var sufNC, ncsNC, sufC, ncsC []float64
-		var bbNCD, bbCD *bbState
-		if eps > 0 {
-			// ε/2 of branch-and-bound budget per mixture direction.
-			ordNC, sufNC, ncsNC = momentOrder(res, n.Fanin, ncVal, towardNC)
-			ordC, sufC, ncsC = momentOrder(res, n.Fanin, ncVal, towardCtrl)
-			bbNCD = &bbState{budget: eps / 2}
-			bbCD = &bbState{budget: eps / 2}
-		}
-		subsetMoments(res, ordNC, ncVal, towardNC, true, &ncd, leaves, sufNC, ncsNC, bbNCD)
-		subsetMoments(res, ordC, ncVal, towardCtrl, false, &cd, leaves, sufC, ncsC, bbCD)
-		if eps > 0 {
-			bbNCD.flush(m, len(n.Fanin))
-			bbCD.flush(m, len(n.Fanin))
-			// The controlled-value residual bucket below absorbs the
-			// pruned mixture mass, so probabilities still sum to 1.
-			st.PrunedMass = bbNCD.pruned + bbCD.pruned
-			st.Budget = st.PrunedMass
-		}
+		subsetMoments(res, n.Fanin, ncVal, towardNC, true, &ncd, leaves)
+		subsetMoments(res, n.Fanin, ncVal, towardCtrl, false, &cd, leaves)
 		if m != nil {
 			m.SubsetLeaves.Add(len(n.Fanin), *leaves)
 			m.CostLeafOps.Add(*leaves)
@@ -245,30 +201,10 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 		if m != nil {
 			leaves = new(int64)
 		}
-		// With a budget, fanins are reordered by ascending switching
-		// probability and subtrees whose exact remaining occurrence
-		// weight (suffix product) fits in ε are cut whole; the missing
-		// mass is restored by renormMomentParity below.
-		ord := n.Fanin
-		var suffix []float64
-		var bb *bbState
-		if eps > 0 {
-			ord, suffix = momentParityOrder(res, n.Fanin)
-			bb = &bbState{budget: eps}
-		}
 		var rec func(i int, weight float64)
 		rec = func(i int, weight float64) {
 			if weight == 0 {
 				return
-			}
-			if bb != nil {
-				if sub := weight * suffix[i]; sub > 0 && sub <= bb.budget {
-					bb.budget -= sub
-					bb.pruned += sub
-					bb.cuts++
-					bb.leaves += pow4(len(vals) - i)
-					return
-				}
 			}
 			if i == len(vals) {
 				if leaves != nil {
@@ -285,7 +221,7 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 					if !v.Switching() {
 						continue
 					}
-					arr := res.State[ord[j]].Arr[dirOf(v)]
+					arr := res.State[n.Fanin[j]].Arr[dirOf(v)]
 					if first {
 						acc, first = arr, false
 					} else if op == logic.OpMax {
@@ -301,14 +237,13 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 				}
 				return
 			}
-			in := &res.State[ord[i]]
+			in := &res.State[n.Fanin[i]]
 			for v := logic.Zero; v < logic.NumValues; v++ {
 				vals[i] = v
 				rec(i+1, weight*in.P[v])
 			}
 		}
 		rec(0, 1)
-		bb.flush(m, len(n.Fanin))
 		if m != nil {
 			m.SubsetLeaves.Add(len(n.Fanin), *leaves)
 			m.CostLeafOps.Add(*leaves)
@@ -319,9 +254,6 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 		st.P[logic.Fall] = fallP
 		st.Arr[ssta.DirRise] = shift(riseArr)
 		st.Arr[ssta.DirFall] = shift(fallArr)
-		if eps > 0 {
-			renormMomentParity(st)
-		}
 		return nil
 	}
 	return fmt.Errorf("core: unsupported gate %v", n.Type)
@@ -331,34 +263,13 @@ func momentGate(res *MomentResult, n *netlist.Node, delay ssta.DelayModel, eps f
 // dir, the rest pinned at ncVal) and accumulates the Clark-combined
 // subset arrival moments into acc. max selects MAX (true) or MIN
 // combination. leaves, when non-nil, counts enumerated subset leaves
-// for the obs histogram.
-//
-// fanin is the evaluation order (the node's fanin slice on exact
-// runs, a switching-probability sort under a budget). When bb is
-// non-nil, suffix[i] = Π_{j≥i}(Pnc_j + Pdir_j) and ncSuffix[i] =
-// Π_{j≥i} Pnc_j bound the subtree at position i: its contribution to
-// the mixture is exactly weight·suffix[i] once a switcher was taken
-// (has), and weight·(suffix[i]−ncSuffix[i]) before (the all-stay
-// continuation never reaches acc), so subtrees whose contribution
-// fits in the remaining budget are cut whole.
-func subsetMoments(res *MomentResult, fanin []netlist.NodeID, ncVal, dir logic.Value, max bool, acc *mixAccum, leaves *int64, suffix, ncSuffix []float64, bb *bbState) {
+// for the obs histogram. Fanins are visited in netlist order: Clark
+// matching is order-sensitive, so the order is part of the result.
+func subsetMoments(res *MomentResult, fanin []netlist.NodeID, ncVal, dir logic.Value, max bool, acc *mixAccum, leaves *int64) {
 	var rec func(i int, weight float64, cur dist.Normal, has bool)
 	rec = func(i int, weight float64, cur dist.Normal, has bool) {
 		if weight == 0 {
 			return
-		}
-		if bb != nil {
-			sub := weight * suffix[i]
-			if !has {
-				sub = weight * (suffix[i] - ncSuffix[i])
-			}
-			if sub > 0 && sub <= bb.budget {
-				bb.budget -= sub
-				bb.pruned += sub
-				bb.cuts++
-				bb.leaves += int64(1) << uint(len(fanin)-i)
-				return
-			}
 		}
 		if i == len(fanin) {
 			if leaves != nil {

@@ -1,8 +1,9 @@
-// ε-bounded adaptive pruning (DESIGN.md §11). Both SPSTA engines
-// accept a per-net error budget ε (ErrorBudget). A budget of zero is
-// the exact path, bit-identical to the pre-pruning engines; a
-// positive budget lets every net spend at most ε of occurrence mass
-// on four deterministic approximations:
+// ε-bounded adaptive pruning (DESIGN.md §11). The t.o.p. engine
+// (Analyzer) accepts a per-net error budget ε (ErrorBudget); the
+// analytic MomentTiming engine has none and always runs exact. A
+// budget of zero is the exact path, bit-identical to the pre-pruning
+// engine; a positive budget lets every net spend at most ε of
+// occurrence mass on four deterministic approximations:
 //
 //   - subset branch-and-bound: enumeration subtrees whose exact
 //     remaining occurrence weight (maintained as a suffix product
@@ -32,7 +33,7 @@
 // certified deviation bound: the local bound plus every fanin's
 // Budget (fanins of one gate are independent inputs of a multilinear
 // form, so their bounds add; the certificate resets at launch points,
-// matching the engines' per-cycle semantics).
+// matching the engine's per-cycle semantics).
 package core
 
 import (
@@ -200,57 +201,6 @@ func renormParity(st *NetState) {
 	st.Budget += renormBound(m)
 }
 
-// momentOrder computes the subtree-bound suffix products for one
-// monotone mixture direction of the analytic engine: suffix[i] =
-// Π_{j≥i}(Pnc_j + Pdir_j) and ncSuffix[i] = Π_{j≥i} Pnc_j (see
-// subsetMoments). Unlike the Analyzer, the analytic engine must NOT
-// reorder fanins by switching probability: Clark moment matching is
-// order-sensitive, so a reordered enumeration would deviate from the
-// exact ε=0 run by the (uncertified) matching error rather than the
-// budgeted mass. The bounds alone still cut low-weight subtrees.
-func momentOrder(res *MomentResult, fanin []netlist.NodeID, ncVal, dir logic.Value) ([]netlist.NodeID, []float64, []float64) {
-	suffix := make([]float64, len(fanin)+1)
-	ncSuffix := make([]float64, len(fanin)+1)
-	suffix[len(fanin)], ncSuffix[len(fanin)] = 1, 1
-	for i := len(fanin) - 1; i >= 0; i-- {
-		p := &res.State[fanin[i]]
-		suffix[i] = (p.P[ncVal] + p.P[dir]) * suffix[i+1]
-		ncSuffix[i] = p.P[ncVal] * ncSuffix[i+1]
-	}
-	return fanin, suffix, ncSuffix
-}
-
-// momentParityOrder is momentOrder for the parity enumeration: the
-// fanin order is kept (Clark matching is order-sensitive) and
-// suffix[i] = Π_{j≥i} Σ_v P_j[v].
-func momentParityOrder(res *MomentResult, fanin []netlist.NodeID) ([]netlist.NodeID, []float64) {
-	suffix := make([]float64, len(fanin)+1)
-	suffix[len(fanin)] = 1
-	for i := len(fanin) - 1; i >= 0; i-- {
-		p := &res.State[fanin[i]]
-		total := p.P[logic.Zero] + p.P[logic.One] + p.P[logic.Rise] + p.P[logic.Fall]
-		suffix[i] = total * suffix[i+1]
-	}
-	return fanin, suffix
-}
-
-// renormMomentParity is renormParity for the analytic engine: only
-// the probabilities rescale (the conditional arrival normals are
-// already normalized mixtures of the surviving subsets).
-func renormMomentParity(st *MomentState) {
-	total := st.P[logic.Zero] + st.P[logic.One] + st.P[logic.Rise] + st.P[logic.Fall]
-	if total <= 0 || total >= 1 {
-		return
-	}
-	m := 1 - total
-	scale := 1 / total
-	for v := range st.P {
-		st.P[v] *= scale
-	}
-	st.PrunedMass += m
-	st.Budget += renormBound(m)
-}
-
 // renormBound converts a removed-mass total m into the local
 // contribution to the certified deviation bound when the remaining
 // probabilities are renormalized by 1/(1−m): each value moves by at
@@ -332,66 +282,4 @@ func deviationBounds(D, mass, span float64) (prob, mean, sigma float64) {
 		sigma = span
 	}
 	return prob, mean, sigma
-}
-
-// PrunedMass returns the occurrence mass ε-bounded pruning removed at
-// net id (0 on exact runs).
-func (r *MomentResult) PrunedMass(id netlist.NodeID) float64 { return r.State[id].PrunedMass }
-
-// ConsumedBudget returns net id's cumulative certified deviation
-// bound (see Result.ConsumedBudget).
-func (r *MomentResult) ConsumedBudget(id netlist.NodeID) float64 { return r.State[id].Budget }
-
-// TotalPrunedMass sums the locally pruned mass over every net.
-func (r *MomentResult) TotalPrunedMass() float64 {
-	s := 0.0
-	for i := range r.State {
-		s += r.State[i].PrunedMass
-	}
-	return s
-}
-
-// MaxConsumedBudget returns the worst per-net consumed budget.
-func (r *MomentResult) MaxConsumedBudget() float64 {
-	b := 0.0
-	for i := range r.State {
-		if r.State[i].Budget > b {
-			b = r.State[i].Budget
-		}
-	}
-	return b
-}
-
-// DeviationBounds is the analytic-engine analog of
-// Result.DeviationBounds, using the run's analytic arrival span
-// (MomentResult.Span) in place of the grid span.
-func (r *MomentResult) DeviationBounds(id netlist.NodeID, d ssta.Dir) (prob, mean, sigma float64) {
-	v := logic.Rise
-	if d == ssta.DirFall {
-		v = logic.Fall
-	}
-	return deviationBounds(r.State[id].Budget, r.State[id].P[v], r.Span)
-}
-
-// momentSpan mirrors dist.TimingGrid's span for the grid-free
-// analytic engine: the interval every conditional arrival statistic
-// of a depth-deep circuit with the given launch statistics lies in.
-func momentSpan(c *netlist.Circuit, inputs map[netlist.NodeID]logic.InputStats) float64 {
-	muLo, muHi, sigma := 0.0, 0.0, 1.0
-	for _, st := range inputs {
-		if st.Mu < muLo {
-			muLo = st.Mu
-		}
-		if st.Mu > muHi {
-			muHi = st.Mu
-		}
-		if st.Sigma > sigma {
-			sigma = st.Sigma
-		}
-	}
-	pad := 8 * sigma
-	if pad < 4 {
-		pad = 4
-	}
-	return float64(c.Depth()) + (muHi - muLo) + 2*pad
 }

@@ -38,10 +38,10 @@ func sameNetState(a, b *NetState) bool {
 	return true
 }
 
-// TestPruneZeroBitIdentical: with ErrorBudget 0 the pruning-capable
-// engines must report zero pruned mass and consumed budget everywhere,
-// for every bundled circuit and both scenarios, and the Analyzer must
-// be bit-identical to the exact serial run at several worker counts.
+// TestPruneZeroBitIdentical: with ErrorBudget 0 the Analyzer must
+// report zero pruned mass and consumed budget everywhere, for every
+// bundled circuit and both scenarios, and be bit-identical to the
+// exact serial run at several worker counts.
 func TestPruneZeroBitIdentical(t *testing.T) {
 	for _, p := range synth.Profiles() {
 		c, err := synth.Generate(p)
@@ -50,16 +50,6 @@ func TestPruneZeroBitIdentical(t *testing.T) {
 		}
 		for scen, in := range scenarios(c) {
 			ref := run(t, c, in)
-			mres, err := (&MomentTiming{ErrorBudget: 0}).Run(c, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range c.Nodes {
-				if st := &mres.State[n.ID]; st.PrunedMass != 0 || st.Budget != 0 {
-					t.Fatalf("%s/%s %s: moment ε=0 reports pruning (%v, %v)",
-						p.Name, scen, n.Name, st.PrunedMass, st.Budget)
-				}
-			}
 			for _, workers := range []int{1, 4} {
 				a := Analyzer{Workers: workers, ErrorBudget: 0}
 				res, err := a.Run(c, in)
@@ -143,66 +133,6 @@ func TestPruneDeviationWithinBudget(t *testing.T) {
 	}
 }
 
-// TestPruneMomentDeviationWithinBudget is the analytic-engine version
-// of TestPruneDeviationWithinBudget.
-func TestPruneMomentDeviationWithinBudget(t *testing.T) {
-	const slack = 1e-9
-	for _, p := range synth.Profiles() {
-		c, err := synth.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for scen, in := range scenarios(c) {
-			exact, err := (&MomentTiming{}).Run(c, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, eps := range []float64{1e-4, 1e-2} {
-				mt := MomentTiming{ErrorBudget: eps}
-				res, err := mt.Run(c, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range c.Nodes {
-					st := &res.State[n.ID]
-					if st.PrunedMass > eps+slack {
-						t.Fatalf("%s/%s ε=%g %s: local spend %v exceeds ε",
-							p.Name, scen, eps, n.Name, st.PrunedMass)
-					}
-					sum := 0.0
-					for v := logic.Zero; v < logic.NumValues; v++ {
-						sum += st.P[v]
-						if d := math.Abs(st.P[v] - exact.State[n.ID].P[v]); d > st.Budget+slack {
-							t.Fatalf("%s/%s ε=%g %s: P[%v] deviates %v > budget %v",
-								p.Name, scen, eps, n.Name, v, d, st.Budget)
-						}
-					}
-					if math.Abs(sum-1) > 1e-6 {
-						t.Fatalf("%s/%s ε=%g %s: probabilities sum to %v",
-							p.Name, scen, eps, n.Name, sum)
-					}
-					for _, d := range []ssta.Dir{ssta.DirRise, ssta.DirFall} {
-						ea, ep := exact.Arrival(n.ID, d)
-						ga, gp := res.Arrival(n.ID, d)
-						if ep < 1e-9 || gp < 1e-9 {
-							continue
-						}
-						_, mb, sb := res.DeviationBounds(n.ID, d)
-						if diff := math.Abs(ga.Mu - ea.Mu); diff > mb+slack {
-							t.Fatalf("%s/%s ε=%g %s dir=%v: mean deviates %v > bound %v",
-								p.Name, scen, eps, n.Name, d, diff, mb)
-						}
-						if diff := math.Abs(ga.Sigma - ea.Sigma); diff > sb+slack {
-							t.Fatalf("%s/%s ε=%g %s dir=%v: sigma deviates %v > bound %v",
-								p.Name, scen, eps, n.Name, d, diff, sb)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPruneDeterministicAcrossWorkers: pruning decisions are per gate
 // with per-gate budgets, so a pruned run must stay bit-identical for
 // any worker count.
@@ -261,13 +191,6 @@ func TestPruneActuallyPrunes(t *testing.T) {
 	if phi-plo >= ehi-elo {
 		t.Fatalf("launch t.o.p. support did not shrink: exact %d bins, pruned %d bins",
 			ehi-elo, phi-plo)
-	}
-	mres, err := (&MomentTiming{ErrorBudget: 1e-4}).Run(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.TotalPrunedMass() <= 0 {
-		t.Fatal("moment ε=1e-4 run pruned nothing")
 	}
 }
 

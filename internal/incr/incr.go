@@ -16,6 +16,7 @@ package incr
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -176,12 +177,15 @@ func (s *session) inputEdited(id netlist.NodeID) bool {
 // maps gates to their delays, input maps launch points to their
 // statistics, and every override in effect that they do not name is
 // cleared. An override already in effect is skipped. Clears run
-// before sets, so a what-if call that drops the previous call's
-// single edit reverts it while it is still the session's latest edit,
-// which copies the snapshot back instead of re-timing the cone. The
-// launch edits are checked before any edit is applied: a rejected set
-// (ErrRejected) leaves the session unchanged. Apply returns the total
-// node recomputations.
+// before sets, in a fixed order: sets walk delays then launch points,
+// each in ascending net id, and clears walk the exact reverse. So a
+// what-if call that drops the previous call's edits clears that
+// call's last edit first, while it is still the session's latest
+// edit, which copies the snapshot back instead of re-timing the cone,
+// and the node count is the same on every run. The launch edits are
+// checked before any edit is applied: a rejected set (ErrRejected)
+// leaves the session unchanged. Apply returns the total node
+// recomputations.
 func (s *session) Apply(delay map[netlist.NodeID]dist.Normal, input map[netlist.NodeID]logic.InputStats) (int, error) {
 	if err := s.admit(s.baseIn, input); err != nil {
 		return 0, err
@@ -191,35 +195,48 @@ func (s *session) Apply(delay map[netlist.NodeID]dist.Normal, input map[netlist.
 		total += n
 		return err
 	}
-	for id := range s.over {
-		if _, ok := delay[id]; !ok {
-			if err := step(s.ClearDelay(id)); err != nil {
-				return total, err
-			}
-		}
-	}
-	for id := range s.inputs {
+	clearIn, clearOver := sortedIDs(s.inputs), sortedIDs(s.over)
+	slices.Reverse(clearIn)
+	slices.Reverse(clearOver)
+	for _, id := range clearIn {
 		if _, ok := input[id]; !ok {
 			if err := step(s.ClearInput(id)); err != nil {
 				return total, err
 			}
 		}
 	}
-	for id, d := range delay {
-		if cur, ok := s.over[id]; !ok || cur != d {
-			if err := step(s.SetDelay(id, d)); err != nil {
+	for _, id := range clearOver {
+		if _, ok := delay[id]; !ok {
+			if err := step(s.ClearDelay(id)); err != nil {
 				return total, err
 			}
 		}
 	}
-	for id, st := range input {
-		if cur, ok := s.inputs[id]; !ok || cur != st {
-			if err := step(s.setInput(id, st)); err != nil {
+	for _, id := range sortedIDs(delay) {
+		if cur, ok := s.over[id]; !ok || cur != delay[id] {
+			if err := step(s.SetDelay(id, delay[id])); err != nil {
+				return total, err
+			}
+		}
+	}
+	for _, id := range sortedIDs(input) {
+		if cur, ok := s.inputs[id]; !ok || cur != input[id] {
+			if err := step(s.setInput(id, input[id])); err != nil {
 				return total, err
 			}
 		}
 	}
 	return total, nil
+}
+
+// sortedIDs returns m's keys in ascending net id order.
+func sortedIDs[V any](m map[netlist.NodeID]V) []netlist.NodeID {
+	ids := make([]netlist.NodeID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // admit checks launch edits before any is applied: each must be

@@ -118,6 +118,38 @@ func TestApplySkipsEditsInEffect(t *testing.T) {
 	requireSameState(t, s.Result(), fullRun(t, s, 0.2, 1e-4, delay, input), "after the what-if")
 }
 
+// TestApplyOrderIsDeterministic: Apply walks its edits in net id
+// order, not Go's map order, so applying a two-gate set to a fresh
+// session and reverting it recomputes the same nets on every trial
+// (the revert clears the set's last edit first, which restores the
+// snapshot), and the reverted session lands on a full run.
+func TestApplyOrderIsDeterministic(t *testing.T) {
+	const sigma, eps = 0.2, 1e-4
+	type counts struct{ apply, revert int }
+	var first counts
+	for trial := 0; trial < 40; trial++ {
+		s, gates := variationalSession(t, "s344", sigma, eps)
+		delay := map[netlist.NodeID]dist.Normal{
+			gates[0]:            {Mu: 2, Sigma: 0.1},
+			gates[len(gates)/2]: {Mu: 0.7, Sigma: 0.05},
+		}
+		var got counts
+		var err error
+		if got.apply, err = s.Apply(delay, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got.revert, err = s.Apply(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if trial == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("trial %d recomputed %+v nets, trial 0 %+v", trial, got, first)
+		}
+		requireSameState(t, s.Result(), fullRun(t, s, sigma, eps, nil, nil), "after the revert")
+	}
+}
+
 // TestApplyRejectsGridMove: a launch sigma above 1 widens the grid a
 // full analysis would run on, so Apply rejects the whole set, the gate
 // edit beside it included, and the session is left as it was; an

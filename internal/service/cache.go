@@ -36,9 +36,10 @@ const (
 
 // cacheKey builds the result-cache key for one engine run,
 // normalizing away every knob that cannot affect that engine's
-// output. Workers is excluded for spsta and moment (their results and
-// cost units are worker-invariant by design) but included, resolved,
-// for mc (a simulation is bit-identical only for a fixed
+// output. Epsilon keys only spsta: the moment and mc engines have no
+// error budget. Workers is excluded for spsta and moment (their
+// results and cost units are worker-invariant by design) but included,
+// resolved, for mc (a simulation is bit-identical only for a fixed
 // seed/runs/workers triple).
 func cacheKey(digest string, req *Request, engine string) string {
 	var b strings.Builder
@@ -58,7 +59,6 @@ func cacheKey(digest string, req *Request, engine string) string {
 		b.WriteByte('|')
 		b.WriteString(req.Coarsen)
 	case "moment":
-		f(req.Epsilon)
 		f(req.Sigma)
 	case "mc":
 		f(req.Sigma)

@@ -254,7 +254,8 @@ type Request struct {
 	// Engine: spsta (default), moment, mc, or all.
 	Engine string `json:"engine,omitempty"`
 	// Epsilon is the per-net adaptive-pruning error budget of the
-	// spsta and moment engines (0 = exact).
+	// spsta engine (0 = exact). A value > 0 is a 400 unless Engine is
+	// spsta or all; the moment engine always runs exact.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Sigma > 0 selects variational N(1, sigma^2) gate delays
 	// instead of deterministic unit delays.
@@ -307,8 +308,8 @@ type EngineResult struct {
 	// §14): identical requests report identical cost regardless of the
 	// worker count or machine.
 	CostUnits int64 `json:"cost_units"`
-	// PrunedMass and MaxBudget certify an epsilon > 0 run of the
-	// discrete engines.
+	// PrunedMass and MaxBudget certify an epsilon > 0 or coarsened
+	// run of the spsta engine.
 	PrunedMass float64 `json:"pruned_mass,omitempty"`
 	MaxBudget  float64 `json:"max_budget,omitempty"`
 	// Cached marks a result served from the content-addressed result
@@ -506,6 +507,9 @@ func decode(r *http.Request) (*Request, error) {
 	req.coarsen, req.Coarsen = mode, mode.String()
 	if mode != core.CoarsenOff && req.Engine != "spsta" && req.Engine != "all" {
 		return nil, errBadRequest("coarsen applies only to the spsta engine (engine %q)", req.Engine)
+	}
+	if req.Epsilon > 0 && req.Engine != "spsta" && req.Engine != "all" {
+		return nil, errBadRequest("epsilon applies only to the spsta engine (engine %q)", req.Engine)
 	}
 	if req.Workers < 0 || req.Workers > maxRequestWorkers {
 		return nil, errBadRequest("workers must be in [0, %d]", maxRequestWorkers)
@@ -1068,7 +1072,7 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 		er.PrunedMass = res.TotalPrunedMass()
 		er.MaxBudget = res.MaxConsumedBudget()
 	case "moment":
-		a := core.MomentTiming{Delay: req.delay(), ErrorBudget: req.Epsilon, Obs: scope}
+		a := core.MomentTiming{Delay: req.delay(), Obs: scope}
 		res, err := a.Run(c, in)
 		if err != nil {
 			return er, err
@@ -1082,8 +1086,6 @@ func runEngine(engine string, c *netlist.Circuit, in map[netlist.NodeID]logic.In
 				Fall: DirStat{Mu: fa.Mu, Sigma: fa.Sigma, P: fp},
 			})
 		}
-		er.PrunedMass = res.TotalPrunedMass()
-		er.MaxBudget = res.MaxConsumedBudget()
 	case "mc":
 		res, err := montecarlo.Simulate(c, in, montecarlo.Config{
 			Runs: req.Runs, Seed: req.Seed, Workers: req.mcWorkers(),

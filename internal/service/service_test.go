@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -505,6 +506,79 @@ func TestCoarsenRequestKnob(t *testing.T) {
 	sampleValue(t, samples, "spstad_engine_support_width_peak_bins")
 	sampleValue(t, samples, "spstad_engine_slab_bytes_peak")
 	sampleValue(t, samples, `spstad_engine_conv_plans_total{result="hit"}`)
+}
+
+// TestEpsilonOnlyWithSpsta: epsilon is the spsta engine's knob, so an
+// analyze or compare body with epsilon > 0 is a 400 naming it unless
+// its engine is spsta or all, the rule coarsen follows.
+func TestEpsilonOnlyWithSpsta(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	for _, c := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/analyze", `{"circuit":"s208","engine":"moment","epsilon":0.0001}`, http.StatusBadRequest},
+		{"/v1/analyze", `{"circuit":"s208","engine":"mc","runs":200,"epsilon":0.0001}`, http.StatusBadRequest},
+		{"/v1/compare", `{"circuit":"s208","engine":"moment","runs":200,"epsilon":0.0001}`, http.StatusBadRequest},
+		{"/v1/analyze", `{"circuit":"s208","engine":"moment"}`, http.StatusOK},
+		{"/v1/analyze", `{"circuit":"s208","engine":"spsta","epsilon":0.0001}`, http.StatusOK},
+		{"/v1/analyze", `{"circuit":"s208","engine":"all","runs":200,"epsilon":0.0001}`, http.StatusOK},
+		{"/v1/compare", `{"circuit":"s208","runs":200,"epsilon":0.0001}`, http.StatusOK},
+	} {
+		resp, b := post(t, srv.URL+c.path, c.body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status = %d, want %d (%s)", c.path, c.body, resp.StatusCode, c.status, b)
+			continue
+		}
+		if c.status == http.StatusBadRequest && !strings.Contains(string(b), "epsilon applies only to the spsta engine") {
+			t.Errorf("%s %s: error %s does not say epsilon is the spsta engine's", c.path, c.body, b)
+		}
+	}
+}
+
+// TestMomentCacheIgnoresEpsilon: the moment engine has no error
+// budget, so its cache key leaves epsilon out, and an engine=all
+// request at epsilon 1e-4 serves its moment result from the entry an
+// engine=moment request at epsilon 0 stored.
+func TestMomentCacheIgnoresEpsilon(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	engine := func(body, name string) EngineResult {
+		t.Helper()
+		resp, b := post(t, srv.URL+"/v1/analyze", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d (%s)", body, resp.StatusCode, b)
+		}
+		var r Response
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		for _, er := range r.Engines {
+			if er.Engine == name {
+				return er
+			}
+		}
+		t.Fatalf("%s: no %s engine in the response", body, name)
+		return EngineResult{}
+	}
+	cold := engine(`{"circuit":"s344","engine":"moment","sigma":0.2}`, "moment")
+	if cold.Cached {
+		t.Fatal("first moment request claims cached")
+	}
+	hot := engine(`{"circuit":"s344","engine":"all","runs":200,"sigma":0.2,"epsilon":0.0001}`, "moment")
+	if !hot.Cached {
+		t.Fatal("engine=all at epsilon 1e-4 re-ran the moment engine instead of reusing the epsilon 0 entry")
+	}
+	if !reflect.DeepEqual(hot.Endpoints, cold.Endpoints) {
+		t.Fatal("cached moment endpoints differ from the stored run")
+	}
 }
 
 // TestDriftMonitor samples a request and runs one drift replay: the
