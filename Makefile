@@ -46,8 +46,9 @@ bench:
 #     burn-rate evaluator ticking at 10ms (100x production rate)
 #     adds <= 2% to the served request path (DESIGN.md §17).
 #   - TestBenchGuardSoak: 8-second short-mode of `make soak` — mixed
-#     hot/cold/delta load with no SLO objective burning, client p99
-#     <= 500ms, rejections <= 1%.
+#     hot/cold/delta load with no SLO objective burning, no request
+#     error, client p99 <= 500ms, rejections <= 1% (loadgen's
+#     Report.Gate, the gate cmd/spstasoak applies).
 bench-guard:
 	BENCH_GUARD=1 $(GO) test -run TestBenchGuard -v -timeout 20m . ./internal/montecarlo
 
@@ -68,10 +69,11 @@ smoke:
 
 # SLO soak: one minute of closed-loop mixed hot/cold/delta load
 # against an in-process spstad with soak-tuned burn windows
-# (DESIGN.md §17). Exits nonzero when any SLO objective burns, client
-# p99 exceeds 500ms, or rejections exceed 1%; a failing run lists the
-# daemon's auto-capture bundles. bench-guard runs an 8-second
-# short-mode version of the same gate (TestBenchGuardSoak).
+# (DESIGN.md §17). Exits nonzero when any SLO objective burns, any
+# request fails, client p99 exceeds 500ms, or rejections exceed 1%; a
+# failing run lists the daemon's auto-capture bundles. bench-guard
+# runs an 8-second short-mode version of the same gate
+# (TestBenchGuardSoak).
 soak:
 	$(GO) run ./cmd/spstasoak -duration 60s
 
@@ -110,6 +112,14 @@ soak:
 # scrapes reading the lifetime engine registry while finishing
 # requests add into it,
 # and the drift monitor's ticker loop, which must stop with Close.
+# The service's bounded stores run at both counts as well: the shared
+# LRU (TestLRUOrderAndBound), the result cache's eviction, byte bound
+# and panicking flight (TestResultCacheHit, TestResultCacheEviction,
+# TestResultCacheBoundCountsStoredBytes,
+# TestResultCachePanicDoesNotWedgeKey), single-flight
+# (TestSingleFlightDedup), the netlist registry
+# (TestNetlistRegistryAndRef) and concurrent first-hit encoding
+# (TestConcurrentFirstHitsEncodeOnce).
 # Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
@@ -134,7 +144,7 @@ check:
 		GOAMD64=v3 $(GO) test -run 'Mixture|Golden' ./internal/dist ./internal/core; \
 	else echo "check: skipping the GOAMD64=v3 FMA guard: /proc/cpuinfo lacks avx2 or fma"; fi
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel|Apply' ./internal/core ./internal/incr
-	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop' ./internal/service
+	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop|LRU|ResultCache|SingleFlight|NetlistRegistry|FirstHits' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...

@@ -1,9 +1,11 @@
-// Command spstasoak is the SLO soak harness for spstad: it runs a
-// closed-loop mixed hot/cold/delta load (internal/loadgen) against a
-// daemon for a fixed duration while polling /debug/slo, and exits
-// nonzero when the run violates its objectives — any SLO objective
-// seen burning, a client-side p99 latency over the threshold, or a
-// rejection rate over budget. `make soak` runs it for 60 seconds.
+// Command spstasoak is the load generator and SLO soak harness for
+// spstad: it runs a closed-loop mixed hot/cold/delta load
+// (internal/loadgen) against a daemon for a fixed duration while
+// polling /debug/slo, prints per-class latency percentiles and the
+// daemon's cache counters, and exits nonzero when the run fails the
+// soak gate (loadgen's Report.Gate) — any SLO objective seen burning,
+// any request error, a client-side p99 latency over the threshold, or
+// a rejection rate over budget. `make soak` runs it for 60 seconds.
 //
 // By default the harness spawns the daemon in-process (the service
 // package behind a real HTTP listener on 127.0.0.1), with soak-tuned
@@ -15,12 +17,18 @@
 // latency target (0.99) and burn thresholds (2 fast, 1 slow) are the
 // daemon's fixed values.
 //
+// Usage:
+//
+//	spstasoak -duration 60s
+//	spstasoak -addr http://localhost:8321 -duration 15s -mix hot=0.6,cold=0.2,delta=0.2
+//	spstasoak -addr http://host:8321 -circuits s1196,s1238 -json BENCH_service.json
+//
 // A violation leaves evidence: the daemon's auto-capture writes a
 // diagnostic bundle (CPU+heap profiles, flight ring, the offending
 // timeline window) under -debug-dir, and the harness lists the
 // bundles it finds via /debug/captures before exiting. -json writes
-// the client-side report (schema shared with spstaload) plus the
-// server-side SLO summary.
+// the client-side report (per-class counts, rejections and
+// percentiles) plus the server-side SLO summary.
 package main
 
 import (
@@ -64,8 +72,8 @@ func run() (int, error) {
 	// Gates, applied to the client-side report at the end of the run
 	// (the in-process daemon additionally evaluates them server-side
 	// as burn-rate objectives).
-	p99Limit := flag.Duration("p99-limit", 500*time.Millisecond, "client-side p99 latency gate across all classes")
-	rejBudget := flag.Float64("rejection-budget", 0.01, "tolerable rejected-request fraction")
+	p99Limit := flag.Duration("p99-limit", loadgen.DefaultP99Limit, "client-side p99 latency gate across all classes")
+	rejBudget := flag.Float64("rejection-budget", loadgen.DefaultRejectionBudget, "tolerable rejected-request fraction")
 
 	// Spawned-daemon knobs (ignored with -addr).
 	slots := flag.Int("slots", 0, "spawned daemon worker slots (0 = GOMAXPROCS)")
@@ -210,17 +218,28 @@ func run() (int, error) {
 	}
 	rep.SLO = sloSum
 
-	all := rep.Class(loadgen.ClassAll)
-	if all == nil {
-		return 2, fmt.Errorf("no requests completed")
+	fmt.Printf("\n%d requests in %s (%.0f req/s, %d workers)\n",
+		rep.Requests, *duration, rep.ReqPerSec, rep.Workers)
+	fmt.Printf("%-6s %8s %6s %6s  %10s %10s %10s %10s\n",
+		"class", "count", "errs", "rej", "p50", "p90", "p99", "max")
+	for _, class := range append(loadgen.Classes, loadgen.ClassAll) {
+		if cr := rep.Class(class); cr != nil {
+			fmt.Printf("%-6s %8d %6d %6d  %10s %10s %10s %10s\n", cr.Class,
+				cr.Count, cr.Errors, cr.Rejected,
+				fmtSec(cr.P50Sec), fmtSec(cr.P90Sec), fmtSec(cr.P99Sec), fmtSec(cr.MaxSec))
+		}
 	}
-	fmt.Printf("\n%d requests (%.0f req/s): p50 %s p99 %s, %d errors, %d rejected (%.2f%%)\n",
-		rep.Requests, rep.ReqPerSec,
-		fmtSec(all.P50Sec), fmtSec(all.P99Sec),
-		all.Errors, all.Rejected, all.RejectionRate()*100)
 	if sloSum.ServerP99Sec > 0 {
 		fmt.Printf("server-side (/debug/slo): p50 %s p99 %s\n",
 			fmtSec(sloSum.ServerP50Sec), fmtSec(sloSum.ServerP99Sec))
+	}
+	if body, err := loadgen.Get(client, base+"/metrics"); err == nil {
+		for _, m := range []string{"spstad_cache_hits_total", "spstad_cache_misses_total",
+			"spstad_singleflight_shared_total", "spstad_delta_nets_recomputed_total"} {
+			if v, ok := loadgen.Scrape(body, m); ok {
+				fmt.Printf("%-36s %s\n", m, v)
+			}
+		}
 	}
 
 	if *jsonPath != "" {
@@ -230,19 +249,9 @@ func run() (int, error) {
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
 
-	// Gate evaluation.
-	var failures []string
-	if len(sloSum.Violations) > 0 {
-		failures = append(failures, fmt.Sprintf("SLO objectives burned: %s", strings.Join(sloSum.Violations, ", ")))
-	}
-	if p99 := time.Duration(all.P99Sec * float64(time.Second)); p99 > *p99Limit {
-		failures = append(failures, fmt.Sprintf("client p99 %s over limit %s", p99.Round(time.Millisecond), p99Limit))
-	}
-	if rr := all.RejectionRate(); rr > *rejBudget {
-		failures = append(failures, fmt.Sprintf("rejection rate %.2f%% over budget %.2f%%", rr*100, *rejBudget*100))
-	}
+	failures := rep.Gate(*p99Limit, *rejBudget)
 	if len(failures) == 0 {
-		fmt.Println("PASS: no SLO violations")
+		fmt.Println("PASS: soak gate met")
 		return 0, nil
 	}
 	fmt.Println("\nFAIL:")
@@ -313,5 +322,5 @@ func listCaptures(client *http.Client, base string) {
 }
 
 func fmtSec(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(100 * time.Microsecond).String()
+	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
 }

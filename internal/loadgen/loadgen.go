@@ -1,7 +1,6 @@
-// Package loadgen is the closed-loop load machinery shared by
-// cmd/spstaload (interactive load generation) and cmd/spstasoak (the
-// SLO soak harness). It drives a running spstad with a weighted mix
-// of traffic classes:
+// Package loadgen is the closed-loop load machinery behind
+// cmd/spstasoak (the SLO soak harness) and the short soak bench guard.
+// It drives a running spstad with a weighted mix of traffic classes:
 //
 //	hot    repeated identical /v1/analyze requests (cache hits after
 //	       the first; concurrent cold starts collapse via single-flight)
@@ -79,12 +78,10 @@ type ClassReport struct {
 	MaxSec float64 `json:"max_sec"`
 }
 
-// Total is the class's request total including errors and rejections.
-func (c *ClassReport) Total() int { return c.Count + c.Errors + c.Rejected }
-
-// RejectionRate is the rejected fraction of the class's traffic.
+// RejectionRate is the rejected fraction of the class's traffic
+// (errors and rejections included in the total).
 func (c *ClassReport) RejectionRate() float64 {
-	if t := c.Total(); t > 0 {
+	if t := c.Count + c.Errors + c.Rejected; t > 0 {
 		return float64(c.Rejected) / float64(t)
 	}
 	return 0
@@ -98,8 +95,8 @@ type Report struct {
 	ReqPerSec   float64       `json:"req_per_sec"`
 	Workers     int           `json:"workers"`
 	Classes     []ClassReport `json:"classes"`
-	// SLO carries the soak harness's server-side view (nil for plain
-	// spstaload runs).
+	// SLO carries the soak harness's server-side view (nil when the
+	// daemon's /debug/slo was not read).
 	SLO *SLOSummary `json:"slo,omitempty"`
 }
 
@@ -124,6 +121,39 @@ func (r *Report) Class(name string) *ClassReport {
 		}
 	}
 	return nil
+}
+
+// The soak gate's default bounds: client p99 across all classes, and
+// the tolerable rejected fraction.
+const (
+	DefaultP99Limit        = 500 * time.Millisecond
+	DefaultRejectionBudget = 0.01
+)
+
+// Gate is the soak pass/fail rule. It returns why the run fails, or
+// nothing when it passes: an SLO objective seen burning (r.SLO's
+// violations), no request completed, any request error, the
+// all-class client p99 over p99Limit, or a rejection rate over
+// rejectionBudget.
+func (r *Report) Gate(p99Limit time.Duration, rejectionBudget float64) []string {
+	var failures []string
+	if r.SLO != nil && len(r.SLO.Violations) > 0 {
+		failures = append(failures, fmt.Sprintf("SLO objectives burned: %s", strings.Join(r.SLO.Violations, ", ")))
+	}
+	all := r.Class(ClassAll)
+	if all == nil || all.Count == 0 {
+		return append(failures, "no request completed")
+	}
+	if all.Errors > 0 {
+		failures = append(failures, fmt.Sprintf("%d request errors", all.Errors))
+	}
+	if p99 := time.Duration(all.P99Sec * float64(time.Second)); p99 > p99Limit {
+		failures = append(failures, fmt.Sprintf("client p99 %s over limit %s", p99.Round(time.Millisecond), p99Limit))
+	}
+	if rr := all.RejectionRate(); rr > rejectionBudget {
+		failures = append(failures, fmt.Sprintf("rejection rate %.2f%% over budget %.2f%%", rr*100, rejectionBudget*100))
+	}
+	return failures
 }
 
 // WriteJSON writes the report to path, pretty-printed.
@@ -307,16 +337,16 @@ func Run(cfg Config) (*Report, error) {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		rep.Classes = append(rep.Classes, ClassReport{
 			Class: class, Count: len(ds), Errors: errs[class], Rejected: rejected[class],
-			P50Sec: Pct(ds, 0.50).Seconds(), P90Sec: Pct(ds, 0.90).Seconds(),
-			P99Sec: Pct(ds, 0.99).Seconds(), MaxSec: Pct(ds, 1.0).Seconds(),
+			P50Sec: pct(ds, 0.50).Seconds(), P90Sec: pct(ds, 0.90).Seconds(),
+			P99Sec: pct(ds, 0.99).Seconds(), MaxSec: pct(ds, 1.0).Seconds(),
 		})
 	}
 	return rep, nil
 }
 
-// Pct returns the q-quantile of an ascending-sorted duration slice
+// pct returns the q-quantile of an ascending-sorted duration slice
 // (nearest-rank; 0 for empty input).
-func Pct(sorted []time.Duration, q float64) time.Duration {
+func pct(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

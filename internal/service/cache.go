@@ -14,7 +14,6 @@
 package service
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -87,11 +86,11 @@ type flightCall struct {
 
 // cacheEntry is one stored result. er never changes once stored, so
 // a request that got the entry from the cache reads it without the
-// lock.
+// lock. Its size in the LRU is resultBytes(&er), plus len(body) once
+// encoded.
 type cacheEntry struct {
-	key   string
-	er    EngineResult
-	bytes int64 // resultBytes(&er), plus len(body) once encoded; guarded by resultCache.mu
+	key string
+	er  EngineResult
 
 	// encode fills body, on the entry's first full /v1/analyze hit.
 	encode sync.Once
@@ -104,16 +103,15 @@ type cacheEntry struct {
 
 // resultCache is the byte-bounded LRU plus the single-flight table.
 // Counters live on the service metrics registry so /metrics renders
-// them without a second source of truth. A negative maxBytes disables
-// storage (every lookup misses) while keeping single-flight dedup.
+// them without a second source of truth. Entries never go stale: a
+// key names a deterministic computation, so only the byte bound
+// removes them. A negative bound disables storage (every lookup
+// misses) while keeping single-flight dedup.
 type resultCache struct {
-	reg      *registry
-	maxBytes int64
+	reg *registry
 
 	mu       sync.Mutex
-	lru      *list.List // *cacheEntry, front = most recently used
-	entries  map[string]*list.Element
-	bytes    int64
+	lru      *lru[string, *cacheEntry]
 	inflight map[string]*flightCall
 }
 
@@ -123,31 +121,16 @@ func newResultCache(maxBytes int64, reg *registry) *resultCache {
 	}
 	return &resultCache{
 		reg:      reg,
-		maxBytes: maxBytes,
-		lru:      list.New(),
-		entries:  make(map[string]*list.Element),
+		lru:      newLRU[string, *cacheEntry](maxBytes),
 		inflight: make(map[string]*flightCall),
 	}
 }
 
-// lookupLocked returns the stored entry for key and marks it most
-// recently used. Entries never go stale: a key names a deterministic
-// computation, so only the byte bound removes them.
-func (rc *resultCache) lookupLocked(key string) (*cacheEntry, bool) {
-	el, ok := rc.entries[key]
-	if !ok {
-		return nil, false
-	}
-	rc.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
-}
-
-func (rc *resultCache) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	rc.lru.Remove(el)
-	delete(rc.entries, e.key)
-	rc.bytes -= e.bytes
-	rc.reg.cacheBytes.Store(rc.bytes)
+// evicted counts an LRU eviction's victims and publishes the byte
+// total.
+func (rc *resultCache) evicted(keys []string) {
+	rc.reg.cacheEvictions.Add(int64(len(keys)))
+	rc.reg.cacheBytes.Store(rc.lru.total())
 }
 
 // peekAll returns the stored entries for every key, or nothing. It is
@@ -159,7 +142,7 @@ func (rc *resultCache) peekAll(keys []string) ([]*cacheEntry, bool) {
 	defer rc.mu.Unlock()
 	out := make([]*cacheEntry, 0, len(keys))
 	for _, key := range keys {
-		e, ok := rc.lookupLocked(key)
+		e, ok := rc.lru.get(key)
 		if !ok {
 			return nil, false
 		}
@@ -191,11 +174,7 @@ func (rc *resultCache) encoded(e *cacheEntry) []byte {
 		e.body = append([]byte("\n    "), b...)
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
-		if el, ok := rc.entries[e.key]; ok && el.Value == e {
-			e.bytes += int64(len(e.body))
-			rc.bytes += int64(len(e.body))
-			rc.evictLocked(el)
-		}
+		rc.evicted(rc.lru.grow(e.key, e, int64(len(e.body))))
 	})
 	return e.body
 }
@@ -209,7 +188,7 @@ func (rc *resultCache) encoded(e *cacheEntry) []byte {
 // one such error (see lead), so it can never wedge the key.
 func (rc *resultCache) getOrCompute(key string, compute func() (EngineResult, error)) (EngineResult, cacheSource, error) {
 	rc.mu.Lock()
-	if e, ok := rc.lookupLocked(key); ok {
+	if e, ok := rc.lru.get(key); ok {
 		rc.reg.cacheHits.Add(1)
 		rc.mu.Unlock()
 		return e.er, cacheHit, nil
@@ -260,35 +239,8 @@ func (rc *resultCache) store(key string, er EngineResult) {
 }
 
 func (rc *resultCache) storeLocked(key string, er EngineResult) {
-	if rc.maxBytes < 0 {
+	if rc.lru.bound < 0 {
 		return
 	}
-	if el, ok := rc.entries[key]; ok {
-		rc.removeLocked(el)
-	}
-	e := &cacheEntry{key: key, er: er, bytes: resultBytes(&er)}
-	rc.entries[key] = rc.lru.PushFront(e)
-	rc.bytes += e.bytes
-	rc.evictLocked(nil)
-}
-
-// evictLocked evicts from the LRU tail until the cache is within its
-// bound, never evicting keep, and publishes the byte total.
-func (rc *resultCache) evictLocked(keep *list.Element) {
-	for el := rc.lru.Back(); el != nil && rc.bytes > rc.maxBytes; {
-		prev := el.Prev()
-		if el != keep {
-			rc.removeLocked(el)
-			rc.reg.cacheEvictions.Add(1)
-		}
-		el = prev
-	}
-	rc.reg.cacheBytes.Store(rc.bytes)
-}
-
-// stats returns the live entry count and byte total (for tests).
-func (rc *resultCache) stats() (entries int, bytes int64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lru.Len(), rc.bytes
+	rc.evicted(rc.lru.put(key, &cacheEntry{key: key, er: er}, resultBytes(&er)))
 }

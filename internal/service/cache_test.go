@@ -263,7 +263,7 @@ func TestResultCacheEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rc.store(fmt.Sprintf("key-%d", i), er)
 	}
-	entries, bytes := rc.stats()
+	entries, bytes := rc.lru.len(), rc.lru.total()
 	if bytes > 600 {
 		t.Fatalf("cache holds %d bytes, budget 600", bytes)
 	}
@@ -325,7 +325,7 @@ func TestResultCachePanicDoesNotWedgeKey(t *testing.T) {
 			t.Fatalf("%s never returned: the panic wedged the key", name)
 		}
 	}
-	if entries, _ := rc.stats(); entries != 0 {
+	if entries := rc.lru.len(); entries != 0 {
 		t.Fatalf("a panicked flight stored %d entries", entries)
 	}
 
@@ -368,7 +368,7 @@ func TestResultCacheBoundCountsStoredBytes(t *testing.T) {
 	}
 	check := func(rc *resultCache, reg *registry, entries int, bytes int64, evictions int64) {
 		t.Helper()
-		n, got := rc.stats()
+		n, got := rc.lru.len(), rc.lru.total()
 		if n != entries || got != bytes {
 			t.Fatalf("cache holds %d entries, %d bytes; want %d, %d", n, got, entries, bytes)
 		}
@@ -482,14 +482,14 @@ func TestHitBodyByteIdentical(t *testing.T) {
 	// were served from them, not re-encoded.
 	svc.cache.mu.Lock()
 	defer svc.cache.mu.Unlock()
-	if n := svc.cache.lru.Len(); n != 7 {
+	if n := svc.cache.lru.len(); n != 7 {
 		t.Fatalf("%d cache entries, want 7 (spsta, moment, mc, three of all, netlist_ref)", n)
 	}
-	for el := svc.cache.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.body == nil {
+	svc.cache.lru.each(func(_ string, e *cacheEntry, _ int64) {
+		if e.body == nil {
 			t.Fatalf("entry %s was hit but holds no stored bytes", e.key)
 		}
-	}
+	})
 }
 
 // requestIDs matches the per-request identity of a response body.
@@ -509,7 +509,9 @@ func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
 	if resp, b := post(t, srv.URL+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold: %d %s", resp.StatusCode, b)
 	}
-	_, before := svc.cache.stats()
+	svc.cache.mu.Lock()
+	before := svc.cache.lru.total()
+	svc.cache.mu.Unlock()
 	const n = 8
 	replies := make([][]byte, n)
 	var wg sync.WaitGroup
@@ -540,17 +542,16 @@ func TestConcurrentFirstHitsEncodeOnce(t *testing.T) {
 			t.Fatalf("hit %d differs from hit 0 apart from its IDs:\n%s\n%s", i, b, replies[0])
 		}
 	}
-	_, after := svc.cache.stats()
 	var stored int64
 	svc.cache.mu.Lock()
-	for el := svc.cache.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.body == nil || e.bytes != resultBytes(&e.er)+int64(len(e.body)) {
+	after := svc.cache.lru.total()
+	svc.cache.lru.each(func(_ string, e *cacheEntry, size int64) {
+		if e.body == nil || size != resultBytes(&e.er)+int64(len(e.body)) {
 			t.Errorf("entry %s: %d bytes accounted for a %d-byte result and %d stored bytes",
-				e.key, e.bytes, resultBytes(&e.er), len(e.body))
+				e.key, size, resultBytes(&e.er), len(e.body))
 		}
 		stored += int64(len(e.body))
-	}
+	})
 	svc.cache.mu.Unlock()
 	if after-before != stored {
 		t.Fatalf("cache grew by %d bytes on its first hits, want %d: an entry was accounted more than once",

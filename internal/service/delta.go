@@ -19,8 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"container/list"
-
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/incr"
@@ -275,27 +273,17 @@ func (sess *deltaSession) engineResult(c *netlist.Circuit) EngineResult {
 	return er
 }
 
-// sessionCache is the LRU of delta sessions, keyed by sessionKey and
-// indexed by digest so a registry eviction can invalidate every
-// session built on the evicted netlist.
+// sessionCache is the LRU of delta sessions, keyed by sessionKey.
 type sessionCache struct {
-	mu       sync.Mutex
-	max      int
-	lru      *list.List // *deltaSession
-	entries  map[string]*list.Element
-	byDigest map[string]map[string]struct{}
+	mu  sync.Mutex
+	lru *lru[string, *deltaSession] // size 1 each
 }
 
 func newSessionCache(max int) *sessionCache {
 	if max <= 0 {
 		max = DefaultSessionCacheSize
 	}
-	return &sessionCache{
-		max:      max,
-		lru:      list.New(),
-		entries:  make(map[string]*list.Element),
-		byDigest: make(map[string]map[string]struct{}),
-	}
+	return &sessionCache{lru: newLRU[string, *deltaSession](int64(max))}
 }
 
 // getOrCreate returns the session for key, creating an unhydrated one
@@ -306,60 +294,40 @@ func newSessionCache(max int) *sessionCache {
 func (sc *sessionCache) getOrCreate(key, digest string) *deltaSession {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if el, ok := sc.entries[key]; ok {
-		sc.lru.MoveToFront(el)
-		return el.Value.(*deltaSession)
+	if sess, ok := sc.lru.get(key); ok {
+		return sess
 	}
 	sess := &deltaSession{key: key, digest: digest}
-	sc.entries[key] = sc.lru.PushFront(sess)
-	if sc.byDigest[digest] == nil {
-		sc.byDigest[digest] = make(map[string]struct{})
-	}
-	sc.byDigest[digest][key] = struct{}{}
-	for sc.lru.Len() > sc.max {
-		sc.removeLocked(sc.lru.Back())
-	}
+	sc.lru.put(key, sess, 1)
 	return sess
-}
-
-func (sc *sessionCache) removeLocked(el *list.Element) {
-	sess := el.Value.(*deltaSession)
-	sc.lru.Remove(el)
-	delete(sc.entries, sess.key)
-	if keys := sc.byDigest[sess.digest]; keys != nil {
-		delete(keys, sess.key)
-		if len(keys) == 0 {
-			delete(sc.byDigest, sess.digest)
-		}
-	}
 }
 
 // drop removes one session (a request failed mid-update on it).
 func (sc *sessionCache) drop(key string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if el, ok := sc.entries[key]; ok {
-		sc.removeLocked(el)
-	}
+	sc.lru.remove(key)
 }
 
 // invalidateDigest removes every session built on the given netlist;
-// the registry calls this when it evicts the digest.
+// the registry calls this, outside its own lock, when it evicts the
+// digest. It scans the at most SessionCacheSize sessions rather than
+// keeping a second index by digest.
 func (sc *sessionCache) invalidateDigest(digest string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for key := range sc.byDigest[digest] {
-		if el, ok := sc.entries[key]; ok {
-			sc.removeLocked(el)
+	sc.lru.each(func(key string, sess *deltaSession, _ int64) {
+		if sess.digest == digest {
+			sc.lru.remove(key)
 		}
-	}
+	})
 }
 
 // len returns the number of cached sessions (for tests).
 func (sc *sessionCache) len() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.lru.Len()
+	return sc.lru.len()
 }
 
 // deltaJob is /v1/delta's decode step. Its check step resolves the

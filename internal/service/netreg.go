@@ -8,7 +8,7 @@
 package service
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -18,27 +18,18 @@ import (
 // circuits.
 const DefaultRegistrySize = 256
 
-// netEntry is one registered circuit with the alias keys that point
-// at it (cleaned up together on eviction).
-type netEntry struct {
-	digest  string
-	c       *netlist.Circuit
-	aliases []string
-}
-
-// netRegistry is the digest → circuit LRU. All methods are safe for
-// concurrent use. onEvict runs outside the lock after each eviction
-// so dependents (the delta session cache) can invalidate state tied
-// to the digest without lock-ordering constraints.
+// netRegistry is the digest → circuit LRU plus the alias map. All
+// methods are safe for concurrent use. onEvict runs outside the lock
+// after each eviction so dependents (the delta session cache) can
+// invalidate state tied to the digest without lock-ordering
+// constraints.
 type netRegistry struct {
 	reg     *registry
 	onEvict func(digest string)
 
-	mu       sync.Mutex
-	max      int
-	lru      *list.List // *netEntry, front = most recently used
-	byDigest map[string]*list.Element
-	byAlias  map[string]string
+	mu      sync.Mutex
+	lru     *lru[string, *netlist.Circuit] // by digest, size 1 each
+	byAlias map[string]string              // alias → digest of a stored circuit
 }
 
 func newNetRegistry(max int, reg *registry, onEvict func(string)) *netRegistry {
@@ -46,12 +37,10 @@ func newNetRegistry(max int, reg *registry, onEvict func(string)) *netRegistry {
 		max = DefaultRegistrySize
 	}
 	return &netRegistry{
-		reg:      reg,
-		onEvict:  onEvict,
-		max:      max,
-		lru:      list.New(),
-		byDigest: make(map[string]*list.Element),
-		byAlias:  make(map[string]string),
+		reg:     reg,
+		onEvict: onEvict,
+		lru:     newLRU[string, *netlist.Circuit](int64(max)),
+		byAlias: make(map[string]string),
 	}
 }
 
@@ -60,89 +49,57 @@ func newNetRegistry(max int, reg *registry, onEvict func(string)) *netRegistry {
 func (r *netRegistry) get(digest string) (*netlist.Circuit, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	el, ok := r.byDigest[digest]
-	if !ok {
-		return nil, false
-	}
-	r.lru.MoveToFront(el)
-	return el.Value.(*netEntry).c, true
+	return r.lru.get(digest)
 }
 
-// getAlias resolves an alias ("profile:s208", "bench:<sha256>") to
-// its registered circuit and digest.
-func (r *netRegistry) getAlias(alias string) (*netlist.Circuit, string, bool) {
+// intern resolves an alias ("profile:s208", "bench:<sha256>") to its
+// registered circuit and digest. On a miss it builds the circuit
+// outside the lock, registers it under its digest (netlist.Digest)
+// and the alias, and evicts least-recently-used circuits beyond the
+// capacity, with the aliases that point at them. Registering an
+// existing digest only refreshes it and adds the alias; the stored
+// circuit wins, so concurrent duplicate builds converge on one shared
+// *Circuit.
+func (r *netRegistry) intern(alias string, build func() (*netlist.Circuit, error)) (*netlist.Circuit, string, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	digest, ok := r.byAlias[alias]
-	if !ok {
-		return nil, "", false
-	}
-	el, ok := r.byDigest[digest]
-	if !ok {
-		// Alias left dangling by a racing eviction; drop it.
-		delete(r.byAlias, alias)
-		return nil, "", false
-	}
-	r.lru.MoveToFront(el)
-	return el.Value.(*netEntry).c, digest, true
-}
-
-// put registers a circuit under its digest, optionally recording an
-// alias, and evicts least-recently-used entries beyond the capacity.
-// Registering an existing digest only refreshes it (and adds the
-// alias); the stored circuit wins, so concurrent duplicate parses
-// converge on one shared *Circuit.
-func (r *netRegistry) put(digest string, c *netlist.Circuit, alias string) *netlist.Circuit {
-	var evicted []*netEntry
-	r.mu.Lock()
-	if el, ok := r.byDigest[digest]; ok {
-		e := el.Value.(*netEntry)
-		r.lru.MoveToFront(el)
-		if alias != "" && r.byAlias[alias] != digest {
-			r.byAlias[alias] = digest
-			e.aliases = append(e.aliases, alias)
+	if digest, ok := r.byAlias[alias]; ok {
+		if c, ok := r.lru.get(digest); ok {
+			r.mu.Unlock()
+			return c, digest, nil
 		}
-		r.mu.Unlock()
-		return e.c
 	}
-	e := &netEntry{digest: digest, c: c}
-	if alias != "" {
-		r.byAlias[alias] = digest
-		e.aliases = append(e.aliases, alias)
+	r.mu.Unlock()
+	c, err := build()
+	if err != nil {
+		return nil, "", err
 	}
-	r.byDigest[digest] = r.lru.PushFront(e)
-	for r.lru.Len() > r.max {
-		back := r.lru.Back()
-		old := back.Value.(*netEntry)
-		r.lru.Remove(back)
-		delete(r.byDigest, old.digest)
-		for _, a := range old.aliases {
-			if r.byAlias[a] == old.digest {
+	digest := netlist.Digest(c, nil)
+
+	r.mu.Lock()
+	r.byAlias[alias] = digest
+	var evicted []string
+	if stored, ok := r.lru.get(digest); ok {
+		c = stored
+	} else {
+		evicted = r.lru.put(digest, c, 1)
+		for a, d := range r.byAlias {
+			if slices.Contains(evicted, d) {
 				delete(r.byAlias, a)
 			}
 		}
-		evicted = append(evicted, old)
-	}
-	if r.reg != nil {
-		r.reg.registryEntries.Store(int64(r.lru.Len()))
+		r.reg.registryEntries.Store(int64(r.lru.len()))
+		r.reg.registryEvictions.Add(int64(len(evicted)))
 	}
 	r.mu.Unlock()
-	for range evicted {
-		if r.reg != nil {
-			r.reg.registryEvictions.Add(1)
-		}
+	for _, d := range evicted {
+		r.onEvict(d)
 	}
-	if r.onEvict != nil {
-		for _, old := range evicted {
-			r.onEvict(old.digest)
-		}
-	}
-	return c
+	return c, digest, nil
 }
 
 // len returns the number of registered circuits.
 func (r *netRegistry) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lru.Len()
+	return r.lru.len()
 }

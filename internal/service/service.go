@@ -535,50 +535,38 @@ func decode(r *http.Request) (*Request, error) {
 // by the result cache, the delta session cache, and the
 // netlist_digest response field.
 func (s *Service) resolveSource(circuit, benchText, ref string) (*netlist.Circuit, string, error) {
-	var c *netlist.Circuit
-	var digest string
 	switch {
 	case ref != "":
-		var ok bool
-		c, ok = s.netreg.get(ref)
+		c, ok := s.netreg.get(ref)
 		if !ok {
 			return nil, "", &httpError{
 				status: http.StatusNotFound,
 				msg:    fmt.Sprintf("unknown netlist_ref %q (upload it via POST /v1/netlists)", ref),
 			}
 		}
-		digest = ref
+		return c, ref, nil
 	case circuit != "":
-		alias := "profile:" + circuit
-		if cc, d, ok := s.netreg.getAlias(alias); ok {
-			c, digest = cc, d
-			break
-		}
-		p, ok := synth.ProfileByName(circuit)
-		if !ok {
-			return nil, "", errBadRequest("unknown circuit %q (want a built-in profile, s208 … s1238)", circuit)
-		}
-		cc, err := synth.Generate(p)
-		if err != nil {
-			return nil, "", errBadRequest("%v", err)
-		}
-		digest = netlist.Digest(cc, nil)
-		c = s.netreg.put(digest, cc, alias)
+		return s.netreg.intern("profile:"+circuit, func() (*netlist.Circuit, error) {
+			p, ok := synth.ProfileByName(circuit)
+			if !ok {
+				return nil, errBadRequest("unknown circuit %q (want a built-in profile, s208 … s1238)", circuit)
+			}
+			c, err := synth.Generate(p)
+			if err != nil {
+				return nil, errBadRequest("%v", err)
+			}
+			return c, nil
+		})
 	default:
 		sum := sha256.Sum256([]byte(benchText))
-		alias := "bench:" + hex.EncodeToString(sum[:])
-		if cc, d, ok := s.netreg.getAlias(alias); ok {
-			c, digest = cc, d
-			break
-		}
-		cc, err := bench.Parse(strings.NewReader(benchText), "inline")
-		if err != nil {
-			return nil, "", errBadRequest("%v", err)
-		}
-		digest = netlist.Digest(cc, nil)
-		c = s.netreg.put(digest, cc, alias)
+		return s.netreg.intern("bench:"+hex.EncodeToString(sum[:]), func() (*netlist.Circuit, error) {
+			c, err := bench.Parse(strings.NewReader(benchText), "inline")
+			if err != nil {
+				return nil, errBadRequest("%v", err)
+			}
+			return c, nil
+		})
 	}
-	return c, digest, nil
 }
 
 // scenarioInputs returns the launch-point statistics of scenario "I"
@@ -1127,11 +1115,16 @@ func spstaEndpoints(res *core.Result, c *netlist.Circuit) []EndpointStat {
 	return out
 }
 
-// compareJob is /v1/compare's decode step.
+// compareJob is /v1/compare's decode step. A compare always runs
+// spsta and mc, so an engine other than spsta (the default) is a 400
+// rather than a field silently ignored.
 func (s *Service) compareJob(r *http.Request) (*job, error) {
 	req, err := decode(r)
 	if err != nil {
 		return nil, err
+	}
+	if req.Engine != "spsta" {
+		return nil, errBadRequest("compare always runs spsta and mc (engine %q; omit engine or send spsta)", req.Engine)
 	}
 	return &job{req: req, label: "compare", peek: []string{"spsta", "mc"}, run: s.runCompare}, nil
 }

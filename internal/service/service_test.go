@@ -540,6 +540,36 @@ func TestEpsilonOnlyWithSpsta(t *testing.T) {
 	}
 }
 
+// TestCompareRejectsEngine: /v1/compare always runs spsta and mc, so
+// a compare body naming any engine but spsta is a 400 that says so,
+// instead of a 200 that ignored the field.
+func TestCompareRejectsEngine(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	for _, c := range []struct {
+		body   string
+		status int
+	}{
+		{`{"circuit":"s208","engine":"moment","runs":200}`, http.StatusBadRequest},
+		{`{"circuit":"s208","engine":"mc","runs":200}`, http.StatusBadRequest},
+		{`{"circuit":"s208","engine":"all","runs":200}`, http.StatusBadRequest},
+		{`{"circuit":"s208","engine":"spsta","runs":200}`, http.StatusOK},
+		{`{"circuit":"s208","runs":200}`, http.StatusOK},
+	} {
+		resp, b := post(t, srv.URL+"/v1/compare", c.body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status = %d, want %d (%s)", c.body, resp.StatusCode, c.status, b)
+			continue
+		}
+		if c.status == http.StatusBadRequest && !strings.Contains(string(b), "compare always runs spsta and mc") {
+			t.Errorf("%s: error %s does not say compare runs spsta and mc", c.body, b)
+		}
+	}
+}
+
 // TestMomentCacheIgnoresEpsilon: the moment engine has no error
 // budget, so its cache key leaves epsilon out, and an engine=all
 // request at epsilon 1e-4 serves its moment result from the entry an

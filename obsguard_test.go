@@ -39,15 +39,7 @@ func TestBenchGuardObsOverhead(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") != "1" {
 		t.Skip("set BENCH_GUARD=1 (or run `make bench-guard`) to measure the disabled-path overhead")
 	}
-	p, ok := synth.ProfileByName("s1238")
-	if !ok {
-		t.Fatal("no s1238 profile")
-	}
-	c, err := synth.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := experiments.Inputs(c, experiments.ScenarioI)
+	c, in := guardCircuit(t, "s1238")
 	off := core.Analyzer{Workers: 4}
 	on := core.Analyzer{Workers: 4, Obs: obs.NewScope()}
 
@@ -61,49 +53,8 @@ func TestBenchGuardObsOverhead(t *testing.T) {
 	// Warm allocator caches and the synth generator before timing.
 	one(&off)
 
-	// Interleave the two configurations run by run and keep each
-	// one's fastest single run: the minimum discards GC pauses and
-	// scheduler preemption (which a mean would smear into whichever
-	// configuration they happened to land on), and interleaving
-	// cancels slow drift (thermal, background load).
-	trial := func() float64 {
-		const rounds = 120
-		minDisabled, minEnabled := time.Hour, time.Hour
-		for r := 0; r < rounds; r++ {
-			if d := one(&off); d < minDisabled {
-				minDisabled = d
-			}
-			if d := one(&on); d < minEnabled {
-				minEnabled = d
-			}
-		}
-		overhead := float64(minEnabled-minDisabled) / float64(minDisabled)
-		t.Logf("disabled %v/op, enabled %v/op, overhead %+.2f%%",
-			minDisabled, minEnabled, overhead*100)
-		return overhead
-	}
-
-	// A real instrumentation regression is persistent: it shows up in
-	// every trial. A single trial over the threshold is usually a
-	// measurement regime, not a regression — on small shared hosts a
-	// whole process can land in a heap/cache layout where one
-	// configuration runs a few percent slower for its entire lifetime
-	// (the interleaved minimum cannot cancel a bias that never
-	// changes sign). So the guard re-measures on failure and only
-	// fails if all three trials exceed the contract.
-	const trials = 3
-	worst := 0.0
-	for i := 0; i < trials; i++ {
-		overhead := trial()
-		if overhead <= 0.02 {
-			return
-		}
-		if overhead > worst {
-			worst = overhead
-		}
-	}
-	t.Errorf("instrumentation overhead exceeds the 2%% contract in all %d trials (worst %.2f%%)",
-		trials, worst*100)
+	guardOverhead(t, "instrumentation", 120, 3, "disabled %v/op, enabled %v/op, overhead %+.2f%%",
+		func() time.Duration { return one(&off) }, func() time.Duration { return one(&on) })
 }
 
 // TestBenchGuardTracingOverhead enforces the always-on service
@@ -133,37 +84,8 @@ func TestBenchGuardTracingOverhead(t *testing.T) {
 		return time.Since(t0)
 	}
 	one(&off)
-
-	trial := func() float64 {
-		const rounds = 120
-		minDisabled, minTraced := time.Hour, time.Hour
-		for r := 0; r < rounds; r++ {
-			if d := one(&off); d < minDisabled {
-				minDisabled = d
-			}
-			if d := one(&on); d < minTraced {
-				minTraced = d
-			}
-		}
-		overhead := float64(minTraced-minDisabled) / float64(minDisabled)
-		t.Logf("disabled %v/op, traced %v/op, overhead %+.2f%%",
-			minDisabled, minTraced, overhead*100)
-		return overhead
-	}
-
-	const trials = 3
-	worst := 0.0
-	for i := 0; i < trials; i++ {
-		overhead := trial()
-		if overhead <= 0.02 {
-			return
-		}
-		if overhead > worst {
-			worst = overhead
-		}
-	}
-	t.Errorf("service tracing overhead exceeds the 2%% contract in all %d trials (worst %.2f%%)",
-		trials, worst*100)
+	guardOverhead(t, "service tracing", 120, 3, "disabled %v/op, traced %v/op, overhead %+.2f%%",
+		func() time.Duration { return one(&off) }, func() time.Duration { return one(&on) })
 }
 
 // TestBenchGuardPackedObsOverhead extends the disabled-path overhead
@@ -188,25 +110,43 @@ func TestBenchGuardPackedObsOverhead(t *testing.T) {
 		return time.Since(t0)
 	}
 	one(nil)
+	guardOverhead(t, "packed engine instrumentation", 40, 1, "disabled %v/op, enabled %v/op, overhead %+.2f%%",
+		func() time.Duration { return one(nil) }, func() time.Duration { return one(scope) })
+}
 
-	const rounds = 40
-	minDisabled, minEnabled := time.Hour, time.Hour
-	for r := 0; r < rounds; r++ {
-		if d := one(nil); d < minDisabled {
-			minDisabled = d
+// guardOverhead is the overhead guards' shared measurement: a trial
+// interleaves rounds runs of base and variant and keeps each one's
+// fastest. The minimum discards GC pauses and scheduler preemption
+// (which a mean would smear into whichever configuration they happened
+// to land on), and interleaving cancels slow drift (thermal,
+// background load). Each trial logs logf with the two minima and the
+// overhead in percent, and the guard passes on the first trial whose
+// overhead of variant over base is within 2%.
+//
+// A real regression is persistent: it shows up in every trial. A
+// single trial over the bound is usually a measurement regime, not a
+// regression — on small shared hosts a whole process can land in a
+// heap/cache layout where one configuration runs a few percent slower
+// for its entire lifetime (the interleaved minimum cannot cancel a
+// bias that never changes sign). So a guard with several trials
+// re-measures, and fails only when every trial exceeds the bound.
+func guardOverhead(t *testing.T, what string, rounds, trials int, logf string, base, variant func() time.Duration) {
+	t.Helper()
+	worst := 0.0
+	for i := 0; i < trials; i++ {
+		minBase, minVariant := time.Hour, time.Hour
+		for r := 0; r < rounds; r++ {
+			minBase = min(minBase, base())
+			minVariant = min(minVariant, variant())
 		}
-		if d := one(scope); d < minEnabled {
-			minEnabled = d
+		overhead := float64(minVariant-minBase) / float64(minBase)
+		t.Logf(logf, minBase, minVariant, overhead*100)
+		if overhead <= 0.02 {
+			return
 		}
+		worst = max(worst, overhead)
 	}
-
-	overhead := float64(minEnabled-minDisabled) / float64(minDisabled)
-	t.Logf("disabled %v/op, enabled %v/op, overhead %+.2f%%",
-		minDisabled, minEnabled, overhead*100)
-	if overhead > 0.02 {
-		t.Errorf("packed engine instrumentation overhead %.2f%% exceeds the 2%% contract "+
-			"(disabled %v/op, enabled %v/op)", overhead*100, minDisabled, minEnabled)
-	}
+	t.Errorf("%s overhead exceeds the 2%% contract in every trial (%d; worst %.2f%%)", what, trials, worst*100)
 }
 
 // guardCircuit generates a named synthetic circuit with scenario I
