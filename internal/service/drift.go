@@ -2,8 +2,8 @@
 // the most recent sampled request through the packed Monte Carlo
 // engine and compares the SPSTA analyzer's arrival statistics against
 // the simulation at the circuit's critical endpoint. The absolute
-// mean and sigma deviations are exported as gauges
-// (spstad_drift_mean_deviation / spstad_drift_sigma_deviation), so a
+// mean and sigma deviations are exported as the drift deviation
+// gauges of /metrics and the timeline, so a
 // regression that skews the analytic engines away from simulation —
 // a bad kernel, a mis-tuned pruning budget — shows up on a dashboard
 // without anyone issuing compare requests.

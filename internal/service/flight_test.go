@@ -528,7 +528,7 @@ func TestFlightRingEviction(t *testing.T) {
 		t.Error("evicted entry still retrievable")
 	}
 	var buf bytes.Buffer
-	svc.reg.writePrometheus(&buf)
+	svc.writeMetrics(&buf)
 	samples := checkPrometheus(t, buf.String())
 	if got := sampleValue(t, samples, "spstad_request_cost_units_count"); got != "3" {
 		t.Errorf("request_cost_units_count = %s, want 3", got)

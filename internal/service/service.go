@@ -169,7 +169,7 @@ func New(cfg Config) *Service {
 	// The timeline store always exists (its endpoints and SLO state are
 	// part of the service surface); only the sampler goroutine is
 	// optional. Tests drive Sample directly through Timeline().
-	s.tl = timeline.NewStore(timeline.Config{}, s.registryCollector, runtimeCollector)
+	s.tl = timeline.NewStore(timeline.Config{}, s.sampleSeries)
 	eng := timeline.NewSLOEngine(s.tl, defaultObjectives(cfg))
 	s.captures = newCaptureManager(s, cfg)
 	eng.OnTransition = func(st timeline.ObjectiveStatus) { s.captures.onTransition(s.log, st) }
@@ -766,7 +766,7 @@ func (s *Service) finish(w http.ResponseWriter, rc *reqCtx, body jsonBody, err e
 		return
 	}
 	rc.scope.M().AddTo(&s.reg.engine)
-	s.reg.cost.observe(actual)
+	s.reg.observeCost(actual)
 	s.reg.deltaNets.Add(int64(rc.netsRecomputed))
 	if rc.label != "delta" {
 		s.sample(rc.req)
@@ -1180,8 +1180,7 @@ func (s *Service) runCompare(rc *reqCtx) (any, int64, error) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.writePrometheus(w)
-	s.writeSLOMetrics(w)
+	s.writeMetrics(w)
 }
 
 // sample stores the request for the drift monitor. Inline-bench

@@ -448,7 +448,7 @@ func TestRequestKnobs(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	svc.reg.writePrometheus(&buf)
+	svc.writeMetrics(&buf)
 	samples := checkPrometheus(t, buf.String())
 	sampleValue(t, samples, `spstad_engine_fft_plans_total{result="hit"}`)
 	sampleValue(t, samples, `spstad_engine_fft_plans_total{result="miss"}`)
@@ -494,7 +494,7 @@ func TestCoarsenRequestKnob(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	svc.reg.writePrometheus(&buf)
+	svc.writeMetrics(&buf)
 	samples := checkPrometheus(t, buf.String())
 	if got := sampleValue(t, samples, "spstad_engine_rebin_calls_total"); got == "0" {
 		t.Error("rebin_calls_total = 0 after coarsening requests")
@@ -638,7 +638,7 @@ func TestDriftMonitor(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	svc.reg.writePrometheus(&buf)
+	svc.writeMetrics(&buf)
 	samples := checkPrometheus(t, buf.String())
 	if got := sampleValue(t, samples, "spstad_drift_samples_total"); got != "1" {
 		t.Errorf("drift_samples_total = %s, want 1", got)
@@ -731,7 +731,7 @@ func TestDriftLoopTicksAndStops(t *testing.T) {
 		t.Errorf("drift samples moved after Close: %d -> %d", stopped, got)
 	}
 	var buf bytes.Buffer
-	svc.reg.writePrometheus(&buf)
+	svc.writeMetrics(&buf)
 	samples := checkPrometheus(t, buf.String())
 	if got := sampleValue(t, samples, "spstad_drift_samples_total"); got != strconv.FormatInt(stopped, 10) {
 		t.Errorf("spstad_drift_samples_total = %s, want %d", got, stopped)
