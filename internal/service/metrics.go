@@ -23,9 +23,10 @@ import (
 
 // engineLabels are the RED label values, in label order: the engines
 // the analyze endpoint accepts, "compare" for /v1/compare requests
-// (which always run the spsta and mc engines as a pair) and "delta"
-// for /v1/delta incremental requests.
-var engineLabels = [...]string{"spsta", "moment", "mc", "all", "compare", "delta"}
+// (which always run the spsta and mc engines as a pair), "delta" for
+// /v1/delta incremental requests and "netlists" for /v1/netlists
+// uploads.
+var engineLabels = [...]string{"spsta", "moment", "mc", "all", "compare", "delta", "netlists"}
 
 func engineIndex(engine string) int {
 	for i, l := range engineLabels {

@@ -105,6 +105,8 @@ func TestRequestClockIsRootSpan(t *testing.T) {
 		{"delta", "/v1/delta", `{"circuit":"s208","edits":[]}`, "delta", http.StatusOK, nil},
 		{"engine panic", "/v1/analyze", fmt.Sprintf(`{"netlist_ref":%q,"workers":1}`, up.NetlistDigest), "spsta", http.StatusInternalServerError, nil},
 		{"decode failure", "/v1/analyze", `{"circuit":"s208","bogus":1}`, "spsta", http.StatusBadRequest, nil},
+		{"upload", "/v1/netlists", `{"circuit":"s298"}`, "netlists", http.StatusOK, nil},
+		{"upload failure", "/v1/netlists", `{"circuit":"s298","bench":"INPUT(a)"}`, "netlists", http.StatusBadRequest, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sum0, n0 := redSeconds(t, srv, tc.label)

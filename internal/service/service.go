@@ -768,7 +768,7 @@ func (s *Service) finish(w http.ResponseWriter, rc *reqCtx, body jsonBody, err e
 	rc.scope.M().AddTo(&s.reg.engine)
 	s.reg.observeCost(actual)
 	s.reg.deltaNets.Add(int64(rc.netsRecomputed))
-	if rc.label != "delta" {
+	if rc.req != nil && rc.label != "delta" { // an upload has no Request
 		s.sample(rc.req)
 	}
 	captured := s.recordFlight(rc.summary(http.StatusOK, "", actual, d), rc.scope, "")
@@ -810,18 +810,19 @@ func (s *Service) begin(w http.ResponseWriter, r *http.Request, path, label stri
 // root span: a tracer is always on (the flight recorder needs span
 // trees post hoc), but it is coarse — request, engine, level and shard
 // spans only — unless the request asked for a trace file, which
-// upgrades to fine per-gate spans. Metrics are on unless the peek step
-// served every engine: a full cache hit runs no engine, so it gets no
-// registry and every obs call on its path sees a nil one.
+// upgrades to fine per-gate spans. Metrics are on unless the request
+// runs no engine, a netlist upload (which has no Request) or a full
+// cache hit the peek step served: it gets no registry and every obs
+// call on its path sees a nil one.
 func (s *Service) newScope(rc *reqCtx) {
 	tr := obs.NewCoarseTracer()
-	if rc.req.Trace && s.cfg.TraceDir != "" {
+	if rc.req != nil && rc.req.Trace && s.cfg.TraceDir != "" {
 		tr = obs.NewTracer()
 		rc.traceFile = filepath.Join(s.cfg.TraceDir, rc.id+".json")
 	}
 	tr.SetTraceID(rc.traceID)
 	rc.scope = &obs.Scope{Tracer: tr, Span: tr.NewSpan()}
-	if !rc.cached {
+	if rc.req != nil && !rc.cached {
 		rc.scope.Metrics = obs.NewMetrics()
 	}
 }
@@ -1000,14 +1001,23 @@ type NetlistUploadRequest struct {
 // NetlistUploadResponse returns the registered netlist's digest,
 // usable as netlist_ref in analyze/compare/delta requests.
 type NetlistUploadResponse struct {
+	RequestID     string      `json:"request_id"`
+	TraceID       string      `json:"trace_id"`
 	NetlistDigest string      `json:"netlist_digest"`
 	Circuit       CircuitInfo `json:"circuit"`
 }
 
 // handleNetlistUpload parses and registers a netlist without
-// analyzing it.
+// analyzing it, so it takes no worker slot; it ends at finish like
+// every other route.
 func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
-	rc := s.begin(w, r, "/v1/netlists", "")
+	rc := s.begin(w, r, "/v1/netlists", "netlists")
+	body, err := s.upload(r, rc)
+	s.finish(w, rc, body, err)
+}
+
+// upload is /v1/netlists' decode → resolve → encode stretch.
+func (s *Service) upload(r *http.Request, rc *reqCtx) (jsonBody, error) {
 	var req NetlistUploadRequest
 	err := decodeJSON(r, &req)
 	if err == nil && (req.Circuit == "") == (req.Bench == "") {
@@ -1017,13 +1027,10 @@ func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
 		rc.c, rc.digest, err = s.resolveSource(req.Circuit, req.Bench, "")
 	}
 	if err != nil {
-		s.finish(w, rc, nil, err)
-		return
+		return nil, err
 	}
-	s.log.Info("netlist registered",
-		"request_id", rc.id, "trace_id", rc.traceID, "path", rc.path,
-		"circuit", rc.c.Name, "digest", rc.digest, "registry_entries", s.netreg.len())
-	writeJSON(w, http.StatusOK, &NetlistUploadResponse{NetlistDigest: rc.digest, Circuit: rc.circuitInfo()})
+	s.newScope(rc)
+	return encodeJSON(&NetlistUploadResponse{RequestID: rc.id, TraceID: rc.traceID, NetlistDigest: rc.digest, Circuit: rc.circuitInfo()})
 }
 
 // runEngineSpanned wraps one engine run in an engine span parented
