@@ -2,8 +2,8 @@
 // evaluated with multi-window burn rates at every sample boundary.
 //
 // An objective defines a budget — the tolerable fraction of bad
-// events (errors, rejections, too-slow requests, cache misses) or a
-// bound a gauge must stay under — and the burn rate measures how fast
+// events (errors, rejections, too-slow requests, cache misses) — and
+// the burn rate measures how fast
 // the service is consuming that budget: burn 1.0 means "exactly at
 // the objective", burn 14.4 means "the 30-day budget gone in 2 days"
 // in classic SRE terms. An objective fires only when EVERY configured
@@ -36,9 +36,6 @@ const (
 	// within its bucket), and burn = badFrac / (1 - Target). "99% of
 	// requests complete within 250ms" is a latency objective.
 	KindLatency ObjectiveKind = "latency"
-	// KindGauge bounds a gauge: burn = windowAverage / Bound, for
-	// gauges such as the accuracy-drift monitor's deviation.
-	KindGauge ObjectiveKind = "gauge"
 )
 
 // BurnWindow is one evaluation window and its burn-rate threshold.
@@ -67,10 +64,6 @@ type Objective struct {
 	// promises (e.g. 0.999); the error budget is 1 - Target.
 	Target float64 `json:"target,omitempty"`
 
-	// Series and Bound define a gauge objective.
-	Series string  `json:"series,omitempty"`
-	Bound  float64 `json:"bound,omitempty"`
-
 	// Windows are the burn windows; ALL must exceed their thresholds
 	// for the objective to burn. Empty disables the objective.
 	Windows []BurnWindow `json:"windows"`
@@ -81,8 +74,7 @@ type WindowStatus struct {
 	WindowMS  int64   `json:"window_ms"`
 	Burn      float64 `json:"burn"`
 	Threshold float64 `json:"threshold"`
-	// Events is the total observations the window saw (ratio and
-	// latency objectives; gauge objectives report samples).
+	// Events is the total observations the window saw.
 	Events int64 `json:"events"`
 }
 
@@ -208,12 +200,6 @@ func (e *SLOEngine) burn(o Objective, now time.Time, w time.Duration) (float64, 
 			budget = 1e-9
 		}
 		return badFrac / budget, total
-	case KindGauge:
-		avg, _, _, n := e.store.GaugeWindow(o.Series, now, w)
-		if n == 0 || o.Bound <= 0 {
-			return 0, 0
-		}
-		return avg / o.Bound, int64(n)
 	}
 	return 0, 0
 }

@@ -188,35 +188,3 @@ func TestLatencyObjective(t *testing.T) {
 		t.Fatal("latency objective did not fire at 23% slow traffic")
 	}
 }
-
-// TestGaugeObjective bounds a gauge by its window average.
-func TestGaugeObjective(t *testing.T) {
-	clk := newFakeClock()
-	v := 0.0
-	st := NewStore(Config{Capacity: 64, Now: clk.Now}, func(b *Batch) { b.Gauge("drift", v) })
-	eng := NewSLOEngine(st, []Objective{{
-		Name: "drift", Kind: KindGauge, Series: "drift", Bound: 0.5,
-		Windows: []BurnWindow{{Window: 3 * time.Second, Threshold: 1}},
-	}})
-	st.SetSLO(eng)
-	for i := 0; i < 5; i++ {
-		v = 0.1
-		st.Sample()
-		clk.Advance(time.Second)
-	}
-	if len(eng.Burning()) != 0 {
-		t.Fatal("gauge objective burning below bound")
-	}
-	for i := 0; i < 4; i++ {
-		v = 0.9
-		st.Sample()
-		clk.Advance(time.Second)
-	}
-	if len(eng.Burning()) != 1 {
-		t.Fatal("gauge objective did not fire above bound")
-	}
-	st2 := eng.Status()
-	if len(st2) != 1 || !st2[0].Burning || st2[0].Transitions != 1 {
-		t.Fatalf("status = %+v, want burning with 1 transition", st2)
-	}
-}

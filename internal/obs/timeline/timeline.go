@@ -477,33 +477,6 @@ func (st *Store) HistWindow(name string, now time.Time, w time.Duration) (bounds
 	return s.bounds, counts, true
 }
 
-// GaugeWindow returns a gauge series' average, maximum and latest
-// value over the window ending at now, and the in-window sample
-// count.
-func (st *Store) GaugeWindow(name string, now time.Time, w time.Duration) (avg, max, last float64, n int) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s := st.series[name]
-	if s == nil || s.kind != Gauge {
-		return 0, 0, 0, 0
-	}
-	i0, i1, _ := s.windowIndex(now.Add(-w).UnixNano(), now.UnixNano())
-	sum := 0.0
-	for i := i0; i < i1; i++ {
-		v := s.v[s.at(i)]
-		sum += v
-		if n == 0 || v > max {
-			max = v
-		}
-		last = v
-		n++
-	}
-	if n > 0 {
-		avg = sum / float64(n)
-	}
-	return avg, max, last, n
-}
-
 // Percentiles summarizes a histogram series over the window ending at
 // now: observation count plus p50/p95/p99 by exact within-bucket
 // interpolation.

@@ -127,7 +127,6 @@ func TestWindowedQueries(t *testing.T) {
 	v := 0.0
 	st := NewStore(Config{Capacity: 64, Now: clk.Now}, func(b *Batch) {
 		b.Counter("c", v)
-		b.Gauge("g", v)
 	})
 	// One sample per second, totals 1..10.
 	for i := 1; i <= 10; i++ {
@@ -139,10 +138,6 @@ func TestWindowedQueries(t *testing.T) {
 	d, ok := st.CounterWindow("c", now, 3*time.Second)
 	if !ok || d != 3 {
 		t.Errorf("3s counter window = %g (ok=%v), want 3", d, ok)
-	}
-	avg, max, last, n := st.GaugeWindow("g", now, 3*time.Second)
-	if n != 3 || avg != 9 || max != 10 || last != 10 {
-		t.Errorf("3s gauge window = avg %g max %g last %g n %d, want 9/10/10/3", avg, max, last, n)
 	}
 }
 

@@ -44,7 +44,7 @@ type Event struct {
 
 // Tracer records spans from the level-parallel schedule and exports
 // them as Chrome trace_event JSON (flat timeline) or as a nested span
-// tree (Tree/WriteTreeJSON). Track (tid) conventions, applied by the
+// tree (Tree). Track (tid) conventions, applied by the
 // instrumented call sites:
 //
 //	tid 0      — the level schedule (one span per level barrier)
@@ -355,11 +355,4 @@ func (t *Tracer) Tree() *SpanTree {
 	}
 	sortNodes(tree.Roots)
 	return tree
-}
-
-// WriteTreeJSON writes the nested span-tree export.
-func (t *Tracer) WriteTreeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Tree())
 }
