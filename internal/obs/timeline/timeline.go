@@ -1,5 +1,5 @@
 // Package timeline is a dependency-free in-process time-series
-// store: a sampler scrapes registered collectors at a fixed interval
+// store: a sampler scrapes a collector at a fixed interval
 // into bounded per-series ring buffers, turning the service's
 // point-in-time atomics (RED histograms, cache and pool counters,
 // drift gauges, runtime stats) into windowed history that can answer
@@ -100,9 +100,9 @@ func (s *series) at(i int) int { return (s.start + i) % len(s.t) }
 
 // Store is the time-series store.
 type Store struct {
-	cap        int
-	now        func() time.Time
-	collectors []Collector
+	cap     int
+	now     func() time.Time
+	collect Collector
 
 	mu      sync.RWMutex
 	series  map[string]*series
@@ -117,8 +117,8 @@ type Store struct {
 	done  chan struct{}
 }
 
-// NewStore builds a store over the given collectors.
-func NewStore(cfg Config, collectors ...Collector) *Store {
+// NewStore builds a store over the given collector.
+func NewStore(cfg Config, collect Collector) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
@@ -127,10 +127,10 @@ func NewStore(cfg Config, collectors ...Collector) *Store {
 		now = time.Now
 	}
 	return &Store{
-		cap:        cfg.Capacity,
-		now:        now,
-		collectors: collectors,
-		series:     make(map[string]*series),
+		cap:     cfg.Capacity,
+		now:     now,
+		collect: collect,
+		series:  make(map[string]*series),
 	}
 }
 
@@ -198,16 +198,14 @@ func (st *Store) append(name string, kind Kind, bounds []float64, v float64, cou
 	}
 }
 
-// Sample takes one tick: every collector reports into the ring under
+// Sample takes one tick: the collector reports into the ring under
 // one write lock, then the attached SLO engine (if any) evaluates at
 // the tick's timestamp. Returns the tick time.
 func (st *Store) Sample() time.Time {
 	now := st.now()
 	b := &Batch{st: st, t: now.UnixNano()}
 	st.mu.Lock()
-	for _, c := range st.collectors {
-		c(b)
-	}
+	st.collect(b)
 	st.samples++
 	st.lastT = b.t
 	st.mu.Unlock()

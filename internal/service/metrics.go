@@ -28,14 +28,7 @@ import (
 // uploads.
 var engineLabels = [...]string{"spsta", "moment", "mc", "all", "compare", "delta", "netlists"}
 
-func engineIndex(engine string) int {
-	for i, l := range engineLabels {
-		if l == engine {
-			return i
-		}
-	}
-	return -1
-}
+func engineIndex(engine string) int { return slices.Index(engineLabels[:], engine) }
 
 // latencyBounds are the request latency histogram's upper bounds in
 // seconds.
@@ -133,11 +126,6 @@ func (r *registry) observe(engine string, d time.Duration, failed bool) {
 	r.latency[i].observe(latencyBounds[:], d.Seconds(), d.Nanoseconds())
 }
 
-// observeCost records one successful request's work-unit cost.
-func (r *registry) observeCost(units int64) {
-	r.cost.observe(costBounds[:], float64(units), units)
-}
-
 // The timeline series the SLO objectives read (defaultObjectives).
 // Request series follow req.<engine>.<what>, with the req.total.*
 // aggregates across engines so objectives do not depend on the
@@ -223,11 +211,11 @@ func (f *family) only(when func(*Service) bool) *family {
 
 // series is one sample of a family and, when tl is set, the timeline
 // series of the same value, of the family's kind. An unnamed family,
-// which /metrics does not list, holds a timeline-only series. Exactly one reader
-// is set: num for a counter or gauge, hist for a histogram (false
-// while there is nothing to show), or each for samples whose labels
-// are only known when read. A value is an int64, which /metrics writes
-// %d, or a float64, written %g.
+// which /metrics does not list, holds a timeline-only series. Exactly
+// one reader is set: num for a counter or gauge, hist for a histogram
+// (false while there is nothing to show), or each for samples whose
+// labels are only known when read. A value is an int64, which /metrics
+// writes %d, or a float64, written %g.
 type series struct {
 	fam    *family
 	labels string // Prometheus label pairs, e.g. engine="spsta"
@@ -241,28 +229,10 @@ type series struct {
 // order (and so /debug/timeline's); within a family it is /metrics'
 // sample order.
 var serviceSeries = slices.Concat(routeSeries(), []series{
-	{fam: &family{typ: "counter"}, tl: seriesReqTotalCount, num: func(c *scrape) any {
-		n := int64(0)
-		for i := range c.reg.latency {
-			n += c.reg.latency[i].count.Load()
-		}
-		return n
-	}},
-	{fam: &family{typ: "counter"}, tl: seriesReqTotalErrors, num: func(c *scrape) any {
-		n := int64(0)
-		for i := range c.reg.errors {
-			n += c.reg.errors[i].Load()
-		}
-		return n
-	}},
+	{fam: &family{typ: "counter"}, tl: seriesReqTotalCount, num: func(c *scrape) any { return c.reqs }},
+	{fam: &family{typ: "counter"}, tl: seriesReqTotalErrors, num: func(c *scrape) any { return c.errs }},
 	{fam: &family{typ: "histogram"}, tl: seriesReqTotalLatency, hist: func(c *scrape) (histSample, bool) {
-		h := histSample{bounds: latencyBounds[:], counts: make([]int64, len(latencyBounds)+1)}
-		for i := range c.reg.latency {
-			for b, n := range c.reg.latency[i].counts(h.bounds) {
-				h.counts[b] += n
-			}
-		}
-		return h, true
+		return histSample{latencyBounds[:], c.buckets[:], nil}, true
 	}},
 	{fam: famQueue, tl: "pool.queue_depth", num: func(c *scrape) any { return c.reg.queueDepth.Load() }},
 	{fam: famInflight, tl: "pool.inflight", num: func(c *scrape) any { return c.reg.inflight.Load() }},
@@ -375,20 +345,32 @@ type histSample struct {
 }
 
 // scrape is what one /metrics render or timeline tick reads besides
-// the registry: the Go runtime's memory statistics and, for /metrics
-// only, the lifetime engine totals and the SLO objectives' state.
+// the registry: the RED series summed over engine labels, the Go
+// runtime's memory statistics and, for /metrics only, the lifetime
+// engine totals and the SLO objectives' state.
 type scrape struct {
 	*Service
-	mem runtime.MemStats
-	agg *obs.Snapshot
-	slo []timeline.ObjectiveStatus
+	reqs, errs int64
+	buckets    [len(latencyBounds) + 1]int64
+	mem        runtime.MemStats
+	agg        *obs.Snapshot
+	slo        []timeline.ObjectiveStatus
 }
 
-// newScrape reads the memory statistics. ReadMemStats briefly stops the
-// world; at the timeline's default 1s interval this is noise, but it
-// is the dominant term of the sampling cost model (DESIGN.md §17).
+// newScrape sums the RED series and reads the memory statistics.
+// ReadMemStats briefly stops the world; at the timeline's default 1s
+// interval this is noise, but it is the dominant term of the sampling
+// cost model (DESIGN.md §17).
 func (s *Service) newScrape() *scrape {
 	c := &scrape{Service: s}
+	for i := range s.reg.latency {
+		h := &s.reg.latency[i]
+		for b := range c.buckets {
+			c.buckets[b] += h.buckets[b].Load()
+		}
+		c.reqs += h.count.Load()
+		c.errs += s.reg.errors[i].Load()
+	}
 	runtime.ReadMemStats(&c.mem)
 	return c
 }

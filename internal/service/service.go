@@ -766,7 +766,7 @@ func (s *Service) finish(w http.ResponseWriter, rc *reqCtx, body jsonBody, err e
 		return
 	}
 	rc.scope.M().AddTo(&s.reg.engine)
-	s.reg.observeCost(actual)
+	s.reg.cost.observe(costBounds[:], float64(actual), actual)
 	s.reg.deltaNets.Add(int64(rc.netsRecomputed))
 	if rc.req != nil && rc.label != "delta" { // an upload has no Request
 		s.sample(rc.req)
@@ -1012,12 +1012,6 @@ type NetlistUploadResponse struct {
 // every other route.
 func (s *Service) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
 	rc := s.begin(w, r, "/v1/netlists", "netlists")
-	body, err := s.upload(r, rc)
-	s.finish(w, rc, body, err)
-}
-
-// upload is /v1/netlists' decode → resolve → encode stretch.
-func (s *Service) upload(r *http.Request, rc *reqCtx) (jsonBody, error) {
 	var req NetlistUploadRequest
 	err := decodeJSON(r, &req)
 	if err == nil && (req.Circuit == "") == (req.Bench == "") {
@@ -1026,11 +1020,12 @@ func (s *Service) upload(r *http.Request, rc *reqCtx) (jsonBody, error) {
 	if err == nil {
 		rc.c, rc.digest, err = s.resolveSource(req.Circuit, req.Bench, "")
 	}
-	if err != nil {
-		return nil, err
+	var body jsonBody
+	if err == nil {
+		s.newScope(rc)
+		body, err = encodeJSON(&NetlistUploadResponse{RequestID: rc.id, TraceID: rc.traceID, NetlistDigest: rc.digest, Circuit: rc.circuitInfo()})
 	}
-	s.newScope(rc)
-	return encodeJSON(&NetlistUploadResponse{RequestID: rc.id, TraceID: rc.traceID, NetlistDigest: rc.digest, Circuit: rc.circuitInfo()})
+	s.finish(w, rc, body, err)
 }
 
 // runEngineSpanned wraps one engine run in an engine span parented
