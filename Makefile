@@ -119,7 +119,12 @@ soak:
 # TestResultCachePanicDoesNotWedgeKey), single-flight
 # (TestSingleFlightDedup), the netlist registry
 # (TestNetlistRegistryAndRef) and concurrent first-hit encoding
-# (TestConcurrentFirstHitsEncodeOnce).
+# (TestConcurrentFirstHitsEncodeOnce). So do the readers of the one
+# series table that /metrics and the timeline sampler both walk: the
+# exposition golden (TestMetricsExpositionGolden, the full /metrics
+# text and every sampled series after a fixed request sequence), the
+# exposition format check (TestPrometheusExpositionValid) and the
+# timeline endpoints (TestTimelineEndpoints, TestTimelineDisabledSampler).
 # Under the race detector
 # the packed-vs-scalar equivalence test runs its three smallest
 # circuits only (the scalar glitch walk is the slowest code raced), so
@@ -144,7 +149,7 @@ check:
 		GOAMD64=v3 $(GO) test -run 'Mixture|Golden' ./internal/dist ./internal/core; \
 	else echo "check: skipping the GOAMD64=v3 FMA guard: /proc/cpuinfo lacks avx2 or fma"; fi
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Batched|Instrumented|IncrementalPruned|Restore|SingleEdit|FoldedKernel|Apply' ./internal/core ./internal/incr
-	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop|LRU|ResultCache|SingleFlight|NetlistRegistry|FirstHits' ./internal/service
+	$(GO) test -race -cpu 1,2 -run 'Delta|RequestClock|MetricsScrape|DriftLoop|LRU|ResultCache|SingleFlight|NetlistRegistry|FirstHits|Exposition|Timeline' ./internal/service
 	$(GO) test -race -cpu 1,2 -run 'Packed|Parallel|Golden|MomentNets' ./internal/montecarlo
 	$(GO) test -run PackedMatchesScalarAllCircuits ./internal/montecarlo
 	cd spstabench && $(GO) vet ./... && $(GO) test -short ./...
