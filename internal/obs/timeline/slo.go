@@ -3,17 +3,17 @@
 //
 // An objective defines a budget — the tolerable fraction of bad
 // events (errors, rejections, too-slow requests, cache misses) — and
-// the burn rate measures how fast
-// the service is consuming that budget: burn 1.0 means "exactly at
-// the objective", burn 14.4 means "the 30-day budget gone in 2 days"
-// in classic SRE terms. An objective fires only when EVERY configured
-// window's burn rate is at or above that window's threshold — the
-// standard multi-window rule: the long window proves the problem is
-// sustained, the short window proves it is still happening (and
-// clears the alert promptly once it stops). State transitions are
-// deterministic functions of the sampled history: they can only
-// happen inside Store.Sample, so a fake-clock test can assert the
-// exact tick an alert fires and the exact tick it clears.
+// the burn rate measures how fast the service is consuming that
+// budget: burn 1.0 means "exactly at the objective", burn 14.4 means
+// "the 30-day budget gone in 2 days" in classic SRE terms. An
+// objective fires only when EVERY configured window's burn rate is at
+// or above that window's threshold — the standard multi-window rule:
+// the long window proves the problem is sustained, the short window
+// proves it is still happening (and clears the alert promptly once it
+// stops). State transitions are deterministic functions of the
+// sampled history: they can only happen inside Store.Sample, so a
+// fake-clock test can assert the exact tick an alert fires and the
+// exact tick it clears.
 package timeline
 
 import (

@@ -1,6 +1,6 @@
 // Package timeline is a dependency-free in-process time-series
-// store: a sampler scrapes a collector at a fixed interval
-// into bounded per-series ring buffers, turning the service's
+// store: a sampler scrapes a collector at a fixed interval into
+// bounded per-series ring buffers, turning the service's
 // point-in-time atomics (RED histograms, cache and pool counters,
 // drift gauges, runtime stats) into windowed history that can answer
 // "did p99 degrade over the last ten minutes?" without an external
