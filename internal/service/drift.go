@@ -3,10 +3,10 @@
 // engine and compares the SPSTA analyzer's arrival statistics against
 // the simulation at the circuit's critical endpoint. The absolute
 // mean and sigma deviations are exported as the drift deviation
-// gauges of /metrics and the timeline, so a
-// regression that skews the analytic engines away from simulation —
-// a bad kernel, a mis-tuned pruning budget — shows up on a dashboard
-// without anyone issuing compare requests.
+// gauges of /metrics and the timeline, so a regression that skews the
+// analytic engines away from simulation — a bad kernel, a mis-tuned
+// pruning budget — shows up on a dashboard without anyone issuing
+// compare requests.
 package service
 
 import (
